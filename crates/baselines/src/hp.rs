@@ -91,7 +91,7 @@ pub fn split_and_merge<P: Intensity>(img: &Image<P>, config: &Config) -> HpSegme
 
     // ---- greedy sequential merge ------------------------------------------
     let mut dsu = DisjointSets::new(num_leaves);
-    let mut pairs = adjacent_label_pairs(&leaf_of, w, h, config.connectivity, false);
+    let mut pairs = adjacent_label_pairs(&leaf_of, w, h, config.connectivity);
     let mut merge_steps = 0usize;
     loop {
         let mut merged_any = false;

@@ -303,7 +303,7 @@ fn batch_row_json(r: &BatchRow, scene: &str, threshold: u32) -> Json {
 /// [--images N] [--size S]` — the batch-throughput smoke. Streams N
 /// synthetic SxS scenes through one warm `HostPipeline` (the plan/workspace
 /// reuse path) and through a naive fresh-`segment()`-per-image loop, and
-/// records both as `bench-merge-v1` rows in `BENCH_batch.json` so the CI
+/// records both as `bench-batch-v1` rows in `BENCH_batch.json` so the CI
 /// diff gate guards the deterministic counters. `--check` additionally
 /// enforces the warm pipeline's throughput floor over the naive loop.
 fn batch_main(args: &[String]) {
@@ -481,7 +481,7 @@ fn batch_main(args: &[String]) {
     );
 
     let doc = Json::obj(vec![
-        ("schema", Json::Str("bench-merge-v1".to_string())),
+        ("schema", Json::Str("bench-batch-v1".to_string())),
         ("generator", Json::Str("bench_record batch".to_string())),
         ("image_size", Json::Num(size as f64)),
         ("scene", Json::Str(scene.clone())),

@@ -1,10 +1,10 @@
 //! Perf-regression differ for `BENCH_*.json` documents.
 //!
 //! Compares a *current* benchmark document against a *baseline* (both in
-//! a `bench_record` schema: `bench-merge-v1`, `bench-split-v1`, or
-//! `bench-tiles-v1` — historical split files stamped with the merge tag
-//! are still accepted, with a warning) and classifies every metric of
-//! every row:
+//! a `bench_record` schema: `bench-merge-v1`, `bench-split-v1`,
+//! `bench-batch-v1` or `bench-tiles-v1` — historical split and batch files
+//! stamped with the merge tag are still accepted, with a warning) and
+//! classifies every metric of every row:
 //!
 //! * **identity metrics** (`initial_edges`, `num_regions`, `num_squares`)
 //!   are products of the deterministic pipeline — any change at all is a
@@ -199,15 +199,21 @@ fn row_key(row: &Json) -> Option<String> {
 }
 
 /// Validates the schema tag; returns a warning string for accepted legacy
-/// stampings (split documents written before `bench-split-v1` existed).
+/// stampings (split and batch documents written before `bench-split-v1`
+/// and `bench-batch-v1` existed).
 fn check_schema(doc: &Json, which: &str) -> Result<Option<String>, String> {
     let generator = doc.get("generator").and_then(Json::as_str).unwrap_or("");
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bench-merge-v1") if generator == "bench_record split" => Ok(Some(format!(
-            "{which}: split document stamped with legacy schema \"bench-merge-v1\" \
-             (regenerate with `bench_record split` for \"bench-split-v1\")"
-        ))),
-        Some("bench-merge-v1" | "bench-split-v1" | "bench-tiles-v1") => Ok(None),
+        Some("bench-merge-v1")
+            if matches!(generator, "bench_record split" | "bench_record batch") =>
+        {
+            let kind = generator.trim_start_matches("bench_record ");
+            Ok(Some(format!(
+                "{which}: {kind} document stamped with legacy schema \"bench-merge-v1\" \
+                 (regenerate with `{generator}` for \"bench-{kind}-v1\")"
+            )))
+        }
+        Some("bench-merge-v1" | "bench-split-v1" | "bench-batch-v1" | "bench-tiles-v1") => Ok(None),
         Some(other) => Err(format!("{which}: unsupported schema {other:?}")),
         None => Err(format!("{which}: missing schema field")),
     }
@@ -523,8 +529,8 @@ mod tests {
     }
 
     #[test]
-    fn split_and_tiles_schemas_are_accepted() {
-        for tag in ["bench-split-v1", "bench-tiles-v1"] {
+    fn current_schemas_are_accepted() {
+        for tag in ["bench-split-v1", "bench-batch-v1", "bench-tiles-v1"] {
             let d = Json::obj(vec![("schema", tag.into()), ("rows", Json::Arr(vec![]))]);
             let r = diff_docs(&d, &d, &DiffOptions::default()).unwrap();
             assert!(r.ok(), "{tag}: {}", r.render());
@@ -545,6 +551,30 @@ mod tests {
         assert!(r.ok());
         assert_eq!(r.schema_warnings.len(), 2); // baseline + current
         assert!(r.render().contains("legacy schema"));
+    }
+
+    #[test]
+    fn legacy_batch_tag_warns_but_passes() {
+        // `bench_record batch` stamped the merge tag before `bench-batch-v1`;
+        // such a baseline still diffs against a fresh document, with a
+        // warning that names the batch tag.
+        let batch_doc = |tag: &str| {
+            Json::obj(vec![
+                ("schema", tag.into()),
+                ("generator", "bench_record batch".into()),
+                ("rows", Json::Arr(vec![])),
+            ])
+        };
+        let r = diff_docs(
+            &batch_doc("bench-merge-v1"),
+            &batch_doc("bench-batch-v1"),
+            &DiffOptions::default(),
+        )
+        .unwrap();
+        assert!(r.ok());
+        assert_eq!(r.schema_warnings.len(), 1); // baseline only
+        assert!(r.schema_warnings[0].starts_with("baseline: batch document"));
+        assert!(r.render().contains("\"bench-batch-v1\""));
     }
 
     #[test]

@@ -178,11 +178,7 @@ pub fn merge_from_split<P: Intensity>(
     config: &Config,
     parallel: bool,
 ) -> (MergeSummary, Vec<u32>) {
-    let rag = if parallel {
-        Rag::from_split_par(split_result, config.connectivity)
-    } else {
-        Rag::from_split(split_result, config.connectivity)
-    };
+    let rag = Rag::from_split(split_result, config.connectivity);
     let stride = split_result.width as u32;
     let ids: Vec<u64> = split_result
         .squares

@@ -13,7 +13,6 @@
 
 use crate::config::{Connectivity, RegionStats};
 use crate::split::SplitResult;
-use rayon::prelude::*;
 use rg_imaging::Intensity;
 use std::borrow::Cow;
 
@@ -54,114 +53,128 @@ impl<'a, P: Intensity> Rag<'a, P> {
     }
 
     /// Builds the RAG for the squares of a split result, borrowing the
-    /// split's statistics (no copy).
+    /// split's statistics (no copy). Edges come from
+    /// [`square_adjacency_into`].
     pub fn from_split(split: &'a SplitResult<P>, connectivity: Connectivity) -> Self {
-        let edges = adjacent_label_pairs(
-            &split.square_of,
-            split.width,
-            split.height,
-            connectivity,
-            false,
-        );
+        let mut edges = Vec::new();
+        square_adjacency_into(split, connectivity, &mut Vec::new(), &mut edges);
         Self {
             stats: Cow::Borrowed(&split.stats),
             edges,
         }
     }
+}
 
-    /// Builds the RAG in parallel (identical output to [`Rag::from_split`],
-    /// statistics borrowed without copying).
-    pub fn from_split_par(split: &'a SplitResult<P>, connectivity: Connectivity) -> Self {
-        let edges = adjacent_label_pairs(
-            &split.square_of,
-            split.width,
-            split.height,
-            connectivity,
-            true,
-        );
-        Self {
-            stats: Cow::Borrowed(&split.stats),
-            edges,
+/// Writes the canonical RAG edge list of a split (`u < v`, sorted, unique)
+/// into `out`, reading only the perimeters of the squares. `out` and the
+/// per-square neighbour list `scratch` are cleared first; neither
+/// allocates once it has reached its high-water capacity.
+///
+/// The output is identical to
+/// `adjacent_label_pairs(&split.square_of, width, height, connectivity)`,
+/// without its per-pixel scan and its sort of the whole pair list.
+///
+/// **Construction.** Squares leave the split in raster order of their
+/// top-left corners, so a square's dense index orders like its id. For
+/// each square `u` at `(x0, y0)` with side `s`, in index order:
+///
+/// * walk `square_of` along column `x0 + s` (right), column `x0 − 1`
+///   (left) and row `y0 + s` (below), each clipped to the image; a walk
+///   reads one pixel per neighbour square and hops past the rest of it;
+/// * under 8-connectivity, the row walk also covers the bottom corners
+///   `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`;
+/// * keep a neighbour `v` only if `v > u`, then sort and dedup the short
+///   list (only when it is not already ascending) and append the pairs
+///   `(u, v)`.
+///
+/// **Canonical order.** Take an adjacent pair `a < b`. A square covering
+/// a pixel in the row above `a` starts on an earlier row, so its index is
+/// smaller than `a`'s: `b` cannot touch `a`'s top side or its top corners.
+/// Every other pixel adjacent to `a` lies on the right or left column, the
+/// row below or (8-connectivity) a bottom corner, so `b` is found from
+/// `a`. It is never emitted from `b`, whose filter drops `a < b`. Each pair
+/// therefore appears exactly once, from its smaller end, and pairs come
+/// out sorted because squares are visited in index order.
+///
+/// **Cost.** One read per (square, side, neighbour) plus a sort of a few
+/// larger neighbours per square: O(squares + edges), bounded by the total
+/// square perimeter. That is linear in the pixels on fragmented scenes and
+/// far below it when large squares cover the image.
+pub fn square_adjacency_into<P: Intensity>(
+    split: &SplitResult<P>,
+    connectivity: Connectivity,
+    scratch: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    let (w, h) = (split.width, split.height);
+    let (squares, square_of) = (&split.squares[..], &split.square_of[..]);
+    assert_eq!(square_of.len(), w * h, "square_of size mismatch");
+    let eight = connectivity == Connectivity::Eight;
+    out.clear();
+    for (u, sq) in squares.iter().enumerate() {
+        let u = u as u32;
+        let (x0, y0, s) = (sq.x as usize, sq.y as usize, sq.side() as usize);
+        // One past the square; squares lie wholly inside the image.
+        let (x1, y1) = (x0 + s, y0 + s);
+        let nb = &mut *scratch;
+        nb.clear();
+        // Walks column `x` from row `y` (or row `y` from column `x`) up to
+        // `end`, hopping over each neighbour square in one step and
+        // keeping it if it is larger than `u`.
+        let mut walk = |mut x: usize, mut y: usize, end: usize, down: bool| loop {
+            let v = square_of[y * w + x];
+            if v > u {
+                nb.push(v);
+            }
+            let q = squares[v as usize];
+            let (pos, past) = if down {
+                (&mut y, q.y + q.side())
+            } else {
+                (&mut x, q.x + q.side())
+            };
+            *pos = past as usize;
+            if *pos >= end {
+                break;
+            }
+        };
+        if x1 < w {
+            walk(x1, y0, y1, true);
         }
+        if x0 > 0 && s > 1 {
+            // Row `y0` of the left column belongs to a square that starts
+            // no later and further left, so its index is smaller.
+            walk(x0 - 1, y0 + 1, y1, true);
+        }
+        if y1 < h {
+            // Under 8-connectivity the row widens by the bottom corners.
+            let lo = if eight && x0 > 0 { x0 - 1 } else { x0 };
+            let hi = if eight && x1 < w { x1 + 1 } else { x1 };
+            walk(lo, y1, hi, false);
+        }
+        // The list is usually ascending already; interleaved left/right
+        // neighbours and corner squares also met on a column need the sort.
+        if !nb.windows(2).all(|p| p[0] < p[1]) {
+            nb.sort_unstable();
+            nb.dedup();
+        }
+        out.extend(nb.iter().map(|&v| (u, v)));
     }
 }
 
 /// Scans a row-major label map and returns every unordered pair of distinct
 /// labels that are pixel-adjacent under `connectivity`, sorted and deduped.
 ///
-/// Used both to build the RAG over split squares and to verify maximality
-/// of a final segmentation.
+/// For arbitrary label maps: maximality checks of a final segmentation and
+/// baseline leaf maps. Square graphs use [`square_adjacency_into`], which
+/// this function serves as test oracle for.
 pub fn adjacent_label_pairs(
     labels: &[u32],
     width: usize,
     height: usize,
     connectivity: Connectivity,
-    parallel: bool,
 ) -> Vec<(u32, u32)> {
     assert_eq!(labels.len(), width * height, "label buffer size mismatch");
-    if !parallel {
-        let mut out = Vec::new();
-        adjacent_label_pairs_into(labels, width, height, connectivity, &mut out);
-        return out;
-    }
-    let row_pairs = |y: usize, out: &mut Vec<(u32, u32)>| {
-        let row = &labels[y * width..(y + 1) * width];
-        let below = if y + 1 < height {
-            Some(&labels[(y + 1) * width..(y + 2) * width])
-        } else {
-            None
-        };
-        for x in 0..width {
-            let a = row[x];
-            // Right neighbour.
-            if x + 1 < width {
-                push_pair(out, a, row[x + 1]);
-            }
-            if let Some(below) = below {
-                // Down neighbour.
-                push_pair(out, a, below[x]);
-                if connectivity == Connectivity::Eight {
-                    // Down-right and down-left diagonals.
-                    if x + 1 < width {
-                        push_pair(out, a, below[x + 1]);
-                    }
-                    if x > 0 {
-                        push_pair(out, a, below[x - 1]);
-                    }
-                }
-            }
-        }
-    };
-
-    let mut pairs: Vec<(u32, u32)> = (0..height)
-        .into_par_iter()
-        .fold(Vec::new, |mut acc, y| {
-            row_pairs(y, &mut acc);
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-
-    pairs.par_sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// [`adjacent_label_pairs`] writing into a caller-owned buffer (cleared
-/// first). Output is identical to the sequential path of
-/// [`adjacent_label_pairs`]; no heap allocation once `out` has reached its
-/// high-water capacity.
-pub fn adjacent_label_pairs_into(
-    labels: &[u32],
-    width: usize,
-    height: usize,
-    connectivity: Connectivity,
-    out: &mut Vec<(u32, u32)>,
-) {
-    assert_eq!(labels.len(), width * height, "label buffer size mismatch");
-    out.clear();
+    let mut out = Vec::new();
     for y in 0..height {
         let row = &labels[y * width..(y + 1) * width];
         let below = if y + 1 < height {
@@ -173,18 +186,18 @@ pub fn adjacent_label_pairs_into(
             let a = row[x];
             // Right neighbour.
             if x + 1 < width {
-                push_pair(out, a, row[x + 1]);
+                push_pair(&mut out, a, row[x + 1]);
             }
             if let Some(below) = below {
                 // Down neighbour.
-                push_pair(out, a, below[x]);
+                push_pair(&mut out, a, below[x]);
                 if connectivity == Connectivity::Eight {
                     // Down-right and down-left diagonals.
                     if x + 1 < width {
-                        push_pair(out, a, below[x + 1]);
+                        push_pair(&mut out, a, below[x + 1]);
                     }
                     if x > 0 {
-                        push_pair(out, a, below[x - 1]);
+                        push_pair(&mut out, a, below[x - 1]);
                     }
                 }
             }
@@ -192,6 +205,7 @@ pub fn adjacent_label_pairs_into(
     }
     out.sort_unstable();
     out.dedup();
+    out
 }
 
 #[inline]
@@ -240,20 +254,23 @@ mod tests {
         // 2×2 checkerboard of singleton regions: 4-conn has 4 edges, 8-conn
         // adds the two diagonals.
         let labels = vec![0, 1, 2, 3];
-        let four = adjacent_label_pairs(&labels, 2, 2, Connectivity::Four, false);
+        let four = adjacent_label_pairs(&labels, 2, 2, Connectivity::Four);
         assert_eq!(four, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let eight = adjacent_label_pairs(&labels, 2, 2, Connectivity::Eight, false);
+        let eight = adjacent_label_pairs(&labels, 2, 2, Connectivity::Eight);
         assert_eq!(eight, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let img = synth::random_rects(80, 48, 9, 5);
-        let s = split(&img, &Config::with_threshold(15));
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            let a = adjacent_label_pairs(&s.square_of, 80, 48, conn, false);
-            let b = adjacent_label_pairs(&s.square_of, 80, 48, conn, true);
-            assert_eq!(a, b);
+    fn square_builder_matches_oracle() {
+        // Stale contents of the reused buffers must be cleared.
+        let (mut scratch, mut out) = (vec![3u32], vec![(7u32, 9u32)]);
+        for seed in 0..3 {
+            let img = synth::random_rects(80, 48, 9, seed);
+            let s = split(&img, &Config::with_threshold(15));
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                square_adjacency_into(&s, conn, &mut scratch, &mut out);
+                assert_eq!(out, adjacent_label_pairs(&s.square_of, 80, 48, conn));
+            }
         }
     }
 
@@ -270,20 +287,6 @@ mod tests {
             .edges
             .iter()
             .all(|&(u, v)| (v as usize) < rag.num_vertices() && (u as usize) < rag.num_vertices()));
-    }
-
-    #[test]
-    fn into_variant_matches_with_reused_buffer() {
-        let mut buf = vec![(7u32, 9u32)]; // stale content must be cleared
-        for seed in 0..3 {
-            let img = synth::random_rects(40, 24, 6, seed);
-            let s = split(&img, &Config::with_threshold(12));
-            for conn in [Connectivity::Four, Connectivity::Eight] {
-                let fresh = adjacent_label_pairs(&s.square_of, 40, 24, conn, false);
-                adjacent_label_pairs_into(&s.square_of, 40, 24, conn, &mut buf);
-                assert_eq!(fresh, buf);
-            }
-        }
     }
 
     #[test]

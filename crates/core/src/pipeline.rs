@@ -31,7 +31,7 @@ use crate::driver::{
     SplitStage, StageStats, TraceHook,
 };
 use crate::engine::Segmentation;
-use crate::graph::adjacent_label_pairs_into;
+use crate::graph::square_adjacency_into;
 use crate::hierarchy::MergeTrace;
 use crate::merge::Merger;
 use crate::split::{split_into, SplitResult, SplitScratch};
@@ -40,8 +40,8 @@ use rg_imaging::{Image, Intensity};
 
 /// Immutable per-(shape, config) execution geometry, computed once and
 /// consulted by every run: the padded quadtree side, the number of split
-/// levels, capacity bounds used to pre-size workspace arenas, and the
-/// canonical stage ordering shared by all engines.
+/// levels, the vertex and edge capacity bounds, and the canonical stage
+/// ordering shared by all engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionPlan {
     width: usize,
@@ -124,7 +124,8 @@ impl ExecutionPlan {
 
     /// Upper bound on undirected RAG edges under the planned connectivity
     /// (the pixel-adjacency count; square coalescing only shrinks it).
-    /// Used as the CSR capacity estimate for arena pre-sizing.
+    /// Informational: arenas size themselves on the warm-up image, and
+    /// [`Workspace::prepare`] does not read it.
     pub fn edge_pairs_bound(&self) -> usize {
         self.edge_pairs_bound
     }
@@ -147,8 +148,10 @@ pub struct Workspace<P: Intensity> {
     /// The current split result (squares / stats / square-of map), refilled
     /// in place by `split_into`.
     split: SplitResult<P>,
-    /// Canonical RAG edge list, refilled by `adjacent_label_pairs_into`.
+    /// Canonical RAG edge list, refilled by `square_adjacency_into`.
     edges: Vec<(u32, u32)>,
+    /// Per-square neighbour list of `square_adjacency_into`.
+    neighbours: Vec<u32>,
     /// Canonical region IDs, parallel to the split squares.
     ids: Vec<u64>,
     /// The merge engine with all its CSR/DSU/stamp-token state; reused via
@@ -172,6 +175,7 @@ impl<P: Intensity> Workspace<P> {
             split_scratch: SplitScratch::new(),
             split: SplitResult::default(),
             edges: Vec::new(),
+            neighbours: Vec::new(),
             ids: Vec::new(),
             merger: None,
             by_vertex: Vec::new(),
@@ -420,11 +424,10 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
 impl<P: Intensity> GraphStage for HostBackend<'_, P> {
     fn graph(&mut self, _tel: &mut dyn Telemetry) -> StageStats {
         let ws = &mut *self.ws;
-        adjacent_label_pairs_into(
-            &ws.split.square_of,
-            self.img.width(),
-            self.img.height(),
+        square_adjacency_into(
+            &ws.split,
             self.config.connectivity,
+            &mut ws.neighbours,
             &mut ws.edges,
         );
         let stride = ws.split.width as u32;

@@ -138,7 +138,7 @@ pub fn verify_segmentation<P: Intensity>(
     }
 
     // Maximality.
-    for (a, b) in adjacent_label_pairs(&seg.labels, w, h, config.connectivity, false) {
+    for (a, b) in adjacent_label_pairs(&seg.labels, w, h, config.connectivity) {
         if let (Some(sa), Some(sb)) = (stats[a as usize], stats[b as usize]) {
             if config.criterion.satisfies(&sa, &sb, config.threshold) {
                 violations.push(Violation::MergeableNeighbors { a, b });

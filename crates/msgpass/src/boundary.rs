@@ -15,7 +15,7 @@
 use crate::decomp::{Decomposition, Tile};
 use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
 use cmmd_sim::{Fault, Node};
-use rg_core::graph::adjacent_label_pairs;
+use rg_core::graph::square_adjacency_into;
 use rg_core::{split, Config, Connectivity, RegionStats};
 use rg_imaging::{Image, Intensity};
 use std::collections::{BTreeMap, HashMap};
@@ -159,8 +159,10 @@ pub fn build_local_rag<P: Intensity>(
         .collect();
 
     // --- step 2: internal edges ------------------------------------------
+    let mut local_edges = Vec::new();
+    square_adjacency_into(&s, config.connectivity, &mut Vec::new(), &mut local_edges);
     let mut half_edges: Vec<(u32, u32)> = Vec::new();
-    for (a, b) in adjacent_label_pairs(&s.square_of, tile.w, tile.h, config.connectivity, false) {
+    for (a, b) in local_edges {
         let (ga, gb) = (gid_of_square[a as usize], gid_of_square[b as usize]);
         half_edges.push((ga, gb));
         half_edges.push((gb, ga));
