@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rg_baselines::{ccl, hp, seeded};
-use rg_core::{segment, segment_par, Config, Connectivity};
+use rg_core::{segment, Config, Connectivity};
 use rg_imaging::synth;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -14,9 +14,6 @@ fn bench_baselines(c: &mut Criterion) {
     let cfg = Config::with_threshold(10);
     g.bench_function(BenchmarkId::new("split_merge_seq", 256), |b| {
         b.iter(|| segment(&img, &cfg))
-    });
-    g.bench_function(BenchmarkId::new("split_merge_par", 256), |b| {
-        b.iter(|| segment_par(&img, &cfg))
     });
     g.bench_function(BenchmarkId::new("seeded_growing", 256), |b| {
         b.iter(|| seeded::grow_regions(&img, &cfg))

@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the full pipeline on the paper's six images.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rg_core::{segment, segment_par, Config};
+use rg_core::{segment, Config};
 use rg_imaging::synth::PaperImage;
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -14,11 +14,6 @@ fn bench_end_to_end(c: &mut Criterion) {
             BenchmarkId::new("seq", format!("{pi:?}")),
             &img,
             |b, img| b.iter(|| segment(img, &cfg)),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("par", format!("{pi:?}")),
-            &img,
-            |b, img| b.iter(|| segment_par(img, &cfg)),
         );
     }
     g.finish();

@@ -1,6 +1,6 @@
-//! Wall-clock benchmark of the merge stage in isolation: sequential vs
-//! rayon engines on the paper's busiest scene type (circles), plus the
-//! merge-only baseline quantifying the split stage's benefit.
+//! Wall-clock benchmark of the merge stage in isolation on the paper's
+//! busiest scene type (circles), plus the merge-only baseline quantifying
+//! the split stage's benefit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rg_core::engine::merge_from_split;
@@ -15,17 +15,14 @@ fn bench_merge(c: &mut Criterion) {
         let cfg = Config::with_threshold(10);
         let pre = split(&img, &cfg);
         g.bench_with_input(BenchmarkId::new("seq", n), &pre, |b, pre| {
-            b.iter(|| merge_from_split(pre, &cfg, false))
-        });
-        g.bench_with_input(BenchmarkId::new("par", n), &pre, |b, pre| {
-            b.iter(|| merge_from_split(pre, &cfg, true))
+            b.iter(|| merge_from_split(pre, &cfg))
         });
         // Merge-only baseline: every pixel starts as a region — the work
         // the split stage saves (the paper's motivation for splitting).
         let cfg0 = Config::with_threshold(10).max_square_log2(Some(0));
         let pre0 = split(&img, &cfg0);
         g.bench_with_input(BenchmarkId::new("seq/no-split", n), &pre0, |b, pre| {
-            b.iter(|| merge_from_split(pre, &cfg0, false))
+            b.iter(|| merge_from_split(pre, &cfg0))
         });
     }
     g.finish();

@@ -1,9 +1,8 @@
-//! Wall-clock benchmark of the split stage: sequential vs rayon, across
-//! image sizes and scene types (the modern analogue of the paper's split
-//! rows).
+//! Wall-clock benchmark of the split stage across image sizes and scene
+//! types (the modern analogue of the paper's split rows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rg_core::{split, split_par, Config};
+use rg_core::{split, Config};
 use rg_imaging::synth;
 
 fn bench_split(c: &mut Criterion) {
@@ -16,15 +15,9 @@ fn bench_split(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("seq/nested", n), &nested, |b, img| {
             b.iter(|| split(img, &cfg))
         });
-        g.bench_with_input(BenchmarkId::new("par/nested", n), &nested, |b, img| {
-            b.iter(|| split_par(img, &cfg))
-        });
         // Noise within threshold: the best case (everything coalesces).
         g.bench_with_input(BenchmarkId::new("seq/noise", n), &noise, |b, img| {
             b.iter(|| split(img, &cfg))
-        });
-        g.bench_with_input(BenchmarkId::new("par/noise", n), &noise, |b, img| {
-            b.iter(|| split_par(img, &cfg))
         });
     }
     g.finish();

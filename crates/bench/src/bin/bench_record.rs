@@ -85,9 +85,9 @@ fn bench_one(
     // Warm-up pass (page in buffers, steady-state allocator), then the
     // timed pass on a fresh Merger over the same RAG.
     let warm = Rag::from_split(&s, cfg.connectivity);
-    Merger::new(warm, ids.clone(), &cfg, false).run();
+    Merger::new(warm, ids.clone(), &cfg).run();
 
-    let mut merger = Merger::new(rag, ids, &cfg, false);
+    let mut merger = Merger::new(rag, ids, &cfg);
     let t0 = Instant::now();
     let summary = merger.run();
     let wall = t0.elapsed().as_secs_f64();
@@ -590,11 +590,11 @@ fn build_split_doc(n: usize) -> (Json, Vec<String>) {
 
             // Packed engine: one warm-up call, then best-of-k over the
             // steady-state (allocation-free) reused-scratch path.
-            split_into(img, &cfg, false, &mut scratch, &mut packed_out);
+            split_into(img, &cfg, &mut scratch, &mut packed_out);
             let mut packed_wall = f64::MAX;
             for _ in 0..repeats {
                 let t0 = Instant::now();
-                split_into(img, &cfg, false, &mut scratch, &mut packed_out);
+                split_into(img, &cfg, &mut scratch, &mut packed_out);
                 packed_wall = packed_wall.min(t0.elapsed().as_secs_f64());
             }
             let packed = SplitRow {
@@ -760,17 +760,20 @@ fn split_main(args: &[String]) {
 /// One timed configuration of the tiled suite.
 struct TileRow {
     /// `"whole"` (one-shot `segment()` per image), `"tiled-j1"` (warm
-    /// `TiledRunner`, one worker), or `"tiled-j4"` (warm runner, pooled
+    /// `TiledRunner`, one worker), or `"tiled-jN"` (warm runner, pooled
     /// workers).
     backend: &'static str,
     image: &'static str,
     threshold: u32,
+    /// Worker count of a tiled row (`None` for the whole-image row).
+    jobs: Option<usize>,
     num_regions: usize,
     iterations: u32,
     seam_edges: Option<usize>,
-    /// Guarded speedup (tiled-j4 row only): best of jobs-fan-out and
-    /// tiled-over-whole on this host. A `speedup` work metric in the diff
-    /// gate — losing it past the tolerance fails CI.
+    /// Guarded speedup (tiled-jN row only): tiled-over-whole on this host,
+    /// or the better of that and worker fan-out when `jobs > 1`. A
+    /// `speedup` work metric in the diff gate — losing it past the
+    /// tolerance fails CI.
     speedup: Option<f64>,
     wall_ms: f64,
 }
@@ -781,10 +784,15 @@ fn tile_row_json(r: &TileRow) -> Json {
         ("image", Json::Str(r.image.to_string())),
         ("tie_break", Json::Str("smallest".to_string())),
         ("threshold", Json::Num(f64::from(r.threshold))),
+    ];
+    if let Some(j) = r.jobs {
+        fields.push(("jobs", Json::Num(j as f64)));
+    }
+    fields.extend([
         ("num_regions", Json::Num(r.num_regions as f64)),
         ("iterations", Json::Num(f64::from(r.iterations))),
         ("wall_ms", Json::Num((r.wall_ms * 1e3).round() / 1e3)),
-    ];
+    ]);
     if let Some(s) = r.seam_edges {
         fields.push(("seam_edges", Json::Num(s as f64)));
     }
@@ -795,10 +803,14 @@ fn tile_row_json(r: &TileRow) -> Json {
 }
 
 /// Runs the tiled-vs-whole suite at image size `n`: the warm sharded
-/// runtime (`rgrow --tiles 4x4`) on one worker and on the pool, against a
-/// fresh `segment()` per round. Returns the `bench-tiles-v1` document and
-/// any guard failures (worker-count invariance, and exact-label identity
-/// with the whole-image run on the threshold-separated scene).
+/// runtime (`rgrow --tiles 4x4`) on one worker and on the pool of
+/// `min(nproc, 4)` workers, against a fresh `segment()` per round. The pool
+/// row is named `tiled-jN` on every host (the differ matches rows by name)
+/// and records its worker count in `jobs`; worker fan-out enters the
+/// speedups only when it was measured, i.e. when `jobs > 1`. Returns the
+/// `bench-tiles-v1` document and any guard failures (worker-count
+/// invariance, and exact-label identity with the whole-image run on the
+/// threshold-separated scene).
 fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
     use rg_core::{segment, NullTelemetry, Segmentation, TileGrid, TiledRunner};
 
@@ -814,7 +826,7 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
     // the whole-image run churns cache-hostile full-image merge arenas
     // while each tile merges in cache, so sharding wins on a single core
     // and worker fan-out stacks on top where cores exist. The guarded
-    // `speedup` metric lives on this scene's tiled-j4 row.
+    // `speedup` metric lives on this scene's tiled-jN row.
     let scenes: Vec<(&'static str, GrayImage)> = vec![
         ("shards", synth::checkerboard(n, (n / 16).max(1), 40, 200)),
         ("noise", synth::uniform_noise(n, n, 120, 135, 9)),
@@ -822,7 +834,7 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
 
     let mut rows = Vec::new();
     let mut guard_failures = Vec::new();
-    let mut best_j4_over_j1 = 0.0f64;
+    let mut best_fanout = 0.0f64;
     let mut best_tiled_over_whole = 0.0f64;
 
     for (name, img) in &scenes {
@@ -851,9 +863,9 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
             (seg, stats, wall)
         };
         let (seg_j1, stats_j1, wall_j1) = time_tiled(1);
-        let (seg_j4, stats_j4, wall_j4) = time_tiled(jobs);
+        let (seg_jn, stats_jn, wall_jn) = time_tiled(jobs);
 
-        if seg_j1.labels != seg_j4.labels {
+        if seg_j1.labels != seg_jn.labels {
             guard_failures.push(format!("{name}: tiled output depends on worker count"));
         }
         if *name == "shards" && seg_j1.labels != whole_seg.labels {
@@ -864,24 +876,31 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
             );
         }
 
-        let j4_over_j1 = if wall_j4 > 0.0 {
-            wall_j1 / wall_j4
+        let fanout = if wall_jn > 0.0 {
+            wall_j1 / wall_jn
         } else {
             1.0
         };
-        let tiled_over_whole = if wall_j4 > 0.0 {
-            whole_wall / wall_j4
+        let tiled_over_whole = if wall_jn > 0.0 {
+            whole_wall / wall_jn
         } else {
             1.0
         };
-        best_j4_over_j1 = best_j4_over_j1.max(j4_over_j1);
+        best_fanout = best_fanout.max(fanout);
         best_tiled_over_whole = best_tiled_over_whole.max(tiled_over_whole);
-        let scene_speedup = j4_over_j1.max(tiled_over_whole);
+        // On one worker the jN run repeats j1: its ratio is noise, not
+        // fan-out, so it stays out of the gated speedup.
+        let scene_speedup = if jobs > 1 {
+            fanout.max(tiled_over_whole)
+        } else {
+            tiled_over_whole
+        };
 
         let whole = TileRow {
             backend: "whole",
             image: name,
             threshold,
+            jobs: None,
             num_regions: whole_seg.num_regions,
             iterations: whole_seg.merge_iterations,
             seam_edges: None,
@@ -892,26 +911,28 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
             backend: "tiled-j1",
             image: name,
             threshold,
+            jobs: Some(1),
             num_regions: seg_j1.num_regions,
             iterations: seg_j1.merge_iterations,
             seam_edges: Some(stats_j1.seam_edges),
             speedup: None,
             wall_ms: wall_j1 * 1e3,
         };
-        let tiled_j4 = TileRow {
-            backend: "tiled-j4",
+        let tiled_jn = TileRow {
+            backend: "tiled-jN",
             image: name,
             threshold,
-            num_regions: seg_j4.num_regions,
-            iterations: seg_j4.merge_iterations,
-            seam_edges: Some(stats_j4.seam_edges),
+            jobs: Some(jobs),
+            num_regions: seg_jn.num_regions,
+            iterations: seg_jn.merge_iterations,
+            seam_edges: Some(stats_jn.seam_edges),
             // Gate the speedup on the designated speedup scene only: the
             // flat `shards` scene runs near 1.0x by construction, and
             // gating a ~1.0 baseline would fail CI on ordinary wall noise.
             speedup: (*name == "noise").then_some(scene_speedup),
-            wall_ms: wall_j4 * 1e3,
+            wall_ms: wall_jn * 1e3,
         };
-        for r in [&whole, &tiled_j1, &tiled_j4] {
+        for r in [&whole, &tiled_j1, &tiled_jn] {
             eprintln!(
                 "{:9} {:8} regions={:8} iters={:3} seam_edges={:7} wall={:10.3}ms",
                 r.backend,
@@ -923,33 +944,32 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
             );
         }
         eprintln!(
-            "{:9} {:8} speedup: jobs{jobs}/jobs1 {j4_over_j1:.2}x, tiled/whole {tiled_over_whole:.2}x",
+            "{:9} {:8} speedup: jobs{jobs}/jobs1 {fanout:.2}x, tiled/whole {tiled_over_whole:.2}x",
             "", name
         );
         rows.push(whole);
         rows.push(tiled_j1);
-        rows.push(tiled_j4);
+        rows.push(tiled_jn);
     }
 
-    let speedup = best_j4_over_j1.max(best_tiled_over_whole);
-    let doc = Json::obj(vec![
+    let round2 = |x: f64| Json::Num((x * 100.0).round() / 100.0);
+    let mut fields = vec![
         ("schema", Json::Str("bench-tiles-v1".to_string())),
         ("generator", Json::Str("bench_record tiles".to_string())),
         ("image_size", Json::Num(n as f64)),
         ("grid", Json::Str(grid.to_string())),
         ("jobs", Json::Num(jobs as f64)),
         ("rows", Json::Arr(rows.iter().map(tile_row_json).collect())),
-        (
-            "speedup_jobs4_over_jobs1",
-            Json::Num((best_j4_over_j1 * 100.0).round() / 100.0),
-        ),
-        (
-            "speedup_tiled_over_whole",
-            Json::Num((best_tiled_over_whole * 100.0).round() / 100.0),
-        ),
-        ("speedup", Json::Num((speedup * 100.0).round() / 100.0)),
-    ]);
-    (doc, guard_failures)
+    ];
+    let speedup = if jobs > 1 {
+        fields.push(("speedup_fanout", round2(best_fanout)));
+        best_fanout.max(best_tiled_over_whole)
+    } else {
+        best_tiled_over_whole
+    };
+    fields.push(("speedup_tiled_over_whole", round2(best_tiled_over_whole)));
+    fields.push(("speedup", round2(speedup)));
+    (Json::obj(fields), guard_failures)
 }
 
 /// `bench_record tiles [--quick] [--check] [--min-speedup F] [--out PATH]

@@ -73,7 +73,7 @@ fn fig2() {
         rag.num_edges()
     );
     let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(4) as u64).collect();
-    let mut merger = Merger::new(rag, ids, &cfg, false);
+    let mut merger = Merger::new(rag, ids, &cfg);
     let mut step = 0;
     let captions = ["(b)", "(c)", "(d)"];
     while !merger.is_done() {

@@ -587,7 +587,7 @@ mod tests {
                 (
                     "rows",
                     Json::Arr(vec![Json::obj(vec![
-                        ("backend", "tiled-j4".into()),
+                        ("backend", "tiled-jN".into()),
                         ("image", "speckle".into()),
                         ("tie_break", "smallest".into()),
                         ("threshold", 10.0.into()),

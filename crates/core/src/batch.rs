@@ -4,7 +4,7 @@
 //! runtime amortizes it. Each worker owns one reusable
 //! [`Pipeline`](crate::pipeline::Pipeline) (plan + workspace) and one
 //! recyclable [`Segmentation`] buffer, so a same-shape image stream runs
-//! **allocation-free in steady state** on the host engines.
+//! **allocation-free in steady state** on the host engine.
 //!
 //! ## Telemetry
 //!

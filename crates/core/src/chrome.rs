@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn multiple_runs_get_distinct_process_lanes() {
         let mut stream = traced_run("seq");
-        stream.extend(traced_run("rayon"));
+        stream.extend(traced_run("msgpass:Async:4"));
         let runs = split_runs(&stream);
         assert_eq!(runs.len(), 2);
         let doc = chrome_trace(&stream);

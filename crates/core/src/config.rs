@@ -34,7 +34,7 @@ pub enum TieBreak {
     /// merge iteration. Deterministic given the seed: the per-candidate
     /// priority is a hash of `(seed, iteration, vertex, neighbour)`, so the
     /// result is independent of evaluation order and identical across the
-    /// sequential, rayon, data-parallel, and message-passing engines.
+    /// sequential, data-parallel, and message-passing engines.
     Random {
         /// RNG seed.
         seed: u64,

@@ -31,7 +31,7 @@
 //!
 //! | backend                 | stages run      | wall time            | sim time |
 //! |-------------------------|-----------------|----------------------|----------|
-//! | `HostBackend` (seq/rayon) | live, in-span | driver stopwatch     | none     |
+//! | `HostBackend` (seq)     | live, in-span   | driver stopwatch     | none     |
 //! | `DataParBackend`        | live, in-span   | driver stopwatch     | cost-model ledgers |
 //! | `MsgPassBackend`        | replayed ([`EngineBackend::prepare`] runs the SPMD program first) | proportional to sim | CMMD clocks |
 //!

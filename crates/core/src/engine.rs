@@ -6,7 +6,6 @@ use crate::hierarchy::MergeTrace;
 use crate::merge::{MergeSummary, Merger};
 use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, Telemetry};
-use rayon::prelude::*;
 use rg_imaging::{Image, Intensity};
 use std::time::Instant;
 
@@ -94,9 +93,9 @@ impl Segmentation {
     }
 }
 
-/// Runs the full split-and-merge pipeline sequentially.
+/// Runs the full split-and-merge pipeline on the host.
 pub fn segment<P: Intensity>(img: &Image<P>, config: &Config) -> Segmentation {
-    run_pipeline(img, config, false, &mut NullTelemetry)
+    run_pipeline(img, config, &mut NullTelemetry)
 }
 
 /// Like [`segment`], reporting stage spans and per-iteration merge
@@ -106,16 +105,7 @@ pub fn segment_with_telemetry<P: Intensity>(
     config: &Config,
     tel: &mut dyn Telemetry,
 ) -> Segmentation {
-    run_pipeline(img, config, false, tel)
-}
-
-/// Like [`segment_par`], reporting into the given [`Telemetry`] sink.
-pub fn segment_par_with_telemetry<P: Intensity>(
-    img: &Image<P>,
-    config: &Config,
-    tel: &mut dyn Telemetry,
-) -> Segmentation {
-    run_pipeline(img, config, true, tel)
+    run_pipeline(img, config, tel)
 }
 
 /// Like [`segment`], additionally recording the [`MergeTrace`] — the full
@@ -139,16 +129,10 @@ pub fn segment_with_trace_telemetry<P: Intensity>(
     use crate::driver::{run_driver, TraceHook};
     let mut ws = crate::pipeline::Workspace::new();
     let mut out = Segmentation::default();
-    let mut backend = crate::pipeline::HostBackend::new(img, config, false, &mut ws).with_trace();
+    let mut backend = crate::pipeline::HostBackend::new(img, config, &mut ws).with_trace();
     run_driver(&mut backend, tel, &mut out);
     let trace = backend.take_trace().expect("trace was enabled");
     (out, trace)
-}
-
-/// Runs the full pipeline with rayon parallelism. Produces exactly the same
-/// segmentation as [`segment`].
-pub fn segment_par<P: Intensity>(img: &Image<P>, config: &Config) -> Segmentation {
-    run_pipeline(img, config, true, &mut NullTelemetry)
 }
 
 /// One-shot pipeline body: delegates to the plan/workspace layer
@@ -159,12 +143,11 @@ pub fn segment_par<P: Intensity>(img: &Image<P>, config: &Config) -> Segmentatio
 fn run_pipeline<P: Intensity>(
     img: &Image<P>,
     config: &Config,
-    parallel: bool,
     tel: &mut dyn Telemetry,
 ) -> Segmentation {
     let mut ws = crate::pipeline::Workspace::new();
     let mut out = Segmentation::default();
-    crate::pipeline::run_host_into(img, config, parallel, tel, &mut ws, &mut out);
+    crate::pipeline::run_host_into(img, config, tel, &mut ws, &mut out);
     out
 }
 
@@ -176,7 +159,6 @@ fn run_pipeline<P: Intensity>(
 pub fn merge_from_split<P: Intensity>(
     split_result: &SplitResult<P>,
     config: &Config,
-    parallel: bool,
 ) -> (MergeSummary, Vec<u32>) {
     let rag = Rag::from_split(split_result, config.connectivity);
     let stride = split_result.width as u32;
@@ -185,22 +167,14 @@ pub fn merge_from_split<P: Intensity>(
         .iter()
         .map(|s| s.id(stride) as u64)
         .collect();
-    let mut merger = Merger::new(rag, ids, config, parallel);
+    let mut merger = Merger::new(rag, ids, config);
     let summary = merger.run();
     let by_vertex = merger.labels_by_vertex();
-    let labels: Vec<u32> = if parallel {
-        split_result
-            .square_of
-            .par_iter()
-            .map(|&q| by_vertex[q as usize])
-            .collect()
-    } else {
-        split_result
-            .square_of
-            .iter()
-            .map(|&q| by_vertex[q as usize])
-            .collect()
-    };
+    let labels: Vec<u32> = split_result
+        .square_of
+        .iter()
+        .map(|&q| by_vertex[q as usize])
+        .collect();
     (summary, labels)
 }
 
@@ -249,19 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn par_equals_seq_on_paper_images() {
-        for pi in [synth::PaperImage::Image1, synth::PaperImage::Image3] {
-            let img = pi.generate();
-            for tie in [TieBreak::SmallestId, TieBreak::Random { seed: 11 }] {
-                let cfg = Config::with_threshold(10).tie_break(tie);
-                let a = segment(&img, &cfg);
-                let b = segment_par(&img, &cfg);
-                assert_eq!(a, b, "{pi:?} {tie:?}");
-            }
-        }
-    }
-
-    #[test]
     fn merge_only_baseline_agrees_on_partition() {
         // Disabling the split stage must not change the *final* partition
         // on scenes whose regions are flat (every intensity either merges
@@ -281,32 +242,27 @@ mod tests {
         use crate::telemetry::{Recorder, Stage};
         let img = synth::nested_rects(64);
         let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 3 });
-        let mut rec_seq = Recorder::new();
-        let seg = segment_with_telemetry(&img, &cfg, &mut rec_seq);
-        let mut rec_par = Recorder::new();
-        let seg_par = segment_par_with_telemetry(&img, &cfg, &mut rec_par);
-        assert_eq!(seg, seg_par);
+        let mut rec = Recorder::new();
+        let seg = segment_with_telemetry(&img, &cfg, &mut rec);
 
-        for (rec, engine) in [(&rec_seq, "seq"), (&rec_par, "rayon")] {
-            let r = rec.report();
-            assert!(rec.is_finished());
-            assert_eq!(r.engine, engine);
-            assert_eq!(r.width, 64);
-            assert_eq!(r.height, 64);
-            assert_eq!(r.merges_per_iteration(), seg.merges_per_iteration);
-            assert_eq!(r.total_merge_iterations(), seg.merge_iterations);
-            assert_eq!(r.split_iterations, seg.split_iterations);
-            assert_eq!(r.num_squares, seg.num_squares);
-            assert_eq!(r.num_regions, seg.num_regions);
-            // All four stages present, in pipeline order, wall-clocked.
-            let stages: Vec<Stage> = r.stages.iter().map(|s| s.stage).collect();
-            assert_eq!(
-                stages,
-                vec![Stage::Split, Stage::Graph, Stage::Merge, Stage::Label]
-            );
-            assert!(r.stages.iter().all(|s| s.sim_seconds.is_none()));
-            assert!(r.stages.iter().all(|s| s.wall_seconds >= 0.0));
-        }
+        let r = rec.report();
+        assert!(rec.is_finished());
+        assert_eq!(r.engine, "seq");
+        assert_eq!(r.width, 64);
+        assert_eq!(r.height, 64);
+        assert_eq!(r.merges_per_iteration(), seg.merges_per_iteration);
+        assert_eq!(r.total_merge_iterations(), seg.merge_iterations);
+        assert_eq!(r.split_iterations, seg.split_iterations);
+        assert_eq!(r.num_squares, seg.num_squares);
+        assert_eq!(r.num_regions, seg.num_regions);
+        // All four stages present, in pipeline order, wall-clocked.
+        let stages: Vec<Stage> = r.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(
+            stages,
+            vec![Stage::Split, Stage::Graph, Stage::Merge, Stage::Label]
+        );
+        assert!(r.stages.iter().all(|s| s.sim_seconds.is_none()));
+        assert!(r.stages.iter().all(|s| s.wall_seconds >= 0.0));
     }
 
     #[test]
@@ -331,17 +287,15 @@ mod tests {
         assert_eq!(seg.derived_num_regions(), 0);
         assert_eq!(seg.num_regions, 0);
 
-        // Minimal legal images stay well-formed end to end on both host
-        // engines (single pixel, single row, single column).
+        // Minimal legal images stay well-formed end to end (single pixel,
+        // single row, single column).
         for (w, h) in [(1usize, 1usize), (7, 1), (1, 7)] {
             let img = rg_imaging::Image::new(w, h, 42u8);
-            let cfg = Config::with_threshold(10);
-            for seg in [segment(&img, &cfg), segment_par(&img, &cfg)] {
-                assert_eq!(seg.labels.len(), w * h, "{w}x{h}");
-                assert_eq!(seg.num_regions, 1, "{w}x{h}");
-                assert_eq!(seg.derived_num_regions(), 1, "{w}x{h}");
-                assert!(!seg.is_empty());
-            }
+            let seg = segment(&img, &Config::with_threshold(10));
+            assert_eq!(seg.labels.len(), w * h, "{w}x{h}");
+            assert_eq!(seg.num_regions, 1, "{w}x{h}");
+            assert_eq!(seg.derived_num_regions(), 1, "{w}x{h}");
+            assert!(!seg.is_empty());
         }
     }
 }

@@ -28,14 +28,15 @@
 //!
 //! // Random tie-breaking (the paper's fast default) with a fixed seed:
 //! let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 1 });
-//! let seg2 = rg_core::segment_par(&img, &cfg); // rayon-parallel engine
+//! let seg2 = segment(&img, &cfg);
 //! assert_eq!(seg2.num_regions, 2);
 //! ```
 //!
-//! Every engine in this workspace — [`segment`], [`segment_par`], the
-//! data-parallel CM simulation (`rg-datapar`), and the message-passing CM-5
-//! simulation (`rg-msgpass`) — produces the identical [`Segmentation`] for
-//! the same [`Config`], which the cross-engine integration tests enforce.
+//! The host engine ([`segment`]) is sequential; the paper's parallelism is
+//! reproduced by the data-parallel CM simulation (`rg-datapar`) and the
+//! message-passing CM-5 simulation (`rg-msgpass`). Every engine produces the
+//! identical [`Segmentation`] for the same [`Config`], which the
+//! cross-engine integration tests enforce.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -71,8 +72,7 @@ pub use driver::{
     MergeStage, RunSummary, SplitInfo, SplitStage, StageStats, TraceHook,
 };
 pub use engine::{
-    segment, segment_par, segment_par_with_telemetry, segment_with_telemetry, segment_with_trace,
-    segment_with_trace_telemetry, Segmentation,
+    segment, segment_with_telemetry, segment_with_trace, segment_with_trace_telemetry, Segmentation,
 };
 pub use hierarchy::{MergeEvent, MergeTrace};
 pub use journal::{
@@ -82,7 +82,7 @@ pub use journal::{
 };
 pub use merge::{choice_key, CandKey, MergeSummary, Merger, StepReport};
 pub use pipeline::{ExecutionPlan, HostBackend, HostPipeline, Pipeline, Workspace};
-pub use split::{split, split_into, split_par, SplitMetrics, SplitResult, SplitScratch, Square};
+pub use split::{split, split_into, SplitMetrics, SplitResult, SplitScratch, Square};
 pub use split_ref::split_reference;
 pub use telemetry::{
     CommRecord, ConfigRecord, ConformanceView, Fanout, FaultRecord, FlowKind, FlowRecord,

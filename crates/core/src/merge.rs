@@ -62,9 +62,8 @@
 //!
 //! All tie-break decisions hash *canonical region IDs* (the linear index of
 //! a region's top-left pixel — [`crate::split::Square::id`]), not dense
-//! vertex indices, so the sequential, rayon, data-parallel, and
-//! message-passing engines make identical random decisions given the same
-//! seed.
+//! vertex indices, so the sequential, data-parallel, and message-passing
+//! engines make identical random decisions given the same seed.
 
 use crate::config::{
     mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
@@ -73,7 +72,6 @@ use crate::config::{
 use crate::graph::Rag;
 use crate::hierarchy::{MergeEvent, MergeTrace};
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
-use rayon::prelude::*;
 use rg_dsu::DisjointSets;
 use rg_imaging::Intensity;
 
@@ -136,9 +134,6 @@ pub fn choice_key(
     let (k0, k1) = tie_key(policy, iteration, chooser_id, candidate_id);
     (weight, k0, k1, candidate)
 }
-
-/// Edge count above which the rayon paths kick in.
-const PAR_EDGES: usize = 4096;
 
 /// What one call to [`Merger::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,8 +306,6 @@ struct Csr {
     /// Next stamp token block (monotonically increasing, starts at 1
     /// because `stamp` is zero-initialised).
     next_token: u64,
-    /// Scratch: per-row minima for the parallel choice pass.
-    row_best: Vec<CandKey>,
     /// Owners whose `best`/`choice` entries were written by the last fused
     /// pass — the only entries that need resetting before the next one
     /// (an O(live owners) sweep instead of an O(vertices) refill).
@@ -353,7 +346,6 @@ impl Csr {
             dirty: Vec::new(),
             stamp: Vec::new(),
             next_token: 1,
-            row_best: Vec::new(),
             touched: Vec::new(),
             touched_valid: false,
             precomputed: false,
@@ -407,8 +399,6 @@ impl Csr {
         self.stamp.clear();
         self.stamp.resize(n, 0);
         self.next_token = 1;
-        self.row_best.clear();
-        self.row_best.resize(n, KEY_SENTINEL);
         self.touched.clear();
         self.touched.reserve(n);
         self.touched_valid = false;
@@ -433,56 +423,6 @@ impl Csr {
         self.row_tail[u] = vt;
         self.row_head[v] = NO_ROW;
         self.row_tail[v] = NO_ROW;
-    }
-
-    /// Parallel half of the choice pass: the minimum [`CandKey`] of every
-    /// row into `row_best` (rows are independent, so the writes are too).
-    /// The caller folds rows into per-representative minima sequentially —
-    /// the argmin is order-invariant, so the split is free of races *and*
-    /// of nondeterminism.
-    fn row_minima_par<P: Intensity>(
-        &mut self,
-        stats: &SoaStats<P>,
-        crit: Criterion,
-        ids: &[u64],
-        policy: TieBreak,
-        iteration: u32,
-    ) {
-        const CHUNK: usize = 256;
-        let Csr {
-            row_ptr,
-            row_len,
-            col,
-            row_owner,
-            row_best,
-            ..
-        } = self;
-        let (row_ptr, row_len, col, row_owner) = (&*row_ptr, &*row_len, &*col, &*row_owner);
-        row_best
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let r = base + j;
-                    let s = row_ptr[r] as usize;
-                    let e = s + row_len[r] as usize;
-                    let mut b = KEY_SENTINEL;
-                    if s < e {
-                        let o = row_owner[r] as usize;
-                        let chooser = ids[o];
-                        for &c in &col[s..e] {
-                            let w = stats.weight(crit, o, c as usize);
-                            let (k0, k1) = tie_key(policy, iteration, chooser, ids[c as usize]);
-                            let k = (w, k0, k1, c);
-                            if k < b {
-                                b = k;
-                            }
-                        }
-                    }
-                    *slot = b;
-                }
-            });
     }
 
     /// The fused end-of-step sweep: in **one** pass over the live slots it
@@ -891,7 +831,6 @@ pub struct Merger<P: Intensity> {
     criterion: Criterion,
     tie: TieBreak,
     max_stall: u32,
-    parallel: bool,
 
     /// Canonical region ID per dense vertex (order-isomorphic to the dense
     /// index; used for tie-break hashing only).
@@ -940,9 +879,9 @@ impl<P: Intensity> Merger<P> {
     /// Edges of `rag` that do not satisfy the criterion are de-activated
     /// immediately (the paper's step 2). The backend is chosen by
     /// [`Config::merge_backend`].
-    pub fn new(rag: Rag<'_, P>, ids: Vec<u64>, config: &Config, parallel: bool) -> Self {
+    pub fn new(rag: Rag<'_, P>, ids: Vec<u64>, config: &Config) -> Self {
         let mut m = Self::hollow(config);
-        m.reset_from(&rag.stats, &rag.edges, &ids, config, parallel);
+        m.reset_from(&rag.stats, &rag.edges, &ids, config);
         m
     }
 
@@ -954,7 +893,6 @@ impl<P: Intensity> Merger<P> {
             criterion: config.criterion,
             tie: config.tie_break,
             max_stall: config.max_stall,
-            parallel: false,
             ids: Vec::new(),
             stats: SoaStats::empty(),
             hot: Vec::new(),
@@ -983,18 +921,17 @@ impl<P: Intensity> Merger<P> {
     /// every internal buffer's capacity: in steady state (same-shape
     /// graphs through one merger) this performs **zero** heap allocations.
     ///
-    /// Semantically equivalent to `*self = Merger::new(rag, ids, config,
-    /// parallel)` — edges that do not satisfy the criterion are
-    /// de-activated immediately (the paper's step 2), the backend is
-    /// rebuilt per [`Config::merge_backend`] (switching variants
-    /// reallocates once), and any enabled trace is dropped.
+    /// Semantically equivalent to `*self = Merger::new(rag, ids, config)` —
+    /// edges that do not satisfy the criterion are de-activated immediately
+    /// (the paper's step 2), the backend is rebuilt per
+    /// [`Config::merge_backend`] (switching variants reallocates once), and
+    /// any enabled trace is dropped.
     pub fn reset_from(
         &mut self,
         stats: &[RegionStats<P>],
         edges: &[(u32, u32)],
         ids: &[u64],
         config: &Config,
-        parallel: bool,
     ) {
         assert_eq!(ids.len(), stats.len(), "ids length mismatch");
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
@@ -1005,7 +942,6 @@ impl<P: Intensity> Merger<P> {
         self.criterion = crit;
         self.tie = config.tie_break;
         self.max_stall = config.max_stall;
-        self.parallel = parallel;
         self.ids.clear();
         self.ids.extend_from_slice(ids);
         self.stats.refill(stats);
@@ -1156,17 +1092,11 @@ impl<P: Intensity> Merger<P> {
     /// one batched pointer-jumping pass over the whole history forest
     /// instead of per-vertex `find` calls.
     pub fn labels_by_vertex(&self) -> Vec<u32> {
-        if self.parallel {
-            self.history.resolve_all_par()
-        } else {
-            self.history.resolve_all()
-        }
+        self.history.resolve_all()
     }
 
     /// [`Merger::labels_by_vertex`] into a caller-owned buffer (cleared
-    /// first). Always uses the sequential batched resolve — its output is
-    /// bit-identical to the parallel variant (see `rg_dsu` tests) — and
-    /// performs no allocation once `out` has warmed up.
+    /// first); performs no allocation once `out` has warmed up.
     pub fn labels_by_vertex_into(&self, out: &mut Vec<u32>) {
         self.history.resolve_all_into(out);
     }
@@ -1257,7 +1187,6 @@ impl<P: Intensity> Merger<P> {
         let iteration = self.iterations;
         let crit = self.criterion;
         let Self {
-            parallel,
             ids,
             stats,
             backend,
@@ -1273,24 +1202,6 @@ impl<P: Intensity> Merger<P> {
                         tie_key(policy, iteration, ids[chooser as usize], ids[nb as usize]);
                     (w, k0, k1, nb)
                 };
-                if *parallel && edges.len() >= PAR_EDGES {
-                    // CM-style: build the directed candidate list, sort by
-                    // (vertex, rank), take the head of each segment.
-                    choice.fill(u32::MAX);
-                    let mut directed: Vec<(u32, CandKey)> = edges
-                        .par_iter()
-                        .flat_map_iter(|&(u, v)| [(u, cand(u, v)), (v, cand(v, u))].into_iter())
-                        .collect();
-                    directed.par_sort_unstable();
-                    let mut prev = u32::MAX;
-                    for (vtx, key) in directed {
-                        if vtx != prev {
-                            choice[vtx as usize] = key.3;
-                            prev = vtx;
-                        }
-                    }
-                    return;
-                }
                 best.fill(KEY_SENTINEL);
                 for &(u, v) in edges.iter() {
                     let ku = cand(u, v);
@@ -1314,18 +1225,6 @@ impl<P: Intensity> Merger<P> {
                         "stale precomputed choice minima"
                     );
                     return;
-                } else if *parallel && csr.live >= 2 * PAR_EDGES {
-                    best.fill(KEY_SENTINEL);
-                    csr.row_minima_par(stats, crit, ids, policy, iteration);
-                    for (r, &k) in csr.row_best.iter().enumerate() {
-                        if k == KEY_SENTINEL {
-                            continue;
-                        }
-                        let o = csr.row_owner[r] as usize;
-                        if k < best[o] {
-                            best[o] = k;
-                        }
-                    }
                 } else {
                     // Segmented-min sweep: one pass over the slot array,
                     // folding each row's candidates into its owner's best.
@@ -1463,7 +1362,6 @@ impl<P: Intensity> Merger<P> {
             max_stall,
             stalls,
             iterations,
-            parallel,
             pending_losers,
             relabel_ops,
             compactions,
@@ -1490,15 +1388,8 @@ impl<P: Intensity> Merger<P> {
                     };
                     // Two endpoint maps per edge …
                     *relabel_ops += 2 * edges.len() as u64;
-                    let mut next: Vec<(u32, u32)> = if *parallel && edges.len() >= PAR_EDGES {
-                        let mut v: Vec<_> = edges.par_iter().filter_map(map).collect();
-                        v.par_sort_unstable();
-                        v
-                    } else {
-                        let mut v: Vec<_> = edges.iter().filter_map(map).collect();
-                        v.sort_unstable();
-                        v
-                    };
+                    let mut next: Vec<(u32, u32)> = edges.iter().filter_map(map).collect();
+                    next.sort_unstable();
                     // … plus the canonicalising sort (⌈log₂ E⌉ element
                     // moves per edge) and the dedup scan (one more) — the
                     // O(E log E) term the CSR backend exists to eliminate.
@@ -1582,7 +1473,7 @@ mod tests {
     use crate::split::split;
     use rg_imaging::synth;
 
-    fn make_merger_on(t: u32, tie: TieBreak, parallel: bool, backend: MergeBackend) -> Merger<u8> {
+    fn make_merger_on(t: u32, tie: TieBreak, backend: MergeBackend) -> Merger<u8> {
         let img = synth::figure1_image();
         let cfg = Config::with_threshold(t)
             .tie_break(tie)
@@ -1590,11 +1481,11 @@ mod tests {
         let s = split(&img, &cfg);
         let rag = Rag::from_split(&s, Connectivity::Four);
         let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(4) as u64).collect();
-        Merger::new(rag, ids, &cfg, parallel)
+        Merger::new(rag, ids, &cfg)
     }
 
-    fn make_merger(t: u32, tie: TieBreak, parallel: bool) -> Merger<u8> {
-        make_merger_on(t, tie, parallel, MergeBackend::Csr)
+    fn make_merger(t: u32, tie: TieBreak) -> Merger<u8> {
+        make_merger_on(t, tie, MergeBackend::Csr)
     }
 
     fn figure2_walkthrough(mut m: Merger<u8>) {
@@ -1633,7 +1524,7 @@ mod tests {
         // Hand-verified against the paper's Figure 2 (see DESIGN.md):
         // start: 7 regions; iter 1 merges {0,5} and {2,4}; iter 2 merges
         // {3,6}; iter 3 merges {0,3} and {1,2}; done with 2 regions.
-        figure2_walkthrough(make_merger(3, TieBreak::SmallestId, false));
+        figure2_walkthrough(make_merger(3, TieBreak::SmallestId));
     }
 
     #[test]
@@ -1641,27 +1532,8 @@ mod tests {
         figure2_walkthrough(make_merger_on(
             3,
             TieBreak::SmallestId,
-            false,
             MergeBackend::Reference,
         ));
-    }
-
-    #[test]
-    fn parallel_step_identical() {
-        for backend in [MergeBackend::Csr, MergeBackend::Reference] {
-            for tie in [
-                TieBreak::SmallestId,
-                TieBreak::LargestId,
-                TieBreak::Random { seed: 7 },
-            ] {
-                let mut a = make_merger_on(3, tie, false, backend);
-                let mut b = make_merger_on(3, tie, true, backend);
-                let sa = a.run();
-                let sb = b.run();
-                assert_eq!(sa, sb, "{backend:?} {tie:?}");
-                assert_eq!(a.labels_by_vertex(), b.labels_by_vertex());
-            }
-        }
     }
 
     #[test]
@@ -1684,7 +1556,7 @@ mod tests {
                     let rag = Rag::from_split(&s, Connectivity::Four);
                     let stride = s.width as u32;
                     let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
-                    let mut m = Merger::new(rag, ids, &cfg, false);
+                    let mut m = Merger::new(rag, ids, &cfg);
                     m.enable_trace();
                     let summary = m.run();
                     let trace = m.take_trace().unwrap();
@@ -1711,7 +1583,7 @@ mod tests {
             let s = split(&img, &cfg);
             let rag = Rag::from_split(&s, Connectivity::Four);
             let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(32) as u64).collect();
-            let mut m = Merger::new(rag, ids, &cfg, false);
+            let mut m = Merger::new(rag, ids, &cfg);
             let summary = m.run();
             (
                 summary,
@@ -1733,7 +1605,7 @@ mod tests {
 
     #[test]
     fn step_reports_active_edges_monotone_under_smallest_id() {
-        let mut m = make_merger(3, TieBreak::SmallestId, false);
+        let mut m = make_merger(3, TieBreak::SmallestId);
         let mut prev = m.active_edges() as u64;
         let peak0 = m.peak_active_edges();
         assert_eq!(peak0, prev);
@@ -1748,7 +1620,7 @@ mod tests {
     #[test]
     fn random_seeds_are_deterministic() {
         let run = |seed| {
-            let mut m = make_merger(3, TieBreak::Random { seed }, false);
+            let mut m = make_merger(3, TieBreak::Random { seed });
             m.run();
             m.labels_by_vertex()
         };
@@ -1768,7 +1640,7 @@ mod tests {
         let s = split(&img, &cfg);
         let rag = Rag::from_split(&s, Connectivity::Four);
         let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(16) as u64).collect();
-        let mut m = Merger::new(rag, ids, &cfg, false);
+        let mut m = Merger::new(rag, ids, &cfg);
         while !m.is_done() {
             let r = m.step();
             assert!(r.merges >= 1, "smallest-ID iteration with zero merges");
@@ -1789,7 +1661,7 @@ mod tests {
             let s = split(&img, &cfg);
             let rag = Rag::from_split(&s, Connectivity::Four);
             let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(32) as u64).collect();
-            let mut m = Merger::new(rag, ids, &cfg, false);
+            let mut m = Merger::new(rag, ids, &cfg);
             let summary = m.run();
             assert_eq!(summary.num_regions, 1);
             summary.iterations
@@ -1804,7 +1676,7 @@ mod tests {
 
     #[test]
     fn no_active_edges_means_zero_iterations() {
-        let mut m = make_merger(0, TieBreak::SmallestId, false);
+        let mut m = make_merger(0, TieBreak::SmallestId);
         // T = 0: which edges are active? Only pairs with identical
         // min=max. Figure-1 squares have ranges > 0, so most edges die;
         // run must terminate quickly regardless.
@@ -1836,7 +1708,7 @@ mod tests {
 
     #[test]
     fn merge_summary_consistency() {
-        let mut m = make_merger(3, TieBreak::Random { seed: 9 }, false);
+        let mut m = make_merger(3, TieBreak::Random { seed: 9 });
         let start = m.num_regions();
         let summary = m.run();
         let merged: u32 = summary.merges_per_iteration.iter().sum();

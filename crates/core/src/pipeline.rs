@@ -20,10 +20,10 @@
 //! span/record sequence of the one-shot entry points.
 //!
 //! The [`Pipeline`] trait is the engine-agnostic face of this layer: the
-//! host engines implement it with true buffer reuse, and the `rg-datapar` /
+//! host engine implements it with true buffer reuse, and the `rg-datapar` /
 //! `rg-msgpass` crates wrap their simulated machines behind the same
 //! interface so the batch runtime ([`crate::batch`]) can stream images
-//! through any of the four engines.
+//! through any engine.
 
 use crate::config::Config;
 use crate::driver::{
@@ -225,12 +225,12 @@ impl<P: Intensity> Default for Workspace<P> {
 /// An engine-agnostic, reusable segmentation pipeline.
 ///
 /// Implementations keep their plan and scratch between calls, so streaming
-/// many images through one pipeline amortizes all setup. The host engines
-/// ([`HostPipeline`]) guarantee zero steady-state allocation; the simulated
+/// many images through one pipeline amortizes all setup. The host engine
+/// ([`HostPipeline`]) guarantees zero steady-state allocation; the simulated
 /// machines (`rg-datapar` / `rg-msgpass` wrappers) implement the same
 /// interface without that guarantee.
 pub trait Pipeline {
-    /// Engine label, e.g. `"seq"`, `"rayon"`, `"datapar:cm2-8k"`.
+    /// Engine label, e.g. `"seq"`, `"datapar:cm2-8k"`.
     fn engine(&self) -> &str;
 
     /// The current execution plan (`None` before the first run).
@@ -249,29 +249,32 @@ pub trait Pipeline {
     }
 }
 
-/// The host-engine pipeline (sequential or rayon-parallel), built on an
-/// [`ExecutionPlan`] + [`Workspace`] pair.
+/// The host-engine pipeline, built on an [`ExecutionPlan`] + [`Workspace`]
+/// pair.
 ///
-/// Produces bit-identical output to [`crate::engine::segment`] /
-/// [`crate::engine::segment_par`] and the identical telemetry sequence,
-/// with **zero heap allocations per image** once warmed up on a shape.
+/// Produces bit-identical output to [`crate::engine::segment`] and the
+/// identical telemetry sequence, with **zero heap allocations per image**
+/// once warmed up on a shape.
 /// Images of a new shape (or a config change via
 /// [`HostPipeline::set_config`]) re-plan automatically; arenas keep their
 /// high-water capacity across re-plans.
 #[derive(Debug)]
 pub struct HostPipeline<P: Intensity = u8> {
     config: Config,
-    parallel: bool,
     plan: Option<ExecutionPlan>,
     ws: Workspace<P>,
 }
 
 impl<P: Intensity> HostPipeline<P> {
-    /// Creates a pipeline; `parallel` selects the rayon engine.
-    pub fn new(config: Config, parallel: bool) -> Self {
+    /// Creates a pipeline.
+    ///
+    /// `_legacy_parallel` is ignored: the host engine has one sequential
+    /// path. The argument remains only because the end-to-end benchmark
+    /// harness (`bench_e2e/`) calls this constructor with it; it goes with
+    /// the next change allowed to touch that harness.
+    pub fn new(config: Config, _legacy_parallel: bool) -> Self {
         Self {
             config,
-            parallel,
             plan: None,
             ws: Workspace::new(),
         }
@@ -311,7 +314,7 @@ impl<P: Intensity> HostPipeline<P> {
             self.ws.prepare(&plan);
             self.plan = Some(plan);
         }
-        run_host_into(img, &self.config, self.parallel, tel, &mut self.ws, out);
+        run_host_into(img, &self.config, tel, &mut self.ws, out);
     }
 
     /// Convenience: segment `img` into a fresh [`Segmentation`] with no
@@ -325,11 +328,7 @@ impl<P: Intensity> HostPipeline<P> {
 
 impl Pipeline for HostPipeline<u8> {
     fn engine(&self) -> &str {
-        if self.parallel {
-            "rayon"
-        } else {
-            "seq"
-        }
+        "seq"
     }
 
     fn plan(&self) -> Option<&ExecutionPlan> {
@@ -348,18 +347,16 @@ impl Pipeline for HostPipeline<u8> {
 pub(crate) fn run_host_into<P: Intensity>(
     img: &Image<P>,
     config: &Config,
-    parallel: bool,
     tel: &mut dyn Telemetry,
     ws: &mut Workspace<P>,
     out: &mut Segmentation,
 ) {
-    let mut backend = HostBackend::new(img, config, parallel, ws);
+    let mut backend = HostBackend::new(img, config, ws);
     run_driver(&mut backend, tel, out);
 }
 
-/// The host engines (sequential / rayon) as a stage-driver backend: live
-/// stages over [`Workspace`] arenas, zero steady-state allocation under a
-/// disabled sink.
+/// The host engine as a stage-driver backend: live stages over
+/// [`Workspace`] arenas, zero steady-state allocation under a disabled sink.
 ///
 /// This is the exemplar backend: every stage runs for real inside the span
 /// the driver opens for it, wall time comes from the driver's stopwatch,
@@ -369,23 +366,16 @@ pub(crate) fn run_host_into<P: Intensity>(
 pub struct HostBackend<'a, P: Intensity> {
     img: &'a Image<P>,
     config: &'a Config,
-    parallel: bool,
     ws: &'a mut Workspace<P>,
     trace: bool,
 }
 
 impl<'a, P: Intensity> HostBackend<'a, P> {
     /// A backend over `img` using the given workspace arenas.
-    pub fn new(
-        img: &'a Image<P>,
-        config: &'a Config,
-        parallel: bool,
-        ws: &'a mut Workspace<P>,
-    ) -> Self {
+    pub fn new(img: &'a Image<P>, config: &'a Config, ws: &'a mut Workspace<P>) -> Self {
         Self {
             img,
             config,
-            parallel,
             ws,
             trace: false,
         }
@@ -403,7 +393,6 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
         split_into(
             self.img,
             self.config,
-            self.parallel,
             &mut self.ws.split_scratch,
             &mut self.ws.split,
         );
@@ -436,24 +425,12 @@ impl<P: Intensity> GraphStage for HostBackend<'_, P> {
             .extend(ws.split.squares.iter().map(|s| s.id(stride) as u64));
         let merger = match &mut ws.merger {
             Some(m) => {
-                m.reset_from(
-                    &ws.split.stats,
-                    &ws.edges,
-                    &ws.ids,
-                    self.config,
-                    self.parallel,
-                );
+                m.reset_from(&ws.split.stats, &ws.edges, &ws.ids, self.config);
                 m
             }
             slot @ None => {
                 let mut m = Merger::hollow(self.config);
-                m.reset_from(
-                    &ws.split.stats,
-                    &ws.edges,
-                    &ws.ids,
-                    self.config,
-                    self.parallel,
-                );
+                m.reset_from(&ws.split.stats, &ws.edges, &ws.ids, self.config);
                 slot.insert(m)
             }
         };
@@ -517,7 +494,7 @@ impl<P: Intensity> LabelStage for HostBackend<'_, P> {
 
 impl<P: Intensity> EngineBackend for HostBackend<'_, P> {
     fn engine(&self) -> String {
-        if self.parallel { "rayon" } else { "seq" }.to_string()
+        "seq".to_string()
     }
 
     fn dims(&self) -> (usize, usize) {
@@ -606,7 +583,7 @@ pub(crate) fn compact_gather(
 mod tests {
     use super::*;
     use crate::config::{MergeBackend, TieBreak};
-    use crate::engine::{segment, segment_par};
+    use crate::engine::segment;
     use rg_imaging::synth;
 
     #[test]
@@ -634,29 +611,23 @@ mod tests {
     }
 
     #[test]
-    fn reused_pipeline_matches_one_shot_engines() {
+    fn reused_pipeline_matches_one_shot_engine() {
         let images = [
             synth::circle_collection(64),
             synth::rect_collection(64),
             synth::nested_rects(64),
             synth::random_rects(64, 64, 9, 7),
         ];
-        for parallel in [false, true] {
-            for tie in [TieBreak::SmallestId, TieBreak::Random { seed: 5 }] {
-                let cfg = Config::with_threshold(10).tie_break(tie);
-                let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, parallel);
-                let mut out = Segmentation::default();
-                // Two passes: the second exercises fully-warm arenas.
-                for _pass in 0..2 {
-                    for img in &images {
-                        let fresh = if parallel {
-                            segment_par(img, &cfg)
-                        } else {
-                            segment(img, &cfg)
-                        };
-                        pipe.run_image_into(img, &mut NullTelemetry, &mut out);
-                        assert_eq!(fresh, out, "parallel={parallel} tie={tie:?}");
-                    }
+        for tie in [TieBreak::SmallestId, TieBreak::Random { seed: 5 }] {
+            let cfg = Config::with_threshold(10).tie_break(tie);
+            let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
+            let mut out = Segmentation::default();
+            // Two passes: the second exercises fully-warm arenas.
+            for _pass in 0..2 {
+                for img in &images {
+                    let fresh = segment(img, &cfg);
+                    pipe.run_image_into(img, &mut NullTelemetry, &mut out);
+                    assert_eq!(fresh, out, "tie={tie:?}");
                 }
             }
         }
@@ -704,16 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_runs_all_host_engines() {
+    fn trait_object_runs_host_engine() {
         let cfg = Config::with_threshold(10);
         let img = synth::rect_collection(64);
-        let expect = segment(&img, &cfg);
-        for parallel in [false, true] {
-            let mut p: Box<dyn Pipeline> = Box::new(HostPipeline::<u8>::new(cfg, parallel));
-            assert_eq!(p.engine(), if parallel { "rayon" } else { "seq" });
-            let seg = p.run(&img, &mut NullTelemetry);
-            assert_eq!(seg, expect);
-        }
+        let mut p: Box<dyn Pipeline> = Box::new(HostPipeline::<u8>::new(cfg, false));
+        assert_eq!(p.engine(), "seq");
+        assert_eq!(p.run(&img, &mut NullTelemetry), segment(&img, &cfg));
     }
 
     #[test]

@@ -26,16 +26,13 @@
 //!   paper we report only productive iterations.
 //! * [`Config::max_square_log2`] caps square growth; `Some(0)` disables the
 //!   stage (the merge-only baseline).
-//! * [`split`] and [`split_par`] produce bit-identical results; the latter
-//!   parallelises each level over block rows with rayon. Both are
-//!   bit-identical to the retained pre-optimisation oracle
+//! * [`split`] is bit-identical to the retained pre-optimisation oracle
 //!   [`crate::split_ref::split_reference`] (differential-proptested).
 
 use crate::config::{Config, Criterion, RegionStats};
 use crate::kernels::{
     coalesce_pair_words, gather2x2, lane_max4, lane_min4, lane_sum4, range_pair_satisfies,
 };
-use rayon::prelude::*;
 use rg_imaging::{Image, Intensity};
 
 /// One homogeneous square produced by the split stage.
@@ -69,9 +66,8 @@ impl Square {
 /// Machine-independent work counters of one split run.
 ///
 /// All counts are deterministic functions of the image shape, contents and
-/// config — identical between the sequential and rayon paths — which makes
-/// them usable as perf-regression gates (`bench_record split`) on any
-/// machine.
+/// config, which makes them usable as perf-regression gates
+/// (`bench_record split`) on any machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SplitMetrics {
     /// Stats-plane levels materialised, including level 0.
@@ -281,51 +277,33 @@ impl<P: Intensity> Default for SplitScratch<P> {
 
 /// Runs the split stage sequentially.
 pub fn split<P: Intensity>(img: &Image<P>, config: &Config) -> SplitResult<P> {
-    split_impl(img, config, false)
-}
-
-/// Runs the split stage with rayon-parallel level passes. Produces exactly
-/// the same result as [`split`].
-pub fn split_par<P: Intensity>(img: &Image<P>, config: &Config) -> SplitResult<P> {
-    split_impl(img, config, true)
-}
-
-fn split_impl<P: Intensity>(img: &Image<P>, config: &Config, parallel: bool) -> SplitResult<P> {
     let mut scratch = SplitScratch::new();
     let mut out = SplitResult::default();
-    split_into(img, config, parallel, &mut scratch, &mut out);
+    split_into(img, config, &mut scratch, &mut out);
     out
 }
 
-/// Dispatches one function over the block rows of `buf` (chunks of
-/// `stride`), sequentially or with rayon, visiting only rows `0..rows`.
-fn for_rows<T: Send, F>(buf: &mut [T], stride: usize, rows: usize, parallel: bool, f: F)
+/// Runs `f` over the block rows of `buf` (chunks of `stride`), visiting
+/// only rows `0..rows`.
+fn for_rows<T, F>(buf: &mut [T], stride: usize, rows: usize, mut f: F)
 where
-    F: Fn(usize, &mut [T]) + Send + Sync,
+    F: FnMut(usize, &mut [T]),
 {
     if rows == 0 || stride == 0 {
         return;
     }
-    if parallel {
-        buf.par_chunks_mut(stride).enumerate().for_each(|(y, row)| {
-            if y < rows {
-                f(y, row);
-            }
-        });
-    } else {
-        for (y, row) in buf.chunks_mut(stride).enumerate().take(rows) {
-            f(y, row);
-        }
+    for (y, row) in buf.chunks_mut(stride).enumerate().take(rows) {
+        f(y, row);
     }
 }
 
 /// Fills the level-0 planes: `min = max = pixel`, `sum` = widened pixel.
-fn fill_level0<P: Intensity>(img: &Image<P>, l0: &mut PlaneLevel<P>, parallel: bool) {
+fn fill_level0<P: Intensity>(img: &Image<P>, l0: &mut PlaneLevel<P>) {
     let (w, h) = (img.width(), img.height());
     l0.reset(w * h);
     l0.min.copy_from_slice(img.pixels());
     l0.max.copy_from_slice(img.pixels());
-    for_rows(&mut l0.sum, w, h, parallel, |y, row| {
+    for_rows(&mut l0.sum, w, h, |y, row| {
         for (s, &p) in row.iter_mut().zip(img.row(y)) {
             *s = p.to_u32() as u64;
         }
@@ -334,13 +312,7 @@ fn fill_level0<P: Intensity>(img: &Image<P>, l0: &mut PlaneLevel<P>, parallel: b
 
 /// Folds the level-`k` stats planes from level `k−1`: three branch-free
 /// lane passes (min, max, sum) over the tight floor grid.
-fn fold_level<P: Intensity>(
-    levels: &mut [PlaneLevel<P>],
-    k: usize,
-    w: usize,
-    h: usize,
-    parallel: bool,
-) {
+fn fold_level<P: Intensity>(levels: &mut [PlaneLevel<P>], k: usize, w: usize, h: usize) {
     let (fw, fh) = (w >> k, h >> k);
     let cfw = w >> (k - 1);
     let (lo, hi) = levels.split_at_mut(k);
@@ -351,19 +323,19 @@ fn fold_level<P: Intensity>(
         return;
     }
     let cmin = &child.min;
-    for_rows(&mut cur.min, fw, fh, parallel, |by, row| {
+    for_rows(&mut cur.min, fw, fh, |by, row| {
         for (bx, cell) in row.iter_mut().enumerate() {
             *cell = lane_min4(gather2x2(cmin, cfw, bx, by));
         }
     });
     let cmax = &child.max;
-    for_rows(&mut cur.max, fw, fh, parallel, |by, row| {
+    for_rows(&mut cur.max, fw, fh, |by, row| {
         for (bx, cell) in row.iter_mut().enumerate() {
             *cell = lane_max4(gather2x2(cmax, cfw, bx, by));
         }
     });
     let csum = &child.sum;
-    for_rows(&mut cur.sum, fw, fh, parallel, |by, row| {
+    for_rows(&mut cur.sum, fw, fh, |by, row| {
         for (bx, cell) in row.iter_mut().enumerate() {
             *cell = lane_sum4(gather2x2(csum, cfw, bx, by));
         }
@@ -397,7 +369,6 @@ fn children_ok_word(child_words: &[u64], child_wpr: usize, k: usize, by: usize, 
 
 /// Decides `is_square` for level `k`, writing the packed bitset. Candidate
 /// words that are all-zero after the child coalesce skip the criterion.
-#[allow(clippy::too_many_arguments)]
 fn decide_level<P: Intensity>(
     levels: &[PlaneLevel<P>],
     bits: &mut [BitGrid],
@@ -406,7 +377,6 @@ fn decide_level<P: Intensity>(
     h: usize,
     crit: Criterion,
     t: u32,
-    parallel: bool,
 ) {
     let (fw, fh) = (w >> k, h >> k);
     let (cw, ch) = ((w + (1 << k) - 1) >> k, (h + (1 << k) - 1) >> k);
@@ -430,7 +400,7 @@ fn decide_level<P: Intensity>(
             // level-k stats: one branch-free compare per lane, 64 lanes
             // per candidate word.
             let (minp, maxp) = (&levels[k].min, &levels[k].max);
-            for_rows(&mut cur.words, wpr, fh, parallel, |by, row| {
+            for_rows(&mut cur.words, wpr, fh, |by, row| {
                 for (j, slot) in row.iter_mut().enumerate().take(nw) {
                     let lanes = (fw - 64 * j).min(64);
                     let cok =
@@ -456,7 +426,7 @@ fn decide_level<P: Intensity>(
             let (cmin, cmax, csum) = (&child.min, &child.max, &child.sum);
             let cfw = w >> (k - 1);
             let ccount = 1u64 << (2 * (k - 1));
-            for_rows(&mut cur.words, wpr, fh, parallel, |by, row| {
+            for_rows(&mut cur.words, wpr, fh, |by, row| {
                 for (j, slot) in row.iter_mut().enumerate().take(nw) {
                     let lanes = (fw - 64 * j).min(64);
                     let mut cok =
@@ -492,13 +462,12 @@ fn decide_level<P: Intensity>(
 /// Runs the split stage into caller-owned buffers: all intermediate state
 /// lives in `scratch` and the result is written into `out` (cleared first).
 ///
-/// Produces exactly the same result as [`split`] / [`split_par`] (selected
-/// by `parallel`), but performs **no heap allocation** once `scratch` and
+/// Produces exactly the same result as [`split`], but performs **no heap
+/// allocation** once `scratch` and
 /// `out` have warmed up to the high-water mark of the image shapes seen.
 pub fn split_into<P: Intensity>(
     img: &Image<P>,
     config: &Config,
-    parallel: bool,
     scratch: &mut SplitScratch<P>,
     out: &mut SplitResult<P>,
 ) {
@@ -522,7 +491,7 @@ pub fn split_into<P: Intensity>(
     } = scratch;
     let mut metrics = SplitMetrics::default();
 
-    fill_level0(img, &mut levels[0], parallel);
+    fill_level0(img, &mut levels[0]);
     metrics.levels_built = 1;
     metrics.cells_folded += (w * h) as u64;
 
@@ -541,19 +510,19 @@ pub fn split_into<P: Intensity>(
         // until the level is known productive (skipping the apex probe).
         let fold_first = matches!(crit, Criterion::PixelRange);
         if fold_first {
-            fold_level(levels, k, w, h, parallel);
+            fold_level(levels, k, w, h);
             metrics.levels_built += 1;
             metrics.cells_folded += (fw * fh) as u64;
         }
 
-        decide_level(levels, bits, k, w, h, crit, t, parallel);
+        decide_level(levels, bits, k, w, h, crit, t);
         metrics.words_tested += (fh * fw.div_ceil(64)) as u64;
 
         if !bits[k].any() {
             break;
         }
         if !fold_first {
-            fold_level(levels, k, w, h, parallel);
+            fold_level(levels, k, w, h);
             metrics.levels_built += 1;
             metrics.cells_folded += (fw * fh) as u64;
         }
@@ -844,22 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matches_seq() {
-        for seed in 0..4 {
-            let img = synth::random_rects(96, 64, 10, seed);
-            for t in [0, 5, 40] {
-                let a = split(&img, &cfg(t));
-                let b = split_par(&img, &cfg(t));
-                assert_eq!(a.squares, b.squares);
-                assert_eq!(a.stats, b.stats);
-                assert_eq!(a.square_of, b.square_of);
-                assert_eq!(a.iterations, b.iterations);
-                assert_eq!(a.metrics, b.metrics);
-            }
-        }
-    }
-
-    #[test]
     fn reused_scratch_matches_fresh_across_shapes() {
         // One scratch + one output buffer, reused across images of varying
         // shapes and configs, must produce bit-identical results to fresh
@@ -874,16 +827,14 @@ mod tests {
         ];
         for img in &images {
             for t in [0u32, 8, 40] {
-                for parallel in [false, true] {
-                    let fresh = split_impl(img, &cfg(t), parallel);
-                    split_into(img, &cfg(t), parallel, &mut scratch, &mut out);
-                    assert_eq!(fresh.squares, out.squares);
-                    assert_eq!(fresh.stats, out.stats);
-                    assert_eq!(fresh.square_of, out.square_of);
-                    assert_eq!(fresh.iterations, out.iterations);
-                    assert_eq!(fresh.metrics, out.metrics);
-                    assert_eq!((fresh.width, fresh.height), (out.width, out.height));
-                }
+                let fresh = split(img, &cfg(t));
+                split_into(img, &cfg(t), &mut scratch, &mut out);
+                assert_eq!(fresh.squares, out.squares);
+                assert_eq!(fresh.stats, out.stats);
+                assert_eq!(fresh.square_of, out.square_of);
+                assert_eq!(fresh.iterations, out.iterations);
+                assert_eq!(fresh.metrics, out.metrics);
+                assert_eq!((fresh.width, fresh.height), (out.width, out.height));
             }
         }
     }
@@ -957,7 +908,7 @@ mod tests {
         let img: Image<u8> = Image::new(513, 100, 7);
         let mut scratch = SplitScratch::new();
         let mut out = SplitResult::default();
-        split_into(&img, &cfg(0), false, &mut scratch, &mut out);
+        split_into(&img, &cfg(0), &mut scratch, &mut out);
         let cells = scratch.plane_cells();
         assert!(
             cells < 4 * 513 * 100 / 3 + 64,

@@ -4,7 +4,7 @@
 //! The paper's evaluation is built entirely on per-stage timings and
 //! per-iteration merge counts measured on the CM-2/CM-5. This module gives
 //! the reproduction a single, trustworthy way to collect the same numbers
-//! from all four engines:
+//! from every engine:
 //!
 //! * [`Telemetry`] — the sink trait. Engines emit structured events (stage
 //!   spans, per-merge-iteration counters, tie-break stall/fallback counts,
@@ -19,7 +19,7 @@
 //!   in-tree).
 //!
 //! The cross-engine conformance test locks the substrate down: for a fixed
-//! seed and configuration, all four engines must report identical
+//! seed and configuration, every engine must report identical
 //! `merges_per_iteration`, split iteration counts, and final region counts
 //! in their telemetry records.
 //!
@@ -36,7 +36,7 @@
 //!    count;
 //! 3. one [`MergeIterationRecord`] per merge iteration (merges performed,
 //!    whether the iteration was a stall, whether the stall guard forced a
-//!    smallest-ID fallback, and — for host engines — the backend's
+//!    smallest-ID fallback, and — for the host engine — the backend's
 //!    remaining active-edge count and whether the CSR backend compacted);
 //! 4. [`Telemetry::merge_done`] with the final region count;
 //! 5. optionally a [`CommRecord`] (message-passing engine) and any number
@@ -53,9 +53,9 @@
 //! run
 //! └─ stage:{split,graph,merge,label}
 //!    └─ iter:<n>                  (inside stage:merge)
-//!       ├─ choice                 (host engines: candidate selection)
-//!       ├─ apply                  (host engines: mutual-merge apply)
-//!       ├─ compact                (host engines: relabel/filter/squeeze)
+//!       ├─ choice                 (host engine: candidate selection)
+//!       ├─ apply                  (host engine: mutual-merge apply)
+//!       ├─ compact                (host engine: relabel/filter/squeeze)
 //!       └─ comm_round:<k>         (message-passing engine: one exchange)
 //! ```
 //!
@@ -129,12 +129,12 @@ pub enum SpanKind {
     Stage(Stage),
     /// One merge iteration (0-based), nested in [`Stage::Merge`].
     MergeIteration(u32),
-    /// Candidate-selection phase of a merge iteration (host engines).
+    /// Candidate-selection phase of a merge iteration (host engine).
     Choice,
-    /// Mutual-merge apply phase of a merge iteration (host engines).
+    /// Mutual-merge apply phase of a merge iteration (host engine).
     Apply,
     /// End-of-step relabel/filter/squeeze phase of a merge iteration
-    /// (host engines).
+    /// (host engine).
     Compact,
     /// One communication exchange of a merge iteration (message-passing
     /// engine; the index is the exchange ordinal within the iteration).
@@ -629,7 +629,7 @@ pub trait Telemetry {
     }
 
     /// A run begins. `engine` is a stable label such as `"seq"`,
-    /// `"rayon"`, `"datapar:CM-2 (8K procs)"`, or `"msgpass:Async:32"`.
+    /// `"datapar:CM-2 (8K procs)"`, or `"msgpass:Async:32"`.
     fn run_start(&mut self, _engine: &str, _width: usize, _height: usize, _config: &Config) {}
 
     /// A hierarchical span opens (see [`SpanKind`]). Streaming sinks
@@ -1007,7 +1007,7 @@ impl TelemetryReport {
             ),
         ];
         // Backend counters are emitted only when the engine reported them
-        // (the host engines do, the simulated engines don't) — absent
+        // (the host engine does, the simulated engines don't) — absent
         // fields parse back to `None`, keeping pre-existing golden
         // snapshots byte-stable.
         let has_backend_counters = !self.merge_iterations.is_empty()
@@ -1574,7 +1574,7 @@ impl Telemetry for Fanout<'_> {
 ///
 /// The simulated engines record only the per-iteration merge counts on the
 /// "device" side; this derivation recovers the stall/fallback annotations
-/// identically to what the host engines emit live — the conformance test
+/// identically to what the host engine emits live — the conformance test
 /// asserts so.
 pub fn derive_merge_iterations(
     merges_per_iteration: &[u32],
@@ -1965,7 +1965,7 @@ mod tests {
         let mut a = sample_report();
         let mut b = sample_report();
         // Perturb everything conformance should ignore.
-        b.engine = "rayon".into();
+        b.engine = "msgpass:Async:32".into();
         b.stages[0].wall_seconds = 99.0;
         b.comm = None;
         b.counters.clear();

@@ -171,9 +171,9 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn new(config: Config, parallel: bool) -> Self {
+    fn new(config: Config) -> Self {
         Self {
-            pipe: HostPipeline::new(config, parallel),
+            pipe: HostPipeline::new(config, false),
             tile_img: Image::new(1, 1, 0),
             seg: Segmentation::default(),
             region_stats: Vec::new(),
@@ -254,7 +254,6 @@ fn run_tile(
 /// same-shape image stream runs allocation-free in steady state.
 pub struct TiledRunner {
     config: Config,
-    parallel: bool,
     grid: TileGrid,
     jobs: usize,
     workers: Vec<WorkerSlot>,
@@ -272,12 +271,16 @@ pub struct TiledRunner {
 }
 
 impl TiledRunner {
-    /// A runner over `grid` with `jobs` workers; `parallel` selects the
-    /// rayon host engine for the per-tile runs.
-    pub fn new(config: Config, parallel: bool, grid: TileGrid, jobs: usize) -> Self {
+    /// A runner over `grid` with `jobs` workers.
+    ///
+    /// `_legacy_parallel` is ignored: tiles run on the one sequential host
+    /// engine, and `jobs` is the only parallelism knob. The argument
+    /// remains only because the end-to-end benchmark harness (`bench_e2e/`)
+    /// calls this constructor with it; it goes with the next change allowed
+    /// to touch that harness.
+    pub fn new(config: Config, _legacy_parallel: bool, grid: TileGrid, jobs: usize) -> Self {
         Self {
             config,
-            parallel,
             grid,
             jobs: jobs.max(1),
             workers: Vec::new(),
@@ -329,8 +332,7 @@ impl TiledRunner {
             self.jobs.min(grid.count()).max(1)
         };
         while self.workers.len() < jobs {
-            self.workers
-                .push(WorkerSlot::new(self.config, self.parallel));
+            self.workers.push(WorkerSlot::new(self.config));
         }
 
         if jobs <= 1 {
@@ -486,12 +488,12 @@ impl TiledRunner {
         self.ids.extend(0..total_vertices as u64);
         let merger = match &mut self.merger {
             Some(m) => {
-                m.reset_from(&self.stats, edges, &self.ids, &self.config, false);
+                m.reset_from(&self.stats, edges, &self.ids, &self.config);
                 m
             }
             slot @ None => {
                 let mut m = Merger::hollow(&self.config);
-                m.reset_from(&self.stats, edges, &self.ids, &self.config, false);
+                m.reset_from(&self.stats, edges, &self.ids, &self.config);
                 slot.insert(m)
             }
         };

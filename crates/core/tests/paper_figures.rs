@@ -62,7 +62,7 @@ fn figure2_iteration_by_iteration() {
     let s = split(&img, &config);
     let rag = Rag::from_split(&s, Connectivity::Four);
     let ids: Vec<u64> = s.squares.iter().map(|q| q.id(4) as u64).collect();
-    let mut m = Merger::new(rag, ids, &config, false);
+    let mut m = Merger::new(rag, ids, &config);
 
     // (a) start: 7 regions.
     assert_eq!(m.num_regions(), 7);

@@ -1,10 +1,9 @@
 //! Property-based tests of the segmentation invariants on arbitrary
 //! scenes: for any image, threshold, policy, and connectivity, the result
-//! must verify (connected + homogeneous + maximal), and the sequential and
-//! rayon engines must agree bit for bit.
+//! must verify (connected + homogeneous + maximal).
 
 use proptest::prelude::*;
-use rg_core::{segment, segment_par, split, verify_segmentation, Config, Connectivity, TieBreak};
+use rg_core::{segment, split, verify_segmentation, Config, Connectivity, TieBreak};
 use rg_imaging::{synth, Image};
 
 prop_compose! {
@@ -42,13 +41,6 @@ proptest! {
         if let Err(violations) = verify_segmentation(&img, &seg, &cfg) {
             prop_assert!(false, "violations: {:?}", &violations[..violations.len().min(3)]);
         }
-    }
-
-    #[test]
-    fn par_engine_is_bit_identical(img in scene(), cfg in config()) {
-        let a = segment(&img, &cfg);
-        let b = segment_par(&img, &cfg);
-        prop_assert_eq!(a, b);
     }
 
     #[test]

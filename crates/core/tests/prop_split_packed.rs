@@ -3,13 +3,11 @@
 //! ([`rg_core::split_reference`]): squares, per-square stats, the
 //! pixel→square map and the iteration count must be bit-identical across
 //! random sizes (including non-power-of-two rectangles and degenerate
-//! 1×N / N×1 strips), both criteria, sequential vs rayon passes, and a
-//! scratch reused across shape changes vs fresh calls.
+//! 1×N / N×1 strips), both criteria, and a scratch reused across shape
+//! changes vs fresh calls.
 
 use proptest::prelude::*;
-use rg_core::{
-    split, split_into, split_par, split_reference, Config, Criterion, SplitResult, SplitScratch,
-};
+use rg_core::{split, split_into, split_reference, Config, Criterion, SplitResult, SplitScratch};
 use rg_imaging::{synth, Image};
 
 // Random rectangles, biased toward awkward shapes: non-power-of-two
@@ -54,8 +52,7 @@ proptest! {
     #[test]
     fn packed_split_matches_reference(img in scene(), cfg in split_config()) {
         let oracle = split_reference(&img, &cfg);
-        assert_same(&split(&img, &cfg), &oracle, "seq");
-        assert_same(&split_par(&img, &cfg), &oracle, "par");
+        assert_same(&split(&img, &cfg), &oracle, "fresh");
     }
 
     #[test]
@@ -76,15 +73,13 @@ proptest! {
     ) {
         // One scratch + one output buffer across a stream of different
         // shapes (growing and shrinking) stays bit-identical to the
-        // oracle, sequentially and in parallel.
+        // oracle.
         let mut scratch = SplitScratch::new();
         let mut out = SplitResult::default();
         for img in &imgs {
             let oracle = split_reference(img, &cfg);
-            for parallel in [false, true] {
-                split_into(img, &cfg, parallel, &mut scratch, &mut out);
-                assert_same(&out, &oracle, if parallel { "reused/par" } else { "reused/seq" });
-            }
+            split_into(img, &cfg, &mut scratch, &mut out);
+            assert_same(&out, &oracle, "reused");
         }
     }
 }

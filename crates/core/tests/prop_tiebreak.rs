@@ -1,11 +1,11 @@
-//! Property tests for the tie-break machinery shared by all four engines.
+//! Property tests for the tie-break machinery shared by every engine.
 //!
 //! Two families of properties:
 //!
 //! 1. **Order invariance** — `tie_key` induces a strict total order over a
 //!    chooser's candidates, so the winning candidate (the argmin) does not
 //!    depend on the order the candidates are visited in. This is what lets
-//!    the sequential, rayon, data-parallel, and message-passing engines —
+//!    the sequential, data-parallel, and message-passing engines —
 //!    which all enumerate neighbours in different orders — make identical
 //!    choices.
 //!
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rg_core::graph::Rag;
 use rg_core::merge::{tie_key, tie_priority, Merger};
 use rg_core::telemetry::derive_merge_iterations;
-use rg_core::{segment, segment_par, Config, Connectivity, MergeBackend, RegionStats, TieBreak};
+use rg_core::{segment, Config, Connectivity, MergeBackend, RegionStats, TieBreak};
 use rg_imaging::synth;
 
 /// Deterministically shuffles `v` with a splitmix-style keyed sort.
@@ -185,7 +185,7 @@ proptest! {
         let config = Config::with_threshold(10)
             .tie_break(TieBreak::Random { seed });
         let config = Config { max_stall, ..config };
-        let mut merger = Merger::new(rag, ids, &config, false);
+        let mut merger = Merger::new(rag, ids, &config);
         let summary = merger.run();
         prop_assert_eq!(summary.num_regions, 1, "ring must fully coalesce");
         let total: u32 = summary.merges_per_iteration.iter().sum();
@@ -211,7 +211,7 @@ proptest! {
         let config = Config::with_threshold(10)
             .tie_break(TieBreak::Random { seed });
         let config = Config { max_stall, ..config };
-        let mut merger = Merger::new(rag, ids, &config, false);
+        let mut merger = Merger::new(rag, ids, &config);
         let mut live = Vec::new();
         while !merger.is_done() {
             let rep = merger.step();
@@ -230,11 +230,11 @@ proptest! {
     /// **Differential backend equivalence.** The incremental CSR merge
     /// engine and the reference edge-list engine are different data
     /// structures implementing one algorithm: for any image, threshold,
-    /// connectivity, tie policy, and engine (sequential or rayon), they must
-    /// produce the *identical* [`rg_core::Segmentation`] — same final
-    /// labels, same region count, and the same merge history iteration by
-    /// iteration (the merges-per-iteration trajectory, which pins down
-    /// every intermediate RAG state, not just the fixed point).
+    /// connectivity, and tie policy, they must produce the *identical*
+    /// [`rg_core::Segmentation`] — same final labels, same region count,
+    /// and the same merge history iteration by iteration (the
+    /// merges-per-iteration trajectory, which pins down every intermediate
+    /// RAG state, not just the fixed point).
     #[test]
     fn csr_backend_matches_reference_backend(
         w in 8usize..48,
@@ -245,7 +245,6 @@ proptest! {
         eight in any::<bool>(),
         policy in 0usize..3,
         seed in 0u64..1_000,
-        parallel in any::<bool>(),
     ) {
         let img = synth::random_rects(w, h, rects, img_seed);
         let tie = [
@@ -259,15 +258,11 @@ proptest! {
             .connectivity(conn);
         let csr = Config { merge_backend: MergeBackend::Csr, ..base };
         let reference = Config { merge_backend: MergeBackend::Reference, ..base };
-        let (a, b) = if parallel {
-            (segment_par(&img, &csr), segment_par(&img, &reference))
-        } else {
-            (segment(&img, &csr), segment(&img, &reference))
-        };
         prop_assert_eq!(
-            a, b,
-            "backends diverged: {:?} conn={:?} t={} parallel={}",
-            tie, conn, threshold, parallel
+            segment(&img, &csr),
+            segment(&img, &reference),
+            "backends diverged: {:?} conn={:?} t={}",
+            tie, conn, threshold
         );
     }
 }

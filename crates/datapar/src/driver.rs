@@ -28,7 +28,7 @@ pub struct DataParOutcome {
     pub graph_ledger: cm_sim::CostLedger,
     /// Per-primitive ledger of the merge stage.
     pub merge_ledger: cm_sim::CostLedger,
-    /// The segmentation (identical to the host engines' output).
+    /// The segmentation (identical to the host engine's output).
     pub seg: Segmentation,
     /// Simulated seconds spent in the split stage.
     pub split_seconds: f64,

@@ -3,7 +3,7 @@
 //! Wraps a [`DataParBackend`] behind the engine-agnostic
 //! [`rg_core::Pipeline`] interface so the batch runtime
 //! ([`rg_core::batch`]) can stream images through a simulated CM alongside
-//! the host engines — every image goes through the same
+//! the host engine — every image goes through the same
 //! [`rg_core::driver::run_driver`] loop as the one-shot entry points. The
 //! simulated machine rebuilds its fields per image (the virtual-processor
 //! sets are part of the simulation), so unlike [`rg_core::HostPipeline`]

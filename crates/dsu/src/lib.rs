@@ -2,25 +2,15 @@
 //!
 //! Disjoint-set (union-find) substrate for the region-growing reproduction.
 //!
-//! Two variants:
-//!
-//! * [`seq::DisjointSets`] — the classic sequential structure with union by
-//!   rank and path compression (amortised inverse-Ackermann operations).
-//!   Used by the sequential engines and by segmentation verification.
-//! * [`concurrent::ConcurrentDisjointSets`] — a wait-free-find, lock-free
-//!   union structure storing parents in `AtomicU32` words with CAS splicing
-//!   and path halving, after Anderson & Woll. Used by the rayon merge engine
-//!   where many mutual region pairs union in parallel within one iteration.
-//!
-//! Both expose the same core operations (`find`, `union`, `same_set`) so the
-//! engines can be written against either.
+//! [`seq::DisjointSets`] is the classic sequential structure with union by
+//! rank and path compression (amortised inverse-Ackermann operations). The
+//! host merge engine, the baselines and segmentation verification all use
+//! it; the paper's parallelism is simulated by the Connection Machine
+//! engines, not by this structure.
 
 #![warn(missing_docs)]
-// The concurrent variant uses atomics only; no raw pointers.
 #![forbid(unsafe_code)]
 
-pub mod concurrent;
 pub mod seq;
 
-pub use concurrent::ConcurrentDisjointSets;
 pub use seq::DisjointSets;

@@ -165,25 +165,6 @@ impl DisjointSets {
         }
     }
 
-    /// Rayon-parallel [`DisjointSets::resolve_all`]: classic synchronous
-    /// pointer jumping (`out ← out[out]` until fixpoint). Deterministic —
-    /// every round reads a snapshot and writes a fresh buffer — and
-    /// identical output to the sequential variant.
-    pub fn resolve_all_par(&self) -> Vec<u32> {
-        use rayon::prelude::*;
-        let mut cur = self.parent.clone();
-        loop {
-            // One synchronous jump round: every element reads the previous
-            // round's snapshot, so the rounds are race-free by construction.
-            let next: Vec<u32> = cur.par_iter().map(|&p| cur[p as usize]).collect();
-            let changed = next.iter().zip(&cur).any(|(a, b)| a != b);
-            cur = next;
-            if !changed {
-                return cur;
-            }
-        }
-    }
-
     /// Compresses every path and returns the dense relabelling
     /// `element → compact set index` in `0..num_sets`, assigning compact
     /// indices in order of first appearance of each root.
@@ -280,11 +261,9 @@ mod tests {
             d.union_min_rep(a, b);
         }
         let resolved = d.resolve_all();
-        let resolved_par = d.resolve_all_par();
         for v in 0..64u32 {
             assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
         }
-        assert_eq!(resolved, resolved_par);
     }
 
     #[test]
@@ -296,18 +275,15 @@ mod tests {
             d.union(48 - i, 49 - i);
         }
         let resolved = d.resolve_all();
-        let resolved_par = d.resolve_all_par();
         for v in 0..50u32 {
             assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
         }
-        assert_eq!(resolved, resolved_par);
     }
 
     #[test]
     fn resolve_all_on_singletons_is_identity() {
         let d = DisjointSets::new(5);
         assert_eq!(d.resolve_all(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(d.resolve_all_par(), vec![0, 1, 2, 3, 4]);
         assert!(DisjointSets::new(0).resolve_all().is_empty());
     }
 

@@ -1,8 +1,7 @@
-//! Property tests: the sequential and concurrent union-find structures
-//! implement the same partition semantics.
+//! Property tests: union-find partition semantics.
 
 use proptest::prelude::*;
-use rg_dsu::{ConcurrentDisjointSets, DisjointSets};
+use rg_dsu::DisjointSets;
 
 prop_compose! {
     fn ops()(
@@ -16,22 +15,6 @@ prop_compose! {
 }
 
 proptest! {
-    #[test]
-    fn seq_and_concurrent_agree((n, pairs) in ops()) {
-        let mut seq = DisjointSets::new(n);
-        let conc = ConcurrentDisjointSets::new(n);
-        for &(a, b) in &pairs {
-            let x = seq.union(a, b);
-            let y = conc.union(a, b);
-            prop_assert_eq!(x, y, "union({},{}) disagreement", a, b);
-        }
-        for i in 0..n as u32 {
-            for j in [0u32, i / 2, (i + 1) % n as u32] {
-                prop_assert_eq!(seq.same_set(i, j), conc.same_set(i, j));
-            }
-        }
-    }
-
     #[test]
     fn union_min_rep_root_is_minimum((n, pairs) in ops()) {
         let mut d = DisjointSets::new(n);
@@ -61,27 +44,5 @@ proptest! {
         let labels = d.compact_labels();
         let distinct: std::collections::HashSet<u32> = labels.iter().copied().collect();
         prop_assert_eq!(distinct.len(), roots.len());
-    }
-
-    #[test]
-    fn concurrent_parallel_equals_sequential((n, pairs) in ops()) {
-        let conc = ConcurrentDisjointSets::new(n);
-        std::thread::scope(|s| {
-            for chunk in pairs.chunks(64.max(pairs.len() / 4 + 1)) {
-                let conc = &conc;
-                s.spawn(move || {
-                    for &(a, b) in chunk {
-                        conc.union(a, b);
-                    }
-                });
-            }
-        });
-        let mut seq = DisjointSets::new(n);
-        for &(a, b) in &pairs {
-            seq.union(a, b);
-        }
-        for i in 0..n as u32 {
-            prop_assert_eq!(conc.same_set(i, 0), seq.same_set(i, 0));
-        }
     }
 }

@@ -28,7 +28,7 @@ const LABEL_UNITS_PER_PX: u64 = 3;
 /// A message-passing run's outputs.
 #[derive(Debug, Clone)]
 pub struct MsgPassOutcome {
-    /// The segmentation (identical to the host engines given the same
+    /// The segmentation (identical to the host engine given the same
     /// square cap).
     pub seg: Segmentation,
     /// Simulated seconds for the split stage (synchronised makespan).

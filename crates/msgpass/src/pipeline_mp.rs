@@ -3,7 +3,7 @@
 //! Wraps a [`MsgPassBackend`] behind the engine-agnostic
 //! [`rg_core::Pipeline`] interface so the batch runtime
 //! ([`rg_core::batch`]) can stream images through the simulated CM-5 node
-//! program alongside the host engines — every image goes through the same
+//! program alongside the host engine — every image goes through the same
 //! [`rg_core::driver::run_driver`] loop as the one-shot entry points. Each
 //! image still spins up its own simulated nodes (they are part of the
 //! simulation), so unlike [`rg_core::HostPipeline`] this adapter does

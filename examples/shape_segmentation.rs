@@ -1,6 +1,6 @@
 //! Domain scenario: measure object geometry in a synthetic "parts on a
 //! conveyor" scene — the kind of industrial-vision workload region growing
-//! was used for. Segments with the rayon-parallel engine, then reports
+//! was used for. Segments with the host engine, then reports
 //! per-region area, bounding box, centroid, and mean intensity via the
 //! `rg_core::regions` API, and writes a boundary overlay as PGM.
 //!
@@ -9,7 +9,7 @@
 //! ```
 
 use rg_core::regions::{overlay_boundaries, summarize_regions};
-use rg_core::{segment_par, Config};
+use rg_core::{segment, Config};
 use rg_imaging::draw::{fill_circle, fill_rect, Rect};
 use rg_imaging::{pgm, GrayImage, Image};
 
@@ -25,7 +25,7 @@ fn main() {
 
     let cfg = Config::with_threshold(12);
     let t0 = std::time::Instant::now();
-    let seg = segment_par(&img, &cfg);
+    let seg = segment(&img, &cfg);
     let dt = t0.elapsed();
 
     println!(

@@ -3,7 +3,7 @@
 //! ```text
 //! rgrow <input.pgm> [output.pgm] [options]
 //! rgrow --demo image3 out.pgm --engine mp-async
-//! rgrow --batch 'frames/*.pgm' --jobs 4 --engine par
+//! rgrow --batch 'frames/*.pgm' --jobs 4
 //! rgrow --batch demo:random:16 --engine seq --telemetry -
 //!
 //! options:
@@ -19,7 +19,7 @@
 //!                          is on so the journal's span nesting stays strict.
 //!   --tiles RxC            shard the image into an R-row, C-column tile grid,
 //!                          segment tiles on the worker pool, and stitch with
-//!                          a cross-tile boundary merge (host engines only;
+//!                          a cross-tile boundary merge (host engine only;
 //!                          see DESIGN.md §17). The grid clamps so every tile
 //!                          holds at least one pixel.
 //!   --threshold N          homogeneity threshold T in grey levels [10]
@@ -28,7 +28,7 @@
 //!   --connectivity 4|8     region adjacency [4]
 //!   --criterion range|mean homogeneity criterion [range]
 //!   --cap N                max square side 2^N (0 = merge-only) [unbounded]
-//!   --engine seq|par|cm2-8k|cm2-16k|cm5-dp|mp-lp|mp-async   [par]
+//!   --engine seq|cm2-8k|cm2-16k|cm5-dp|mp-lp|mp-async   [seq]
 //!   --nodes N              node count for mp-* engines [32]
 //!   --chaos SEED[:PROFILE] inject a seeded deterministic fault schedule into
 //!                          the simulated CMMD fabric (mp-* engines only).
@@ -63,9 +63,9 @@ use cm_sim::CostModel;
 use cmmd_sim::{CommScheme, FaultPlan};
 use rg_core::{
     analyze_journal, chrome_trace, jsonl_sink, labels::labels_to_image, run_batch,
-    segment_par_with_telemetry, segment_with_telemetry, verify_segmentation, BatchOptions,
-    ClockMode, Config, Connectivity, Criterion, EmitEvent, EventLog, Fanout, HostPipeline,
-    NullTelemetry, Pipeline, Recorder, Segmentation, Telemetry, TieBreak, TileGrid, TiledRunner,
+    segment_with_telemetry, verify_segmentation, BatchOptions, ClockMode, Config, Connectivity,
+    Criterion, EmitEvent, EventLog, Fanout, HostPipeline, NullTelemetry, Pipeline, Recorder,
+    Segmentation, Telemetry, TieBreak, TileGrid, TiledRunner,
 };
 use rg_imaging::{pgm, synth, GrayImage};
 use std::process::exit;
@@ -94,9 +94,7 @@ struct Options {
 }
 
 /// Valid values for `--engine`, in the order shown in error messages.
-const ENGINES: &[&str] = &[
-    "seq", "par", "cm2-8k", "cm2-16k", "cm5-dp", "mp-lp", "mp-async",
-];
+const ENGINES: &[&str] = &["seq", "cm2-8k", "cm2-16k", "cm5-dp", "mp-lp", "mp-async"];
 /// Valid values for `--tie`.
 const TIES: &[&str] = &["random", "smallest", "largest"];
 
@@ -104,7 +102,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rgrow <input.pgm> [output.pgm] [--threshold N] [--tie random|smallest|largest]\n\
          \x20            [--seed N] [--connectivity 4|8] [--criterion range|mean] [--cap N]\n\
-         \x20            [--engine seq|par|cm2-8k|cm2-16k|cm5-dp|mp-lp|mp-async] [--nodes N]\n\
+         \x20            [--engine seq|cm2-8k|cm2-16k|cm5-dp|mp-lp|mp-async] [--nodes N]\n\
          \x20            [--chaos SEED[:none|drop|dup|corrupt|delay|slow|storm|blackhole]]\n\
          \x20            [--tiles RxC] [--jobs N]\n\
          \x20            [--demo image1..image6|circles|rects|nested|tool[:SIZE]] [--telemetry out.json|-]\n\
@@ -127,7 +125,7 @@ fn parse_args() -> Options {
         connectivity: Connectivity::Four,
         criterion: Criterion::PixelRange,
         cap: None,
-        engine: "par".to_string(),
+        engine: "seq".to_string(),
         nodes: 32,
         chaos: None,
         telemetry: None,
@@ -259,11 +257,8 @@ fn parse_args() -> Options {
             eprintln!("--tiles shards one image and cannot combine with --batch");
             usage()
         }
-        if !matches!(o.engine.as_str(), "seq" | "par") {
-            eprintln!(
-                "--tiles runs on the host engines (seq, par); got {:?}",
-                o.engine
-            );
+        if o.engine != "seq" {
+            eprintln!("--tiles runs on the host engine (seq); got {:?}", o.engine);
             usage()
         }
     }
@@ -335,7 +330,6 @@ fn run_engine(
 ) -> (Segmentation, Option<String>) {
     match o.engine.as_str() {
         "seq" => (segment_with_telemetry(img, cfg, tel), None),
-        "par" => (segment_par_with_telemetry(img, cfg, tel), None),
         "cm2-8k" | "cm2-16k" | "cm5-dp" => {
             let model = match o.engine.as_str() {
                 "cm2-8k" => CostModel::cm2_8k(),
@@ -527,7 +521,6 @@ fn pipeline_for(
     };
     match engine {
         "seq" => Box::new(HostPipeline::<u8>::new(cfg, false)),
-        "par" => Box::new(HostPipeline::<u8>::new(cfg, true)),
         "cm2-8k" => Box::new(rg_datapar::DataParPipeline::new(cfg, CostModel::cm2_8k())),
         "cm2-16k" => Box::new(rg_datapar::DataParPipeline::new(cfg, CostModel::cm2_16k())),
         "cm5-dp" => Box::new(rg_datapar::DataParPipeline::new(
@@ -556,7 +549,7 @@ fn run_tiled(
     grid: TileGrid,
     tel: &mut dyn Telemetry,
 ) -> (Segmentation, Option<String>) {
-    let mut runner = TiledRunner::new(*cfg, o.engine == "par", grid, o.jobs);
+    let mut runner = TiledRunner::new(*cfg, false, grid, o.jobs);
     let mut seg = Segmentation::default();
     let stats = runner.run_into(img, tel, &mut seg);
     let jobs = if tel.enabled() { 1 } else { o.jobs.max(1) };

@@ -1,11 +1,10 @@
-//! Steady-state zero-allocation assertion for the host pipelines.
+//! Steady-state zero-allocation assertion for the host pipeline.
 //!
 //! The plan/workspace layer promises that once a [`HostPipeline`] has been
 //! warmed up on an image shape, running further same-shape images performs
 //! **zero heap allocations** — every arena reuses its high-water-mark
 //! capacity. This test wraps the global allocator in a counting shim and
-//! asserts exactly that for both host engines (the "rayon" engine runs on
-//! the workspace's sequential compat shim, so it shares the guarantee).
+//! asserts exactly that.
 //!
 //! One `#[test]` only: counting is process-global, and a single test keeps
 //! other tests' allocations out of the measured window regardless of the
@@ -54,27 +53,25 @@ fn warm_host_pipelines_run_allocation_free() {
         .collect();
     let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 9 });
 
-    for (parallel, engine) in [(false, "seq"), (true, "rayon")] {
-        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, parallel);
-        let mut out = Segmentation::default();
+    let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
+    let mut out = Segmentation::default();
 
-        // Warm-up pass: arenas grow to the stream's high-water mark.
-        let mut expected = Vec::new();
-        for img in &images {
-            pipe.run_image_into(img, &mut NullTelemetry, &mut out);
-            expected.push(out.clone());
-        }
+    // Warm-up pass: arenas grow to the stream's high-water mark.
+    let mut expected = Vec::new();
+    for img in &images {
+        pipe.run_image_into(img, &mut NullTelemetry, &mut out);
+        expected.push(out.clone());
+    }
 
-        // Steady-state pass: identical results, zero new allocations.
-        for (img, want) in images.iter().zip(&expected) {
-            let before = allocs();
-            pipe.run_image_into(img, &mut NullTelemetry, &mut out);
-            let delta = allocs() - before;
-            assert_eq!(
-                delta, 0,
-                "{engine}: steady-state image made {delta} heap allocation(s)"
-            );
-            assert_eq!(&out, want, "{engine}: steady-state result drifted");
-        }
+    // Steady-state pass: identical results, zero new allocations.
+    for (img, want) in images.iter().zip(&expected) {
+        let before = allocs();
+        pipe.run_image_into(img, &mut NullTelemetry, &mut out);
+        let delta = allocs() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state image made {delta} heap allocation(s)"
+        );
+        assert_eq!(&out, want, "steady-state result drifted");
     }
 }

@@ -25,7 +25,21 @@ fn bad_engine_exits_2_and_lists_choices() {
     let err = stderr(&out);
     assert!(err.contains("unknown engine \"gpu\""), "{err}");
     assert!(
-        err.contains("valid choices are: seq, par, cm2-8k, cm2-16k, cm5-dp, mp-lp, mp-async"),
+        err.contains("valid choices are: seq, cm2-8k, cm2-16k, cm5-dp, mp-lp, mp-async"),
+        "{err}"
+    );
+}
+
+#[test]
+fn removed_par_engine_exits_2_and_lists_choices() {
+    // The host engine is sequential; `par` named a second host path that
+    // never ran in parallel and is gone.
+    let out = rgrow(&["--demo", "nested", "--engine", "par"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown engine \"par\""), "{err}");
+    assert!(
+        err.contains("valid choices are: seq, cm2-8k, cm2-16k, cm5-dp, mp-lp, mp-async"),
         "{err}"
     );
 }
@@ -79,11 +93,11 @@ fn bad_chaos_seed_exits_2() {
 
 #[test]
 fn chaos_without_mp_engine_exits_2() {
-    let out = rgrow(&["--demo", "nested", "--engine", "par", "--chaos", "7:storm"]);
+    let out = rgrow(&["--demo", "nested", "--engine", "seq", "--chaos", "7:storm"]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr(&out);
     assert!(err.contains("needs an mp-* engine"), "{err}");
-    assert!(err.contains("\"par\""), "{err}");
+    assert!(err.contains("\"seq\""), "{err}");
 }
 
 #[test]
@@ -127,7 +141,7 @@ fn tiles_with_simulator_engine_exits_2() {
     let out = rgrow(&["--demo", "nested", "--tiles", "2x2", "--engine", "mp-lp"]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr(&out);
-    assert!(err.contains("host engines"), "{err}");
+    assert!(err.contains("host engine (seq)"), "{err}");
     assert!(err.contains("\"mp-lp\""), "{err}");
 }
 

@@ -1,7 +1,10 @@
 //! End-to-end pipeline tests: PGM in, segmentation out, verification, and
 //! the split stage's benefit over merge-only region growing.
 
-use rg_core::{segment, segment_par, verify_segmentation, Config, TieBreak};
+use rg_core::{
+    segment, verify_segmentation, Config, HostPipeline, NullTelemetry, Pipeline, Segmentation,
+    TieBreak, TileGrid, TiledRunner,
+};
 use rg_imaging::{pgm, synth, GrayImage};
 
 #[test]
@@ -108,30 +111,32 @@ fn threshold_255_yields_single_region() {
 }
 
 #[test]
-fn par_engine_verifies_on_all_paper_images() {
+fn seq_engine_verifies_on_all_paper_images() {
     for pi in synth::PaperImage::ALL {
         let img = pi.generate();
         let cfg = Config::with_threshold(10);
-        let seg = segment_par(&img, &cfg);
+        let seg = segment(&img, &cfg);
         verify_segmentation(&img, &seg, &cfg).unwrap_or_else(|v| panic!("{pi:?}: {}", v[0]));
     }
 }
 
 #[test]
-fn par_engine_is_thread_count_independent() {
-    // Every parallel step is order-independent, so the result must not
-    // depend on the rayon pool size.
+fn legacy_parallel_argument_is_ignored() {
+    // `HostPipeline::new` and `TiledRunner::new` still take a `bool` that
+    // once selected a host "parallel" engine; it must change nothing.
     let img = synth::circle_collection(128);
     let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 3 });
-    let run_with = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-            .install(|| segment_par(&img, &cfg))
+    let expect = segment(&img, &cfg);
+    for legacy in [false, true] {
+        let mut pipe = HostPipeline::<u8>::new(cfg, legacy);
+        assert_eq!(pipe.engine(), "seq");
+        assert_eq!(pipe.run_image(&img), expect, "HostPipeline legacy={legacy}");
+    }
+    let tiled = |legacy: bool| {
+        let mut runner = TiledRunner::new(cfg, legacy, TileGrid::new(2, 2), 2);
+        let mut seg = Segmentation::default();
+        runner.run_into(&img, &mut NullTelemetry, &mut seg);
+        seg.labels
     };
-    let one = run_with(1);
-    let four = run_with(4);
-    assert_eq!(one, four);
-    assert_eq!(one, segment(&img, &cfg));
+    assert_eq!(tiled(true), tiled(false));
 }

@@ -1,7 +1,7 @@
 //! Property tests of workspace reuse: a pooled pipeline streamed over a
 //! random image sequence must be **bit-identical** — segmentation and
-//! telemetry conformance view — to fresh one-shot runs, across all four
-//! engines and both tie-break families.
+//! telemetry conformance view — to fresh one-shot runs, across the host,
+//! data-parallel and message-passing engines and both tie-break families.
 //!
 //! This is the safety net under the plan/workspace layer's core claim:
 //! arena reuse (including re-planning on shape changes mid-stream) is
@@ -12,8 +12,8 @@ use cmmd_sim::CommScheme;
 use proptest::prelude::*;
 use rg_core::telemetry::Recorder;
 use rg_core::{
-    segment, segment_par_with_telemetry, segment_with_telemetry, Config, HostPipeline,
-    NullTelemetry, Pipeline, Segmentation, TieBreak,
+    segment, segment_with_telemetry, Config, HostPipeline, NullTelemetry, Pipeline, Segmentation,
+    TieBreak,
 };
 use rg_datapar::DataParPipeline;
 use rg_imaging::{synth, Image};
@@ -51,7 +51,7 @@ fn tie_of(random: bool, seed: u64) -> TieBreak {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Host engines: reused workspace vs fresh run, segmentation AND
+    /// Host engine: reused workspace vs fresh run, segmentation AND
     /// telemetry conformance view.
     #[test]
     fn host_pipeline_reuse_is_invisible(
@@ -61,26 +61,18 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let cfg = Config::with_threshold(t).tie_break(tie_of(random, seed));
-        for parallel in [false, true] {
-            let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, parallel);
-            let mut out = Segmentation::default();
-            for img in &images {
-                let mut rec_fresh = Recorder::new();
-                let fresh = if parallel {
-                    segment_par_with_telemetry(img, &cfg, &mut rec_fresh)
-                } else {
-                    segment_with_telemetry(img, &cfg, &mut rec_fresh)
-                };
-                let mut rec_pipe = Recorder::new();
-                pipe.run_image_into(img, &mut rec_pipe, &mut out);
-                prop_assert_eq!(&fresh, &out, "parallel={}", parallel);
-                prop_assert_eq!(
-                    rec_fresh.report().conformance_view(),
-                    rec_pipe.report().conformance_view(),
-                    "parallel={}",
-                    parallel
-                );
-            }
+        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
+        let mut out = Segmentation::default();
+        for img in &images {
+            let mut rec_fresh = Recorder::new();
+            let fresh = segment_with_telemetry(img, &cfg, &mut rec_fresh);
+            let mut rec_pipe = Recorder::new();
+            pipe.run_image_into(img, &mut rec_pipe, &mut out);
+            prop_assert_eq!(&fresh, &out);
+            prop_assert_eq!(
+                rec_fresh.report().conformance_view(),
+                rec_pipe.report().conformance_view()
+            );
         }
     }
 }

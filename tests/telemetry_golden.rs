@@ -17,9 +17,7 @@
 
 use cm_sim::CostModel;
 use cmmd_sim::CommScheme;
-use rg_core::{
-    segment_par_with_telemetry, segment_with_telemetry, Config, Recorder, TelemetryReport, TieBreak,
-};
+use rg_core::{segment_with_telemetry, Config, Recorder, TelemetryReport, TieBreak};
 use rg_imaging::synth;
 use std::path::Path;
 
@@ -106,9 +104,6 @@ fn round_trip_is_lossless_for_every_engine() {
     let mut reports = Vec::new();
     let mut rec = Recorder::new();
     segment_with_telemetry(&img, &cfg, &mut rec);
-    reports.push(rec.into_report());
-    let mut rec = Recorder::new();
-    segment_par_with_telemetry(&img, &cfg, &mut rec);
     reports.push(rec.into_report());
     let mut rec = Recorder::new();
     rg_datapar::segment_datapar_with_telemetry(&img, &cfg, CostModel::cm5_dp_32(), &mut rec);

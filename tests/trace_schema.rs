@@ -20,9 +20,6 @@ fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event>
         "seq" => {
             rg_core::segment_with_telemetry(img, cfg, tel);
         }
-        "par" => {
-            rg_core::segment_par_with_telemetry(img, cfg, tel);
-        }
         "cm2-8k" => {
             rg_datapar::segment_datapar_with_telemetry(img, cfg, CostModel::cm2_8k(), tel);
         }
@@ -43,7 +40,7 @@ fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event>
     log.into_events()
 }
 
-const ALL_ENGINES: &[&str] = &["seq", "par", "cm2-8k", "mp-lp", "mp-async"];
+const ALL_ENGINES: &[&str] = &["seq", "cm2-8k", "mp-lp", "mp-async"];
 
 fn scene() -> (rg_imaging::GrayImage, Config) {
     (
@@ -254,7 +251,6 @@ fn disabled_sink_sees_no_events_on_any_engine() {
     let (img, cfg) = scene();
     let mut sink = DisabledPanicSink;
     rg_core::segment_with_telemetry(&img, &cfg, &mut sink);
-    rg_core::segment_par_with_telemetry(&img, &cfg, &mut sink);
     rg_datapar::segment_datapar_with_telemetry(&img, &cfg, CostModel::cm2_8k(), &mut sink);
     rg_msgpass::segment_msgpass_with_telemetry(
         &img,
