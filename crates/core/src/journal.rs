@@ -1,28 +1,32 @@
 //! Streaming JSONL event journal: the durable, mid-flight-observable form
 //! of a telemetry stream.
 //!
-//! The in-memory [`Recorder`](crate::telemetry::Recorder) only materialises
-//! a report after `run_end` — a hung merge loop or a panic leaves nothing
-//! behind. This module streams every [`Telemetry`] callback as one JSON
-//! object per line (JSONL) the moment it happens:
+//! The in-memory [`Recorder`](crate::telemetry::Recorder) keeps only the
+//! folded report — a hung merge loop or a panic leaves nothing on disk.
+//! This module streams every [`Telemetry`] callback as one JSON object per
+//! line (JSONL) the moment it happens:
 //!
 //! * [`Event`] / [`EventKind`] — the canonical event model. Each event is
 //!   timestamped (`t_us`, microseconds since `run_start`) by the sink *on
 //!   receipt*, so engines never touch a clock for the journal's sake.
 //! * [`Streaming`] — adapts any [`EmitEvent`] byte/event consumer into a
-//!   full [`Telemetry`] sink (this is the single trait-call → [`Event`]
-//!   conversion site).
+//!   full [`Telemetry`] sink, stamping wall microseconds or, with
+//!   [`Streaming::with_logical_clock`], event ordinals. `Option<S>` and
+//!   `(A, B)` are consumers too, so one `Streaming` feeds a journal file
+//!   and an in-memory log from a single clock.
 //! * [`JsonlWriter`] / [`JsonlSink`] — writes events as JSONL with bounded
 //!   buffering and a drop counter: when the underlying writer fails the
 //!   journal degrades (events are counted, not lost silently, and the run
 //!   is never aborted). The final `run_end` line carries the drop count.
+//!   [`jsonl_writer`] opens one for a `--trace-out` path.
 //! * [`parse_journal`] — crash-tolerant reader: any *prefix* of a journal
 //!   (e.g. after `kill -9`) parses event-by-event; a damaged tail line is
 //!   reported, not fatal. [`parse_journal_strict`] is the schema-validation
 //!   mode used by CI (unknown event kinds are errors).
 //! * [`replay`] — folds a (possibly partial) event stream back into a
-//!   [`TelemetryReport`], so post-mortem journals feed the same tooling as
-//!   live reports.
+//!   [`TelemetryReport`] with [`TelemetryReport::apply`], the fold the
+//!   `Recorder` runs live, so post-mortem journals feed the same tooling
+//!   as live reports.
 //! * [`validate_journal`] — enforces the span schema: every `span_begin`
 //!   nests per [`SpanKind::may_nest_in`], every `span_end` matches the
 //!   innermost open span, and a complete journal closes every span.
@@ -55,7 +59,7 @@ use crate::config::Config;
 use crate::json::{Json, JsonError};
 use crate::telemetry::{
     CommRecord, ConfigRecord, FaultRecord, FlowKind, FlowRecord, Histogram, MergeIterationRecord,
-    SpanKind, Stage, StageSpan, Telemetry, TelemetryReport,
+    SpanKind, StageSpan, Telemetry, TelemetryReport,
 };
 
 /// What happened (the payload of one journal line).
@@ -198,13 +202,7 @@ impl Event {
             EventKind::SpanBegin { span } | EventKind::SpanEnd { span } => {
                 pairs.push(("span", span.label().into()));
             }
-            EventKind::Stage { span } => {
-                pairs.push(("stage", span.stage.name().into()));
-                pairs.push(("wall_seconds", span.wall_seconds.into()));
-                if let Some(sim) = span.sim_seconds {
-                    pairs.push(("sim_seconds", sim.into()));
-                }
-            }
+            EventKind::Stage { span } => pairs.extend(span.json_fields()),
             EventKind::SplitDone {
                 iterations,
                 num_squares,
@@ -226,20 +224,8 @@ impl Event {
             EventKind::MergeDone { num_regions } => {
                 pairs.push(("num_regions", (*num_regions).into()));
             }
-            EventKind::Comm { rec } => {
-                pairs.push(("scheme", rec.scheme.as_str().into()));
-                pairs.push(("nodes", rec.nodes.into()));
-                pairs.push(("rounds", rec.rounds.into()));
-                pairs.push(("messages", rec.messages.into()));
-                pairs.push(("bytes", rec.bytes.into()));
-            }
-            EventKind::Fault { rec } => {
-                pairs.push(("kind", rec.kind.as_str().into()));
-                pairs.push(("src", u64::from(rec.src).into()));
-                pairs.push(("dst", u64::from(rec.dst).into()));
-                pairs.push(("seq", rec.seq.into()));
-                pairs.push(("ts_ns", rec.ts_ns.into()));
-            }
+            EventKind::Comm { rec } => pairs.extend(rec.json_fields()),
+            EventKind::Fault { rec } => pairs.extend(rec.json_fields()),
             EventKind::Flow { rec } => {
                 pairs.push(("stream", rec.stream.as_str().into()));
                 pairs.push(("src", u64::from(rec.src).into()));
@@ -273,23 +259,10 @@ impl Event {
 
     /// Parses an event from a JSON value produced by [`Event::to_json`].
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let bad = |what: &str| JsonError {
-            message: format!("journal event: bad or missing {what}"),
-            offset: 0,
-        };
-        let tag = v
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("ev"))?;
-        let t_us = v
-            .get("t_us")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("t_us"))?;
+        let tag = v.field("ev", Json::as_str)?;
+        let t_us = v.field("t_us", Json::as_u64)?;
         let span_of = |v: &Json| -> Result<SpanKind, JsonError> {
-            let label = v
-                .get("span")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("span"))?;
+            let label = v.field("span", Json::as_str)?;
             SpanKind::parse(label).ok_or_else(|| JsonError {
                 message: format!("journal event: unknown span label {label:?}"),
                 offset: 0,
@@ -297,186 +270,60 @@ impl Event {
         };
         let kind = match tag {
             "run_start" => EventKind::RunStart {
-                engine: v
-                    .get("engine")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("engine"))?
-                    .to_string(),
-                width: v
-                    .get("width")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("width"))? as usize,
-                height: v
-                    .get("height")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("height"))? as usize,
-                config: ConfigRecord::from_json(v.get("config").ok_or_else(|| bad("config"))?)?,
+                engine: v.field("engine", Json::as_str)?.to_string(),
+                width: v.field("width", Json::as_u64)? as usize,
+                height: v.field("height", Json::as_u64)? as usize,
+                config: ConfigRecord::from_json(v.field("config", Some)?)?,
             },
             "b" => EventKind::SpanBegin { span: span_of(v)? },
             "e" => EventKind::SpanEnd { span: span_of(v)? },
-            "stage" => {
-                let name = v
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("stage"))?;
-                EventKind::Stage {
-                    span: StageSpan {
-                        stage: Stage::from_name(name).ok_or_else(|| JsonError {
-                            message: format!("journal event: unknown stage {name:?}"),
-                            offset: 0,
-                        })?,
-                        wall_seconds: v
-                            .get("wall_seconds")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| bad("wall_seconds"))?,
-                        sim_seconds: v.get("sim_seconds").and_then(Json::as_f64),
-                    },
-                }
-            }
+            "stage" => EventKind::Stage {
+                span: StageSpan::from_json_fields(v)?,
+            },
             "split_done" => EventKind::SplitDone {
-                iterations: v
-                    .get("iterations")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("iterations"))? as u32,
-                num_squares: v
-                    .get("num_squares")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("num_squares"))? as usize,
+                iterations: v.field("iterations", Json::as_u64)? as u32,
+                num_squares: v.field("num_squares", Json::as_u64)? as usize,
             },
             "merge_iter" => EventKind::MergeIteration {
                 rec: MergeIterationRecord {
-                    iteration: v
-                        .get("iter")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("iter"))? as u32,
-                    merges: v
-                        .get("merges")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("merges"))? as u32,
-                    used_fallback: v
-                        .get("fallback")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| bad("fallback"))?,
+                    iteration: v.field("iter", Json::as_u64)? as u32,
+                    merges: v.field("merges", Json::as_u64)? as u32,
+                    used_fallback: v.field("fallback", Json::as_bool)?,
                     active_edges: v.get("active_edges").and_then(Json::as_u64),
                     compacted: v.get("compacted").and_then(Json::as_bool),
                 },
             },
             "merge_done" => EventKind::MergeDone {
-                num_regions: v
-                    .get("num_regions")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("num_regions"))? as usize,
+                num_regions: v.field("num_regions", Json::as_u64)? as usize,
             },
             "comm" => EventKind::Comm {
-                rec: CommRecord {
-                    scheme: v
-                        .get("scheme")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("scheme"))?
-                        .to_string(),
-                    nodes: v
-                        .get("nodes")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("nodes"))? as usize,
-                    rounds: v
-                        .get("rounds")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("rounds"))?,
-                    messages: v
-                        .get("messages")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("messages"))?,
-                    bytes: v
-                        .get("bytes")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("bytes"))?,
-                },
+                rec: CommRecord::from_json_fields(v)?,
             },
             "fault" => EventKind::Fault {
-                rec: FaultRecord {
-                    kind: v
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("kind"))?
-                        .to_string(),
-                    src: v
-                        .get("src")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("src"))? as u32,
-                    dst: v
-                        .get("dst")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("dst"))? as u32,
-                    seq: v
-                        .get("seq")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("seq"))?,
-                    ts_ns: v
-                        .get("ts_ns")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("ts_ns"))?,
-                },
+                rec: FaultRecord::from_json_fields(v)?,
             },
             "send" | "recv" | "coll" => EventKind::Flow {
                 rec: FlowRecord {
                     kind: FlowKind::parse(tag).unwrap(),
-                    stream: v
-                        .get("stream")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("stream"))?
-                        .to_string(),
-                    src: v
-                        .get("src")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("src"))? as u32,
-                    dst: v
-                        .get("dst")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("dst"))? as u32,
-                    seq: v
-                        .get("seq")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("seq"))?,
-                    bytes: v
-                        .get("bytes")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("bytes"))?,
-                    t_ns: v
-                        .get("t_ns")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("t_ns"))?,
-                    wait_ns: v
-                        .get("wait_ns")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("wait_ns"))?,
+                    stream: v.field("stream", Json::as_str)?.to_string(),
+                    src: v.field("src", Json::as_u64)? as u32,
+                    dst: v.field("dst", Json::as_u64)? as u32,
+                    seq: v.field("seq", Json::as_u64)?,
+                    bytes: v.field("bytes", Json::as_u64)?,
+                    t_ns: v.field("t_ns", Json::as_f64)?,
+                    wait_ns: v.field("wait_ns", Json::as_f64)?,
                 },
             },
             "counter" => EventKind::Counter {
-                name: v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("name"))?
-                    .to_string(),
-                value: v
-                    .get("value")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("value"))?,
+                name: v.field("name", Json::as_str)?.to_string(),
+                value: v.field("value", Json::as_f64)?,
             },
             "hist" => EventKind::Histogram {
-                name: v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("name"))?
-                    .to_string(),
-                hist: Box::new(Histogram::from_json(
-                    v.get("hist").ok_or_else(|| bad("hist"))?,
-                )?),
+                name: v.field("name", Json::as_str)?.to_string(),
+                hist: Box::new(Histogram::from_json(v.field("hist", Some)?)?),
             },
             "run_end" => EventKind::RunEnd {
-                dropped: v
-                    .get("dropped")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("dropped"))?,
+                dropped: v.field("dropped", Json::as_u64)?,
             },
             other => {
                 return Err(JsonError {
@@ -505,6 +352,39 @@ pub trait EmitEvent {
     }
     /// Flushes any internal buffering (called at `run_end`).
     fn flush_events(&mut self) {}
+}
+
+/// An optional consumer: `None` discards every event.
+impl<S: EmitEvent> EmitEvent for Option<S> {
+    fn emit(&mut self, ev: Event) {
+        if let Some(s) = self {
+            s.emit(ev);
+        }
+    }
+    fn dropped(&self) -> u64 {
+        self.as_ref().map_or(0, S::dropped)
+    }
+    fn flush_events(&mut self) {
+        if let Some(s) = self {
+            s.flush_events();
+        }
+    }
+}
+
+/// Both consumers see every event, with one timestamp — e.g. a JSONL
+/// journal and an in-memory log behind a single [`Streaming`] clock.
+impl<A: EmitEvent, B: EmitEvent> EmitEvent for (A, B) {
+    fn emit(&mut self, ev: Event) {
+        self.0.emit(ev.clone());
+        self.1.emit(ev);
+    }
+    fn dropped(&self) -> u64 {
+        self.0.dropped() + self.1.dropped()
+    }
+    fn flush_events(&mut self) {
+        self.0.flush_events();
+        self.1.flush_events();
+    }
 }
 
 /// Adapts an [`EmitEvent`] consumer into a [`Telemetry`] sink, stamping
@@ -748,33 +628,15 @@ impl<W: Write> Drop for JsonlWriter<W> {
 /// A streaming JSONL [`Telemetry`] sink (see [`JsonlWriter`]).
 pub type JsonlSink<W> = Streaming<JsonlWriter<W>>;
 
-/// Which clock a streaming journal sink stamps `t_us` with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockMode {
-    /// Wall microseconds since the sink observed `run_start`.
-    #[default]
-    Wall,
-    /// Event ordinals (0, 1, 2, ...) — see
-    /// [`Streaming::with_logical_clock`]. Two identical event streams
-    /// serialize to byte-identical journals, the reproducibility contract
-    /// seeded `--chaos` runs rely on.
-    Logical,
-}
-
-/// Opens a JSONL sink for a `--trace-out` style path: `"-"` streams to
+/// Opens a JSONL writer for a `--trace-out` style path: `"-"` streams to
 /// stderr line-by-line (unbuffered); anything else creates/truncates a
-/// file with the default buffer bound. `clock` selects wall-microsecond or
-/// logical-ordinal timestamps (see [`ClockMode`]).
-pub fn jsonl_sink(path: &str, clock: ClockMode) -> io::Result<JsonlSink<Box<dyn Write>>> {
-    let writer: JsonlWriter<Box<dyn Write>> = if path == "-" {
+/// file with the default buffer bound. Wrap it in [`Streaming`] (and
+/// [`Streaming::with_logical_clock`] for ordinal timestamps) to get a sink.
+pub fn jsonl_writer(path: &str) -> io::Result<JsonlWriter<Box<dyn Write>>> {
+    Ok(if path == "-" {
         JsonlWriter::with_buffer_cap(Box::new(io::stderr()), 0)
     } else {
         JsonlWriter::new(Box::new(std::fs::File::create(path)?))
-    };
-    let sink = Streaming::new(writer);
-    Ok(match clock {
-        ClockMode::Wall => sink,
-        ClockMode::Logical => sink.with_logical_clock(),
     })
 }
 
@@ -869,66 +731,16 @@ pub fn parse_journal_strict(text: &str) -> Result<Vec<Event>, (usize, String)> {
     Ok(events)
 }
 
-/// Folds a (possibly truncated) event stream into a [`TelemetryReport`].
-///
-/// This mirrors what [`Recorder`](crate::telemetry::Recorder) accumulates
-/// live, so a post-mortem journal prefix feeds the same reporting and
-/// diffing tools as a completed run. Missing trailing events simply leave
-/// the corresponding fields at their defaults.
+/// Folds a (possibly truncated) event stream into a [`TelemetryReport`]
+/// with [`TelemetryReport::apply`] — the fold
+/// [`Recorder`](crate::telemetry::Recorder) runs live, so a post-mortem
+/// journal prefix feeds the same reporting and diffing tools as a
+/// completed run. Missing trailing events simply leave the corresponding
+/// fields at their defaults.
 pub fn replay(events: &[Event]) -> TelemetryReport {
     let mut r = TelemetryReport::default();
     for ev in events {
-        match &ev.kind {
-            EventKind::RunStart {
-                engine,
-                width,
-                height,
-                config,
-            } => {
-                r = TelemetryReport {
-                    engine: engine.clone(),
-                    width: *width,
-                    height: *height,
-                    config: Some(config.clone()),
-                    ..TelemetryReport::default()
-                };
-            }
-            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => {}
-            EventKind::Stage { span } => r.stages.push(*span),
-            EventKind::SplitDone {
-                iterations,
-                num_squares,
-            } => {
-                r.split_iterations = *iterations;
-                r.num_squares = *num_squares;
-            }
-            EventKind::MergeIteration { rec } => {
-                if rec.merges == 0 {
-                    r.stall_iterations += 1;
-                }
-                if rec.used_fallback {
-                    r.fallback_iterations += 1;
-                }
-                r.merge_iterations.push(*rec);
-            }
-            EventKind::MergeDone { num_regions } => r.num_regions = *num_regions,
-            EventKind::Comm { rec } => r.comm = Some(rec.clone()),
-            EventKind::Fault { rec } => {
-                if rec.kind == "degraded" {
-                    r.degraded = true;
-                }
-                r.faults.push(rec.clone());
-            }
-            // Flow events are analysis-grade detail (see [`crate::analyze`]);
-            // folding thousands of them into the aggregate report would
-            // bloat it without informing any report-level metric.
-            EventKind::Flow { .. } => {}
-            EventKind::Counter { name, value } => r.counters.push((name.clone(), *value)),
-            EventKind::Histogram { name, hist } => {
-                r.histograms.push((name.clone(), (**hist).clone()))
-            }
-            EventKind::RunEnd { .. } => {}
-        }
+        r.apply(ev.kind.clone());
     }
     r
 }
@@ -1170,6 +982,7 @@ pub fn flow_pairing(events: &[Event]) -> FlowPairing {
 mod tests {
     use super::*;
     use crate::config::TieBreak;
+    use crate::telemetry::Stage;
 
     fn sample_events() -> Vec<Event> {
         let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 7 });
@@ -1425,13 +1238,25 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_clock_modes() {
-        // One constructor, two clock modes (stderr path: no file side
-        // effects): wall timestamps by default, logical ordinals on demand.
-        let a = jsonl_sink("-", ClockMode::Wall).unwrap();
-        assert!(a.logical.is_none());
-        let b = jsonl_sink("-", ClockMode::Logical).unwrap();
-        assert_eq!(b.logical, Some(0));
+    fn one_stream_feeds_a_pair_of_optional_consumers() {
+        let events = sample_events();
+        let mut pair = (
+            Some(JsonlWriter::new(Vec::new())),
+            Some(EventVec::default()),
+        );
+        for ev in events.clone() {
+            pair.emit(ev);
+        }
+        pair.flush_events();
+        assert_eq!(pair.dropped(), 0);
+        let (jsonl, memory) = pair;
+        let text = String::from_utf8(std::mem::take(&mut jsonl.unwrap().out)).unwrap();
+        assert_eq!(parse_journal_strict(&text).unwrap(), events);
+        assert_eq!(memory.unwrap().events, events);
+        // An absent consumer swallows events and reports no drops.
+        let mut none: Option<EventVec> = None;
+        none.emit(events[0].clone());
+        assert_eq!(none.dropped(), 0);
     }
 
     #[test]

@@ -80,6 +80,19 @@ impl Json {
         }
     }
 
+    /// A required object member read through `as_` (e.g. [`Json::as_u64`]);
+    /// absent or mistyped, it is a `"bad or missing <key>"` error.
+    pub(crate) fn field<'a, T>(
+        &'a self,
+        key: &str,
+        as_: fn(&'a Json) -> Option<T>,
+    ) -> Result<T, JsonError> {
+        self.get(key).and_then(as_).ok_or_else(|| JsonError {
+            message: format!("bad or missing {key}"),
+            offset: 0,
+        })
+    }
+
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut s = String::new();

@@ -76,18 +76,18 @@ pub use engine::{
 };
 pub use hierarchy::{MergeEvent, MergeTrace};
 pub use journal::{
-    flow_pairing, jsonl_sink, parse_journal, parse_journal_strict, replay, validate_journal,
-    ClockMode, EmitEvent, Event, EventKind, EventLog, EventVec, FlowPairing, JournalInvalid,
-    JournalStats, JsonlSink, JsonlWriter, Streaming,
+    flow_pairing, jsonl_writer, parse_journal, parse_journal_strict, replay, validate_journal,
+    EmitEvent, Event, EventKind, EventLog, EventVec, FlowPairing, JournalInvalid, JournalStats,
+    JsonlSink, JsonlWriter, Streaming,
 };
 pub use merge::{choice_key, CandKey, MergeSummary, Merger, StepReport};
 pub use pipeline::{ExecutionPlan, HostBackend, HostPipeline, Pipeline, Workspace};
 pub use split::{split, split_into, SplitMetrics, SplitResult, SplitScratch, Square};
 pub use split_ref::split_reference;
 pub use telemetry::{
-    CommRecord, ConfigRecord, ConformanceView, Fanout, FaultRecord, FlowKind, FlowRecord,
-    Histogram, MergeIterationRecord, NullTelemetry, Recorder, SpanGuard, SpanKind, Stage,
-    StageSpan, Telemetry, TelemetryReport,
+    CommRecord, ConfigRecord, ConformanceView, FaultRecord, FlowKind, FlowRecord, Histogram,
+    MergeIterationRecord, NullTelemetry, Recorder, SpanGuard, SpanKind, Stage, StageSpan,
+    Telemetry, TelemetryReport,
 };
 pub use tiles::{segment_tiled, TileGrid, TileRect, TiledRunner, TiledStats};
 pub use verify::{verify_segmentation, Violation};

@@ -13,10 +13,12 @@
 //! * [`NullTelemetry`] — the zero-cost default. Every trait method has an
 //!   empty default body and [`Telemetry::enabled`] returns `false`, so
 //!   engines skip even the `Instant::now()` calls when nobody is listening.
-//! * [`Recorder`] — an in-memory sink that accumulates a
-//!   [`TelemetryReport`], which serializes to/from JSON through
-//!   [`crate::json`] (this workspace builds offline; the JSON layer is
-//!   in-tree).
+//! * [`Recorder`] — the live fold: it turns each call into a journal
+//!   [`EventKind`] and applies it to a [`TelemetryReport`] with
+//!   [`TelemetryReport::apply`], the same fold
+//!   [`replay`](crate::journal::replay) runs over a recorded stream. The
+//!   report serializes to/from JSON through [`crate::json`] (this
+//!   workspace builds offline; the JSON layer is in-tree).
 //!
 //! The cross-engine conformance test locks the substrate down: for a fixed
 //! seed and configuration, every engine must report identical
@@ -73,6 +75,7 @@
 //! message sizes. Histograms serialize into the JSON report.
 
 use crate::config::{Config, Connectivity, Criterion, TieBreak};
+use crate::journal::EventKind;
 use crate::json::{Json, JsonError};
 
 /// A pipeline stage, as the paper's tables slice time.
@@ -481,6 +484,34 @@ pub struct StageSpan {
     pub sim_seconds: Option<f64>,
 }
 
+impl StageSpan {
+    /// JSON members, shared by the report's `stages[]` and the journal's
+    /// `stage` line.
+    pub(crate) fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        let mut o: Vec<(&str, Json)> = vec![
+            ("stage", self.stage.name().into()),
+            ("wall_seconds", self.wall_seconds.into()),
+        ];
+        if let Some(sim) = self.sim_seconds {
+            o.push(("sim_seconds", sim.into()));
+        }
+        o
+    }
+
+    /// Inverse of [`StageSpan::json_fields`].
+    pub(crate) fn from_json_fields(v: &Json) -> Result<Self, JsonError> {
+        let name = v.field("stage", Json::as_str)?;
+        Ok(StageSpan {
+            stage: Stage::from_name(name).ok_or_else(|| JsonError {
+                message: format!("unknown stage {name:?}"),
+                offset: 0,
+            })?,
+            wall_seconds: v.field("wall_seconds", Json::as_f64)?,
+            sim_seconds: v.get("sim_seconds").and_then(Json::as_f64),
+        })
+    }
+}
+
 /// One merge iteration's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeIterationRecord {
@@ -519,6 +550,31 @@ pub struct CommRecord {
     pub bytes: u64,
 }
 
+impl CommRecord {
+    /// JSON members, shared by the report's `comm` object and the
+    /// journal's `comm` line.
+    pub(crate) fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scheme", self.scheme.as_str().into()),
+            ("nodes", self.nodes.into()),
+            ("rounds", self.rounds.into()),
+            ("messages", self.messages.into()),
+            ("bytes", self.bytes.into()),
+        ]
+    }
+
+    /// Inverse of [`CommRecord::json_fields`].
+    pub(crate) fn from_json_fields(v: &Json) -> Result<Self, JsonError> {
+        Ok(CommRecord {
+            scheme: v.field("scheme", Json::as_str)?.to_string(),
+            nodes: v.field("nodes", Json::as_u64)? as usize,
+            rounds: v.field("rounds", Json::as_u64)?,
+            messages: v.field("messages", Json::as_u64)?,
+            bytes: v.field("bytes", Json::as_u64)?,
+        })
+    }
+}
+
 /// One injected-fault (or recovery) event observed during a chaos run.
 ///
 /// The message-passing engine forwards these from the CMMD fault-injection
@@ -540,6 +596,31 @@ pub struct FaultRecord {
     pub seq: u64,
     /// Virtual time of the fault, nanoseconds.
     pub ts_ns: f64,
+}
+
+impl FaultRecord {
+    /// JSON members, shared by the report's `faults[]` and the journal's
+    /// `fault` line.
+    pub(crate) fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("kind", self.kind.as_str().into()),
+            ("src", u64::from(self.src).into()),
+            ("dst", u64::from(self.dst).into()),
+            ("seq", self.seq.into()),
+            ("ts_ns", self.ts_ns.into()),
+        ]
+    }
+
+    /// Inverse of [`FaultRecord::json_fields`].
+    pub(crate) fn from_json_fields(v: &Json) -> Result<Self, JsonError> {
+        Ok(FaultRecord {
+            kind: v.field("kind", Json::as_str)?.to_string(),
+            src: v.field("src", Json::as_u64)? as u32,
+            dst: v.field("dst", Json::as_u64)? as u32,
+            seq: v.field("seq", Json::as_u64)?,
+            ts_ns: v.field("ts_ns", Json::as_f64)?,
+        })
+    }
 }
 
 /// Which side of a causal flow edge a [`FlowRecord`] records.
@@ -754,38 +835,17 @@ impl ConfigRecord {
 
     /// Parses a [`ConfigRecord`] from [`ConfigRecord::to_json`] output.
     pub fn from_json(c: &Json) -> Result<Self, JsonError> {
-        let missing = |what: &str| JsonError {
-            message: format!("config record missing {what}"),
-            offset: 0,
-        };
         Ok(ConfigRecord {
-            threshold: c
-                .get("threshold")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("threshold"))? as u32,
-            tie_break: c
-                .get("tie_break")
-                .and_then(Json::as_str)
-                .ok_or_else(|| missing("tie_break"))?
-                .to_string(),
+            threshold: c.field("threshold", Json::as_u64)? as u32,
+            tie_break: c.field("tie_break", Json::as_str)?.to_string(),
             seed: c.get("seed").and_then(Json::as_u64),
-            connectivity: c
-                .get("connectivity")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("connectivity"))? as u8,
-            criterion: c
-                .get("criterion")
-                .and_then(Json::as_str)
-                .ok_or_else(|| missing("criterion"))?
-                .to_string(),
+            connectivity: c.field("connectivity", Json::as_u64)? as u8,
+            criterion: c.field("criterion", Json::as_str)?.to_string(),
             max_square_log2: c
                 .get("max_square_log2")
                 .and_then(Json::as_u64)
                 .map(|x| x as u8),
-            max_stall: c
-                .get("max_stall")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| missing("max_stall"))? as u32,
+            max_stall: c.field("max_stall", Json::as_u64)? as u32,
         })
     }
 }
@@ -949,6 +1009,66 @@ impl TelemetryReport {
         r
     }
 
+    /// Folds one event into the report. This is the only code that turns
+    /// events into a report: [`Recorder`] applies each call live and
+    /// [`replay`](crate::journal::replay) applies a recorded stream, so
+    /// the two agree by construction. A `run_start` begins a fresh report;
+    /// spans (checked by [`crate::journal::validate_journal`]), flows
+    /// (analysis-grade detail, see [`crate::analyze`]) and `run_end` leave
+    /// it unchanged.
+    pub fn apply(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::RunStart {
+                engine,
+                width,
+                height,
+                config,
+            } => {
+                *self = TelemetryReport {
+                    engine,
+                    width,
+                    height,
+                    config: Some(config),
+                    ..TelemetryReport::default()
+                };
+            }
+            EventKind::Stage { span } => self.stages.push(span),
+            EventKind::SplitDone {
+                iterations,
+                num_squares,
+            } => {
+                self.split_iterations = iterations;
+                self.num_squares = num_squares;
+            }
+            EventKind::MergeIteration { rec } => {
+                self.stall_iterations += u32::from(rec.merges == 0);
+                self.fallback_iterations += u32::from(rec.used_fallback);
+                self.merge_iterations.push(rec);
+            }
+            EventKind::MergeDone { num_regions } => self.num_regions = num_regions,
+            EventKind::Comm { rec } => self.comm = Some(rec),
+            EventKind::Fault { rec } => {
+                self.degraded |= rec.kind == "degraded";
+                self.faults.push(rec);
+            }
+            // Counters are a *current value* track: re-emitting a name (the
+            // message-passing engine updates cumulative `comm.*` counters per
+            // iteration) overwrites in place, so the report holds the final
+            // value once per name and its JSON object keys stay unique.
+            EventKind::Counter { name, value } => {
+                match self.counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, v)) => *v = value,
+                    None => self.counters.push((name, value)),
+                }
+            }
+            EventKind::Histogram { name, hist } => self.histograms.push((name, *hist)),
+            EventKind::SpanBegin { .. }
+            | EventKind::SpanEnd { .. }
+            | EventKind::Flow { .. }
+            | EventKind::RunEnd { .. } => {}
+        }
+    }
+
     /// Serializes the report to a JSON value.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = vec![
@@ -964,16 +1084,7 @@ impl TelemetryReport {
             Json::Arr(
                 self.stages
                     .iter()
-                    .map(|s| {
-                        let mut o: Vec<(&str, Json)> = vec![
-                            ("stage", s.stage.name().into()),
-                            ("wall_seconds", s.wall_seconds.into()),
-                        ];
-                        if let Some(sim) = s.sim_seconds {
-                            o.push(("sim_seconds", sim.into()));
-                        }
-                        Json::obj(o)
-                    })
+                    .map(|s| Json::obj(s.json_fields()))
                     .collect(),
             ),
         ));
@@ -1041,16 +1152,7 @@ impl TelemetryReport {
         merge_fields.push(("num_regions", self.num_regions.into()));
         pairs.push(("merge", Json::obj(merge_fields)));
         if let Some(c) = &self.comm {
-            pairs.push((
-                "comm",
-                Json::obj(vec![
-                    ("scheme", c.scheme.as_str().into()),
-                    ("nodes", c.nodes.into()),
-                    ("rounds", c.rounds.into()),
-                    ("messages", c.messages.into()),
-                    ("bytes", c.bytes.into()),
-                ]),
-            ));
+            pairs.push(("comm", Json::obj(c.json_fields())));
         }
         pairs.push((
             "counters",
@@ -1083,15 +1185,7 @@ impl TelemetryReport {
                 Json::Arr(
                     self.faults
                         .iter()
-                        .map(|f| {
-                            Json::obj(vec![
-                                ("kind", f.kind.as_str().into()),
-                                ("src", u64::from(f.src).into()),
-                                ("dst", u64::from(f.dst).into()),
-                                ("seq", f.seq.into()),
-                                ("ts_ns", f.ts_ns.into()),
-                            ])
-                        })
+                        .map(|f| Json::obj(f.json_fields()))
                         .collect(),
                 ),
             ));
@@ -1110,71 +1204,35 @@ impl TelemetryReport {
     /// Parses a report back from a JSON value produced by
     /// [`TelemetryReport::to_json`].
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let missing = |what: &str| JsonError {
-            message: format!("telemetry report missing {what}"),
-            offset: 0,
-        };
-        let engine = v
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| missing("engine"))?
-            .to_string();
-        let width = v
-            .get("width")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("width"))? as usize;
-        let height = v
-            .get("height")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("height"))? as usize;
+        let engine = v.field("engine", Json::as_str)?.to_string();
+        let width = v.field("width", Json::as_u64)? as usize;
+        let height = v.field("height", Json::as_u64)? as usize;
 
         let config = match v.get("config") {
             None => None,
             Some(c) => Some(ConfigRecord::from_json(c)?),
         };
 
-        let mut stages = Vec::new();
-        for s in v
-            .get("stages")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing("stages"))?
-        {
-            let name = s
-                .get("stage")
-                .and_then(Json::as_str)
-                .ok_or_else(|| missing("stages[].stage"))?;
-            stages.push(StageSpan {
-                stage: Stage::from_name(name).ok_or_else(|| JsonError {
-                    message: format!("unknown stage {name:?}"),
-                    offset: 0,
-                })?,
-                wall_seconds: s
-                    .get("wall_seconds")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| missing("stages[].wall_seconds"))?,
-                sim_seconds: s.get("sim_seconds").and_then(Json::as_f64),
-            });
-        }
+        let stages = v
+            .field("stages", Json::as_arr)?
+            .iter()
+            .map(StageSpan::from_json_fields)
+            .collect::<Result<Vec<_>, _>>()?;
 
-        let split = v.get("split").ok_or_else(|| missing("split"))?;
-        let split_iterations = split
-            .get("iterations")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("split.iterations"))? as u32;
-        let num_squares = split
-            .get("num_squares")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("split.num_squares"))? as usize;
+        let split = v.field("split", Some)?;
+        let split_iterations = split.field("iterations", Json::as_u64)? as u32;
+        let num_squares = split.field("num_squares", Json::as_u64)? as usize;
 
-        let merge = v.get("merge").ok_or_else(|| missing("merge"))?;
+        let merge = v.field("merge", Some)?;
         let merges: Vec<u32> = merge
-            .get("merges_per_iteration")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing("merge.merges_per_iteration"))?
+            .field("merges_per_iteration", Json::as_arr)?
             .iter()
             .map(|m| m.as_u64().map(|x| x as u32))
             .collect::<Option<Vec<u32>>>()
-            .ok_or_else(|| missing("merge.merges_per_iteration[]"))?;
+            .ok_or_else(|| JsonError {
+                message: "bad or missing merges_per_iteration[]".to_string(),
+                offset: 0,
+            })?;
         let fallback_at: Vec<u32> = merge
             .get("fallback_iterations_at")
             .and_then(Json::as_arr)
@@ -1207,46 +1265,13 @@ impl TelemetryReport {
                     .map(|_| compacted_at.contains(&(i as u32))),
             })
             .collect();
-        let stall_iterations = merge
-            .get("stall_iterations")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("merge.stall_iterations"))?
-            as u32;
-        let fallback_iterations = merge
-            .get("fallback_iterations")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("merge.fallback_iterations"))?
-            as u32;
-        let num_regions = merge
-            .get("num_regions")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("merge.num_regions"))? as usize;
+        let stall_iterations = merge.field("stall_iterations", Json::as_u64)? as u32;
+        let fallback_iterations = merge.field("fallback_iterations", Json::as_u64)? as u32;
+        let num_regions = merge.field("num_regions", Json::as_u64)? as usize;
 
         let comm = match v.get("comm") {
             None => None,
-            Some(c) => Some(CommRecord {
-                scheme: c
-                    .get("scheme")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| missing("comm.scheme"))?
-                    .to_string(),
-                nodes: c
-                    .get("nodes")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("comm.nodes"))? as usize,
-                rounds: c
-                    .get("rounds")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("comm.rounds"))?,
-                messages: c
-                    .get("messages")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("comm.messages"))?,
-                bytes: c
-                    .get("bytes")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| missing("comm.bytes"))?,
-            }),
+            Some(c) => Some(CommRecord::from_json_fields(c)?),
         };
 
         let counters = match v.get("counters") {
@@ -1255,7 +1280,10 @@ impl TelemetryReport {
                 .map(|(k, val)| {
                     val.as_f64()
                         .map(|f| (k.clone(), f))
-                        .ok_or_else(|| missing("counters values"))
+                        .ok_or_else(|| JsonError {
+                            message: format!("bad or missing counter {k:?}"),
+                            offset: 0,
+                        })
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => Vec::new(),
@@ -1273,34 +1301,8 @@ impl TelemetryReport {
             None => Vec::new(),
             Some(arr) => arr
                 .iter()
-                .map(|f| {
-                    Ok(FaultRecord {
-                        kind: f
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| missing("faults[].kind"))?
-                            .to_string(),
-                        src: f
-                            .get("src")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| missing("faults[].src"))?
-                            as u32,
-                        dst: f
-                            .get("dst")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| missing("faults[].dst"))?
-                            as u32,
-                        seq: f
-                            .get("seq")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| missing("faults[].seq"))?,
-                        ts_ns: f
-                            .get("ts_ns")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| missing("faults[].ts_ns"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?,
+                .map(FaultRecord::from_json_fields)
+                .collect::<Result<Vec<_>, _>>()?,
         };
         let degraded = v.get("degraded").and_then(Json::as_bool).unwrap_or(false);
 
@@ -1330,19 +1332,13 @@ impl TelemetryReport {
     }
 }
 
-/// An in-memory [`Telemetry`] sink that builds a [`TelemetryReport`].
-///
-/// The recorder also tracks span begin/end balance: [`Recorder::open_spans`]
-/// is the current open-span stack and [`Recorder::span_mismatches`] counts
-/// `span_end` events that did not match the innermost open span (always 0
-/// for well-behaved engines — the engine tests assert so).
+/// An in-memory [`Telemetry`] sink that builds a [`TelemetryReport`]: each
+/// call becomes its journal [`EventKind`] and goes through
+/// [`TelemetryReport::apply`], exactly as a replayed journal would.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     report: TelemetryReport,
     finished: bool,
-    open_spans: Vec<SpanKind>,
-    span_mismatches: u32,
-    spans_seen: u64,
 }
 
 impl Recorder {
@@ -1366,203 +1362,75 @@ impl Recorder {
     pub fn is_finished(&self) -> bool {
         self.finished
     }
-
-    /// The currently open span stack (outermost first).
-    pub fn open_spans(&self) -> &[SpanKind] {
-        &self.open_spans
-    }
-
-    /// `span_end` events that did not match the innermost open span.
-    pub fn span_mismatches(&self) -> u32 {
-        self.span_mismatches
-    }
-
-    /// Total `span_begin` events observed.
-    pub fn spans_seen(&self) -> u64 {
-        self.spans_seen
-    }
 }
 
 impl Telemetry for Recorder {
     fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
-        self.report = TelemetryReport {
+        self.finished = false;
+        self.report.apply(EventKind::RunStart {
             engine: engine.to_string(),
             width,
             height,
-            config: Some(ConfigRecord::of(config)),
-            ..TelemetryReport::default()
-        };
-        self.finished = false;
-        self.open_spans.clear();
-        self.span_mismatches = 0;
-        self.spans_seen = 0;
+            config: ConfigRecord::of(config),
+        });
     }
 
-    fn span_begin(&mut self, kind: SpanKind) {
-        self.open_spans.push(kind);
-        self.spans_seen += 1;
+    fn span_begin(&mut self, span: SpanKind) {
+        self.report.apply(EventKind::SpanBegin { span });
     }
 
-    fn span_end(&mut self, kind: SpanKind) {
-        if self.open_spans.last() == Some(&kind) {
-            self.open_spans.pop();
-        } else {
-            self.span_mismatches += 1;
-        }
+    fn span_end(&mut self, span: SpanKind) {
+        self.report.apply(EventKind::SpanEnd { span });
     }
 
     fn stage(&mut self, span: StageSpan) {
-        self.report.stages.push(span);
+        self.report.apply(EventKind::Stage { span });
     }
 
     fn split_done(&mut self, iterations: u32, num_squares: usize) {
-        self.report.split_iterations = iterations;
-        self.report.num_squares = num_squares;
+        self.report.apply(EventKind::SplitDone {
+            iterations,
+            num_squares,
+        });
     }
 
     fn merge_iteration(&mut self, rec: MergeIterationRecord) {
-        if rec.merges == 0 {
-            self.report.stall_iterations += 1;
-        }
-        if rec.used_fallback {
-            self.report.fallback_iterations += 1;
-        }
-        self.report.merge_iterations.push(rec);
+        self.report.apply(EventKind::MergeIteration { rec });
     }
 
     fn merge_done(&mut self, num_regions: usize) {
-        self.report.num_regions = num_regions;
+        self.report.apply(EventKind::MergeDone { num_regions });
     }
 
     fn comm(&mut self, rec: CommRecord) {
-        self.report.comm = Some(rec);
+        self.report.apply(EventKind::Comm { rec });
     }
 
     fn fault(&mut self, rec: FaultRecord) {
-        if rec.kind == "degraded" {
-            self.report.degraded = true;
-        }
-        self.report.faults.push(rec);
-    }
-
-    fn counter(&mut self, name: &str, value: f64) {
-        // Counters are a *current value* track: re-emitting a name (the
-        // message-passing engine updates cumulative `comm.*` counters per
-        // iteration) overwrites in place, so the report holds the final
-        // value once per name and its JSON object keys stay unique.
-        // Streaming sinks see every intermediate emission.
-        match self.report.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = value,
-            None => self.report.counters.push((name.to_string(), value)),
-        }
-    }
-
-    fn histogram(&mut self, name: &str, hist: &Histogram) {
-        self.report
-            .histograms
-            .push((name.to_string(), hist.clone()));
-    }
-
-    fn run_end(&mut self) {
-        self.finished = true;
-    }
-}
-
-/// A [`Telemetry`] sink that forwards every event to each wrapped sink —
-/// the way the CLI records a report, streams a JSONL journal, and captures
-/// an in-memory event log from a single run.
-pub struct Fanout<'a> {
-    sinks: Vec<&'a mut dyn Telemetry>,
-}
-
-impl<'a> Fanout<'a> {
-    /// Wraps the given sinks.
-    pub fn new(sinks: Vec<&'a mut dyn Telemetry>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl Telemetry for Fanout<'_> {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
-        for s in &mut self.sinks {
-            s.run_start(engine, width, height, config);
-        }
-    }
-
-    fn span_begin(&mut self, kind: SpanKind) {
-        for s in &mut self.sinks {
-            s.span_begin(kind);
-        }
-    }
-
-    fn span_end(&mut self, kind: SpanKind) {
-        for s in &mut self.sinks {
-            s.span_end(kind);
-        }
-    }
-
-    fn stage(&mut self, span: StageSpan) {
-        for s in &mut self.sinks {
-            s.stage(span);
-        }
-    }
-
-    fn split_done(&mut self, iterations: u32, num_squares: usize) {
-        for s in &mut self.sinks {
-            s.split_done(iterations, num_squares);
-        }
-    }
-
-    fn merge_iteration(&mut self, rec: MergeIterationRecord) {
-        for s in &mut self.sinks {
-            s.merge_iteration(rec);
-        }
-    }
-
-    fn merge_done(&mut self, num_regions: usize) {
-        for s in &mut self.sinks {
-            s.merge_done(num_regions);
-        }
-    }
-
-    fn comm(&mut self, rec: CommRecord) {
-        for s in &mut self.sinks {
-            s.comm(rec.clone());
-        }
-    }
-
-    fn fault(&mut self, rec: FaultRecord) {
-        for s in &mut self.sinks {
-            s.fault(rec.clone());
-        }
+        self.report.apply(EventKind::Fault { rec });
     }
 
     fn flow(&mut self, rec: FlowRecord) {
-        for s in &mut self.sinks {
-            s.flow(rec.clone());
-        }
+        self.report.apply(EventKind::Flow { rec });
     }
 
     fn counter(&mut self, name: &str, value: f64) {
-        for s in &mut self.sinks {
-            s.counter(name, value);
-        }
+        self.report.apply(EventKind::Counter {
+            name: name.to_string(),
+            value,
+        });
     }
 
     fn histogram(&mut self, name: &str, hist: &Histogram) {
-        for s in &mut self.sinks {
-            s.histogram(name, hist);
-        }
+        self.report.apply(EventKind::Histogram {
+            name: name.to_string(),
+            hist: Box::new(hist.clone()),
+        });
     }
 
     fn run_end(&mut self) {
-        for s in &mut self.sinks {
-            s.run_end();
-        }
+        self.report.apply(EventKind::RunEnd { dropped: 0 });
+        self.finished = true;
     }
 }
 
@@ -1822,8 +1690,7 @@ mod tests {
 
     #[test]
     fn span_guard_balances_even_on_early_exit() {
-        let mut rec = Recorder::new();
-        rec.run_start("seq", 4, 4, &Config::with_threshold(1));
+        use crate::journal::{validate_journal, EventKind, EventLog};
         let run_early = |tel: &mut dyn Telemetry, bail: bool| {
             let mut g = SpanGuard::enter(tel, SpanKind::Run);
             {
@@ -1834,28 +1701,21 @@ mod tests {
                 s.tel().merge_done(1);
             }
         };
-        run_early(&mut rec, true);
-        assert!(rec.open_spans().is_empty(), "{:?}", rec.open_spans());
-        assert_eq!(rec.span_mismatches(), 0);
-        run_early(&mut rec, false);
-        assert!(rec.open_spans().is_empty());
-        assert_eq!(rec.span_mismatches(), 0);
-        assert_eq!(rec.spans_seen(), 4);
+        let mut log = EventLog::in_memory();
+        run_early(&mut log, true);
+        run_early(&mut log, false);
+        let events = log.into_events();
+        validate_journal(&events).unwrap();
+        let begins = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::SpanBegin { .. }))
+            .count();
+        assert_eq!(begins, 4);
         // A guard on a disabled sink emits nothing.
         let mut null = NullTelemetry;
         let g = SpanGuard::enter(&mut null, SpanKind::Run);
         assert_eq!(g.kind(), SpanKind::Run);
         drop(g);
-    }
-
-    #[test]
-    fn recorder_counts_span_mismatches() {
-        let mut rec = Recorder::new();
-        rec.span_begin(SpanKind::Run);
-        rec.span_end(SpanKind::Choice); // mismatch
-        rec.span_end(SpanKind::Run);
-        assert_eq!(rec.span_mismatches(), 1);
-        assert!(rec.open_spans().is_empty());
     }
 
     #[test]
@@ -1981,45 +1841,50 @@ mod tests {
     }
 
     #[test]
-    fn fanout_forwards_to_every_sink() {
-        let mut r1 = Recorder::new();
-        let mut r2 = Recorder::new();
-        {
-            let mut fan = Fanout::new(vec![&mut r1, &mut r2]);
-            assert!(fan.enabled());
-            let cfg = Config::with_threshold(5);
-            fan.run_start("seq", 8, 8, &cfg);
-            fan.span_begin(SpanKind::Run);
-            fan.split_done(1, 4);
-            fan.merge_iteration(MergeIterationRecord {
+    fn recorder_equals_replay_of_the_same_calls() {
+        use crate::journal::{replay, EventLog};
+        fn drive(tel: &mut dyn Telemetry) {
+            tel.run_start("msgpass:LP:2", 8, 8, &Config::with_threshold(5));
+            tel.span_begin(SpanKind::Run);
+            tel.split_done(1, 4);
+            tel.merge_iteration(MergeIterationRecord {
                 iteration: 0,
                 merges: 2,
                 used_fallback: false,
-                active_edges: Some(3),
-                compacted: Some(false),
+                active_edges: None,
+                compacted: None,
             });
-            fan.merge_done(2);
-            fan.counter("x", 1.0);
+            // Cumulative counters are re-emitted; the report keeps the last.
+            tel.counter("comm.rounds", 1.0);
+            tel.counter("comm.rounds", 3.0);
             let mut h = Histogram::new();
             h.record(7);
-            fan.histogram("h", &h);
-            fan.comm(CommRecord {
+            tel.histogram("h", &h);
+            tel.comm(CommRecord {
                 scheme: "LP".into(),
                 nodes: 2,
-                rounds: 1,
+                rounds: 3,
                 messages: 1,
                 bytes: 8,
             });
-            fan.span_end(SpanKind::Run);
-            fan.run_end();
+            tel.fault(FaultRecord {
+                kind: "degraded".into(),
+                src: 0,
+                dst: 0,
+                seq: 0,
+                ts_ns: 1.0,
+            });
+            tel.merge_done(2);
+            tel.span_end(SpanKind::Run);
+            tel.run_end();
         }
-        assert_eq!(r1.report(), r2.report());
-        assert!(r1.is_finished() && r2.is_finished());
-        assert_eq!(r1.report().num_regions, 2);
-        assert_eq!(r1.spans_seen(), 1);
-        // A fanout over only disabled sinks is disabled.
-        let mut n1 = NullTelemetry;
-        let mut n2 = NullTelemetry;
-        assert!(!Fanout::new(vec![&mut n1, &mut n2]).enabled());
+        let mut rec = Recorder::new();
+        drive(&mut rec);
+        let mut log = EventLog::in_memory();
+        drive(&mut log);
+        assert!(rec.is_finished());
+        assert_eq!(replay(log.events()), *rec.report());
+        assert_eq!(rec.report().counters, vec![("comm.rounds".into(), 3.0)]);
+        assert!(rec.report().degraded);
     }
 }

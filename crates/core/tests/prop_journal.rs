@@ -93,7 +93,10 @@ proptest! {
         prop_assert!(!stats.truncated);
         prop_assert_eq!(parsed.len(), keep);
         prop_assert_eq!(&parsed[..], &events[..keep]);
-        let _ = replay(&parsed);
+        let report = replay(&parsed);
+        let names: std::collections::BTreeSet<&str> =
+            report.counters.iter().map(|(n, _)| n.as_str()).collect();
+        prop_assert_eq!(names.len(), report.counters.len(), "replayed counter names repeat");
         prop_assert!(validate_chrome_trace(&chrome_trace(&parsed)).is_ok());
     }
 }

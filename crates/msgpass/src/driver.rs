@@ -135,8 +135,8 @@ pub fn segment_msgpass_with_telemetry<P: Intensity>(
 /// runs with the same `--chaos` seed produce byte-identical journals (the
 /// simulated times, fault events and counters are all deterministic; host
 /// wall time is not). Pair with a logical-clock journal sink
-/// ([`rg_core::jsonl_sink`] under [`rg_core::ClockMode::Logical`]) for full
-/// byte stability.
+/// ([`rg_core::Streaming::with_logical_clock`] over
+/// [`rg_core::jsonl_writer`]) for full byte stability.
 pub fn segment_msgpass_chaos_with_telemetry<P: Intensity>(
     img: &Image<P>,
     config: &Config,

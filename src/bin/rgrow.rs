@@ -62,10 +62,10 @@
 use cm_sim::CostModel;
 use cmmd_sim::{CommScheme, FaultPlan};
 use rg_core::{
-    analyze_journal, chrome_trace, jsonl_sink, labels::labels_to_image, run_batch,
-    segment_with_telemetry, verify_segmentation, BatchOptions, ClockMode, Config, Connectivity,
-    Criterion, EmitEvent, EventLog, Fanout, HostPipeline, NullTelemetry, Pipeline, Recorder,
-    Segmentation, Telemetry, TieBreak, TileGrid, TiledRunner,
+    analyze_journal, chrome_trace, jsonl_writer, labels::labels_to_image, replay, run_batch,
+    segment_with_telemetry, verify_segmentation, BatchOptions, Config, Connectivity, Criterion,
+    EmitEvent, EventVec, HostPipeline, NullTelemetry, Pipeline, Segmentation, Streaming, Telemetry,
+    TieBreak, TileGrid, TiledRunner,
 };
 use rg_imaging::{pgm, synth, GrayImage};
 use std::process::exit;
@@ -672,47 +672,30 @@ fn main() {
         max_square_log2: o.cap,
         ..Config::default()
     };
-    let mut recorder = Recorder::new();
-    // Chaos runs log with the logical clock so repeated seeded runs write
-    // byte-identical journals and Chrome traces.
-    let logical = o.chaos.is_some();
-    let clock = if logical {
-        ClockMode::Logical
-    } else {
-        ClockMode::Wall
-    };
-    let mut jsonl = o.trace_out.as_deref().map(|path| {
-        jsonl_sink(path, clock).unwrap_or_else(|e| {
+    let jsonl = o.trace_out.as_deref().map(|path| {
+        jsonl_writer(path).unwrap_or_else(|e| {
             eprintln!("cannot open trace output {path}: {e}");
             exit(1)
         })
     });
-    // One in-memory log serves both the Chrome export and --analyze.
-    let mut event_log = (o.chrome_trace.is_some() || o.analyze).then(|| {
-        if logical {
-            EventLog::in_memory().with_logical_clock()
+    // One in-memory log serves the report, the Chrome export and --analyze.
+    let memory =
+        (o.telemetry.is_some() || o.chrome_trace.is_some() || o.analyze).then(EventVec::default);
+    // One stream, one clock: the journal and the in-memory log carry the
+    // same timestamps. Chaos runs log with the logical clock so repeated
+    // seeded runs write byte-identical journals and Chrome traces.
+    let mut stream = (jsonl.is_some() || memory.is_some()).then(|| {
+        let stream = Streaming::new((jsonl, memory));
+        if o.chaos.is_some() {
+            stream.with_logical_clock()
         } else {
-            EventLog::in_memory()
+            stream
         }
     });
-
-    let mut sinks: Vec<&mut dyn Telemetry> = Vec::new();
-    if o.telemetry.is_some() {
-        sinks.push(&mut recorder);
-    }
-    if let Some(j) = jsonl.as_mut() {
-        sinks.push(j);
-    }
-    if let Some(c) = event_log.as_mut() {
-        sinks.push(c);
-    }
     let mut null = NullTelemetry;
-    let mut fan;
-    let tel: &mut dyn Telemetry = if sinks.is_empty() {
-        &mut null
-    } else {
-        fan = Fanout::new(sinks);
-        &mut fan
+    let tel: &mut dyn Telemetry = match stream.as_mut() {
+        Some(stream) => stream,
+        None => &mut null,
     };
     let t0 = std::time::Instant::now();
     let single = match &img {
@@ -727,8 +710,8 @@ fn main() {
     };
     let wall = t0.elapsed();
     // Close the streaming journal (flushes buffered lines, reports drops).
-    if let Some(j) = jsonl.take() {
-        let writer = j.into_sink();
+    let (jsonl, memory) = stream.map(Streaming::into_sink).unwrap_or_default();
+    if let Some(writer) = jsonl {
         if writer.dropped() > 0 {
             eprintln!(
                 "warning: {} journal event(s) dropped (write failures)",
@@ -736,6 +719,7 @@ fn main() {
             );
         }
     }
+    let events = memory.map(|m| m.events).unwrap_or_default();
 
     if let Some((seg, note)) = &single {
         if !o.quiet {
@@ -768,7 +752,7 @@ fn main() {
         }
     }
     if let Some(path) = &o.telemetry {
-        let report = recorder.report();
+        let report = replay(&events);
         if path == "-" {
             println!("{}", report.to_json_pretty());
         } else {
@@ -782,8 +766,7 @@ fn main() {
         }
     }
     if o.analyze {
-        let log = event_log.as_ref().expect("event log allocated above");
-        let analyses = analyze_journal(log.events());
+        let analyses = analyze_journal(&events);
         if analyses.is_empty() {
             eprintln!("--analyze: no flow events captured (causal tracing needs an mp-* engine)");
         } else {
@@ -793,9 +776,7 @@ fn main() {
         }
     }
     if let Some(path) = &o.chrome_trace {
-        let log = event_log.take().expect("event log allocated above");
-        let doc = chrome_trace(log.events());
-        let body = doc.to_compact();
+        let body = chrome_trace(&events).to_compact();
         if path == "-" {
             println!("{body}");
         } else {

@@ -207,3 +207,40 @@ fn good_args_still_run() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
+
+/// `--telemetry`, `--trace-out` and `--chrome-trace` are three views of one
+/// event stream: the report is the journal replayed (wall times included)
+/// and the Chrome trace is the journal converted.
+#[test]
+fn telemetry_journal_and_chrome_trace_share_one_stream() {
+    use rg_core::{chrome_trace, parse_journal_strict, replay, TelemetryReport};
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_one_stream");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (report, journal, chrome) = (
+        path("report.json"),
+        path("run.jsonl"),
+        path("run.trace.json"),
+    );
+    let out = rgrow(&[
+        "--demo",
+        "image3",
+        "--engine",
+        "mp-lp",
+        "--quiet",
+        "--telemetry",
+        &report,
+        "--trace-out",
+        &journal,
+        "--chrome-trace",
+        &chrome,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let read = |p: &str| std::fs::read_to_string(p).unwrap();
+    let events = parse_journal_strict(&read(&journal)).expect("strict journal");
+    assert_eq!(
+        TelemetryReport::parse(&read(&report)).unwrap(),
+        replay(&events)
+    );
+    assert_eq!(read(&chrome), chrome_trace(&events).to_compact());
+}

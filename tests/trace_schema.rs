@@ -5,17 +5,16 @@
 //! [`NullTelemetry`]-style path must stay event-free (zero-cost).
 
 use cm_sim::CostModel;
-use cmmd_sim::CommScheme;
+use cmmd_sim::{CommScheme, FaultPlan};
 use rg_core::{
-    chrome_trace, chrome_trace_multi, parse_journal, replay, split_runs, validate_chrome_trace,
-    validate_journal, Config, Event, EventKind, EventLog, SpanKind, Telemetry, TieBreak,
+    chrome_trace, chrome_trace_multi, parse_journal, parse_journal_strict, replay, run_batch,
+    split_runs, validate_chrome_trace, validate_journal, BatchOptions, Config, Event, EventKind,
+    EventLog, HostPipeline, Recorder, SpanKind, Telemetry, TieBreak, TileGrid, TiledRunner,
 };
-use rg_imaging::synth;
+use rg_imaging::{synth, GrayImage};
 
-/// Runs one engine with an in-memory event log and returns the stream.
-fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event> {
-    let mut log = EventLog::in_memory();
-    let tel: &mut dyn Telemetry = &mut log;
+/// Runs one engine into `tel`.
+fn run_engine(engine: &str, img: &GrayImage, cfg: &Config, tel: &mut dyn Telemetry) {
     match engine {
         "seq" => {
             rg_core::segment_with_telemetry(img, cfg, tel);
@@ -37,6 +36,12 @@ fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event>
         }
         other => panic!("unknown engine {other}"),
     }
+}
+
+/// Runs one engine with an in-memory event log and returns the stream.
+fn traced(engine: &str, img: &GrayImage, cfg: &Config) -> Vec<Event> {
+    let mut log = EventLog::in_memory();
+    run_engine(engine, img, cfg, &mut log);
     log.into_events()
 }
 
@@ -76,6 +81,61 @@ fn every_engine_journal_is_balanced_and_strictly_nested() {
             !report.engine.is_empty(),
             "{engine}: replay lost the engine label"
         );
+    }
+}
+
+/// Runs one case of [`live_report_equals_replayed_report`] into `tel`: an
+/// engine name, `tiled`, `batch`, or `chaos <spec>`.
+fn run_case(case: &str, img: &GrayImage, cfg: &Config, tel: &mut dyn Telemetry) {
+    match case {
+        "tiled" => {
+            TiledRunner::new(*cfg, false, TileGrid::new(2, 2), 1).run(img, tel);
+        }
+        "batch" => {
+            let images = [img.clone(), synth::nested_rects(64)];
+            let opts = BatchOptions::new().jobs(1);
+            let pipe = || Box::new(HostPipeline::<u8>::new(*cfg, false)) as _;
+            run_batch(&images, &opts, pipe, tel, |_, _| {});
+        }
+        _ => match case.strip_prefix("chaos ") {
+            Some(spec) => {
+                let plan = FaultPlan::parse(spec).expect("valid spec");
+                rg_msgpass::segment_msgpass_chaos_with_telemetry(
+                    img,
+                    cfg,
+                    4,
+                    CommScheme::Async,
+                    &plan,
+                    tel,
+                );
+            }
+            None => run_engine(case, img, cfg, tel),
+        },
+    }
+}
+
+/// `Recorder` and `replay` share one fold, so the report built live equals
+/// the report replayed from the JSONL text of the same run: for every
+/// engine, the tiled and batch runtimes, and a chaos run that survives and
+/// one that degrades.
+#[test]
+fn live_report_equals_replayed_report() {
+    let (img, cfg) = scene();
+    let more = ["tiled", "batch", "chaos 1:drop", "chaos 7:blackhole"];
+    for case in ALL_ENGINES.iter().copied().chain(more) {
+        let mut rec = Recorder::new();
+        run_case(case, &img, &cfg, &mut rec);
+        let mut log = EventLog::in_memory();
+        run_case(case, &img, &cfg, &mut log);
+        let text: String = log.events().iter().map(Event::to_line).collect();
+        let replayed = replay(&parse_journal_strict(&text).expect("strict parse"));
+        let live = rec.report();
+        assert_eq!(
+            live.without_wall_times().to_json_pretty(),
+            replayed.without_wall_times().to_json_pretty(),
+            "{case}: live and replayed reports differ"
+        );
+        assert_eq!(live.degraded, case == "chaos 7:blackhole", "{case}");
     }
 }
 
