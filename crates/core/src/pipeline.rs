@@ -9,9 +9,10 @@
 //!   records the derived geometry (padded quadtree side, level count,
 //!   vertex/edge capacity bounds) plus the canonical stage ordering;
 //! * a [`Workspace`] owns **all mutable scratch** — split level buffers,
-//!   RAG/CSR arrays, the merge history DSU, stamp tokens, label compaction
-//!   tables — in reusable arenas with *high-water-mark* reuse: buffers grow
-//!   to the largest image seen and [`Workspace::reset`] never frees.
+//!   RAG/CSR arrays, the merge history DSU, stamp tokens, the per-square
+//!   label table — in reusable arenas with *high-water-mark* reuse:
+//!   buffers grow to the largest image seen and [`Workspace::reset`] never
+//!   frees.
 //!
 //! Running the same-shape image stream through one [`HostPipeline`]
 //! therefore performs **zero heap allocations per image after the warm-up
@@ -157,15 +158,9 @@ pub struct Workspace<P: Intensity> {
     /// The merge engine with all its CSR/DSU/stamp-token state; reused via
     /// [`Merger::reset_from`].
     merger: Option<Merger<P>>,
-    /// Original vertex → representative, batch-resolved after the merge.
+    /// Original vertex → representative, batch-resolved after the merge,
+    /// then compacted in place to vertex → final label.
     by_vertex: Vec<u32>,
-    /// Dense compaction table: representative vertex → compact label...
-    map_val: Vec<u32>,
-    /// ...valid only where `map_stamp[v] == epoch` (epoch stamping makes
-    /// per-image invalidation O(1) with no clearing pass).
-    map_stamp: Vec<u32>,
-    /// Current compaction epoch.
-    epoch: u32,
 }
 
 impl<P: Intensity> Workspace<P> {
@@ -179,9 +174,6 @@ impl<P: Intensity> Workspace<P> {
             ids: Vec::new(),
             merger: None,
             by_vertex: Vec::new(),
-            map_val: Vec::new(),
-            map_stamp: Vec::new(),
-            epoch: 0,
         }
     }
 
@@ -197,8 +189,7 @@ impl<P: Intensity> Workspace<P> {
         self.edges.clear();
         self.ids.clear();
         self.by_vertex.clear();
-        // Keep the merger (its buffers are the most expensive to warm) and
-        // the stamped compaction tables: epochs make stale entries inert.
+        // Keep the merger: its buffers are the most expensive to warm.
     }
 
     /// Pre-sizes the pixel-indexed arenas from the plan's exact bounds, so
@@ -480,14 +471,11 @@ impl<P: Intensity> LabelStage for HostBackend<'_, P> {
         let ws = &mut *self.ws;
         let merger = ws.merger.as_ref().expect("graph stage ran");
         merger.labels_by_vertex_into(&mut ws.by_vertex);
-        let num_regions = compact_gather(
-            &ws.split.square_of,
-            &ws.by_vertex,
-            &mut ws.map_val,
-            &mut ws.map_stamp,
-            &mut ws.epoch,
-            &mut out.labels,
-        );
+        let num_regions = compact_square_reps(&mut ws.by_vertex);
+        let lab = &ws.by_vertex;
+        out.labels.clear();
+        out.labels
+            .extend(ws.split.square_of.iter().map(|&q| lab[q as usize]));
         (StageStats::live(), num_regions)
     }
 }
@@ -530,51 +518,33 @@ impl<P: Intensity> TraceHook for HostBackend<'_, P> {
     }
 }
 
-/// Fused per-pixel label gather + first-appearance compaction, writing
-/// straight into the recycled `labels` buffer.
+/// First-appearance compaction over squares, in place: turns the
+/// resolved merge history `lab` (square → representative square) into
+/// square → compact label and returns the number of regions.
 ///
-/// Raw merge labels are dense vertex indices (`< num_squares`), so instead
-/// of the `HashMap` of [`crate::labels::compact_first_appearance`] an
-/// epoch-stamped dense table maps representative → compact label:
-/// `map_stamp[v] == epoch` marks a valid entry, making per-image table
-/// invalidation O(1) with no clearing pass and no allocation. Output is
-/// bit-identical to gather-then-`compact_first_appearance`.
+/// One pass `lab[q] = if r == q { next++ } else { lab[r] }` with
+/// `r = lab[q]` is exact because
+/// * the history is min-rep (`union_min_rep`), so `r ≤ q` and `lab[r]` is
+///   already final when `q` is reached;
+/// * squares are in raster order of their top-left corners, so a region's
+///   first raster pixel is the top-left of its lowest-index square — its
+///   representative — and numbering representatives in index order is
+///   numbering regions in order of first pixel appearance.
 ///
-/// Shared with the tiled runtime ([`crate::tiles`]), which calls it with a
-/// global pixel → stitch-vertex map in place of `square_of`.
-pub(crate) fn compact_gather(
-    square_of: &[u32],
-    by_vertex: &[u32],
-    map_val: &mut Vec<u32>,
-    map_stamp: &mut Vec<u32>,
-    epoch: &mut u32,
-    labels: &mut Vec<u32>,
-) -> usize {
-    let n = by_vertex.len();
-    if map_stamp.len() < n {
-        map_stamp.resize(n, 0);
-        map_val.resize(n, 0);
-    }
-    *epoch = match epoch.checked_add(1) {
-        Some(e) => e,
-        None => {
-            // Epoch wrap after 2^32 images: one full clear, then restart.
-            map_stamp.iter_mut().for_each(|s| *s = 0);
-            1
-        }
-    };
-    let epoch = *epoch;
+/// The per-pixel labels are then one gather, `lab[square_of[p]]`,
+/// bit-identical to `compact_first_appearance` of the raw per-pixel
+/// representatives.
+fn compact_square_reps(lab: &mut [u32]) -> usize {
     let mut next = 0u32;
-    labels.clear();
-    labels.reserve(square_of.len());
-    for &q in square_of {
-        let r = by_vertex[q as usize] as usize;
-        if map_stamp[r] != epoch {
-            map_stamp[r] = epoch;
-            map_val[r] = next;
+    for q in 0..lab.len() {
+        let r = lab[q] as usize;
+        debug_assert!(r <= q, "merge history is not min-rep: {r} > {q}");
+        if r == q {
+            lab[q] = next;
             next += 1;
+        } else {
+            lab[q] = lab[r];
         }
-        labels.push(map_val[r]);
     }
     next as usize
 }

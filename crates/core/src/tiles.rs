@@ -19,9 +19,8 @@
 //!    adjacent label pairs are collected **along tile seams only** (the
 //!    interior adjacencies were already resolved by the per-tile merges);
 //! 3. the CSR [`Merger`] runs on that boundary RAG until quiescence;
-//! 4. one fused gather+first-appearance relabel
-//!    ([`crate::pipeline`]'s `compact_gather`) produces the final dense
-//!    labels in global raster order.
+//! 4. one fused gather+first-appearance relabel (`compact_gather`)
+//!    produces the final dense labels in global raster order.
 //!
 //! ## Invariance
 //!
@@ -45,7 +44,7 @@ use crate::config::{Config, Connectivity, RegionStats};
 use crate::engine::Segmentation;
 use crate::kernels::{stats_from_words, stats_to_words, STATS_WIRE_WORDS};
 use crate::merge::Merger;
-use crate::pipeline::{compact_gather, HostPipeline, Workspace};
+use crate::pipeline::{HostPipeline, Workspace};
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rg_imaging::Image;
 use std::sync::Mutex;
@@ -563,6 +562,56 @@ pub fn segment_tiled(
     let mut out = Segmentation::default();
     runner.run_into(img, &mut NullTelemetry, &mut out);
     out
+}
+
+/// Fused per-pixel label gather + first-appearance compaction, writing
+/// straight into the recycled `labels` buffer.
+///
+/// The stitch's global vertex order is tile-major, not raster order, so
+/// the first pixel of a region need not belong to its lowest-numbered
+/// vertex; unlike the whole-image label stage, compaction therefore walks
+/// the pixels. Raw merge labels are dense vertex indices
+/// (`< by_vertex.len()`), so instead of the `HashMap` of
+/// [`crate::labels::compact_first_appearance`] an epoch-stamped dense
+/// table maps representative → compact label: `map_stamp[v] == epoch`
+/// marks a valid entry, making per-image table invalidation O(1) with no
+/// clearing pass and no allocation. Output is bit-identical to
+/// gather-then-`compact_first_appearance`.
+fn compact_gather(
+    vertex_of: &[u32],
+    by_vertex: &[u32],
+    map_val: &mut Vec<u32>,
+    map_stamp: &mut Vec<u32>,
+    epoch: &mut u32,
+    labels: &mut Vec<u32>,
+) -> usize {
+    let n = by_vertex.len();
+    if map_stamp.len() < n {
+        map_stamp.resize(n, 0);
+        map_val.resize(n, 0);
+    }
+    *epoch = match epoch.checked_add(1) {
+        Some(e) => e,
+        None => {
+            // Epoch wrap after 2^32 images: one full clear, then restart.
+            map_stamp.iter_mut().for_each(|s| *s = 0);
+            1
+        }
+    };
+    let epoch = *epoch;
+    let mut next = 0u32;
+    labels.clear();
+    labels.reserve(vertex_of.len());
+    for &q in vertex_of {
+        let r = by_vertex[q as usize] as usize;
+        if map_stamp[r] != epoch {
+            map_stamp[r] = epoch;
+            map_val[r] = next;
+            next += 1;
+        }
+        labels.push(map_val[r]);
+    }
+    next as usize
 }
 
 #[cfg(test)]

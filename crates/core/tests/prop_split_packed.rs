@@ -3,12 +3,12 @@
 //! ([`rg_core::split_reference`]): squares, per-square stats, the
 //! pixel→square map and the iteration count must be bit-identical across
 //! random sizes (including non-power-of-two rectangles and degenerate
-//! 1×N / N×1 strips), both criteria, and a scratch reused across shape
-//! changes vs fresh calls.
+//! 1×N / N×1 strips), both criteria, `u8` and `u16` intensities, and a
+//! scratch reused across shape changes vs fresh calls.
 
 use proptest::prelude::*;
 use rg_core::{split, split_into, split_reference, Config, Criterion, SplitResult, SplitScratch};
-use rg_imaging::{synth, Image};
+use rg_imaging::{synth, Image, Intensity};
 
 // Random rectangles, biased toward awkward shapes: non-power-of-two
 // sides, strips of width or height 1, and tiny images.
@@ -27,6 +27,38 @@ prop_compose! {
     }
 }
 
+// The same shapes at 16-bit depth: the u8 scene scaled by 256 plus a
+// small per-pixel jitter, so blocks are near-flat rather than flat and
+// level-1 sums widen values far above the u8 range.
+prop_compose! {
+    fn scene16()(
+        img in scene(),
+        jitter_seed in 0u64..1_000_000,
+        jitter in 0u32..64,
+    ) -> Image<u16> {
+        let w = img.width();
+        let mut state = jitter_seed | 1;
+        Image::from_fn(w, img.height(), |x, y| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let noise = if jitter == 0 { 0 } else { (state % u64::from(jitter)) as u32 };
+            let base = u32::from(img.get(x, y)) * 256;
+            u16::from_u32_saturating(base + noise)
+        })
+    }
+}
+
+prop_compose! {
+    fn split_config16()(
+        t in 0u32..4096,
+        crit in prop_oneof![Just(Criterion::PixelRange), Just(Criterion::MeanDifference)],
+        cap in prop_oneof![Just(None), (0u8..8).prop_map(Some)],
+    ) -> Config {
+        Config::with_threshold(t).criterion(crit).max_square_log2(cap)
+    }
+}
+
 prop_compose! {
     fn split_config()(
         t in 0u32..120,
@@ -38,7 +70,7 @@ prop_compose! {
 }
 
 /// Full bit-identity check of the split output fields the consumers read.
-fn assert_same(a: &SplitResult<u8>, b: &SplitResult<u8>, what: &str) {
+fn assert_same<P: Intensity>(a: &SplitResult<P>, b: &SplitResult<P>, what: &str) {
     assert_eq!(a.squares, b.squares, "{what}: squares");
     assert_eq!(a.stats, b.stats, "{what}: stats");
     assert_eq!(a.square_of, b.square_of, "{what}: square_of");
@@ -53,6 +85,29 @@ proptest! {
     fn packed_split_matches_reference(img in scene(), cfg in split_config()) {
         let oracle = split_reference(&img, &cfg);
         assert_same(&split(&img, &cfg), &oracle, "fresh");
+    }
+
+    #[test]
+    fn packed_split_matches_reference_u16(img in scene16(), cfg in split_config16()) {
+        // Level 1 folds straight from the image: 16-bit pixels widen into
+        // the u64 sums, and the mean criterion's level-1 child stats are
+        // read from the pixels.
+        let oracle = split_reference(&img, &cfg);
+        assert_same(&split(&img, &cfg), &oracle, "fresh u16");
+    }
+
+    #[test]
+    fn reused_scratch_matches_reference_u16(
+        imgs in prop::collection::vec(scene16(), 2..4),
+        cfg in split_config16(),
+    ) {
+        let mut scratch = SplitScratch::new();
+        let mut out = SplitResult::default();
+        for img in &imgs {
+            let oracle = split_reference(img, &cfg);
+            split_into(img, &cfg, &mut scratch, &mut out);
+            assert_same(&out, &oracle, "reused u16");
+        }
     }
 
     #[test]
