@@ -1,8 +1,9 @@
 //! # rg-bench
 //!
 //! Benchmark harness for the reproduction: shared machinery for the
-//! table/figure regeneration binaries (`paper_tables`, `figures`) and the
-//! criterion benches.
+//! table/figure regeneration binaries (`paper_tables`, `figures`), the
+//! recorded per-stage suites (`bench_record`, gated by [`diff`]) and the
+//! journal analyzer (`trace_analyze`).
 //!
 //! [`tables`] runs one of the paper's six evaluation images across the five
 //! platform configurations (CM-2 8K, CM-2 16K, CM-5 data-parallel, CM-5

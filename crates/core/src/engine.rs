@@ -224,17 +224,33 @@ mod tests {
 
     #[test]
     fn merge_only_baseline_agrees_on_partition() {
-        // Disabling the split stage must not change the *final* partition
-        // on scenes whose regions are flat (every intensity either merges
-        // or doesn't, independent of grouping order).
+        // The split cap must not change the *final* partition on scenes
+        // whose regions are flat (every intensity either merges or
+        // doesn't, independent of grouping order). Cap 0 disables the
+        // split stage entirely: the merge-only baseline.
         let img = synth::rect_collection(64);
-        let with_split = segment(&img, &Config::with_threshold(10));
-        let merge_only = segment(&img, &Config::with_threshold(10).max_square_log2(Some(0)));
-        assert_eq!(with_split.num_regions, merge_only.num_regions);
-        assert_eq!(with_split.labels, merge_only.labels);
+        let caps = [Some(0), Some(1), Some(2), Some(3), Some(4), None];
+        let runs: Vec<Segmentation> = caps
+            .iter()
+            .map(|&cap| segment(&img, &Config::with_threshold(10).max_square_log2(cap)))
+            .collect();
+        let merge_only = &runs[0];
         assert_eq!(merge_only.num_squares, 64 * 64);
-        // The split stage saves merge iterations (the paper's motivation).
-        assert!(with_split.merge_iterations <= merge_only.merge_iterations);
+        for (cap, seg) in caps.iter().zip(&runs) {
+            assert_eq!(seg.num_regions, merge_only.num_regions, "cap {cap:?}");
+            assert_eq!(seg.labels, merge_only.labels, "cap {cap:?}");
+            // The split stage saves merge iterations (the paper's
+            // motivation). They need not fall monotonically in the cap,
+            // so only the merge-only baseline is the upper bound.
+            assert!(
+                seg.merge_iterations <= merge_only.merge_iterations,
+                "cap {cap:?}"
+            );
+        }
+        // A larger cap can only coalesce more: squares never increase.
+        for (pair, caps) in runs.windows(2).zip(caps.windows(2)) {
+            assert!(pair[1].num_squares <= pair[0].num_squares, "caps {caps:?}");
+        }
     }
 
     #[test]

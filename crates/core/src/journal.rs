@@ -55,7 +55,6 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::time::Instant;
 
-use crate::config::Config;
 use crate::json::{Json, JsonError};
 use crate::telemetry::{
     CommRecord, ConfigRecord, FaultRecord, FlowKind, FlowRecord, Histogram, MergeIterationRecord,
@@ -446,8 +445,21 @@ impl<S: EmitEvent> Streaming<S> {
     fn now_us(&self) -> u64 {
         self.clock.elapsed().as_micros() as u64
     }
+}
 
-    fn push(&mut self, kind: EventKind) {
+impl<S: EmitEvent> Telemetry for Streaming<S> {
+    fn event(&mut self, mut kind: EventKind) {
+        let mut run_end = false;
+        match &mut kind {
+            EventKind::RunStart { .. } if self.open_spans == 0 => self.clock = Instant::now(),
+            EventKind::SpanBegin { .. } => self.open_spans += 1,
+            EventKind::SpanEnd { .. } => self.open_spans = self.open_spans.saturating_sub(1),
+            EventKind::RunEnd { dropped } => {
+                *dropped = self.sink.dropped();
+                run_end = true;
+            }
+            _ => {}
+        }
         let t_us = match &mut self.logical {
             Some(next) => {
                 let t = *next;
@@ -457,81 +469,9 @@ impl<S: EmitEvent> Streaming<S> {
             None => self.now_us(),
         };
         self.sink.emit(Event { t_us, kind });
-    }
-}
-
-impl<S: EmitEvent> Telemetry for Streaming<S> {
-    fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
-        if self.open_spans == 0 {
-            self.clock = Instant::now();
+        if run_end {
+            self.sink.flush_events();
         }
-        self.push(EventKind::RunStart {
-            engine: engine.to_string(),
-            width,
-            height,
-            config: ConfigRecord::of(config),
-        });
-    }
-
-    fn span_begin(&mut self, kind: SpanKind) {
-        self.open_spans += 1;
-        self.push(EventKind::SpanBegin { span: kind });
-    }
-
-    fn span_end(&mut self, kind: SpanKind) {
-        self.open_spans = self.open_spans.saturating_sub(1);
-        self.push(EventKind::SpanEnd { span: kind });
-    }
-
-    fn stage(&mut self, span: StageSpan) {
-        self.push(EventKind::Stage { span });
-    }
-
-    fn split_done(&mut self, iterations: u32, num_squares: usize) {
-        self.push(EventKind::SplitDone {
-            iterations,
-            num_squares,
-        });
-    }
-
-    fn merge_iteration(&mut self, rec: MergeIterationRecord) {
-        self.push(EventKind::MergeIteration { rec });
-    }
-
-    fn merge_done(&mut self, num_regions: usize) {
-        self.push(EventKind::MergeDone { num_regions });
-    }
-
-    fn comm(&mut self, rec: CommRecord) {
-        self.push(EventKind::Comm { rec });
-    }
-
-    fn fault(&mut self, rec: FaultRecord) {
-        self.push(EventKind::Fault { rec });
-    }
-
-    fn flow(&mut self, rec: FlowRecord) {
-        self.push(EventKind::Flow { rec });
-    }
-
-    fn counter(&mut self, name: &str, value: f64) {
-        self.push(EventKind::Counter {
-            name: name.to_string(),
-            value,
-        });
-    }
-
-    fn histogram(&mut self, name: &str, hist: &Histogram) {
-        self.push(EventKind::Histogram {
-            name: name.to_string(),
-            hist: Box::new(hist.clone()),
-        });
-    }
-
-    fn run_end(&mut self) {
-        let dropped = self.sink.dropped();
-        self.push(EventKind::RunEnd { dropped });
-        self.sink.flush_events();
     }
 }
 
@@ -981,7 +921,7 @@ pub fn flow_pairing(events: &[Event]) -> FlowPairing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TieBreak;
+    use crate::config::{Config, TieBreak};
     use crate::telemetry::Stage;
 
     fn sample_events() -> Vec<Event> {

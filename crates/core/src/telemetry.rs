@@ -10,12 +10,12 @@
 //!   spans, per-merge-iteration counters, tie-break stall/fallback counts,
 //!   communication volume and round counters) through a `&mut dyn
 //!   Telemetry`; they never format or time anything ad hoc.
-//! * [`NullTelemetry`] — the zero-cost default. Every trait method has an
-//!   empty default body and [`Telemetry::enabled`] returns `false`, so
-//!   engines skip even the `Instant::now()` calls when nobody is listening.
-//! * [`Recorder`] — the live fold: it turns each call into a journal
-//!   [`EventKind`] and applies it to a [`TelemetryReport`] with
-//!   [`TelemetryReport::apply`], the same fold
+//! * [`NullTelemetry`] — the zero-cost default. [`Telemetry::enabled`]
+//!   returns `false`, so engines skip every call, and even the
+//!   `Instant::now()` calls, when nobody is listening.
+//! * [`Recorder`] — the live fold: it applies each journal [`EventKind`]
+//!   (the trait's defaults build one per call) to a [`TelemetryReport`]
+//!   with [`TelemetryReport::apply`], the same fold
 //!   [`replay`](crate::journal::replay) runs over a recorded stream. The
 //!   report serializes to/from JSON through [`crate::json`] (this
 //!   workspace builds offline; the JSON layer is in-tree).
@@ -700,8 +700,13 @@ impl FlowRecord {
 
 /// The telemetry sink every engine reports into.
 ///
-/// All methods have empty defaults so sinks implement only what they need;
-/// [`NullTelemetry`] implements nothing and costs nothing.
+/// Each typed method turns its call into the matching journal
+/// [`EventKind`] and hands it to [`Telemetry::event`]; this default table
+/// is the only place that mapping lives. Sinks that want every event
+/// ([`Recorder`], [`crate::journal::Streaming`]) implement `event` alone;
+/// sinks that want a few calls cheaply override just those typed methods.
+/// The default `event` discards, so [`NullTelemetry`] implements nothing
+/// (engines check [`Telemetry::enabled`] before building any event).
 pub trait Telemetry {
     /// `false` when events will be discarded — engines use this to skip
     /// timing syscalls entirely on the null sink.
@@ -709,54 +714,99 @@ pub trait Telemetry {
         true
     }
 
+    /// Consumes one event. Every typed method below ends here unless the
+    /// sink overrides it.
+    fn event(&mut self, _kind: EventKind) {}
+
     /// A run begins. `engine` is a stable label such as `"seq"`,
     /// `"datapar:CM-2 (8K procs)"`, or `"msgpass:Async:32"`.
-    fn run_start(&mut self, _engine: &str, _width: usize, _height: usize, _config: &Config) {}
+    fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
+        self.event(EventKind::RunStart {
+            engine: engine.to_string(),
+            width,
+            height,
+            config: ConfigRecord::of(config),
+        });
+    }
 
     /// A hierarchical span opens (see [`SpanKind`]). Streaming sinks
     /// timestamp the event on receipt; prefer [`SpanGuard`] over calling
     /// this directly so the matching [`Telemetry::span_end`] cannot be
     /// forgotten.
-    fn span_begin(&mut self, _kind: SpanKind) {}
+    fn span_begin(&mut self, span: SpanKind) {
+        self.event(EventKind::SpanBegin { span });
+    }
 
-    /// The innermost open span closes. `kind` must match the most recent
+    /// The innermost open span closes. `span` must match the most recent
     /// unclosed [`Telemetry::span_begin`] (spans are strictly nested).
-    fn span_end(&mut self, _kind: SpanKind) {}
+    fn span_end(&mut self, span: SpanKind) {
+        self.event(EventKind::SpanEnd { span });
+    }
 
     /// A pipeline stage completed.
-    fn stage(&mut self, _span: StageSpan) {}
+    fn stage(&mut self, span: StageSpan) {
+        self.event(EventKind::Stage { span });
+    }
 
     /// The split stage's outcome.
-    fn split_done(&mut self, _iterations: u32, _num_squares: usize) {}
+    fn split_done(&mut self, iterations: u32, num_squares: usize) {
+        self.event(EventKind::SplitDone {
+            iterations,
+            num_squares,
+        });
+    }
 
     /// One merge iteration completed.
-    fn merge_iteration(&mut self, _rec: MergeIterationRecord) {}
+    fn merge_iteration(&mut self, rec: MergeIterationRecord) {
+        self.event(EventKind::MergeIteration { rec });
+    }
 
     /// The merge stage's outcome.
-    fn merge_done(&mut self, _num_regions: usize) {}
+    fn merge_done(&mut self, num_regions: usize) {
+        self.event(EventKind::MergeDone { num_regions });
+    }
 
     /// Aggregate communication counters (message-passing engine only).
-    fn comm(&mut self, _rec: CommRecord) {}
+    fn comm(&mut self, rec: CommRecord) {
+        self.event(EventKind::Comm { rec });
+    }
 
     /// One injected-fault event from a chaos run (message-passing engine
     /// only; never emitted on fault-free runs).
-    fn fault(&mut self, _rec: FaultRecord) {}
+    fn fault(&mut self, rec: FaultRecord) {
+        self.event(EventKind::Fault { rec });
+    }
 
     /// One causal flow event (traced message-passing runs only): a
     /// point-to-point send/receive edge or a collective participation,
     /// correlated by `(stream, src, dst, seq)`.
-    fn flow(&mut self, _rec: FlowRecord) {}
+    fn flow(&mut self, rec: FlowRecord) {
+        self.event(EventKind::Flow { rec });
+    }
 
     /// A named scalar counter (e.g. `"merge.send.ops"` from the
     /// data-parallel cost ledger).
-    fn counter(&mut self, _name: &str, _value: f64) {}
+    fn counter(&mut self, name: &str, value: f64) {
+        self.event(EventKind::Counter {
+            name: name.to_string(),
+            value,
+        });
+    }
 
     /// A named histogram, emitted once per run (e.g.
     /// `"merge.iter_wall_us"`, `"region_size_px"`).
-    fn histogram(&mut self, _name: &str, _hist: &Histogram) {}
+    fn histogram(&mut self, name: &str, hist: &Histogram) {
+        self.event(EventKind::Histogram {
+            name: name.to_string(),
+            hist: Box::new(hist.clone()),
+        });
+    }
 
-    /// The run is complete.
-    fn run_end(&mut self) {}
+    /// The run is complete. `dropped` is 0 here; a sink that can lose
+    /// events fills in its own count.
+    fn run_end(&mut self) {
+        self.event(EventKind::RunEnd { dropped: 0 });
+    }
 }
 
 /// The zero-cost default sink: discards everything.
@@ -1365,72 +1415,13 @@ impl Recorder {
 }
 
 impl Telemetry for Recorder {
-    fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
-        self.finished = false;
-        self.report.apply(EventKind::RunStart {
-            engine: engine.to_string(),
-            width,
-            height,
-            config: ConfigRecord::of(config),
-        });
-    }
-
-    fn span_begin(&mut self, span: SpanKind) {
-        self.report.apply(EventKind::SpanBegin { span });
-    }
-
-    fn span_end(&mut self, span: SpanKind) {
-        self.report.apply(EventKind::SpanEnd { span });
-    }
-
-    fn stage(&mut self, span: StageSpan) {
-        self.report.apply(EventKind::Stage { span });
-    }
-
-    fn split_done(&mut self, iterations: u32, num_squares: usize) {
-        self.report.apply(EventKind::SplitDone {
-            iterations,
-            num_squares,
-        });
-    }
-
-    fn merge_iteration(&mut self, rec: MergeIterationRecord) {
-        self.report.apply(EventKind::MergeIteration { rec });
-    }
-
-    fn merge_done(&mut self, num_regions: usize) {
-        self.report.apply(EventKind::MergeDone { num_regions });
-    }
-
-    fn comm(&mut self, rec: CommRecord) {
-        self.report.apply(EventKind::Comm { rec });
-    }
-
-    fn fault(&mut self, rec: FaultRecord) {
-        self.report.apply(EventKind::Fault { rec });
-    }
-
-    fn flow(&mut self, rec: FlowRecord) {
-        self.report.apply(EventKind::Flow { rec });
-    }
-
-    fn counter(&mut self, name: &str, value: f64) {
-        self.report.apply(EventKind::Counter {
-            name: name.to_string(),
-            value,
-        });
-    }
-
-    fn histogram(&mut self, name: &str, hist: &Histogram) {
-        self.report.apply(EventKind::Histogram {
-            name: name.to_string(),
-            hist: Box::new(hist.clone()),
-        });
-    }
-
-    fn run_end(&mut self) {
-        self.report.apply(EventKind::RunEnd { dropped: 0 });
-        self.finished = true;
+    fn event(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::RunStart { .. } => self.finished = false,
+            EventKind::RunEnd { .. } => self.finished = true,
+            _ => {}
+        }
+        self.report.apply(kind);
     }
 }
 

@@ -267,42 +267,17 @@ fn chrome_export_gives_each_engine_a_process_lane() {
 
 /// A disabled sink must see *no* per-event traffic: the engines check
 /// `enabled()` once and skip every span, record, counter, and histogram.
-/// This is the zero-cost guarantee that keeps `NullTelemetry` free.
+/// This is the zero-cost guarantee that keeps `NullTelemetry` free. Every
+/// typed call ends in `event` by default, so overriding `event` alone
+/// catches all thirteen kinds.
 struct DisabledPanicSink;
 
 impl Telemetry for DisabledPanicSink {
     fn enabled(&self) -> bool {
         false
     }
-    fn span_begin(&mut self, kind: SpanKind) {
-        panic!("span_begin({kind:?}) reached a disabled sink");
-    }
-    fn span_end(&mut self, kind: SpanKind) {
-        panic!("span_end({kind:?}) reached a disabled sink");
-    }
-    fn merge_iteration(&mut self, rec: rg_core::MergeIterationRecord) {
-        panic!("merge_iteration({rec:?}) reached a disabled sink");
-    }
-    fn counter(&mut self, name: &str, _value: f64) {
-        panic!("counter({name}) reached a disabled sink");
-    }
-    fn histogram(&mut self, name: &str, _hist: &rg_core::Histogram) {
-        panic!("histogram({name}) reached a disabled sink");
-    }
-    fn stage(&mut self, span: rg_core::StageSpan) {
-        panic!("stage({:?}) reached a disabled sink", span.stage);
-    }
-    fn split_done(&mut self, _iterations: u32, _num_squares: usize) {
-        panic!("split_done reached a disabled sink");
-    }
-    fn merge_done(&mut self, _num_regions: usize) {
-        panic!("merge_done reached a disabled sink");
-    }
-    fn comm(&mut self, rec: rg_core::CommRecord) {
-        panic!("comm({rec:?}) reached a disabled sink");
-    }
-    fn flow(&mut self, rec: rg_core::FlowRecord) {
-        panic!("flow({rec:?}) reached a disabled sink");
+    fn event(&mut self, kind: EventKind) {
+        panic!("{kind:?} reached a disabled sink");
     }
 }
 
