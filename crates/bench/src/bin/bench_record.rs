@@ -301,7 +301,7 @@ fn batch_row_json(r: &BatchRow, scene: &str, threshold: u32) -> Json {
 
 /// `bench_record batch [--out PATH] [--check] [--min-speedup F]
 /// [--images N] [--size S]` — the batch-throughput smoke. Streams N
-/// synthetic SxS scenes through one warm `HostPipeline` (the plan/workspace
+/// synthetic SxS scenes through one warm `HostPipeline` (the workspace
 /// reuse path) and through a naive fresh-`segment()`-per-image loop, and
 /// records both as `bench-batch-v1` rows in `BENCH_batch.json` so the CI
 /// diff gate guards the deterministic counters. `--check` additionally
@@ -393,7 +393,7 @@ fn batch_main(args: &[String]) {
     // (allocator free lists, page cache, thread spawn path).
     //
     // * naive: a fresh engine allocation per image (`segment()` loop);
-    // * batch-seq: one warm sequential pipeline, plan + arenas reused
+    // * batch-seq: one warm sequential pipeline, arenas reused
     //   across the stream, zero allocations per image (see
     //   tests/alloc_steady_state.rs);
     // * batch: the runtime as shipped (`rgrow --batch --jobs N`),
@@ -838,7 +838,7 @@ fn build_tiles_doc(n: usize) -> (Json, Vec<String>) {
     let mut best_tiled_over_whole = 0.0f64;
 
     for (name, img) in &scenes {
-        // Whole-image one-shot: fresh plan + arenas per call, what an
+        // Whole-image one-shot: fresh arenas per call, what an
         // un-sharded caller pays per image. Warm-up round first.
         let mut whole_seg = segment(img, &cfg);
         let mut whole_wall = f64::MAX;

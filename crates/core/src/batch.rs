@@ -1,8 +1,8 @@
 //! Batch runtime: stream many images through pooled pipeline workspaces.
 //!
-//! The one-shot entry points pay plan + arena setup per image; the batch
+//! The one-shot entry points pay arena setup per image; the batch
 //! runtime amortizes it. Each worker owns one reusable
-//! [`Pipeline`](crate::pipeline::Pipeline) (plan + workspace) and one
+//! [`Pipeline`](crate::pipeline::Pipeline) (its workspace) and one
 //! recyclable [`Segmentation`] buffer, so a same-shape image stream runs
 //! **allocation-free in steady state** on the host engine.
 //!
@@ -379,9 +379,6 @@ mod tests {
     impl Pipeline for PanicOn {
         fn engine(&self) -> &str {
             "panic-on"
-        }
-        fn plan(&self) -> Option<&crate::pipeline::ExecutionPlan> {
-            self.inner.plan()
         }
         fn run_into(&mut self, img: &Image<u8>, tel: &mut dyn Telemetry, out: &mut Segmentation) {
             assert_ne!(img.pixels()[0], self.bad, "deliberate per-image fault");

@@ -124,11 +124,12 @@ impl<P: Intensity> RegionStats<P> {
 /// data layout and per-iteration cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeBackend {
-    /// Compressed-sparse-row incremental engine (the default): tombstoned
-    /// in-place edge slots with periodic compaction, single-level
-    /// pointer-jumped endpoint relabelling, a segmented-min choice sweep
-    /// (no sorting), SoA region statistics, and persistent scratch buffers
-    /// so steady-state iterations are allocation-free.
+    /// Compressed-sparse-row incremental engine (the default): one
+    /// contiguous adjacency segment per region in a single slot arena,
+    /// rescanned in place (or appended, for this iteration's winners) by
+    /// one end-of-step kernel that relabels, filters, dedups and folds the
+    /// next choices (no sorting); SoA region statistics and persistent
+    /// scratch buffers keep steady-state iterations allocation-free.
     #[default]
     Csr,
     /// The original edge-list engine: rebuilds, re-sorts, and re-dedups the

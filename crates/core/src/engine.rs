@@ -135,7 +135,7 @@ pub fn segment_with_trace_telemetry<P: Intensity>(
     (out, trace)
 }
 
-/// One-shot pipeline body: delegates to the plan/workspace layer
+/// One-shot pipeline body: delegates to the workspace layer
 /// ([`crate::pipeline::run_host_into`]) with a throwaway workspace, so the
 /// one-shot entry points and the reusable [`crate::pipeline::HostPipeline`]
 /// share a single implementation (identical output and telemetry by

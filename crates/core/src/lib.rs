@@ -81,7 +81,7 @@ pub use journal::{
     JsonlSink, JsonlWriter, Streaming,
 };
 pub use merge::{choice_key, CandKey, MergeSummary, Merger, StepReport};
-pub use pipeline::{ExecutionPlan, HostBackend, HostPipeline, Pipeline, Workspace};
+pub use pipeline::{HostBackend, HostPipeline, Pipeline, Workspace};
 pub use split::{split, split_into, SplitMetrics, SplitResult, SplitScratch, Square};
 pub use split_ref::split_reference;
 pub use telemetry::{

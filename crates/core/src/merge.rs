@@ -24,18 +24,25 @@
 //! Two interchangeable merge backends implement step 4
 //! ([`crate::config::MergeBackend`]):
 //!
-//! * **CSR** (default): a compressed-sparse-row adjacency structure in the
-//!   spirit of the CM implementations' flat arrays. Each original vertex
-//!   owns a *row* of directed neighbour slots. One fused sweep at the end
-//!   of every iteration redirects endpoints through the iteration's
-//!   one-level redirect table (exact, because a representative never loses
-//!   in the iteration it wins), drops self-loops / per-owner duplicates /
-//!   criterion-violating slots, squeezes the surviving slots *and* rows in
-//!   place, and pre-folds the next iteration's per-region choice minima —
-//!   no per-iteration edge-list rebuild, no global sort, no steady-state
-//!   allocation, and no dead slot or empty row is ever rescanned. The
-//!   steady-state cost per iteration is O(live slots + live owners), with
-//!   none of the O(vertices) refill floors the reference engine pays.
+//! * **CSR** (default): flat per-region adjacency in the spirit of the CM
+//!   implementations' flat arrays. Every region owns one contiguous
+//!   segment of a single slot arena, holding the current representatives
+//!   of its neighbours. One kernel, `Csr::rescan`, does all the per-owner
+//!   work for a list of owners: it redirects each slot through the
+//!   iteration's one-level redirect table (exact, because a representative
+//!   never loses in the iteration it wins), drops self-loops, per-owner
+//!   duplicates and criterion-violating slots, squeezes the survivors, and
+//!   folds the next iteration's `(weight, tie keys, id)` argmin. A region
+//!   that won this iteration reads its own segment and its loser's and
+//!   writes the survivors to the arena tail; every other owner is squeezed
+//!   in place. When the tail would overflow, the same pass rewrites every
+//!   live owner into a spare arena and the two swap. The kernel runs on
+//!   every region with slots at [`Merger::reset_from`]; after each
+//!   iteration it runs on every live owner under random ties (whose keys
+//!   change every iteration) and, under deterministic ties, only on the
+//!   merged pairs and their neighbours (no other ranking can change). No
+//!   per-iteration edge-list rebuild, no global sort and no steady-state
+//!   allocation.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
 //!   testing and as the perf baseline recorded in `BENCH_merge.json`.
@@ -64,6 +71,8 @@
 //! a region's top-left pixel — [`crate::split::Square::id`]), not dense
 //! vertex indices, so the sequential, data-parallel, and message-passing
 //! engines make identical random decisions given the same seed.
+
+use std::marker::PhantomData;
 
 use crate::config::{
     mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
@@ -142,12 +151,9 @@ pub struct StepReport {
     pub merges: u32,
     /// `true` when the stall guard forced a smallest-ID iteration.
     pub used_fallback: bool,
-    /// Active undirected edges remaining *after* this iteration. The CSR
-    /// backend counts parallel duplicate edges retained between
-    /// compactions, so this may exceed the reference backend's
-    /// deduplicated count on the same input.
+    /// Active undirected edges remaining *after* this iteration.
     pub active_edges: u64,
-    /// `true` when the CSR backend compacted its slot array this
+    /// `true` when the CSR backend compacted its slot arena this
     /// iteration.
     pub compacted: bool,
 }
@@ -164,34 +170,27 @@ pub struct MergeSummary {
     pub num_regions: usize,
 }
 
-/// Region statistics in structure-of-arrays layout: `min`/`max`/`sum`/
-/// `count` as separate slices so the hot weight/criterion kernels touch
-/// only the fields the active criterion needs (and autovectorise).
-#[derive(Debug)]
-struct SoaStats<P: Intensity> {
-    min: Vec<P>,
-    max: Vec<P>,
+/// Region statistics in structure-of-arrays layout, one entry per vertex
+/// and current at representatives: the pixel-range extrema with the
+/// canonical ID in `hot`, the mean-difference sums in `sum`/`cnt`, so each
+/// criterion's kernels touch only the fields they need.
+#[derive(Debug, Default)]
+struct SoaStats {
+    hot: Vec<HotVertex>,
     sum: Vec<u64>,
     cnt: Vec<u64>,
 }
 
-impl<P: Intensity> SoaStats<P> {
-    /// An empty SoA (no allocation until [`SoaStats::refill`]).
-    fn empty() -> Self {
-        Self {
-            min: Vec::new(),
-            max: Vec::new(),
-            sum: Vec::new(),
-            cnt: Vec::new(),
-        }
-    }
-
+impl SoaStats {
     /// Re-fills the SoA from an AoS slice in place, reusing capacity.
-    fn refill(&mut self, stats: &[RegionStats<P>]) {
-        self.min.clear();
-        self.min.extend(stats.iter().map(|s| s.min));
-        self.max.clear();
-        self.max.extend(stats.iter().map(|s| s.max));
+    fn refill<P: Intensity>(&mut self, stats: &[RegionStats<P>], ids: &[u64]) {
+        self.hot.clear();
+        self.hot
+            .extend(stats.iter().zip(ids).map(|(s, &id)| HotVertex {
+                min: s.min.to_u32(),
+                max: s.max.to_u32(),
+                id,
+            }));
         self.sum.clear();
         self.sum.extend(stats.iter().map(|s| s.sum));
         self.cnt.clear();
@@ -202,10 +201,10 @@ impl<P: Intensity> SoaStats<P> {
     #[inline]
     fn weight(&self, crit: Criterion, a: usize, b: usize) -> u64 {
         match crit {
-            Criterion::PixelRange => range_weight_fp16(
-                self.min[a].min(self.min[b]).to_u32(),
-                self.max[a].max(self.max[b]).to_u32(),
-            ),
+            Criterion::PixelRange => {
+                let (x, y) = (self.hot[a], self.hot[b]);
+                range_weight_fp16(x.min.min(y.min), x.max.max(y.max))
+            }
             Criterion::MeanDifference => {
                 mean_weight_fp16(self.sum[a], self.cnt[a], self.sum[b], self.cnt[b])
             }
@@ -216,11 +215,10 @@ impl<P: Intensity> SoaStats<P> {
     #[inline]
     fn satisfies(&self, crit: Criterion, t: u32, a: usize, b: usize) -> bool {
         match crit {
-            Criterion::PixelRange => range_satisfies(
-                self.min[a].min(self.min[b]).to_u32(),
-                self.max[a].max(self.max[b]).to_u32(),
-                t,
-            ),
+            Criterion::PixelRange => {
+                let (x, y) = (self.hot[a], self.hot[b]);
+                range_satisfies(x.min.min(y.min), x.max.max(y.max), t)
+            }
             Criterion::MeanDifference => {
                 mean_satisfies(self.sum[a], self.cnt[a], self.sum[b], self.cnt[b], t)
             }
@@ -230,28 +228,18 @@ impl<P: Intensity> SoaStats<P> {
     /// Folds `loser`'s statistics into `winner` (region union).
     #[inline]
     fn fold(&mut self, winner: usize, loser: usize) {
-        self.min[winner] = self.min[winner].min(self.min[loser]);
-        self.max[winner] = self.max[winner].max(self.max[loser]);
+        let l = self.hot[loser];
+        let w = &mut self.hot[winner];
+        w.min = w.min.min(l.min);
+        w.max = w.max.max(l.max);
         self.sum[winner] += self.sum[loser];
         self.cnt[winner] += self.cnt[loser];
     }
-
-    /// Reassembles the AoS view of vertex `i`.
-    #[inline]
-    fn get(&self, i: usize) -> RegionStats<P> {
-        RegionStats {
-            min: self.min[i],
-            max: self.max[i],
-            sum: self.sum[i],
-            count: self.cnt[i],
-        }
-    }
 }
 
-/// Hot per-vertex record for the CSR kernels: the pixel-range extrema and
-/// the canonical tie-break ID packed into one 16-byte slot, so ranking a
-/// candidate costs a single gather instead of three (min, max, id from
-/// separate arrays). Updated alongside [`SoaStats`] on every merge.
+/// Hot per-vertex record: the pixel-range extrema and the canonical
+/// tie-break ID packed into one 16-byte slot, so ranking a candidate costs
+/// a single gather instead of three.
 #[derive(Debug, Clone, Copy)]
 struct HotVertex {
     /// Current region minimum, widened to `u32`.
@@ -262,213 +250,171 @@ struct HotVertex {
     id: u64,
 }
 
-/// "No row" marker for the owner→rows linked lists.
-const NO_ROW: u32 = u32::MAX;
+/// Arena capacity in multiples of the initial slot count. Live slots never
+/// exceed the initial count, so a compaction leaves at least twice that
+/// much room free. Under deterministic ties each compaction is a full
+/// rescan; with a factor of 2 instead of 3 they came often enough to cost
+/// more relabel work than the reset-time rescan saves (`BENCH_merge.json`,
+/// `rects/smallest_id`).
+const ARENA_FACTOR: usize = 3;
 
 /// The CSR adjacency state plus all persistent scratch, so steady-state
 /// iterations perform no heap allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Csr {
-    /// Static row extents, one row per *original* vertex (`len = n + 1`).
-    /// Never rewritten: row `r`'s slots live in
-    /// `col[row_ptr[r] .. row_ptr[r] + row_len[r]]`.
-    row_ptr: Vec<u32>,
-    /// Live slots of each row. Survivors are squeezed to the row start by
-    /// every pass, so the dead tail of an extent is never rescanned (no
-    /// tombstones).
-    row_len: Vec<u32>,
-    /// Directed neighbour slots. Every slot holds the *current
-    /// representative* of the neighbouring region.
+    /// Start of each region's segment in `col`.
+    start: Vec<u32>,
+    /// Live slots of each region's segment (0 for merged losers and for
+    /// regions without active edges).
+    len: Vec<u32>,
+    /// The slot arena: `col[start[v] .. start[v] + len[v]]` holds the
+    /// current representatives of region `v`'s neighbours. Winners append
+    /// at the end, so `col.len()` is the arena's tail.
     col: Vec<u32>,
-    /// Current representative of the region that owns row `r`.
-    row_owner: Vec<u32>,
-    /// Number of live directed slots (`== row_len` sum). Not necessarily
-    /// even: the two directions of a duplicated edge may deduplicate at
-    /// different times.
+    /// The arena a compaction rewrites into; swapped with `col` after.
+    spare: Vec<u32>,
+    /// Slots either arena may hold: `ARENA_FACTOR` times the initial slot
+    /// count, reserved up front so appends never reallocate.
+    cap: usize,
+    /// Number of live directed slots (`== len` sum).
     live: usize,
-    /// Head of each vertex's list of owned rows (`NO_ROW` = owns none).
-    /// Loser lists are spliced into the winner's on every merge under
-    /// deterministic tie policies, so the incremental pass can enumerate a
-    /// dirty region's rows — and, via their slots, its neighbours —
-    /// without any global scan. Emptied rows are unlinked lazily.
-    row_head: Vec<u32>,
-    /// Tail of each vertex's row list (for O(1) splicing).
-    row_tail: Vec<u32>,
-    /// Next row in the owning vertex's list.
-    row_next: Vec<u32>,
-    /// Epoch marks backing the incremental pass's dirty set.
+    /// The owners the next rescan visits, each at most once. After a
+    /// rescan: the visited owners that kept a slot, which are exactly the
+    /// regions that can hold a choice, so the apply step scans only them.
+    owners: Vec<u32>,
+    /// Epoch marks backing the deterministic-tie dirty set.
     dirty_epoch: Vec<u32>,
-    /// Scratch: dirty vertices of the current incremental pass.
-    dirty: Vec<u32>,
     /// Per-neighbour stamp for per-owner duplicate detection; a fresh
     /// token per (owner, pass) makes the check exact with no clearing.
     stamp: Vec<u64>,
     /// Next stamp token block (monotonically increasing, starts at 1
     /// because `stamp` is zero-initialised).
     next_token: u64,
-    /// Owners whose `best`/`choice` entries were written by the last fused
-    /// pass — the only entries that need resetting before the next one
-    /// (an O(live owners) sweep instead of an O(vertices) refill).
-    touched: Vec<u32>,
-    /// `false` until the first fused pass: the iteration-0 choice pass
-    /// writes `best`/`choice` densely, so the first reset must be full.
-    touched_valid: bool,
-    /// `true` when the fused end-of-step pass has already folded the next
-    /// iteration's per-owner minima into the `Merger`'s `best` array, so
-    /// the next choice pass is a table read instead of a sweep.
-    precomputed: bool,
-    /// The (policy, iteration) the precomputed minima were folded under —
-    /// cross-checked against the choice pass in debug builds.
-    precomputed_for: (TieBreak, u32),
 }
 
 impl Csr {
-    /// Builds the CSR over `n` vertices from a canonical (`u < v`, unique)
-    /// edge list, materialising both directions.
-    fn new(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut csr = Self::empty();
-        csr.rebuild(n, edges);
-        csr
-    }
-
-    /// An empty CSR (no allocation until [`Csr::rebuild`]).
-    fn empty() -> Self {
-        Self {
-            row_ptr: Vec::new(),
-            row_len: Vec::new(),
-            col: Vec::new(),
-            row_owner: Vec::new(),
-            live: 0,
-            row_head: Vec::new(),
-            row_tail: Vec::new(),
-            row_next: Vec::new(),
-            dirty_epoch: Vec::new(),
-            dirty: Vec::new(),
-            stamp: Vec::new(),
-            next_token: 1,
-            touched: Vec::new(),
-            touched_valid: false,
-            precomputed: false,
-            precomputed_for: (TieBreak::SmallestId, u32::MAX),
-        }
-    }
-
-    /// Re-initialises the CSR over `n` vertices from a canonical edge list
-    /// **in place**, reusing every array's capacity (`row_len` doubles as
-    /// the fill cursor, so no temporary is needed). Equivalent to
-    /// `*self = Csr::new(n, edges)` but allocation-free in steady state.
+    /// Re-initialises the CSR over `n` vertices from a canonical (`u < v`,
+    /// unique) edge list **in place**, reusing every array's capacity: one
+    /// segment per vertex, laid out in vertex order, and every vertex with
+    /// slots queued for the first rescan.
     fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
         let slots = edges.len() * 2;
-        assert!(slots < u32::MAX as usize, "CSR slot count exceeds u32");
-        self.row_ptr.clear();
-        self.row_ptr.resize(n + 1, 0);
+        self.cap = ARENA_FACTOR * slots;
+        assert!(self.cap < u32::MAX as usize, "CSR slot count exceeds u32");
+        self.len.clear();
+        self.len.resize(n, 0);
         for &(u, v) in edges {
-            self.row_ptr[u as usize + 1] += 1;
-            self.row_ptr[v as usize + 1] += 1;
+            self.len[u as usize] += 1;
+            self.len[v as usize] += 1;
         }
-        for i in 0..n {
-            self.row_ptr[i + 1] += self.row_ptr[i];
-        }
-        // `row_len` serves as the per-row fill cursor during scatter...
-        self.row_len.clear();
-        self.row_len.extend_from_slice(&self.row_ptr[..n]);
+        // `start` is the scatter's fill cursor: it begins one past each
+        // segment's end and counts down to the segment's start.
+        self.start.clear();
+        let mut end = 0u32;
+        self.start.extend(self.len.iter().map(|&l| {
+            end += l;
+            end
+        }));
         self.col.clear();
+        self.col.reserve(self.cap);
         self.col.resize(slots, 0);
         for &(u, v) in edges {
-            self.col[self.row_len[u as usize] as usize] = v;
-            self.row_len[u as usize] += 1;
-            self.col[self.row_len[v as usize] as usize] = u;
-            self.row_len[v as usize] += 1;
+            self.start[u as usize] -= 1;
+            self.col[self.start[u as usize] as usize] = v;
+            self.start[v as usize] -= 1;
+            self.col[self.start[v as usize] as usize] = u;
         }
-        // ...then becomes the live slot count of each row.
-        for r in 0..n {
-            self.row_len[r] = self.row_ptr[r + 1] - self.row_ptr[r];
-        }
-        self.row_owner.clear();
-        self.row_owner.extend(0..n as u32);
+        self.spare.clear();
+        self.spare.reserve(self.cap);
         self.live = slots;
-        self.row_head.clear();
-        self.row_head.extend(0..n as u32);
-        self.row_tail.clear();
-        self.row_tail.extend(0..n as u32);
-        self.row_next.clear();
-        self.row_next.resize(n, NO_ROW);
+        self.owners.clear();
+        let len = &self.len;
+        self.owners
+            .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
         self.dirty_epoch.clear();
         self.dirty_epoch.resize(n, 0);
-        self.dirty.clear();
         self.stamp.clear();
         self.stamp.resize(n, 0);
         self.next_token = 1;
-        self.touched.clear();
-        self.touched.reserve(n);
-        self.touched_valid = false;
-        self.precomputed = false;
-        self.precomputed_for = (TieBreak::SmallestId, u32::MAX);
     }
 
-    /// Appends loser `v`'s row list to winner `u`'s (O(1)). The rows'
-    /// `row_owner` fields are rewritten lazily by the next pass that walks
-    /// them.
-    fn splice(&mut self, u: usize, v: usize) {
-        let vh = self.row_head[v];
-        if vh == NO_ROW {
-            return;
+    /// Queues the deterministic-tie dirty set for the next rescan: this
+    /// iteration's losers, their winners, and every neighbour of either.
+    ///
+    /// Deterministic tie keys do not depend on the iteration, a region's
+    /// statistics change only when it merges, and a slot's endpoints
+    /// change only when one of them merges. So an owner outside this set
+    /// has an unchanged candidate list, unchanged weights and an unchanged
+    /// ranking, and its `best`/`choice` stay exact. A new mutual pair must
+    /// involve an owner whose choice changed (two unchanged mutual choices
+    /// would have merged an iteration earlier), so the apply step needs
+    /// only the owners the rescan keeps.
+    ///
+    /// `epoch` must differ from every earlier call's since the last
+    /// rebuild, and from 0.
+    fn mark_dirty(&mut self, losers: &[u32], redirect: &[u32], epoch: u32) {
+        self.owners.clear();
+        for &v in losers {
+            self.mark(v, epoch);
+            self.mark(redirect[v as usize], epoch);
         }
-        let vt = self.row_tail[v];
-        if self.row_head[u] == NO_ROW {
-            self.row_head[u] = vh;
-        } else {
-            self.row_next[self.row_tail[u] as usize] = vh;
+        for i in 0..self.owners.len() {
+            let d = self.owners[i] as usize;
+            let s = self.start[d] as usize;
+            for j in s..s + self.len[d] as usize {
+                self.mark(redirect[self.col[j] as usize], epoch);
+            }
         }
-        self.row_tail[u] = vt;
-        self.row_head[v] = NO_ROW;
-        self.row_tail[v] = NO_ROW;
     }
 
-    /// The fused end-of-step sweep: in **one** pass over the live slots it
+    #[inline]
+    fn mark(&mut self, x: u32, epoch: u32) {
+        if self.dirty_epoch[x as usize] != epoch {
+            self.dirty_epoch[x as usize] = epoch;
+            self.owners.push(x);
+        }
+    }
+
+    /// The end-of-step kernel. For every queued owner it
     ///
-    /// 1. redirects row owners and candidate slots through the one-level
-    ///    `redirect` (exact, because an iteration's mutual pairs form a
-    ///    matching: a representative never loses in the iteration it wins);
-    /// 2. drops self-loops, per-owner duplicate neighbours, and slots whose
-    ///    merged endpoints no longer satisfy the criterion (`filter` mode,
-    ///    after a productive iteration);
-    /// 3. squeezes the surviving slots to the front of `col` and the
-    ///    surviving rows to the front of the row list (both write cursors
-    ///    never pass their read cursors, so the moves are in place, and
-    ///    afterwards no dead slot or empty row exists to be rescanned —
-    ///    compaction happens *every* productive pass for free, because the
-    ///    pass touches every live slot anyway);
-    /// 4. folds every survivor into `best` under the *next* iteration's
-    ///    tie policy and derives `choice` for exactly the owners that have
-    ///    one, so the next choice pass is a no-op. Only the `best`/`choice`
-    ///    entries the previous pass wrote are reset (`touched`), keeping
-    ///    the pass free of O(vertices) refills.
+    /// 1. resets the owner's `best`/`choice`, and skips it if it lost this
+    ///    iteration (its winner reads its segment);
+    /// 2. reads the owner's segment and, if it won this iteration, its
+    ///    loser's; the winner's `choice` still names its loser (see
+    ///    [`Merger::try_merge`]);
+    /// 3. redirects every slot through the one-level `redirect` (exact,
+    ///    because an iteration's mutual pairs form a matching), and drops
+    ///    self-loops, duplicate neighbours and neighbours whose union
+    ///    would violate the criterion;
+    /// 4. writes the survivors to the arena tail if it won, or squeezes
+    ///    them in place otherwise;
+    /// 5. folds the survivors into `best` under `policy` at `iteration`
+    ///    (the next step's) and derives `choice`, so the next choice pass
+    ///    is a table read.
     ///
-    /// When `filter` is false (a stall iteration: no merge happened, no
-    /// statistic changed) steps 1–3 are vacuous and the pass degenerates to
-    /// the pure argmin rescan that re-randomised tie keys require.
+    /// If the winners' appends might not fit in the arena's capacity,
+    /// every live owner is queued instead and rewritten into the spare
+    /// arena, which then becomes the arena. Afterwards `owners` holds the
+    /// visited owners that kept a slot.
     ///
     /// Dropping a duplicate slot is free of semantic effect: the argmin is
     /// invariant under duplicates, the criterion filter would kill every
     /// copy together, and at least one copy per direction always survives.
     ///
-    /// Returns `(ops, reclaimed)`: live slots touched in filter mode (the
-    /// relabel-work counter) and dead slots squeezed out.
+    /// Returns `(slots read, compacted)`.
     #[allow(clippy::too_many_arguments)]
-    fn fused_pass<P: Intensity>(
+    fn rescan(
         &mut self,
-        stats: &SoaStats<P>,
-        hot: &[HotVertex],
+        stats: &SoaStats,
         crit: Criterion,
         t: u32,
         redirect: &[u32],
-        filter: bool,
+        losers: &[u32],
         policy: TieBreak,
         iteration: u32,
         best: &mut [CandKey],
         choice: &mut [u32],
-    ) -> (u64, usize) {
+    ) -> (u64, bool) {
         match crit {
             Criterion::PixelRange => {
                 // `range_weight_fp16` is exactly the union range in 16.16,
@@ -476,214 +422,40 @@ impl Csr {
                 // ranking needs anyway against `threshold << 16` — one
                 // extrema gather serves both filter and argmin.
                 let cut = u64::from(t) << 16;
-                self.fused_pass_impl(
-                    hot,
-                    redirect,
-                    filter,
-                    policy,
-                    iteration,
-                    best,
-                    choice,
-                    |o, c| {
-                        let (a, b) = (hot[o], hot[c]);
-                        range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
-                    },
-                    |_, _, wk| wk <= cut,
-                )
-            }
-            Criterion::MeanDifference => self.fused_pass_impl(
-                hot,
-                redirect,
-                filter,
-                policy,
-                iteration,
-                best,
-                choice,
-                |o, c| mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c]),
-                // Floor division makes the 16.16 mean distance an inexact
-                // proxy for the criterion; keep the exact integer predicate.
-                |o, c, _| mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t),
-            ),
-        }
-    }
-
-    /// Criterion-monomorphised body of [`Csr::fused_pass`]: `weight(o, c)`
-    /// ranks a candidate, `keeps(o, c, weight)` is the de-activation
-    /// predicate (both are loop-invariant closures, so the inner loop
-    /// specialises per criterion with no per-slot dispatch).
-    #[allow(clippy::too_many_arguments)]
-    fn fused_pass_impl<W, K>(
-        &mut self,
-        hot: &[HotVertex],
-        redirect: &[u32],
-        filter: bool,
-        policy: TieBreak,
-        iteration: u32,
-        best: &mut [CandKey],
-        choice: &mut [u32],
-        weight: W,
-        keeps: K,
-    ) -> (u64, usize)
-    where
-        W: Fn(usize, usize) -> u64,
-        K: Fn(usize, usize, u64) -> bool,
-    {
-        let n = self.row_owner.len();
-        let mut ops = 0u64;
-        // Token `base + o` is unique to (pass, owner `o`), so every row
-        // owned by `o` shares one token and `stamp[c] == token` dedups the
-        // owner's duplicate neighbours *across rows* — the same
-        // per-iteration dedup schedule as the reference backend's rebuild,
-        // at O(live) cost.
-        let base = self.next_token;
-        self.next_token += self.stamp.len() as u64;
-        // Reset exactly the entries the previous pass wrote.
-        if self.touched_valid {
-            for &o in &self.touched {
-                best[o as usize] = KEY_SENTINEL;
-                choice[o as usize] = u32::MAX;
-            }
-        } else {
-            best.fill(KEY_SENTINEL);
-            choice.fill(u32::MAX);
-            self.touched_valid = true;
-        }
-        self.touched.clear();
-        let mut live = 0usize;
-        let mut reclaimed = 0usize;
-        for r in 0..n {
-            let s = self.row_ptr[r] as usize;
-            let len = self.row_len[r] as usize;
-            if len == 0 {
-                continue;
-            }
-            let o = if filter {
-                let o = redirect[self.row_owner[r] as usize];
-                self.row_owner[r] = o;
-                o
-            } else {
-                self.row_owner[r]
-            } as usize;
-            let token = base + o as u64;
-            let chooser = hot[o].id;
-            let mut b = best[o];
-            if b == KEY_SENTINEL {
-                self.touched.push(o as u32);
-            }
-            let mut w = s; // in-row write cursor; never passes the read one
-            for j in s..s + len {
-                let c = self.col[j];
-                let (c2, wk) = if filter {
-                    ops += 1;
-                    let c2 = redirect[c as usize] as usize;
-                    if c2 == o || self.stamp[c2] == token {
-                        continue;
-                    }
-                    let wk = weight(o, c2);
-                    if !keeps(o, c2, wk) {
-                        continue;
-                    }
-                    self.stamp[c2] = token;
-                    (c2 as u32, wk)
-                } else {
-                    (c, weight(o, c as usize))
-                };
-                self.col[w] = c2;
-                w += 1;
-                let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2 as usize].id);
-                let k = (wk, k0, k1, c2);
-                if k < b {
-                    b = k;
-                }
-            }
-            let kept = w - s;
-            reclaimed += len - kept;
-            live += kept;
-            self.row_len[r] = kept as u32;
-            best[o] = b;
-        }
-        self.live = live;
-        // Next iteration's choices, for exactly the owners that have one.
-        for &o in &self.touched {
-            choice[o as usize] = best[o as usize].3;
-        }
-        self.precomputed = true;
-        self.precomputed_for = (policy, iteration);
-        (ops, reclaimed)
-    }
-
-    /// The incremental end-of-step pass for deterministic tie policies
-    /// ([`TieBreak::SmallestId`] / [`TieBreak::LargestId`]): instead of
-    /// rescanning every live slot, it rescans only the *dirty
-    /// neighbourhood* of this iteration's merges.
-    ///
-    /// Validity: deterministic tie keys do not depend on the iteration, a
-    /// region's statistics change only when it merges, and a slot's
-    /// endpoints change only when one of them merges. Hence a row whose
-    /// owner did not merge and whose slots name no merged region has an
-    /// unchanged candidate list, unchanged weights, and unchanged ranking
-    /// — its `best`/`choice` from the previous iteration stay exact. The
-    /// dirty set is therefore `winners ∪ losers ∪ their neighbours`; the
-    /// owner→rows lists enumerate it in O(dirty slots), and every dirty
-    /// owner's rows are redirected / filtered / deduped / squeezed and
-    /// re-ranked exactly as the full pass would.
-    ///
-    /// A new mutual pair must involve a vertex whose choice changed (two
-    /// unchanged mutual choices would have merged an iteration earlier),
-    /// so handing `dirty` to the next [`Merger::apply_mutual_merges`] as
-    /// its candidate list keeps the apply step O(dirty) too. (Random
-    /// tie-breaking re-randomises every ranking each iteration, which
-    /// forces the full rescan — the same global work the reference
-    /// backend's choice pass does — so it stays on [`Csr::fused_pass`].)
-    #[allow(clippy::too_many_arguments)]
-    fn fast_pass<P: Intensity>(
-        &mut self,
-        stats: &SoaStats<P>,
-        hot: &[HotVertex],
-        crit: Criterion,
-        t: u32,
-        redirect: &[u32],
-        losers: &[u32],
-        policy: TieBreak,
-        iteration: u32,
-        best: &mut [CandKey],
-        choice: &mut [u32],
-    ) -> (u64, usize) {
-        match crit {
-            Criterion::PixelRange => {
-                let cut = u64::from(t) << 16;
-                self.fast_pass_impl(
-                    hot,
+                self.rescan_impl(
+                    &stats.hot,
                     redirect,
                     losers,
                     policy,
                     iteration,
                     best,
                     choice,
-                    |o, c| {
-                        let (a, b) = (hot[o], hot[c]);
-                        range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
-                    },
+                    |o, c| stats.weight(Criterion::PixelRange, o, c),
                     |_, _, wk| wk <= cut,
                 )
             }
-            Criterion::MeanDifference => self.fast_pass_impl(
-                hot,
+            Criterion::MeanDifference => self.rescan_impl(
+                &stats.hot,
                 redirect,
                 losers,
                 policy,
                 iteration,
                 best,
                 choice,
-                |o, c| mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c]),
-                |o, c, _| mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t),
+                |o, c| stats.weight(Criterion::MeanDifference, o, c),
+                // Floor division makes the 16.16 mean distance an inexact
+                // proxy for the criterion; keep the exact integer predicate.
+                |o, c, _| stats.satisfies(Criterion::MeanDifference, t, o, c),
             ),
         }
     }
 
-    /// Criterion-monomorphised body of [`Csr::fast_pass`].
+    /// Criterion-monomorphised body of [`Csr::rescan`]: `weight(o, c)`
+    /// ranks a candidate, `keeps(o, c, weight)` is the de-activation
+    /// predicate (both are loop-invariant closures, so the inner loop
+    /// specialises per criterion with no per-slot dispatch).
     #[allow(clippy::too_many_arguments)]
-    fn fast_pass_impl<W, K>(
+    fn rescan_impl<W, K>(
         &mut self,
         hot: &[HotVertex],
         redirect: &[u32],
@@ -694,115 +466,96 @@ impl Csr {
         choice: &mut [u32],
         weight: W,
         keeps: K,
-    ) -> (u64, usize)
+    ) -> (u64, bool)
     where
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
     {
-        // `iteration` is the next step's index — strictly increasing, so
-        // `iteration + 1` is a unique epoch (and clears the zero init).
-        let epoch = iteration + 1;
-        self.dirty.clear();
-        let mark = |dirty: &mut Vec<u32>, epochs: &mut [u32], x: u32| {
-            if epochs[x as usize] != epoch {
-                epochs[x as usize] = epoch;
-                dirty.push(x);
-            }
-        };
-        // Seed with this iteration's winners and losers, then mark their
-        // neighbours by walking the winners' row lists (loser rows were
-        // spliced in before this pass, so one walk covers the pair).
-        for &v in losers {
-            mark(&mut self.dirty, &mut self.dirty_epoch, v);
-            mark(&mut self.dirty, &mut self.dirty_epoch, redirect[v as usize]);
+        let n = self.len.len();
+        // Each winner appends at most its pair's slots.
+        let appends: usize = losers
+            .iter()
+            .map(|&v| (self.len[v as usize] + self.len[redirect[v as usize] as usize]) as usize)
+            .sum();
+        let compact = self.col.len() + appends > self.cap;
+        if compact {
+            std::mem::swap(&mut self.col, &mut self.spare);
+            self.col.clear();
+            self.owners.clear();
+            let len = &self.len;
+            self.owners
+                .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
         }
-        let seeds = self.dirty.len();
-        for i in 0..seeds {
-            let d = self.dirty[i] as usize;
-            let mut r = self.row_head[d];
-            while r != NO_ROW {
-                let ri = r as usize;
-                let s = self.row_ptr[ri] as usize;
-                for j in s..s + self.row_len[ri] as usize {
-                    mark(
-                        &mut self.dirty,
-                        &mut self.dirty_epoch,
-                        redirect[self.col[j] as usize],
-                    );
-                }
-                r = self.row_next[ri];
-            }
-        }
-        // Recompute the dirty owners from scratch; everyone else keeps
-        // last iteration's `best`/`choice` (still exact — see above).
-        for &d in &self.dirty {
-            best[d as usize] = KEY_SENTINEL;
-            choice[d as usize] = u32::MAX;
-        }
+        // Token `base + o` is unique to (pass, owner `o`), so
+        // `stamp[c] == token` dedups the owner's neighbours across both
+        // segments it reads.
         let base = self.next_token;
-        self.next_token += self.stamp.len() as u64;
+        self.next_token += n as u64;
         let mut ops = 0u64;
-        let mut reclaimed = 0usize;
-        for i in 0..self.dirty.len() {
-            let d = self.dirty[i] as usize;
-            let token = base + d as u64;
-            let chooser = hot[d].id;
-            let mut b = KEY_SENTINEL;
-            let mut r = self.row_head[d];
-            let mut prev = NO_ROW;
-            while r != NO_ROW {
-                let ri = r as usize;
-                let next = self.row_next[ri];
-                let s = self.row_ptr[ri] as usize;
-                let len = self.row_len[ri] as usize;
-                self.row_owner[ri] = d as u32;
-                let mut w = s;
-                for j in s..s + len {
-                    ops += 1;
-                    let c2 = redirect[self.col[j] as usize] as usize;
-                    if c2 == d || self.stamp[c2] == token {
-                        continue;
-                    }
-                    let wk = weight(d, c2);
-                    if !keeps(d, c2, wk) {
-                        continue;
-                    }
-                    self.stamp[c2] = token;
-                    self.col[w] = c2 as u32;
-                    w += 1;
-                    let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2].id);
-                    let k = (wk, k0, k1, c2 as u32);
-                    if k < b {
-                        b = k;
-                    }
-                }
-                let kept = w - s;
-                reclaimed += len - kept;
-                self.live -= len - kept;
-                self.row_len[ri] = kept as u32;
-                if kept == 0 {
-                    // Unlink the emptied row so no future walk revisits it.
-                    if prev == NO_ROW {
-                        self.row_head[d] = next;
-                    } else {
-                        self.row_next[prev as usize] = next;
-                    }
-                    if next == NO_ROW {
-                        self.row_tail[d] = prev;
-                    }
-                } else {
-                    prev = r;
-                }
-                r = next;
+        let mut kept_owners = 0;
+        for i in 0..self.owners.len() {
+            let o = self.owners[i] as usize;
+            let mate = choice[o];
+            best[o] = KEY_SENTINEL;
+            choice[o] = u32::MAX;
+            if redirect[o] as usize != o {
+                continue;
             }
-            best[d] = b;
-            choice[d] = b.3; // `u32::MAX` when no candidate survived
+            let won = mate != u32::MAX && redirect[mate as usize] as usize == o;
+            let own = (self.start[o] as usize, self.len[o] as usize);
+            let absorbed = if won {
+                let m = mate as usize;
+                let seg = (self.start[m] as usize, self.len[m] as usize);
+                self.len[m] = 0;
+                seg
+            } else {
+                (0, 0)
+            };
+            let moved = compact || won;
+            let dst = if moved { self.col.len() } else { own.0 };
+            let token = base + o as u64;
+            let chooser = hot[o].id;
+            let mut b = KEY_SENTINEL;
+            // In place, the write cursor never passes the read cursor; a
+            // moving owner writes behind every segment.
+            let mut w = dst;
+            for (s, len) in [own, absorbed] {
+                for j in s..s + len {
+                    let c = if compact { self.spare[j] } else { self.col[j] };
+                    let c = redirect[c as usize] as usize;
+                    if c == o || self.stamp[c] == token {
+                        continue;
+                    }
+                    let wk = weight(o, c);
+                    if !keeps(o, c, wk) {
+                        continue;
+                    }
+                    self.stamp[c] = token;
+                    if moved {
+                        self.col.push(c as u32);
+                    } else {
+                        self.col[w] = c as u32;
+                    }
+                    w += 1;
+                    let (k0, k1) = tie_key(policy, iteration, chooser, hot[c].id);
+                    b = b.min((wk, k0, k1, c as u32));
+                }
+            }
+            let read = own.1 + absorbed.1;
+            let kept = w - dst;
+            ops += read as u64;
+            self.live -= read - kept;
+            self.start[o] = dst as u32;
+            self.len[o] = kept as u32;
+            best[o] = b;
+            choice[o] = b.3; // `u32::MAX` when no candidate survived
+            if kept > 0 {
+                self.owners[kept_owners] = o as u32;
+                kept_owners += 1;
+            }
         }
-        // Hand the dirty list to the next apply step as its candidates.
-        std::mem::swap(&mut self.touched, &mut self.dirty);
-        self.precomputed = true;
-        self.precomputed_for = (policy, iteration);
-        (ops, reclaimed)
+        self.owners.truncate(kept_owners);
+        (ops, compact)
     }
 }
 
@@ -816,7 +569,7 @@ impl Csr {
 enum BackendState {
     /// Canonical sorted-unique edge list, rebuilt every iteration.
     Reference { edges: Vec<(u32, u32)> },
-    /// Incremental CSR, squeezed in place by the fused end-of-step pass.
+    /// Per-region segments, rescanned at the end of every step.
     Csr(Csr),
 }
 
@@ -832,14 +585,9 @@ pub struct Merger<P: Intensity> {
     tie: TieBreak,
     max_stall: u32,
 
-    /// Canonical region ID per dense vertex (order-isomorphic to the dense
-    /// index; used for tie-break hashing only).
-    ids: Vec<u64>,
-    /// Region statistics in SoA layout, current at representative indices.
-    stats: SoaStats<P>,
-    /// Packed (min, max, id) per vertex for the CSR kernels; the extrema
-    /// are folded alongside `stats` on every merge.
-    hot: Vec<HotVertex>,
+    /// Region statistics and canonical IDs, current at representative
+    /// indices.
+    stats: SoaStats,
     /// Backend adjacency state.
     backend: BackendState,
     /// Full merge history (original vertex → representative).
@@ -868,8 +616,9 @@ pub struct Merger<P: Intensity> {
     relabel_ops: u64,
     /// Maximum of [`Merger::active_edges`] observed over the run.
     peak_active_edges: u64,
-    /// Number of CSR compaction passes performed.
+    /// Number of CSR arena compactions performed.
     compactions: u64,
+    _pixel: PhantomData<P>,
 }
 
 impl<P: Intensity> Merger<P> {
@@ -893,11 +642,9 @@ impl<P: Intensity> Merger<P> {
             criterion: config.criterion,
             tie: config.tie_break,
             max_stall: config.max_stall,
-            ids: Vec::new(),
-            stats: SoaStats::empty(),
-            hot: Vec::new(),
+            stats: SoaStats::default(),
             backend: match config.merge_backend {
-                MergeBackend::Csr => BackendState::Csr(Csr::empty()),
+                MergeBackend::Csr => BackendState::Csr(Csr::default()),
                 MergeBackend::Reference => BackendState::Reference { edges: Vec::new() },
             },
             history: DisjointSets::new(0),
@@ -914,6 +661,7 @@ impl<P: Intensity> Merger<P> {
             relabel_ops: 0,
             peak_active_edges: 0,
             compactions: 0,
+            _pixel: PhantomData,
         }
     }
 
@@ -942,53 +690,17 @@ impl<P: Intensity> Merger<P> {
         self.criterion = crit;
         self.tie = config.tie_break;
         self.max_stall = config.max_stall;
-        self.ids.clear();
-        self.ids.extend_from_slice(ids);
-        self.stats.refill(stats);
-        {
-            // Criterion filter (the paper's step 2), written into the
-            // persistent scratch so backend (re)builds read a slice.
-            let Self {
-                stats,
-                edges_scratch,
-                ..
-            } = self;
-            edges_scratch.clear();
-            edges_scratch.extend(
-                edges
-                    .iter()
-                    .copied()
-                    .filter(|&(u, v)| stats.satisfies(crit, t, u as usize, v as usize)),
-            );
-        }
-        let initial_edges = self.edges_scratch.len();
-        {
-            let Self {
-                stats, ids, hot, ..
-            } = self;
-            hot.clear();
-            hot.extend((0..n).map(|i| HotVertex {
-                min: stats.min[i].to_u32(),
-                max: stats.max[i].to_u32(),
-                id: ids[i],
-            }));
-        }
-        match (&mut self.backend, config.merge_backend) {
-            (BackendState::Csr(csr), MergeBackend::Csr) => csr.rebuild(n, &self.edges_scratch),
-            (BackendState::Reference { edges }, MergeBackend::Reference) => {
-                edges.clear();
-                edges.extend_from_slice(&self.edges_scratch);
-            }
-            // Backend switch: a one-off reallocation is acceptable.
-            (slot, MergeBackend::Csr) => {
-                *slot = BackendState::Csr(Csr::new(n, &self.edges_scratch));
-            }
-            (slot, MergeBackend::Reference) => {
-                *slot = BackendState::Reference {
-                    edges: self.edges_scratch.clone(),
-                };
-            }
-        }
+        self.stats.refill(stats, ids);
+        // Criterion filter (the paper's step 2), written into the
+        // persistent scratch so backend (re)builds read a slice.
+        let soa = &self.stats;
+        self.edges_scratch.clear();
+        self.edges_scratch.extend(
+            edges
+                .iter()
+                .copied()
+                .filter(|&(u, v)| soa.satisfies(crit, t, u as usize, v as usize)),
+        );
         self.history.reset(n);
         self.redirect.clear();
         self.redirect.extend(0..n as u32);
@@ -1003,14 +715,46 @@ impl<P: Intensity> Merger<P> {
         self.stalls = 0;
         self.trace = None;
         self.relabel_ops = 0;
-        self.peak_active_edges = initial_edges as u64;
+        self.peak_active_edges = self.edges_scratch.len() as u64;
         self.compactions = 0;
+        // Backend switch: a one-off reallocation is acceptable.
+        match (&self.backend, config.merge_backend) {
+            (BackendState::Csr(_), MergeBackend::Csr)
+            | (BackendState::Reference { .. }, MergeBackend::Reference) => {}
+            (_, MergeBackend::Csr) => self.backend = BackendState::Csr(Csr::default()),
+            (_, MergeBackend::Reference) => {
+                self.backend = BackendState::Reference { edges: Vec::new() }
+            }
+        }
+        let policy = self.policy().0;
+        match &mut self.backend {
+            BackendState::Reference { edges } => {
+                edges.clear();
+                edges.extend_from_slice(&self.edges_scratch);
+            }
+            BackendState::Csr(csr) => {
+                // Iteration 0's choices, folded by the end-of-step kernel
+                // over every region with slots.
+                csr.rebuild(n, &self.edges_scratch);
+                csr.rescan(
+                    &self.stats,
+                    crit,
+                    t,
+                    &self.redirect,
+                    &[],
+                    policy,
+                    0,
+                    &mut self.best,
+                    &mut self.choice,
+                );
+            }
+        }
     }
 
     /// Starts recording a [`MergeTrace`] (call before the first step).
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(MergeTrace::new(self.ids.len()));
+            self.trace = Some(MergeTrace::new(self.stats.hot.len()));
         }
     }
 
@@ -1028,8 +772,8 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// Active undirected edge count (for the CSR backend: half the live
-    /// directed slot count; the fused pass dedups per owner every
-    /// productive iteration, mirroring the reference backend's rebuild).
+    /// directed slot count; the rescan dedups every owner it visits, so
+    /// this equals the reference backend's deduplicated count).
     pub fn active_edges(&self) -> usize {
         match &self.backend {
             BackendState::Reference { edges } => edges.len(),
@@ -1047,8 +791,10 @@ impl<P: Intensity> Merger<P> {
 
     /// Total edge-relabel data movement performed so far — the counter the
     /// CI perf-smoke guard compares across backends. For the CSR backend:
-    /// one op per live slot touched by the fused relabel/filter/squeeze
-    /// pass of each productive iteration. For the reference backend: two
+    /// one op per slot the end-of-step rescan reads after a productive
+    /// iteration (every live slot under random ties, the merged pairs'
+    /// and their neighbours' slots under deterministic ties, every live
+    /// slot when the arena compacts). For the reference backend: two
     /// endpoint maps per edge plus the per-iteration canonicalising sort
     /// (`E·⌈log₂E⌉` element moves) and dedup scan it performs to rebuild
     /// the edge list.
@@ -1061,9 +807,9 @@ impl<P: Intensity> Merger<P> {
         self.peak_active_edges
     }
 
-    /// CSR passes that reclaimed dead slots (0 under the reference
-    /// backend). With the fused squeeze this counts the productive
-    /// iterations whose slot array actually shrank.
+    /// Times the CSR backend rewrote its live slots into the spare arena
+    /// because the winners' appends might not fit (0 under the reference
+    /// backend).
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -1085,7 +831,15 @@ impl<P: Intensity> Merger<P> {
 
     /// Statistics of the region represented by dense vertex `rep`.
     pub fn stats_of(&self, rep: u32) -> RegionStats<P> {
-        self.stats.get(rep as usize)
+        let i = rep as usize;
+        let h = self.stats.hot[i];
+        // Exact: the extrema were widened from `P` values.
+        RegionStats {
+            min: P::from_u32_saturating(h.min),
+            max: P::from_u32_saturating(h.max),
+            sum: self.stats.sum[i],
+            count: self.stats.cnt[i],
+        }
     }
 
     /// Representative (dense index) of each original vertex, resolved with
@@ -1125,14 +879,7 @@ impl<P: Intensity> Merger<P> {
                 compacted: false,
             };
         }
-        let used_fallback =
-            matches!(self.tie, TieBreak::Random { .. }) && self.stalls >= self.max_stall;
-        let policy = if used_fallback {
-            TieBreak::SmallestId
-        } else {
-            self.tie
-        };
-
+        let (policy, used_fallback) = self.policy();
         {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Choice);
             self.compute_choices(policy);
@@ -1180,75 +927,57 @@ impl<P: Intensity> Merger<P> {
         }
     }
 
-    /// Fills `self.choice`: for every vertex incident to an active edge,
-    /// its chosen neighbour (`u32::MAX` = no choice). The choice minimises
-    /// the [`CandKey`] `(weight, tie_key, neighbour)`.
+    /// The tie policy of the iteration about to run, and whether it is
+    /// the stall guard's fallback: under random ties, [`Config::max_stall`]
+    /// consecutive empty iterations force one smallest-ID iteration.
+    fn policy(&self) -> (TieBreak, bool) {
+        let fallback = matches!(self.tie, TieBreak::Random { .. }) && self.stalls >= self.max_stall;
+        (
+            if fallback {
+                TieBreak::SmallestId
+            } else {
+                self.tie
+            },
+            fallback,
+        )
+    }
+
+    /// Reference backend: fills `choice` with every vertex's chosen
+    /// neighbour (`u32::MAX` = no choice), the minimum [`CandKey`]
+    /// `(weight, tie_key, neighbour)`. The CSR backend's end-of-step
+    /// rescan has already folded them.
     fn compute_choices(&mut self, policy: TieBreak) {
         let iteration = self.iterations;
         let crit = self.criterion;
         let Self {
-            ids,
             stats,
             backend,
             best,
             choice,
             ..
         } = self;
-        match backend {
-            BackendState::Reference { edges } => {
-                let cand = |chooser: u32, nb: u32| -> CandKey {
-                    let w = stats.weight(crit, chooser as usize, nb as usize);
-                    let (k0, k1) =
-                        tie_key(policy, iteration, ids[chooser as usize], ids[nb as usize]);
-                    (w, k0, k1, nb)
-                };
-                best.fill(KEY_SENTINEL);
-                for &(u, v) in edges.iter() {
-                    let ku = cand(u, v);
-                    if ku < best[u as usize] {
-                        best[u as usize] = ku;
-                    }
-                    let kv = cand(v, u);
-                    if kv < best[v as usize] {
-                        best[v as usize] = kv;
-                    }
-                }
+        let BackendState::Reference { edges } = backend else {
+            return;
+        };
+        let cand = |chooser: u32, nb: u32| -> CandKey {
+            let w = stats.weight(crit, chooser as usize, nb as usize);
+            let (k0, k1) = tie_key(
+                policy,
+                iteration,
+                stats.hot[chooser as usize].id,
+                stats.hot[nb as usize].id,
+            );
+            (w, k0, k1, nb)
+        };
+        best.fill(KEY_SENTINEL);
+        for &(u, v) in edges.iter() {
+            let ku = cand(u, v);
+            if ku < best[u as usize] {
+                best[u as usize] = ku;
             }
-            BackendState::Csr(csr) => {
-                if csr.precomputed {
-                    // `best` *and* `choice` were produced by the previous
-                    // step's fused pass under exactly this (policy,
-                    // iteration): the steady-state choice pass is a no-op.
-                    debug_assert_eq!(
-                        csr.precomputed_for,
-                        (policy, iteration),
-                        "stale precomputed choice minima"
-                    );
-                    return;
-                } else {
-                    // Segmented-min sweep: one pass over the slot array,
-                    // folding each row's candidates into its owner's best.
-                    best.fill(KEY_SENTINEL);
-                    for r in 0..csr.row_owner.len() {
-                        let s = csr.row_ptr[r] as usize;
-                        let e = s + csr.row_len[r] as usize;
-                        if s == e {
-                            continue;
-                        }
-                        let o = csr.row_owner[r] as usize;
-                        let chooser = ids[o];
-                        let mut b = best[o];
-                        for &c in &csr.col[s..e] {
-                            let w = stats.weight(crit, o, c as usize);
-                            let (k0, k1) = tie_key(policy, iteration, chooser, ids[c as usize]);
-                            let k = (w, k0, k1, c);
-                            if k < b {
-                                b = k;
-                            }
-                        }
-                        best[o] = b;
-                    }
-                }
+            let kv = cand(v, u);
+            if kv < best[v as usize] {
+                best[v as usize] = kv;
             }
         }
         for (c, b) in choice.iter_mut().zip(best.iter()) {
@@ -1258,22 +987,20 @@ impl<P: Intensity> Merger<P> {
 
     /// Merges every mutual pair; returns the number of merges.
     ///
-    /// In the CSR steady state only the fused pass's `touched` owners can
-    /// hold a choice (everyone else is `u32::MAX`), so the scan visits
-    /// exactly those vertices — no O(vertices) sweep. The full scan
-    /// remains for the reference backend, the first iteration, and when
-    /// tracing (trace events are emitted in ascending-winner order, which
-    /// the `touched` list does not guarantee; the merges themselves are a
-    /// matching, so application order is otherwise irrelevant).
+    /// Under the CSR backend only the owners the last rescan kept can hold
+    /// a choice (everyone else is `u32::MAX`), so the scan visits exactly
+    /// those vertices — no O(vertices) sweep. The reference backend and
+    /// traced runs scan every vertex in ascending order (trace events are
+    /// emitted in ascending-winner order, which the owner list does not
+    /// guarantee; the merges themselves are a matching, so application
+    /// order is otherwise irrelevant).
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
-        let touched = match &mut self.backend {
-            BackendState::Csr(csr) if csr.touched_valid && self.trace.is_none() => {
-                Some(std::mem::take(&mut csr.touched))
-            }
+        let owners = match &mut self.backend {
+            BackendState::Csr(csr) if self.trace.is_none() => Some(std::mem::take(&mut csr.owners)),
             _ => None,
         };
         let mut merges = 0u32;
-        match &touched {
+        match &owners {
             Some(list) => {
                 for &u in list {
                     merges += u32::from(self.try_merge(u, choice));
@@ -1285,20 +1012,21 @@ impl<P: Intensity> Merger<P> {
                 }
             }
         }
-        if let (Some(list), BackendState::Csr(csr)) = (touched, &mut self.backend) {
-            csr.touched = list;
+        if let (Some(list), BackendState::Csr(csr)) = (owners, &mut self.backend) {
+            csr.owners = list;
         }
         merges
     }
 
-    /// Merges `x` with its choice if the choice is mutual; disarms
-    /// `choice[winner]` afterwards so the pair cannot re-apply when the
-    /// scan (or a duplicate `touched` entry) reaches the other endpoint.
+    /// Merges `x` with its choice if the choice is mutual; disarms the
+    /// loser's `choice` afterwards so the pair cannot re-apply when the
+    /// scan reaches the other endpoint. The winner's `choice` keeps naming
+    /// its loser: the CSR rescan reads it to find the segment to absorb.
     ///
     /// The check is bidirectional — either endpoint of a mutual pair
-    /// triggers the merge — because the incremental fast pass only
+    /// triggers the merge — because the deterministic-tie rescan only
     /// guarantees that at least one endpoint of any *new* mutual pair is
-    /// in the dirty list, not which one. In full-scan (ascending) order
+    /// in the owner list, not which one. In full-scan (ascending) order
     /// the smaller endpoint is always reached first, so trace-event order
     /// is unchanged.
     #[inline]
@@ -1318,15 +1046,11 @@ impl<P: Intensity> Merger<P> {
         }
         // Representative = smaller dense index = smaller ID.
         self.stats.fold(u as usize, v as usize);
-        let l = self.hot[v as usize];
-        let hw = &mut self.hot[u as usize];
-        hw.min = hw.min.min(l.min);
-        hw.max = hw.max.max(l.max);
         self.redirect[v as usize] = u;
         self.pending_losers.push(v);
         self.history.union_min_rep(u, v);
         self.num_regions -= 1;
-        choice[u as usize] = u32::MAX;
+        choice[v as usize] = u32::MAX;
         true
     }
 
@@ -1337,30 +1061,29 @@ impl<P: Intensity> Merger<P> {
     /// skipped on stall iterations (`merges == 0`), which change no
     /// statistic and no representative, so every edge survives unchanged.
     ///
-    /// CSR: one [`Csr::fused_pass`] that performs the same relabel /
-    /// filter / squeeze *and* folds the next iteration's choice minima
-    /// into `best` under the policy the next step's prologue will select
-    /// (the stall counter is already updated and `self.iterations` is the
-    /// next step's index). On stall iterations the pass runs in
-    /// choice-only mode: the re-randomised tie keys still demand a rescan,
-    /// but no filtering work is counted — the reference backend does that
-    /// same rescan inside its own choice pass.
+    /// CSR: one [`Csr::rescan`] that performs the same relabel / filter /
+    /// squeeze *and* folds the next iteration's choice minima into `best`
+    /// under the policy the next step will use (the stall counter is
+    /// already updated and `self.iterations` is the next step's index).
+    /// Random ties re-randomise every key each iteration, so every live
+    /// owner is rescanned — the reference backend pays the same sweep
+    /// inside its choice pass, so a stall iteration's rescan counts no
+    /// relabel work. Deterministic ties rescan only the dirty set
+    /// ([`Csr::mark_dirty`]).
     ///
-    /// Returns `true` if the CSR backend reclaimed dead slots.
+    /// Returns `true` if the CSR backend compacted its arena.
     fn end_of_step(&mut self, merges: u32) -> bool {
         let crit = self.criterion;
         let t = self.threshold;
+        let policy = self.policy().0;
         let mut compacted = false;
         let Self {
             backend,
             stats,
-            hot,
             redirect,
             best,
             choice,
             tie,
-            max_stall,
-            stalls,
             iterations,
             pending_losers,
             relabel_ops,
@@ -1402,59 +1125,26 @@ impl<P: Intensity> Merger<P> {
                 }
             }
             BackendState::Csr(csr) => {
-                let next_fallback =
-                    matches!(*tie, TieBreak::Random { .. }) && *stalls >= *max_stall;
-                let next_policy = if next_fallback {
-                    TieBreak::SmallestId
-                } else {
-                    *tie
-                };
-                // Deterministic policies have iteration-independent tie
-                // keys, so only the merged pairs' neighbourhoods can change
-                // their choice: splice each loser's rows onto its winner
-                // and run the incremental pass over the dirty set. Random
-                // re-randomises every key each iteration — the full sweep
-                // is mandatory (the reference backend pays the same sweep
-                // inside its choice pass).
-                let deterministic = !matches!(*tie, TieBreak::Random { .. });
-                if deterministic {
-                    for &v in pending_losers.iter() {
-                        csr.splice(redirect[v as usize] as usize, v as usize);
-                    }
+                if !matches!(*tie, TieBreak::Random { .. }) {
+                    csr.mark_dirty(pending_losers, redirect, *iterations);
                 }
-                let (ops, reclaimed) = if deterministic && csr.touched_valid {
-                    csr.fast_pass(
-                        stats,
-                        hot,
-                        crit,
-                        t,
-                        redirect,
-                        pending_losers,
-                        next_policy,
-                        *iterations,
-                        best,
-                        choice,
-                    )
-                } else {
-                    csr.fused_pass(
-                        stats,
-                        hot,
-                        crit,
-                        t,
-                        redirect,
-                        merges > 0,
-                        next_policy,
-                        *iterations,
-                        best,
-                        choice,
-                    )
-                };
+                let (ops, c) = csr.rescan(
+                    stats,
+                    crit,
+                    t,
+                    redirect,
+                    pending_losers,
+                    policy,
+                    *iterations,
+                    best,
+                    choice,
+                );
                 if merges > 0 {
                     *relabel_ops += ops;
-                    if reclaimed > 0 {
-                        *compactions += 1;
-                        compacted = true;
-                    }
+                }
+                if c {
+                    *compactions += 1;
+                    compacted = true;
                 }
             }
         }
@@ -1571,36 +1261,61 @@ mod tests {
 
     #[test]
     fn compaction_triggers_and_preserves_parity() {
-        // Merge-only on a uniform image: singleton squares collapse to one
-        // region over many iterations, shedding edges fast enough to force
-        // several compaction passes.
-        let img: rg_imaging::Image<u8> = rg_imaging::Image::new(32, 32, 50);
-        let run = |backend: MergeBackend| {
-            let cfg = Config::with_threshold(0)
-                .tie_break(TieBreak::SmallestId)
-                .max_square_log2(Some(0))
-                .merge_backend(backend);
-            let s = split(&img, &cfg);
-            let rag = Rag::from_split(&s, Connectivity::Four);
-            let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(32) as u64).collect();
-            let mut m = Merger::new(rag, ids, &cfg);
-            let summary = m.run();
-            (
-                summary,
-                m.labels_by_vertex(),
-                m.compactions(),
-                m.relabel_work(),
-            )
-        };
-        let (s_csr, l_csr, compactions, work_csr) = run(MergeBackend::Csr);
-        let (s_ref, l_ref, _, work_ref) = run(MergeBackend::Reference);
-        assert_eq!(s_csr, s_ref);
-        assert_eq!(l_csr, l_ref);
-        assert!(compactions > 0, "expected at least one compaction pass");
-        assert!(
-            work_csr <= work_ref,
-            "CSR relabel work {work_csr} exceeds reference {work_ref}"
-        );
+        // Merge-only, one isolated dot on every even pixel of a uniform
+        // background: the background coalesces first, then absorbs one dot
+        // per iteration and re-appends its whole segment each time, which
+        // forces arena compactions under every tie family.
+        let img =
+            rg_imaging::Image::from_fn(
+                32,
+                32,
+                |x, y| {
+                    if x % 2 == 0 && y % 2 == 0 {
+                        52u8
+                    } else {
+                        50
+                    }
+                },
+            );
+        for tie in [
+            TieBreak::SmallestId,
+            TieBreak::LargestId,
+            TieBreak::Random { seed: 3 },
+        ] {
+            let run = |backend: MergeBackend| {
+                let cfg = Config::with_threshold(2)
+                    .tie_break(tie)
+                    .max_square_log2(Some(0))
+                    .merge_backend(backend);
+                let s = split(&img, &cfg);
+                let rag = Rag::from_split(&s, Connectivity::Four);
+                let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(32) as u64).collect();
+                let mut m = Merger::new(rag, ids, &cfg);
+                let mut active = Vec::new();
+                while !m.is_done() {
+                    active.push(m.step().active_edges);
+                }
+                (
+                    m.merges_per_iteration().to_vec(),
+                    active,
+                    m.labels_by_vertex(),
+                    m.compactions(),
+                    m.relabel_work(),
+                )
+            };
+            let (merges_csr, active_csr, l_csr, compactions, work_csr) = run(MergeBackend::Csr);
+            let (merges_ref, active_ref, l_ref, _, work_ref) = run(MergeBackend::Reference);
+            assert_eq!(merges_csr, merges_ref, "{tie:?}");
+            assert_eq!(l_csr, l_ref, "{tie:?}");
+            // Every rescan dedups exactly, so the live slots are the
+            // reference's edge list in both directions.
+            assert_eq!(active_csr, active_ref, "{tie:?}");
+            assert!(compactions > 0, "{tie:?}: expected an arena compaction");
+            assert!(
+                work_csr <= work_ref,
+                "{tie:?}: CSR relabel work {work_csr} exceeds reference {work_ref}"
+            );
+        }
     }
 
     #[test]

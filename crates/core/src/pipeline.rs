@@ -1,18 +1,13 @@
-//! Plan/workspace pipeline layer: allocation-free engine reuse.
+//! Workspace pipeline layer: allocation-free engine reuse.
 //!
 //! The paper's design premise is *flat arrays only, no dynamic structures* —
 //! yet a one-shot [`crate::engine::segment`] call allocates a fresh set of
-//! split buffers, RAG arrays and label scratch for every image. This module
-//! splits that cost the way a production service wants it split:
-//!
-//! * an [`ExecutionPlan`] is built **once per image shape + config** and
-//!   records the derived geometry (padded quadtree side, level count,
-//!   vertex/edge capacity bounds) plus the canonical stage ordering;
-//! * a [`Workspace`] owns **all mutable scratch** — split level buffers,
-//!   RAG/CSR arrays, the merge history DSU, stamp tokens, the per-square
-//!   label table — in reusable arenas with *high-water-mark* reuse:
-//!   buffers grow to the largest image seen and [`Workspace::reset`] never
-//!   frees.
+//! split buffers, RAG arrays and label scratch for every image. In this
+//! module a [`Workspace`] owns **all mutable scratch** — split level
+//! buffers, RAG/CSR arrays, the merge history DSU, stamp tokens, the
+//! per-square label table — in reusable arenas with *high-water-mark*
+//! reuse: buffers grow to the largest image seen and [`Workspace::reset`]
+//! never frees.
 //!
 //! Running the same-shape image stream through one [`HostPipeline`]
 //! therefore performs **zero heap allocations per image after the warm-up
@@ -36,106 +31,8 @@ use crate::graph::square_adjacency_into;
 use crate::hierarchy::MergeTrace;
 use crate::merge::Merger;
 use crate::split::{split_into, SplitResult, SplitScratch};
-use crate::telemetry::{MergeIterationRecord, NullTelemetry, Stage, Telemetry};
+use crate::telemetry::{MergeIterationRecord, NullTelemetry, Telemetry};
 use rg_imaging::{Image, Intensity};
-
-/// Immutable per-(shape, config) execution geometry, computed once and
-/// consulted by every run: the padded quadtree side, the number of split
-/// levels, the vertex and edge capacity bounds, and the canonical stage
-/// ordering shared by all engines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutionPlan {
-    width: usize,
-    height: usize,
-    config: Config,
-    side: usize,
-    levels: usize,
-    max_vertices: usize,
-    edge_pairs_bound: usize,
-}
-
-impl ExecutionPlan {
-    /// Builds the plan for images of `width`×`height` under `config`.
-    pub fn for_shape(width: usize, height: usize, config: &Config) -> Self {
-        let side = width.max(height).next_power_of_two();
-        let top_possible = side.trailing_zeros() as usize;
-        let cap = config
-            .max_square_log2
-            .map(|m| m as usize)
-            .unwrap_or(top_possible)
-            .min(top_possible);
-        let diag = if width > 0 && height > 0 {
-            2 * (width - 1) * (height - 1)
-        } else {
-            0
-        };
-        let four = width * height.saturating_sub(1) + width.saturating_sub(1) * height;
-        let edge_pairs_bound = match config.connectivity {
-            crate::config::Connectivity::Four => four,
-            crate::config::Connectivity::Eight => four + diag,
-        };
-        Self {
-            width,
-            height,
-            config: *config,
-            side,
-            levels: cap + 1,
-            max_vertices: width * height,
-            edge_pairs_bound,
-        }
-    }
-
-    /// `true` iff this plan is valid for `width`×`height` under `config`.
-    pub fn matches(&self, width: usize, height: usize, config: &Config) -> bool {
-        self.width == width && self.height == height && self.config == *config
-    }
-
-    /// Planned image width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Planned image height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// The configuration the plan was built for.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Side of the enclosing power-of-two square the quadtree is taken
-    /// over.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
-    /// Number of quadtree levels the split stage walks (level-map
-    /// geometry), including level 0.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// Upper bound on RAG vertices (every pixel its own square — the
-    /// checkerboard worst case).
-    pub fn max_vertices(&self) -> usize {
-        self.max_vertices
-    }
-
-    /// Upper bound on undirected RAG edges under the planned connectivity
-    /// (the pixel-adjacency count; square coalescing only shrinks it).
-    /// Informational: arenas size themselves on the warm-up image, and
-    /// [`Workspace::prepare`] does not read it.
-    pub fn edge_pairs_bound(&self) -> usize {
-        self.edge_pairs_bound
-    }
-
-    /// The canonical stage ordering every engine executes.
-    pub fn stage_order(&self) -> [Stage; 4] {
-        [Stage::Split, Stage::Graph, Stage::Merge, Stage::Label]
-    }
-}
 
 /// All mutable scratch of a host-engine run, held in reusable arenas.
 ///
@@ -192,18 +89,18 @@ impl<P: Intensity> Workspace<P> {
         // Keep the merger: its buffers are the most expensive to warm.
     }
 
-    /// Pre-sizes the pixel-indexed arenas from the plan's exact bounds, so
+    /// Pre-sizes the pixel-indexed arenas for `width`×`height` images, so
     /// the warm-up image takes fewer growth reallocations. Vertex/edge
     /// arenas are left to the warm-up run (their true sizes are typically
     /// far below the worst-case bound).
-    pub fn prepare(&mut self, plan: &ExecutionPlan) {
-        let px = plan.max_vertices();
+    pub fn prepare(&mut self, width: usize, height: usize) {
+        let px = width * height;
         if self.split.square_of.capacity() < px {
             self.split
                 .square_of
                 .reserve(px - self.split.square_of.len());
         }
-        self.split_scratch.prepare(plan.width(), plan.height());
+        self.split_scratch.prepare(width, height);
     }
 }
 
@@ -215,7 +112,7 @@ impl<P: Intensity> Default for Workspace<P> {
 
 /// An engine-agnostic, reusable segmentation pipeline.
 ///
-/// Implementations keep their plan and scratch between calls, so streaming
+/// Implementations keep their scratch between calls, so streaming
 /// many images through one pipeline amortizes all setup. The host engine
 /// ([`HostPipeline`]) guarantees zero steady-state allocation; the simulated
 /// machines (`rg-datapar` / `rg-msgpass` wrappers) implement the same
@@ -223,9 +120,6 @@ impl<P: Intensity> Default for Workspace<P> {
 pub trait Pipeline {
     /// Engine label, e.g. `"seq"`, `"datapar:cm2-8k"`.
     fn engine(&self) -> &str;
-
-    /// The current execution plan (`None` before the first run).
-    fn plan(&self) -> Option<&ExecutionPlan>;
 
     /// Segment `img`, writing the result into the recyclable `out` buffer
     /// (cleared/refilled in place). Telemetry, when enabled, receives the
@@ -240,19 +134,20 @@ pub trait Pipeline {
     }
 }
 
-/// The host-engine pipeline, built on an [`ExecutionPlan`] + [`Workspace`]
-/// pair.
+/// The host-engine pipeline, built on a reusable [`Workspace`].
 ///
 /// Produces bit-identical output to [`crate::engine::segment`] and the
 /// identical telemetry sequence, with **zero heap allocations per image**
 /// once warmed up on a shape.
 /// Images of a new shape (or a config change via
-/// [`HostPipeline::set_config`]) re-plan automatically; arenas keep their
-/// high-water capacity across re-plans.
+/// [`HostPipeline::set_config`]) re-size the pixel-indexed arenas first;
+/// arenas keep their high-water capacity throughout.
 #[derive(Debug)]
 pub struct HostPipeline<P: Intensity = u8> {
     config: Config,
-    plan: Option<ExecutionPlan>,
+    /// `(width, height)` the workspace was last prepared for; `None`
+    /// before the first run and after a config change.
+    shape: Option<(usize, usize)>,
     ws: Workspace<P>,
 }
 
@@ -266,7 +161,7 @@ impl<P: Intensity> HostPipeline<P> {
     pub fn new(config: Config, _legacy_parallel: bool) -> Self {
         Self {
             config,
-            plan: None,
+            shape: None,
             ws: Workspace::new(),
         }
     }
@@ -276,10 +171,10 @@ impl<P: Intensity> HostPipeline<P> {
         &self.config
     }
 
-    /// Replaces the configuration; the next run re-plans.
+    /// Replaces the configuration; the next run re-prepares the workspace.
     pub fn set_config(&mut self, config: Config) {
         self.config = config;
-        self.plan = None;
+        self.shape = None;
     }
 
     /// The workspace (for inspection in tests).
@@ -295,15 +190,10 @@ impl<P: Intensity> HostPipeline<P> {
         tel: &mut dyn Telemetry,
         out: &mut Segmentation,
     ) {
-        let (w, h) = (img.width(), img.height());
-        let stale = match &self.plan {
-            Some(p) => !p.matches(w, h, &self.config),
-            None => true,
-        };
-        if stale {
-            let plan = ExecutionPlan::for_shape(w, h, &self.config);
-            self.ws.prepare(&plan);
-            self.plan = Some(plan);
+        let shape = (img.width(), img.height());
+        if self.shape != Some(shape) {
+            self.ws.prepare(shape.0, shape.1);
+            self.shape = Some(shape);
         }
         run_host_into(img, &self.config, tel, &mut self.ws, out);
     }
@@ -320,10 +210,6 @@ impl<P: Intensity> HostPipeline<P> {
 impl Pipeline for HostPipeline<u8> {
     fn engine(&self) -> &str {
         "seq"
-    }
-
-    fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
     }
 
     fn run_into(&mut self, img: &Image<u8>, tel: &mut dyn Telemetry, out: &mut Segmentation) {
@@ -557,30 +443,6 @@ mod tests {
     use rg_imaging::synth;
 
     #[test]
-    fn plan_geometry() {
-        let cfg = Config::with_threshold(10);
-        let p = ExecutionPlan::for_shape(96, 64, &cfg);
-        assert_eq!(p.side(), 128);
-        assert_eq!(p.levels(), 8);
-        assert_eq!(p.max_vertices(), 96 * 64);
-        assert_eq!(p.edge_pairs_bound(), 96 * 63 + 95 * 64);
-        assert!(p.matches(96, 64, &cfg));
-        assert!(!p.matches(64, 96, &cfg));
-        assert!(!p.matches(96, 64, &Config::with_threshold(11)));
-        assert_eq!(
-            p.stage_order(),
-            [Stage::Split, Stage::Graph, Stage::Merge, Stage::Label]
-        );
-        // Capped split depth shortens the level map.
-        let p0 = ExecutionPlan::for_shape(64, 64, &cfg.max_square_log2(Some(2)));
-        assert_eq!(p0.levels(), 3);
-        // Degenerate shapes plan without panicking.
-        let pd = ExecutionPlan::for_shape(0, 0, &cfg);
-        assert_eq!(pd.max_vertices(), 0);
-        assert_eq!(pd.edge_pairs_bound(), 0);
-    }
-
-    #[test]
     fn reused_pipeline_matches_one_shot_engine() {
         let images = [
             synth::circle_collection(64),
@@ -617,21 +479,21 @@ mod tests {
     fn pipeline_replans_on_shape_and_config_change() {
         let cfg = Config::with_threshold(10);
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
-        assert!(Pipeline::plan(&pipe).is_none());
+        assert_eq!(pipe.shape, None);
         let a = synth::random_rects(32, 32, 5, 1);
-        pipe.run_image(&a);
-        let plan_a = pipe.plan.clone().unwrap();
-        assert!(plan_a.matches(32, 32, &cfg));
-        // Different shape: re-plan.
+        assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
+        assert_eq!(pipe.shape, Some((32, 32)));
+        // Different shape: re-prepare, and back again.
         let b = synth::random_rects(48, 16, 5, 2);
-        let seg_b = pipe.run_image(&b);
-        assert_eq!(seg_b, segment(&b, &cfg));
-        assert!(pipe.plan.clone().unwrap().matches(48, 16, &cfg));
-        // Config change invalidates the plan too.
+        assert_eq!(pipe.run_image(&b), segment(&b, &cfg));
+        assert_eq!(pipe.shape, Some((48, 16)));
+        assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
+        // A config change re-prepares too, and the new config takes effect.
         let cfg2 = Config::with_threshold(25);
         pipe.set_config(cfg2);
-        assert!(pipe.plan.is_none());
+        assert_eq!(pipe.shape, None);
         assert_eq!(pipe.run_image(&b), segment(&b, &cfg2));
+        assert_ne!(segment(&b, &cfg2), segment(&b, &cfg));
     }
 
     #[test]

@@ -523,12 +523,11 @@ pub struct MergeIterationRecord {
     /// (only possible under [`TieBreak::Random`]).
     pub used_fallback: bool,
     /// Active edges remaining after the iteration. Host engines report it
-    /// from the merge backend; the simulated engines report `None`. The
-    /// CSR backend's count may include parallel duplicate edges retained
-    /// between compactions, so this field is informational and excluded
-    /// from cross-engine conformance comparisons.
+    /// from the merge backend; the simulated engines report `None`, so
+    /// this field is informational and excluded from cross-engine
+    /// conformance comparisons.
     pub active_edges: Option<u64>,
-    /// Whether the CSR backend compacted its slot array this iteration
+    /// Whether the CSR backend compacted its slot arena this iteration
     /// (`None` when the engine does not run an in-core backend).
     pub compacted: Option<bool>,
 }

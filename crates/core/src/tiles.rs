@@ -8,7 +8,7 @@
 //! (floor-split bounds, so non-divisible shapes produce slightly uneven
 //! edge tiles and every tile stays non-empty), runs the existing
 //! split+merge driver per tile on a worker pool — one recycled
-//! [`HostPipeline`] (plan + workspace) per worker, so a same-shape image
+//! [`HostPipeline`] (with its workspace) per worker, so a same-shape image
 //! stream keeps the zero-steady-state-allocation property — and then
 //! stitches the tiles with a boundary pass:
 //!

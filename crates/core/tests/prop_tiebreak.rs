@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rg_core::graph::Rag;
 use rg_core::merge::{tie_key, tie_priority, Merger};
 use rg_core::telemetry::derive_merge_iterations;
-use rg_core::{segment, Config, Connectivity, MergeBackend, RegionStats, TieBreak};
+use rg_core::{segment, Config, Connectivity, Criterion, MergeBackend, RegionStats, TieBreak};
 use rg_imaging::synth;
 
 /// Deterministically shuffles `v` with a splitmix-style keyed sort.
@@ -230,7 +230,7 @@ proptest! {
     /// **Differential backend equivalence.** The incremental CSR merge
     /// engine and the reference edge-list engine are different data
     /// structures implementing one algorithm: for any image, threshold,
-    /// connectivity, and tie policy, they must produce the *identical*
+    /// connectivity, criterion and tie policy, they must produce the *identical*
     /// [`rg_core::Segmentation`] — same final labels, same region count,
     /// and the same merge history iteration by iteration (the
     /// merges-per-iteration trajectory, which pins down every intermediate
@@ -243,6 +243,7 @@ proptest! {
         img_seed in 0u64..1_000,
         threshold in 0u32..48,
         eight in any::<bool>(),
+        mean in any::<bool>(),
         policy in 0usize..3,
         seed in 0u64..1_000,
     ) {
@@ -253,16 +254,18 @@ proptest! {
             TieBreak::Random { seed },
         ][policy];
         let conn = if eight { Connectivity::Eight } else { Connectivity::Four };
+        let crit = if mean { Criterion::MeanDifference } else { Criterion::PixelRange };
         let base = Config::with_threshold(threshold)
             .tie_break(tie)
-            .connectivity(conn);
+            .connectivity(conn)
+            .criterion(crit);
         let csr = Config { merge_backend: MergeBackend::Csr, ..base };
         let reference = Config { merge_backend: MergeBackend::Reference, ..base };
         prop_assert_eq!(
             segment(&img, &csr),
             segment(&img, &reference),
-            "backends diverged: {:?} conn={:?} t={}",
-            tie, conn, threshold
+            "backends diverged: {:?} conn={:?} {:?} t={}",
+            tie, conn, crit, threshold
         );
     }
 }

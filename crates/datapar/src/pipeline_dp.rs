@@ -8,12 +8,12 @@
 //! simulated machine rebuilds its fields per image (the virtual-processor
 //! sets are part of the simulation), so unlike [`rg_core::HostPipeline`]
 //! this adapter does **not** claim zero steady-state allocation — it
-//! reuses the plan and recycles the output buffer only.
+//! recycles the output buffer only.
 
 use crate::driver::DataParBackend;
 use cm_sim::CostModel;
 use rg_core::driver::run_driver;
-use rg_core::pipeline::{ExecutionPlan, Pipeline};
+use rg_core::pipeline::Pipeline;
 use rg_core::telemetry::Telemetry;
 use rg_core::{Config, Segmentation};
 use rg_imaging::Image;
@@ -25,7 +25,6 @@ pub struct DataParPipeline {
     config: Config,
     model: CostModel,
     engine: String,
-    plan: Option<ExecutionPlan>,
 }
 
 impl DataParPipeline {
@@ -35,7 +34,6 @@ impl DataParPipeline {
             config,
             model,
             engine: format!("datapar:{}", model.name),
-            plan: None,
         }
     }
 
@@ -50,19 +48,7 @@ impl Pipeline for DataParPipeline {
         &self.engine
     }
 
-    fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
-    }
-
     fn run_into(&mut self, img: &Image<u8>, tel: &mut dyn Telemetry, out: &mut Segmentation) {
-        let (w, h) = (img.width(), img.height());
-        let stale = match &self.plan {
-            Some(p) => !p.matches(w, h, &self.config),
-            None => true,
-        };
-        if stale {
-            self.plan = Some(ExecutionPlan::for_shape(w, h, &self.config));
-        }
         let mut backend = DataParBackend::new(img, &self.config, self.model);
         run_driver(&mut backend, tel, out);
     }
@@ -81,12 +67,10 @@ mod tests {
         let imgs = [synth::nested_rects(64), synth::rect_collection(64)];
         let mut pipe = DataParPipeline::new(cfg, CostModel::cm2_8k());
         assert_eq!(pipe.engine(), "datapar:CM-2 (8K procs)");
-        assert!(pipe.plan().is_none());
         for img in &imgs {
             let seg = pipe.run(img, &mut NullTelemetry);
             assert_eq!(seg, segment(img, &cfg));
         }
-        assert!(pipe.plan().is_some());
     }
 
     #[test]

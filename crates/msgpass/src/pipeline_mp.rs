@@ -7,8 +7,8 @@
 //! [`rg_core::driver::run_driver`] loop as the one-shot entry points. Each
 //! image still spins up its own simulated nodes (they are part of the
 //! simulation), so unlike [`rg_core::HostPipeline`] this adapter does
-//! **not** claim zero steady-state allocation — it reuses the plan and
-//! recycles the output buffer only.
+//! **not** claim zero steady-state allocation — it recycles the output
+//! buffer only.
 //!
 //! Note the engine's structural square cap: splits are limited to squares
 //! that fit a node's tile, so cross-engine comparisons must apply the same
@@ -17,7 +17,7 @@
 use crate::driver::MsgPassBackend;
 use cmmd_sim::{CommScheme, FaultPlan};
 use rg_core::driver::run_driver;
-use rg_core::pipeline::{ExecutionPlan, Pipeline};
+use rg_core::pipeline::Pipeline;
 use rg_core::telemetry::Telemetry;
 use rg_core::{Config, Segmentation};
 use rg_imaging::Image;
@@ -30,7 +30,6 @@ pub struct MsgPassPipeline {
     nodes: usize,
     scheme: CommScheme,
     engine: String,
-    plan: Option<ExecutionPlan>,
     chaos: Option<FaultPlan>,
 }
 
@@ -43,7 +42,6 @@ impl MsgPassPipeline {
             nodes,
             scheme,
             engine: format!("msgpass:{}:{}", scheme.label(), nodes),
-            plan: None,
             chaos: None,
         }
     }
@@ -69,19 +67,7 @@ impl Pipeline for MsgPassPipeline {
         &self.engine
     }
 
-    fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
-    }
-
     fn run_into(&mut self, img: &Image<u8>, tel: &mut dyn Telemetry, out: &mut Segmentation) {
-        let (w, h) = (img.width(), img.height());
-        let stale = match &self.plan {
-            Some(p) => !p.matches(w, h, &self.config),
-            None => true,
-        };
-        if stale {
-            self.plan = Some(ExecutionPlan::for_shape(w, h, &self.config));
-        }
         let mut backend = MsgPassBackend::new(img, &self.config, self.nodes, self.scheme);
         if let Some(plan) = &self.chaos {
             backend = backend.with_chaos(plan);
@@ -110,7 +96,6 @@ mod tests {
             let seg = pipe.run(img, &mut NullTelemetry);
             assert_eq!(seg, segment(img, &cfg));
         }
-        assert!(pipe.plan().is_some());
     }
 
     #[test]

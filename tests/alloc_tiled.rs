@@ -48,7 +48,7 @@ fn allocs() -> usize {
 #[test]
 fn warm_tiled_runner_streams_allocation_free() {
     // A busy scene on a grid with non-divisible edge tiles, so the worker
-    // re-plans across the (bounded) set of tile shapes every image.
+    // re-prepares across the (bounded) set of tile shapes every image.
     let images: Vec<_> = (0..4)
         .map(|s| synth::random_rects(130, 94, 10, s))
         .collect();

@@ -3,9 +3,9 @@
 //! telemetry conformance view — to fresh one-shot runs, across the host,
 //! data-parallel and message-passing engines and both tie-break families.
 //!
-//! This is the safety net under the plan/workspace layer's core claim:
-//! arena reuse (including re-planning on shape changes mid-stream) is
-//! invisible to every observable output.
+//! This is the safety net under the workspace layer's core claim: arena
+//! reuse (including shape and config changes mid-stream) is invisible to
+//! every observable output.
 
 use cm_sim::CostModel;
 use cmmd_sim::CommScheme;
@@ -20,7 +20,7 @@ use rg_imaging::{synth, Image};
 use rg_msgpass::{Decomposition, MsgPassPipeline};
 
 // A short stream of random scenes with *varying shapes* — exercising both
-// same-shape steady state and mid-stream re-planning.
+// same-shape steady state and mid-stream shape changes.
 prop_compose! {
     fn image_stream()(
         seeds in proptest::collection::vec(0u64..100_000, 2..4),
@@ -32,7 +32,7 @@ prop_compose! {
             .iter()
             .enumerate()
             .map(|(i, &s)| {
-                // Optionally vary the shape per image to force re-plans.
+                // Optionally vary the shape per image.
                 let dw = if grow { 4 * i } else { 0 };
                 synth::random_rects(w + dw, h, 6, s)
             })
@@ -52,7 +52,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Host engine: reused workspace vs fresh run, segmentation AND
-    /// telemetry conformance view.
+    /// telemetry conformance view. The tie family switches after the first
+    /// image, so one warm merger crosses between the full rescans of
+    /// random ties and the dirty-set rescans of deterministic ones.
     #[test]
     fn host_pipeline_reuse_is_invisible(
         images in image_stream(),
@@ -60,10 +62,14 @@ proptest! {
         random in proptest::bool::ANY,
         seed in 0u64..1_000,
     ) {
-        let cfg = Config::with_threshold(t).tie_break(tie_of(random, seed));
-        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
+        let first = Config::with_threshold(t).tie_break(tie_of(random, seed));
+        let mut pipe: HostPipeline<u8> = HostPipeline::new(first, false);
         let mut out = Segmentation::default();
-        for img in &images {
+        for (i, img) in images.iter().enumerate() {
+            if i == 1 {
+                pipe.set_config(first.tie_break(tie_of(!random, seed)));
+            }
+            let cfg = *pipe.config();
             let mut rec_fresh = Recorder::new();
             let fresh = segment_with_telemetry(img, &cfg, &mut rec_fresh);
             let mut rec_pipe = Recorder::new();
