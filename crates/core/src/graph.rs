@@ -10,6 +10,15 @@
 //! criterion) and change as regions merge, so the merge engine recomputes
 //! them on the fly — the same trick that lets the CM implementations keep
 //! everything in flat arrays.
+//!
+//! Edges of a square graph come from one walk over the square perimeters,
+//! [`square_forward_neighbours`], which hands each square's larger
+//! neighbours to a sink. The host pipeline's sink is the merge engine
+//! itself ([`crate::merge::Merger::reset_from_split`]): it keeps only the
+//! pairs that satisfy the criterion and lays them out as its per-region
+//! adjacency, so no edge list is materialised. [`square_adjacency_into`]
+//! collects the canonical edge list instead, for [`Rag`], the
+//! message-passing boundary and the tests.
 
 use crate::config::{Connectivity, RegionStats};
 use crate::split::SplitResult;
@@ -66,13 +75,34 @@ impl<'a, P: Intensity> Rag<'a, P> {
 }
 
 /// Writes the canonical RAG edge list of a split (`u < v`, sorted, unique)
-/// into `out`, reading only the perimeters of the squares. `out` and the
+/// into `out`, reading only the perimeters of the squares: the pairs
+/// `(u, v)` of [`square_forward_neighbours`], in its order. `out` and the
 /// per-square neighbour list `scratch` are cleared first; neither
 /// allocates once it has reached its high-water capacity.
 ///
 /// The output is identical to
 /// `adjacent_label_pairs(&split.square_of, width, height, connectivity)`,
 /// without its per-pixel scan and its sort of the whole pair list.
+pub fn square_adjacency_into<P: Intensity>(
+    split: &SplitResult<P>,
+    connectivity: Connectivity,
+    scratch: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    out.clear();
+    square_forward_neighbours(split, connectivity, scratch, |u, nb| {
+        out.extend(nb.iter().map(|&v| (u, v)));
+    });
+}
+
+/// Walks the perimeter of every square of a split, in index order, and
+/// hands each square `u` with its sorted, unique forward neighbours
+/// (`v > u`) to `sink(u, neighbours)`. The concatenated pairs `(u, v)` are
+/// the canonical RAG edge list; [`square_adjacency_into`] collects them,
+/// and the merge engine filters them as they come
+/// ([`crate::merge::Merger::reset_from_split`]). `scratch` holds the
+/// current square's list and does not allocate once it has reached its
+/// high-water capacity.
 ///
 /// **Construction.** Squares leave the split in raster order of their
 /// top-left corners, so a square's dense index orders like its id. For
@@ -84,8 +114,7 @@ impl<'a, P: Intensity> Rag<'a, P> {
 /// * under 8-connectivity, the row walk also covers the bottom corners
 ///   `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`;
 /// * keep a neighbour `v` only if `v > u`, then sort and dedup the short
-///   list (only when it is not already ascending) and append the pairs
-///   `(u, v)`.
+///   list (only when it is not already ascending).
 ///
 /// **Canonical order.** Take an adjacent pair `a < b`. A square covering
 /// a pixel in the row above `a` starts on an earlier row, so its index is
@@ -100,17 +129,16 @@ impl<'a, P: Intensity> Rag<'a, P> {
 /// larger neighbours per square: O(squares + edges), bounded by the total
 /// square perimeter. That is linear in the pixels on fragmented scenes and
 /// far below it when large squares cover the image.
-pub fn square_adjacency_into<P: Intensity>(
+pub fn square_forward_neighbours<P: Intensity>(
     split: &SplitResult<P>,
     connectivity: Connectivity,
     scratch: &mut Vec<u32>,
-    out: &mut Vec<(u32, u32)>,
+    mut sink: impl FnMut(u32, &[u32]),
 ) {
     let (w, h) = (split.width, split.height);
     let (squares, square_of) = (&split.squares[..], &split.square_of[..]);
     assert_eq!(square_of.len(), w * h, "square_of size mismatch");
     let eight = connectivity == Connectivity::Eight;
-    out.clear();
     for (u, sq) in squares.iter().enumerate() {
         let u = u as u32;
         let (x0, y0, s) = (sq.x as usize, sq.y as usize, sq.side() as usize);
@@ -157,7 +185,7 @@ pub fn square_adjacency_into<P: Intensity>(
             nb.sort_unstable();
             nb.dedup();
         }
-        out.extend(nb.iter().map(|&v| (u, v)));
+        sink(u, nb);
     }
 }
 
@@ -165,8 +193,8 @@ pub fn square_adjacency_into<P: Intensity>(
 /// labels that are pixel-adjacent under `connectivity`, sorted and deduped.
 ///
 /// For arbitrary label maps: maximality checks of a final segmentation and
-/// baseline leaf maps. Square graphs use [`square_adjacency_into`], which
-/// this function serves as test oracle for.
+/// baseline leaf maps. Square graphs use [`square_forward_neighbours`],
+/// which this function serves as test oracle for.
 pub fn adjacent_label_pairs(
     labels: &[u32],
     width: usize,

@@ -37,15 +37,29 @@
 //!   writes the survivors to the arena tail; every other owner is squeezed
 //!   in place. When the tail would overflow, the same pass rewrites every
 //!   live owner into a spare arena and the two swap. The kernel runs on
-//!   every region with slots at [`Merger::reset_from`]; after each
-//!   iteration it runs on every live owner under random ties (whose keys
-//!   change every iteration) and, under deterministic ties, only on the
-//!   merged pairs and their neighbours (no other ranking can change). No
-//!   per-iteration edge-list rebuild, no global sort and no steady-state
-//!   allocation.
+//!   every region with slots at a reset, which folds iteration 0's
+//!   choices; after each iteration it runs on every live owner under
+//!   random ties (whose keys change every iteration) and, under
+//!   deterministic ties, only on the merged pairs and their neighbours (no
+//!   other ranking can change). No per-iteration edge-list rebuild, no
+//!   global sort and no steady-state allocation.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
-//!   and re-dedups the whole list every iteration. Kept for differential
-//!   testing and as the perf baseline recorded in `BENCH_merge.json`.
+//!   and re-dedups the whole list every iteration, and folds each vertex's
+//!   best candidate key from it. Kept for differential testing and as the
+//!   perf baseline recorded in `BENCH_merge.json`.
+//!
+//! ### Resets
+//!
+//! A reset applies the paper's step 2 (drop the edges that violate the
+//! criterion) while it fills the backend. [`Merger::reset_from_split`]
+//! takes a split's edges straight from the square-perimeter walk
+//! ([`crate::graph::square_forward_neighbours`]): each pair is tested as
+//! the walk finds it, and the CSR counts the survivors' degrees and lays
+//! them out as per-region segments, so no edge list exists.
+//! [`Merger::reset_from`] does the same from an edge list, for graphs that
+//! only exist as one (the tiled stitch's seam RAG, [`Merger::new`]).
+//! Stamp tokens and dirty-set epochs keep counting up across resets, so a
+//! reset rewrites neither per-vertex array.
 //!
 //! Both backends produce byte-identical merge histories: the candidate
 //! argmin is order-invariant (strict total order per chooser, see
@@ -78,8 +92,9 @@ use crate::config::{
     mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
     MergeBackend, RegionStats, TieBreak,
 };
-use crate::graph::Rag;
+use crate::graph::{square_forward_neighbours, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
+use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rg_dsu::DisjointSets;
 use rg_imaging::Intensity;
@@ -182,11 +197,12 @@ struct SoaStats {
 }
 
 impl SoaStats {
-    /// Re-fills the SoA from an AoS slice in place, reusing capacity.
-    fn refill<P: Intensity>(&mut self, stats: &[RegionStats<P>], ids: &[u64]) {
+    /// Re-fills the SoA in place from an AoS slice and the parallel
+    /// canonical IDs, reusing capacity.
+    fn refill<P: Intensity>(&mut self, stats: &[RegionStats<P>], ids: impl Iterator<Item = u64>) {
         self.hot.clear();
         self.hot
-            .extend(stats.iter().zip(ids).map(|(s, &id)| HotVertex {
+            .extend(stats.iter().zip(ids).map(|(s, id)| HotVertex {
                 min: s.min.to_u32(),
                 max: s.max.to_u32(),
                 id,
@@ -282,31 +298,52 @@ struct Csr {
     /// rescan: the visited owners that kept a slot, which are exactly the
     /// regions that can hold a choice, so the apply step scans only them.
     owners: Vec<u32>,
-    /// Epoch marks backing the deterministic-tie dirty set.
+    /// Epoch marks backing the deterministic-tie dirty set. Marks persist
+    /// across resets; the array grows (zero-filling only its new tail) the
+    /// first time a graph with more vertices is marked.
     dirty_epoch: Vec<u32>,
+    /// The last epoch handed to `dirty_epoch`; strictly increasing, so a
+    /// stale mark never equals a fresh one.
+    epoch: u32,
     /// Per-neighbour stamp for per-owner duplicate detection; a fresh
     /// token per (owner, pass) makes the check exact with no clearing.
+    /// Tokens persist across resets; only a growing graph zero-fills the
+    /// new tail.
     stamp: Vec<u64>,
-    /// Next stamp token block (monotonically increasing, starts at 1
-    /// because `stamp` is zero-initialised).
+    /// The last stamp token handed out (monotonically increasing; tokens
+    /// start above it, so none is 0, the zero-filled tail's value).
     next_token: u64,
 }
 
 impl Csr {
-    /// Re-initialises the CSR over `n` vertices from a canonical (`u < v`,
-    /// unique) edge list **in place**, reusing every array's capacity: one
-    /// segment per vertex, laid out in vertex order, and every vertex with
-    /// slots queued for the first rescan.
-    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
-        let slots = edges.len() * 2;
-        self.cap = ARENA_FACTOR * slots;
-        assert!(self.cap < u32::MAX as usize, "CSR slot count exceeds u32");
+    /// Starts a rebuild over `n` vertices: zero degrees and an empty
+    /// survivor list. Feed every surviving canonical pair (`u < v`, unique)
+    /// to [`Csr::keep`], then lay them out with [`Csr::place`].
+    fn begin(&mut self, n: usize) {
         self.len.clear();
         self.len.resize(n, 0);
-        for &(u, v) in edges {
-            self.len[u as usize] += 1;
-            self.len[v as usize] += 1;
-        }
+        self.spare.clear();
+    }
+
+    /// Keeps the undirected edge `(u, v)`: counts both endpoints' degrees
+    /// and stages the pair in the spare arena, which is idle until the
+    /// first compaction and is reserved for three times these slots
+    /// anyway.
+    #[inline]
+    fn keep(&mut self, u: u32, v: u32) {
+        self.len[u as usize] += 1;
+        self.len[v as usize] += 1;
+        self.spare.extend([u, v]);
+    }
+
+    /// Lays the staged pairs out **in place**, reusing every array's
+    /// capacity: one segment per vertex, in vertex order, and every vertex
+    /// with slots queued for the first rescan.
+    fn place(&mut self) {
+        let n = self.len.len();
+        let slots = self.spare.len();
+        self.cap = ARENA_FACTOR * slots;
+        assert!(self.cap < u32::MAX as usize, "CSR slot count exceeds u32");
         // `start` is the scatter's fill cursor: it begins one past each
         // segment's end and counts down to the segment's start.
         self.start.clear();
@@ -318,7 +355,8 @@ impl Csr {
         self.col.clear();
         self.col.reserve(self.cap);
         self.col.resize(slots, 0);
-        for &(u, v) in edges {
+        for p in self.spare.chunks_exact(2) {
+            let (u, v) = (p[0], p[1]);
             self.start[u as usize] -= 1;
             self.col[self.start[u as usize] as usize] = v;
             self.start[v as usize] -= 1;
@@ -331,11 +369,9 @@ impl Csr {
         let len = &self.len;
         self.owners
             .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
-        self.dirty_epoch.clear();
-        self.dirty_epoch.resize(n, 0);
-        self.stamp.clear();
-        self.stamp.resize(n, 0);
-        self.next_token = 1;
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
     }
 
     /// Queues the deterministic-tie dirty set for the next rescan: this
@@ -345,14 +381,25 @@ impl Csr {
     /// statistics change only when it merges, and a slot's endpoints
     /// change only when one of them merges. So an owner outside this set
     /// has an unchanged candidate list, unchanged weights and an unchanged
-    /// ranking, and its `best`/`choice` stay exact. A new mutual pair must
+    /// ranking, and its `choice` stays exact. A new mutual pair must
     /// involve an owner whose choice changed (two unchanged mutual choices
     /// would have merged an iteration earlier), so the apply step needs
     /// only the owners the rescan keeps.
     ///
-    /// `epoch` must differ from every earlier call's since the last
-    /// rebuild, and from 0.
-    fn mark_dirty(&mut self, losers: &[u32], redirect: &[u32], epoch: u32) {
+    /// Each call marks with a fresh epoch from the CSR's own counter, so
+    /// marks left by earlier calls, earlier graphs included, never match.
+    fn mark_dirty(&mut self, losers: &[u32], redirect: &[u32]) {
+        let n = self.len.len();
+        if self.epoch == u32::MAX {
+            // Counter exhausted: start over from clean marks.
+            self.dirty_epoch.fill(0);
+            self.epoch = 0;
+        }
+        if self.dirty_epoch.len() < n {
+            self.dirty_epoch.resize(n, 0);
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
         self.owners.clear();
         for &v in losers {
             self.mark(v, epoch);
@@ -377,7 +424,7 @@ impl Csr {
 
     /// The end-of-step kernel. For every queued owner it
     ///
-    /// 1. resets the owner's `best`/`choice`, and skips it if it lost this
+    /// 1. resets the owner's `choice`, and skips it if it lost this
     ///    iteration (its winner reads its segment);
     /// 2. reads the owner's segment and, if it won this iteration, its
     ///    loser's; the winner's `choice` still names its loser (see
@@ -388,9 +435,9 @@ impl Csr {
     ///    would violate the criterion;
     /// 4. writes the survivors to the arena tail if it won, or squeezes
     ///    them in place otherwise;
-    /// 5. folds the survivors into `best` under `policy` at `iteration`
-    ///    (the next step's) and derives `choice`, so the next choice pass
-    ///    is a table read.
+    /// 5. folds the survivors' `(weight, tie keys, id)` argmin under
+    ///    `policy` at `iteration` (the next step's) into `choice`, so the
+    ///    next choice pass is a table read.
     ///
     /// If the winners' appends might not fit in the arena's capacity,
     /// every live owner is queued instead and rewritten into the spare
@@ -412,7 +459,6 @@ impl Csr {
         losers: &[u32],
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
     ) -> (u64, bool) {
         match crit {
@@ -428,7 +474,6 @@ impl Csr {
                     losers,
                     policy,
                     iteration,
-                    best,
                     choice,
                     |o, c| stats.weight(Criterion::PixelRange, o, c),
                     |_, _, wk| wk <= cut,
@@ -440,7 +485,6 @@ impl Csr {
                 losers,
                 policy,
                 iteration,
-                best,
                 choice,
                 |o, c| stats.weight(Criterion::MeanDifference, o, c),
                 // Floor division makes the 16.16 mean distance an inexact
@@ -462,7 +506,6 @@ impl Csr {
         losers: &[u32],
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
         weight: W,
         keeps: K,
@@ -486,17 +529,16 @@ impl Csr {
             self.owners
                 .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
         }
-        // Token `base + o` is unique to (pass, owner `o`), so
-        // `stamp[c] == token` dedups the owner's neighbours across both
-        // segments it reads.
-        let base = self.next_token;
+        // Token `base + o` is unique to (pass, owner `o`) and above every
+        // earlier token, so `stamp[c] == token` dedups the owner's
+        // neighbours across both segments it reads.
+        let base = self.next_token + 1;
         self.next_token += n as u64;
         let mut ops = 0u64;
         let mut kept_owners = 0;
         for i in 0..self.owners.len() {
             let o = self.owners[i] as usize;
             let mate = choice[o];
-            best[o] = KEY_SENTINEL;
             choice[o] = u32::MAX;
             if redirect[o] as usize != o {
                 continue;
@@ -547,7 +589,6 @@ impl Csr {
             self.live -= read - kept;
             self.start[o] = dst as u32;
             self.len[o] = kept as u32;
-            best[o] = b;
             choice[o] = b.3; // `u32::MAX` when no candidate survived
             if kept > 0 {
                 self.owners[kept_owners] = o as u32;
@@ -567,10 +608,49 @@ impl Csr {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum BackendState {
-    /// Canonical sorted-unique edge list, rebuilt every iteration.
-    Reference { edges: Vec<(u32, u32)> },
+    /// Canonical sorted-unique edge list, rebuilt every iteration, and
+    /// the per-vertex best candidate key its choice pass folds.
+    Reference {
+        edges: Vec<(u32, u32)>,
+        best: Vec<CandKey>,
+    },
     /// Per-region segments, rescanned at the end of every step.
     Csr(Csr),
+}
+
+impl BackendState {
+    /// An empty state of the given backend.
+    fn new(backend: MergeBackend) -> Self {
+        match backend {
+            MergeBackend::Csr => Self::Csr(Csr::default()),
+            MergeBackend::Reference => Self::Reference {
+                edges: Vec::new(),
+                best: Vec::new(),
+            },
+        }
+    }
+
+    /// Starts a rebuild over `n` vertices (see [`BackendState::keep`]).
+    fn begin(&mut self, n: usize) {
+        match self {
+            Self::Reference { edges, best } => {
+                edges.clear();
+                best.clear();
+                best.resize(n, KEY_SENTINEL);
+            }
+            Self::Csr(csr) => csr.begin(n),
+        }
+    }
+
+    /// Keeps the canonical edge `(u, v)`, which satisfies the criterion;
+    /// edges must come in canonical order.
+    #[inline]
+    fn keep(&mut self, u: u32, v: u32) {
+        match self {
+            Self::Reference { edges, .. } => edges.push((u, v)),
+            Self::Csr(csr) => csr.keep(u, v),
+        }
+    }
 }
 
 /// The stepping merge engine over a RAG.
@@ -597,13 +677,11 @@ pub struct Merger<P: Intensity> {
     /// Losers of the current iteration, pending redirect reset.
     pending_losers: Vec<u32>,
 
-    /// Persistent scratch: per-representative best candidate key.
-    best: Vec<CandKey>,
     /// Persistent scratch: per-representative chosen neighbour.
     choice: Vec<u32>,
-    /// Persistent scratch: criterion-filtered edge list used to (re)build
-    /// the backend (kept so [`Merger::reset_from`] allocates nothing).
-    edges_scratch: Vec<(u32, u32)>,
+    /// Persistent scratch: the perimeter walk's per-square neighbour list
+    /// (see [`Merger::reset_from_split`]).
+    neighbours: Vec<u32>,
 
     iterations: u32,
     merges_per_iteration: Vec<u32>,
@@ -635,7 +713,8 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// A merger with every buffer empty; must be initialised by
-    /// [`Merger::reset_from`] before stepping.
+    /// [`Merger::reset_from`] or [`Merger::reset_from_split`] before
+    /// stepping.
     pub(crate) fn hollow(config: &Config) -> Self {
         Self {
             threshold: config.threshold,
@@ -643,16 +722,12 @@ impl<P: Intensity> Merger<P> {
             tie: config.tie_break,
             max_stall: config.max_stall,
             stats: SoaStats::default(),
-            backend: match config.merge_backend {
-                MergeBackend::Csr => BackendState::Csr(Csr::default()),
-                MergeBackend::Reference => BackendState::Reference { edges: Vec::new() },
-            },
+            backend: BackendState::new(config.merge_backend),
             history: DisjointSets::new(0),
             redirect: Vec::new(),
             pending_losers: Vec::new(),
-            best: Vec::new(),
             choice: Vec::new(),
-            edges_scratch: Vec::new(),
+            neighbours: Vec::new(),
             iterations: 0,
             merges_per_iteration: Vec::new(),
             num_regions: 0,
@@ -683,30 +758,62 @@ impl<P: Intensity> Merger<P> {
     ) {
         assert_eq!(ids.len(), stats.len(), "ids length mismatch");
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
+        self.begin_reset(stats, ids.iter().copied(), config);
+        let (crit, t) = (self.criterion, self.threshold);
+        let Self { stats, backend, .. } = self;
+        for &(u, v) in edges {
+            if stats.satisfies(crit, t, u as usize, v as usize) {
+                backend.keep(u, v);
+            }
+        }
+        self.finish_reset();
+    }
+
+    /// [`Merger::reset_from`] for the squares of a split, without an edge
+    /// list: region IDs are [`crate::split::Square::id`], and the criterion
+    /// filter runs inside the perimeter walk
+    /// ([`crate::graph::square_forward_neighbours`]), so only the pairs
+    /// that survive it reach the backend. Equivalent to
+    /// `reset_from` over [`Rag::from_split`] with those IDs.
+    pub fn reset_from_split(&mut self, split: &SplitResult<P>, config: &Config) {
+        let stride = split.width as u32;
+        let ids = split.squares.iter().map(|s| u64::from(s.id(stride)));
+        self.begin_reset(&split.stats, ids, config);
+        let (crit, t) = (self.criterion, self.threshold);
+        let Self {
+            stats,
+            backend,
+            neighbours,
+            ..
+        } = self;
+        square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
+            for &v in nb {
+                if stats.satisfies(crit, t, u as usize, v as usize) {
+                    backend.keep(u, v);
+                }
+            }
+        });
+        self.finish_reset();
+    }
+
+    /// The shared first half of a reset: configuration, statistics, the
+    /// per-vertex state and an empty backend ready for its edges.
+    fn begin_reset(
+        &mut self,
+        stats: &[RegionStats<P>],
+        ids: impl Iterator<Item = u64>,
+        config: &Config,
+    ) {
         let n = stats.len();
-        let t = config.threshold;
-        let crit = config.criterion;
-        self.threshold = t;
-        self.criterion = crit;
+        self.threshold = config.threshold;
+        self.criterion = config.criterion;
         self.tie = config.tie_break;
         self.max_stall = config.max_stall;
         self.stats.refill(stats, ids);
-        // Criterion filter (the paper's step 2), written into the
-        // persistent scratch so backend (re)builds read a slice.
-        let soa = &self.stats;
-        self.edges_scratch.clear();
-        self.edges_scratch.extend(
-            edges
-                .iter()
-                .copied()
-                .filter(|&(u, v)| soa.satisfies(crit, t, u as usize, v as usize)),
-        );
         self.history.reset(n);
         self.redirect.clear();
         self.redirect.extend(0..n as u32);
         self.pending_losers.clear();
-        self.best.clear();
-        self.best.resize(n, KEY_SENTINEL);
         self.choice.clear();
         self.choice.resize(n, u32::MAX);
         self.iterations = 0;
@@ -715,36 +822,33 @@ impl<P: Intensity> Merger<P> {
         self.stalls = 0;
         self.trace = None;
         self.relabel_ops = 0;
-        self.peak_active_edges = self.edges_scratch.len() as u64;
         self.compactions = 0;
         // Backend switch: a one-off reallocation is acceptable.
-        match (&self.backend, config.merge_backend) {
-            (BackendState::Csr(_), MergeBackend::Csr)
-            | (BackendState::Reference { .. }, MergeBackend::Reference) => {}
-            (_, MergeBackend::Csr) => self.backend = BackendState::Csr(Csr::default()),
-            (_, MergeBackend::Reference) => {
-                self.backend = BackendState::Reference { edges: Vec::new() }
-            }
+        if self.backend() != config.merge_backend {
+            self.backend = BackendState::new(config.merge_backend);
         }
+        self.backend.begin(n);
+    }
+
+    /// The shared second half of a reset, once the backend holds every
+    /// edge that satisfies the criterion: the CSR lays out its segments
+    /// and folds iteration 0's choices with the end-of-step kernel over
+    /// every region with slots.
+    fn finish_reset(&mut self) {
         let policy = self.policy().0;
         match &mut self.backend {
-            BackendState::Reference { edges } => {
-                edges.clear();
-                edges.extend_from_slice(&self.edges_scratch);
-            }
+            BackendState::Reference { edges, .. } => self.peak_active_edges = edges.len() as u64,
             BackendState::Csr(csr) => {
-                // Iteration 0's choices, folded by the end-of-step kernel
-                // over every region with slots.
-                csr.rebuild(n, &self.edges_scratch);
+                csr.place();
+                self.peak_active_edges = csr.live as u64 / 2;
                 csr.rescan(
                     &self.stats,
-                    crit,
-                    t,
+                    self.criterion,
+                    self.threshold,
                     &self.redirect,
                     &[],
                     policy,
                     0,
-                    &mut self.best,
                     &mut self.choice,
                 );
             }
@@ -766,7 +870,7 @@ impl<P: Intensity> Merger<P> {
     /// `true` when no active edges remain.
     pub fn is_done(&self) -> bool {
         match &self.backend {
-            BackendState::Reference { edges } => edges.is_empty(),
+            BackendState::Reference { edges, .. } => edges.is_empty(),
             BackendState::Csr(csr) => csr.live == 0,
         }
     }
@@ -776,7 +880,7 @@ impl<P: Intensity> Merger<P> {
     /// this equals the reference backend's deduplicated count).
     pub fn active_edges(&self) -> usize {
         match &self.backend {
-            BackendState::Reference { edges } => edges.len(),
+            BackendState::Reference { edges, .. } => edges.len(),
             BackendState::Csr(csr) => csr.live / 2,
         }
     }
@@ -952,11 +1056,10 @@ impl<P: Intensity> Merger<P> {
         let Self {
             stats,
             backend,
-            best,
             choice,
             ..
         } = self;
-        let BackendState::Reference { edges } = backend else {
+        let BackendState::Reference { edges, best } = backend else {
             return;
         };
         let cand = |chooser: u32, nb: u32| -> CandKey {
@@ -1062,7 +1165,7 @@ impl<P: Intensity> Merger<P> {
     /// statistic and no representative, so every edge survives unchanged.
     ///
     /// CSR: one [`Csr::rescan`] that performs the same relabel / filter /
-    /// squeeze *and* folds the next iteration's choice minima into `best`
+    /// squeeze *and* folds the next iteration's choices into `choice`
     /// under the policy the next step will use (the stall counter is
     /// already updated and `self.iterations` is the next step's index).
     /// Random ties re-randomise every key each iteration, so every live
@@ -1081,7 +1184,6 @@ impl<P: Intensity> Merger<P> {
             backend,
             stats,
             redirect,
-            best,
             choice,
             tie,
             iterations,
@@ -1091,7 +1193,7 @@ impl<P: Intensity> Merger<P> {
             ..
         } = self;
         match backend {
-            BackendState::Reference { edges } => {
+            BackendState::Reference { edges, .. } => {
                 if merges > 0 {
                     let stats = &*stats;
                     let redirect = &*redirect;
@@ -1126,7 +1228,7 @@ impl<P: Intensity> Merger<P> {
             }
             BackendState::Csr(csr) => {
                 if !matches!(*tie, TieBreak::Random { .. }) {
-                    csr.mark_dirty(pending_losers, redirect, *iterations);
+                    csr.mark_dirty(pending_losers, redirect);
                 }
                 let (ops, c) = csr.rescan(
                     stats,
@@ -1136,7 +1238,6 @@ impl<P: Intensity> Merger<P> {
                     pending_losers,
                     policy,
                     *iterations,
-                    best,
                     choice,
                 );
                 if merges > 0 {

@@ -4,8 +4,8 @@
 //! yet a one-shot [`crate::engine::segment`] call allocates a fresh set of
 //! split buffers, RAG arrays and label scratch for every image. In this
 //! module a [`Workspace`] owns **all mutable scratch** — split level
-//! buffers, RAG/CSR arrays, the merge history DSU, stamp tokens, the
-//! per-square label table — in reusable arenas with *high-water-mark*
+//! buffers, the merge engine's CSR arrays, history DSU and stamp tokens,
+//! the per-square label table — in reusable arenas with *high-water-mark*
 //! reuse: buffers grow to the largest image seen and [`Workspace::reset`]
 //! never frees.
 //!
@@ -27,7 +27,6 @@ use crate::driver::{
     SplitStage, StageStats, TraceHook,
 };
 use crate::engine::Segmentation;
-use crate::graph::square_adjacency_into;
 use crate::hierarchy::MergeTrace;
 use crate::merge::Merger;
 use crate::split::{split_into, SplitResult, SplitScratch};
@@ -46,14 +45,8 @@ pub struct Workspace<P: Intensity> {
     /// The current split result (squares / stats / square-of map), refilled
     /// in place by `split_into`.
     split: SplitResult<P>,
-    /// Canonical RAG edge list, refilled by `square_adjacency_into`.
-    edges: Vec<(u32, u32)>,
-    /// Per-square neighbour list of `square_adjacency_into`.
-    neighbours: Vec<u32>,
-    /// Canonical region IDs, parallel to the split squares.
-    ids: Vec<u64>,
-    /// The merge engine with all its CSR/DSU/stamp-token state; reused via
-    /// [`Merger::reset_from`].
+    /// The merge engine with all its CSR/DSU/stamp-token state; rebuilt in
+    /// place from each split by [`Merger::reset_from_split`].
     merger: Option<Merger<P>>,
     /// Original vertex → representative, batch-resolved after the merge,
     /// then compacted in place to vertex → final label.
@@ -66,9 +59,6 @@ impl<P: Intensity> Workspace<P> {
         Self {
             split_scratch: SplitScratch::new(),
             split: SplitResult::default(),
-            edges: Vec::new(),
-            neighbours: Vec::new(),
-            ids: Vec::new(),
             merger: None,
             by_vertex: Vec::new(),
         }
@@ -83,8 +73,6 @@ impl<P: Intensity> Workspace<P> {
         self.split.square_of.clear();
         self.split.iterations = 0;
         self.split.metrics = crate::split::SplitMetrics::default();
-        self.edges.clear();
-        self.ids.clear();
         self.by_vertex.clear();
         // Keep the merger: its buffers are the most expensive to warm.
     }
@@ -290,29 +278,10 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
 impl<P: Intensity> GraphStage for HostBackend<'_, P> {
     fn graph(&mut self, _tel: &mut dyn Telemetry) -> StageStats {
         let ws = &mut *self.ws;
-        square_adjacency_into(
-            &ws.split,
-            self.config.connectivity,
-            &mut ws.neighbours,
-            &mut ws.edges,
-        );
-        let stride = ws.split.width as u32;
-        ws.ids.clear();
-        ws.ids
-            .extend(ws.split.squares.iter().map(|s| s.id(stride) as u64));
-        let merger = match &mut ws.merger {
-            Some(m) => {
-                m.reset_from(&ws.split.stats, &ws.edges, &ws.ids, self.config);
-                m
-            }
-            slot @ None => {
-                let mut m = Merger::hollow(self.config);
-                m.reset_from(&ws.split.stats, &ws.edges, &ws.ids, self.config);
-                slot.insert(m)
-            }
-        };
+        let merger = ws.merger.get_or_insert_with(|| Merger::hollow(self.config));
+        merger.reset_from_split(&ws.split, self.config);
         if self.trace {
-            // `reset_from` drops any previous trace, so arm it here —
+            // A reset drops any previous trace, so arm it here —
             // after the merger has its vertices for this image.
             merger.enable_trace();
         }

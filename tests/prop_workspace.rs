@@ -12,18 +12,18 @@ use cmmd_sim::CommScheme;
 use proptest::prelude::*;
 use rg_core::telemetry::Recorder;
 use rg_core::{
-    segment, segment_with_telemetry, Config, HostPipeline, NullTelemetry, Pipeline, Segmentation,
-    TieBreak,
+    segment, segment_with_telemetry, Config, HostPipeline, MergeBackend, NullTelemetry, Pipeline,
+    Segmentation, TieBreak,
 };
 use rg_datapar::DataParPipeline;
 use rg_imaging::{synth, Image};
 use rg_msgpass::{Decomposition, MsgPassPipeline};
 
-// A short stream of random scenes with *varying shapes* — exercising both
+// A stream of four random scenes with *varying shapes* — exercising both
 // same-shape steady state and mid-stream shape changes.
 prop_compose! {
     fn image_stream()(
-        seeds in proptest::collection::vec(0u64..100_000, 2..4),
+        seeds in proptest::collection::vec(0u64..100_000, 4),
         w in 16usize..48,
         h in 16usize..48,
         grow in proptest::bool::ANY,
@@ -54,20 +54,38 @@ proptest! {
     /// Host engine: reused workspace vs fresh run, segmentation AND
     /// telemetry conformance view. The tie family switches after the first
     /// image, so one warm merger crosses between the full rescans of
-    /// random ties and the dirty-set rescans of deterministic ones.
+    /// random ties and the dirty-set rescans of deterministic ones. Images
+    /// 1 and 2 share a config, so the second reuses the stamp tokens and
+    /// dirty-set epochs the first left behind. The merge backend switches
+    /// between CSR and reference at image 3, so the merger hands over
+    /// between backends.
     #[test]
     fn host_pipeline_reuse_is_invisible(
         images in image_stream(),
         t in 0u32..120,
         random in proptest::bool::ANY,
+        reference_first in proptest::bool::ANY,
         seed in 0u64..1_000,
     ) {
-        let first = Config::with_threshold(t).tie_break(tie_of(random, seed));
+        let backend = |i: usize| {
+            if (i < 3) == reference_first {
+                MergeBackend::Reference
+            } else {
+                MergeBackend::Csr
+            }
+        };
+        let first = Config::with_threshold(t)
+            .tie_break(tie_of(random, seed))
+            .merge_backend(backend(0));
         let mut pipe: HostPipeline<u8> = HostPipeline::new(first, false);
         let mut out = Segmentation::default();
         for (i, img) in images.iter().enumerate() {
-            if i == 1 {
-                pipe.set_config(first.tie_break(tie_of(!random, seed)));
+            if i >= 1 {
+                pipe.set_config(
+                    first
+                        .tie_break(tie_of(!random, seed))
+                        .merge_backend(backend(i)),
+                );
             }
             let cfg = *pipe.config();
             let mut rec_fresh = Recorder::new();
