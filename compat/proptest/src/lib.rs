@@ -275,7 +275,7 @@ impl_tuple_strategy!(A: 0, B: 1, C: 2, D: 3);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: exact or half-open range.
+    /// Length specification for [`vec()`]: exact or half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -1,9 +1,10 @@
 //! Records the merge-stage benchmark trajectory to `BENCH_merge.json`.
 //!
-//! Runs the incremental CSR backend and the reference edge-list backend on
-//! the same split results and records throughput (`edges_per_sec`), wall
-//! time, iteration counts, live-edge peaks, and the machine-independent
-//! `relabel_work` counter that the CI perf-smoke job guards on.
+//! Runs the incremental CSR engine (`Merger`) and the reference edge-list
+//! merge (`merge_reference`) on the same split results and records
+//! throughput (`edges_per_sec`), wall time, iteration counts, live-edge
+//! peaks, and the machine-independent `relabel_work` counter that the CI
+//! perf-smoke job guards on.
 //!
 //! ```text
 //! cargo run --release -p rg-bench --bin bench_record                  # 512x512, write BENCH_merge.json
@@ -36,8 +37,8 @@
 //!
 //! `edges_per_sec` is `initial_edges x iterations / wall_seconds`: the rate
 //! at which the engine would traverse the *initial* edge set once per
-//! iteration — exactly the work the reference backend actually does, so the
-//! CSR backend's number directly exposes how much of that traversal the
+//! iteration — exactly the work the reference merge actually does, so the
+//! CSR engine's number directly exposes how much of that traversal the
 //! incremental structure skips.
 
 use std::time::Instant;
@@ -45,12 +46,18 @@ use std::time::Instant;
 use rg_bench::diff::{diff_docs, DiffOptions};
 use rg_core::graph::Rag;
 use rg_core::json::Json;
-use rg_core::{split, Config, MergeBackend, Merger, TieBreak};
+use rg_core::{merge_reference, split, Config, Merger, TieBreak};
 use rg_imaging::{synth, GrayImage};
+
+/// The `backend` name of rows that time the `Merger` engine.
+const CSR: &str = "csr";
+/// The `backend` name of rows that time the `merge_reference` oracle.
+const REFERENCE: &str = "reference";
 
 /// One benchmarked configuration.
 struct Row {
-    backend: MergeBackend,
+    /// [`CSR`] or [`REFERENCE`].
+    backend: &'static str,
     image: &'static str,
     tie_break: &'static str,
     threshold: u32,
@@ -70,12 +77,9 @@ fn bench_one(
     threshold: u32,
     tie: TieBreak,
     tie_name: &'static str,
-    backend: MergeBackend,
+    backend: &'static str,
 ) -> Row {
-    let cfg = Config {
-        merge_backend: backend,
-        ..Config::with_threshold(threshold).tie_break(tie)
-    };
+    let cfg = Config::with_threshold(threshold).tie_break(tie);
     let s = split(img, &cfg);
     let rag = Rag::from_split(&s, cfg.connectivity);
     let initial_edges = rag.num_edges() as u64;
@@ -83,17 +87,42 @@ fn bench_one(
     let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
 
     // Warm-up pass (page in buffers, steady-state allocator), then the
-    // timed pass on a fresh Merger over the same RAG.
-    let warm = Rag::from_split(&s, cfg.connectivity);
-    Merger::new(warm, ids.clone(), &cfg).run();
-
-    let mut merger = Merger::new(rag, ids, &cfg);
-    let t0 = Instant::now();
-    let summary = merger.run();
-    let wall = t0.elapsed().as_secs_f64();
+    // timed pass over the same RAG. The engine is timed from a built
+    // merger; the oracle's single call includes its initial filter.
+    let (iterations, num_regions, wall, peak_live_edges, relabel_work, compactions) =
+        if backend == CSR {
+            let warm = Rag::from_split(&s, cfg.connectivity);
+            Merger::new(warm, ids.clone(), &cfg).run();
+            let mut merger = Merger::new(rag, ids, &cfg);
+            let t0 = Instant::now();
+            let summary = merger.run();
+            let wall = t0.elapsed().as_secs_f64();
+            (
+                summary.iterations,
+                summary.num_regions,
+                wall,
+                merger.peak_active_edges(),
+                merger.relabel_work(),
+                merger.compactions(),
+            )
+        } else {
+            merge_reference(&rag, &ids, &cfg);
+            let t0 = Instant::now();
+            let r = merge_reference(&rag, &ids, &cfg);
+            let wall = t0.elapsed().as_secs_f64();
+            let merges: usize = r.steps.iter().map(|st| st.merges as usize).sum();
+            (
+                r.steps.len() as u32,
+                ids.len() - merges,
+                wall,
+                r.peak_active_edges,
+                r.relabel_work,
+                0,
+            )
+        };
 
     let edges_per_sec = if wall > 0.0 {
-        (initial_edges as f64) * f64::from(summary.iterations) / wall
+        (initial_edges as f64) * f64::from(iterations) / wall
     } else {
         0.0
     };
@@ -103,19 +132,19 @@ fn bench_one(
         tie_break: tie_name,
         threshold,
         initial_edges,
-        iterations: summary.iterations,
-        num_regions: summary.num_regions,
+        iterations,
+        num_regions,
         wall_ms: wall * 1e3,
         edges_per_sec,
-        peak_live_edges: merger.peak_active_edges(),
-        relabel_work: merger.relabel_work(),
-        compactions: merger.compactions(),
+        peak_live_edges,
+        relabel_work,
+        compactions,
     }
 }
 
 fn row_json(r: &Row) -> Json {
     Json::obj(vec![
-        ("backend", Json::Str(r.backend.name().to_string())),
+        ("backend", Json::Str(r.backend.to_string())),
         ("image", Json::Str(r.image.to_string())),
         ("tie_break", Json::Str(r.tie_break.to_string())),
         ("threshold", Json::Num(f64::from(r.threshold))),
@@ -134,7 +163,7 @@ fn row_json(r: &Row) -> Json {
 /// the `bench-merge-v1` document plus any relabel-work guard failures.
 fn build_doc(n: usize) -> (Json, Vec<String>) {
     // Three merge-heavy scenes. `noise` keeps every edge an exact tie for
-    // long stretches (the reference backend's worst case: full re-sorts on a
+    // long stretches (the reference merge's worst case: full re-sorts on a
     // barely-shrinking edge list); `rects` and `circles` mirror the paper's
     // object scenes at scale.
     let scenes: Vec<(&'static str, u32, GrayImage)> = vec![
@@ -150,12 +179,12 @@ fn build_doc(n: usize) -> (Json, Vec<String>) {
     let mut rows = Vec::new();
     for (name, threshold, img) in &scenes {
         for &(tie, tie_name) in &ties {
-            for backend in [MergeBackend::Csr, MergeBackend::Reference] {
+            for backend in [CSR, REFERENCE] {
                 let row = bench_one(img, name, *threshold, tie, tie_name, backend);
                 eprintln!(
                     "{:9} {:8} {:11} edges={:7} iters={:3} wall={:9.3}ms \
                      e/s={:12.0} peak={:7} work={:10} compactions={}",
-                    row.backend.name(),
+                    row.backend,
                     row.image,
                     row.tie_break,
                     row.initial_edges,
@@ -178,12 +207,12 @@ fn build_doc(n: usize) -> (Json, Vec<String>) {
     let mut log_n = 0u32;
     for (name, _, _) in &scenes {
         for &(_, tie_name) in &ties {
-            let find = |b: MergeBackend| {
+            let find = |b: &str| {
                 rows.iter()
                     .find(|r| r.backend == b && r.image == *name && r.tie_break == tie_name)
                     .expect("row recorded")
             };
-            let (csr, reference) = (find(MergeBackend::Csr), find(MergeBackend::Reference));
+            let (csr, reference) = (find(CSR), find(REFERENCE));
             let speedup = if reference.edges_per_sec > 0.0 {
                 csr.edges_per_sec / reference.edges_per_sec
             } else {
@@ -273,7 +302,7 @@ fn record_main(args: &[String]) {
 /// One timed pass of the CI batch smoke (`bench_record batch`).
 struct BatchRow {
     /// `"naive"` (fresh `segment()` per image) or `"batch"` (one warm
-    /// [`HostPipeline`] streamed by `rg_core::batch`).
+    /// [`rg_core::HostPipeline`] streamed by `rg_core::batch`).
     backend: &'static str,
     images: usize,
     num_regions: usize,

@@ -2,7 +2,7 @@
 //!
 //! The one-shot entry points pay arena setup per image; the batch
 //! runtime amortizes it. Each worker owns one reusable
-//! [`Pipeline`](crate::pipeline::Pipeline) (its workspace) and one
+//! [`Pipeline`] (its workspace) and one
 //! recyclable [`Segmentation`] buffer, so a same-shape image stream runs
 //! **allocation-free in steady state** on the host engine.
 //!

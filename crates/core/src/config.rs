@@ -115,46 +115,13 @@ impl<P: Intensity> RegionStats<P> {
     }
 }
 
-/// Which merge-stage engine [`crate::merge::Merger`] runs internally.
-///
-/// Both backends execute the identical iteration structure (choices →
-/// mutual merges → edge relabel/de-activation) and produce byte-identical
-/// merge histories, summaries, and labels — the differential property tests
-/// in `crates/core/tests/prop_tiebreak.rs` enforce it. They differ only in
-/// data layout and per-iteration cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeBackend {
-    /// Compressed-sparse-row incremental engine (the default): one
-    /// contiguous adjacency segment per region in a single slot arena,
-    /// rescanned in place (or appended, for this iteration's winners) by
-    /// one end-of-step kernel that relabels, filters, dedups and folds the
-    /// next choices (no sorting); SoA region statistics and persistent
-    /// scratch buffers keep steady-state iterations allocation-free.
-    #[default]
-    Csr,
-    /// The original edge-list engine: rebuilds, re-sorts, and re-dedups the
-    /// full edge list every iteration. Kept as the differential-testing
-    /// oracle and the bench baseline.
-    Reference,
-}
-
-impl MergeBackend {
-    /// Stable lower-case name used in bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            MergeBackend::Csr => "csr",
-            MergeBackend::Reference => "reference",
-        }
-    }
-}
-
 /// Fixed-point scale used by [`Criterion`] weights (16 fractional bits).
 pub const WEIGHT_FP_SHIFT: u32 = 16;
 
 /// Pixel-range edge weight in 16.16 fixed point from raw union bounds.
 ///
-/// Scalar kernel shared by every engine: the host [`crate::merge::Merger`]
-/// backends, the data-parallel field code (`rg-datapar`), and the
+/// Scalar kernel shared by every engine: the host [`crate::merge::Merger`],
+/// the data-parallel field code (`rg-datapar`), and the
 /// message-passing local merges (`rg-msgpass`) all compute weights through
 /// these primitives so a change lands everywhere at once.
 #[inline]
@@ -246,6 +213,10 @@ impl Criterion {
 }
 
 /// Full configuration of a split-and-merge run.
+///
+/// Every field shapes the result; none picks an implementation. All
+/// engines, and the merge oracle [`crate::merge_ref::merge_reference`],
+/// take the same `Config` and must produce the same segmentation from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Homogeneity threshold `T`, in grey levels.
@@ -269,9 +240,6 @@ pub struct Config {
     /// iterations tolerated before falling back to [`TieBreak::SmallestId`]
     /// for one iteration to guarantee progress.
     pub max_stall: u32,
-    /// Which internal merge engine [`crate::merge::Merger`] runs. Both
-    /// backends produce byte-identical results; see [`MergeBackend`].
-    pub merge_backend: MergeBackend,
 }
 
 impl Default for Config {
@@ -283,7 +251,6 @@ impl Default for Config {
             criterion: Criterion::PixelRange,
             max_square_log2: None,
             max_stall: 8,
-            merge_backend: MergeBackend::Csr,
         }
     }
 }
@@ -319,12 +286,6 @@ impl Config {
     /// Builder-style setter for the split-square cap.
     pub fn max_square_log2(mut self, m: Option<u8>) -> Self {
         self.max_square_log2 = m;
-        self
-    }
-
-    /// Builder-style setter for the merge backend.
-    pub fn merge_backend(mut self, b: MergeBackend) -> Self {
-        self.merge_backend = b;
         self
     }
 }
@@ -403,15 +364,12 @@ mod tests {
             .tie_break(TieBreak::LargestId)
             .connectivity(Connectivity::Eight)
             .criterion(Criterion::MeanDifference)
-            .max_square_log2(Some(4))
-            .merge_backend(MergeBackend::Reference);
+            .max_square_log2(Some(4));
         assert_eq!(c.threshold, 5);
         assert_eq!(c.tie_break, TieBreak::LargestId);
         assert_eq!(c.connectivity, Connectivity::Eight);
         assert_eq!(c.criterion, Criterion::MeanDifference);
         assert_eq!(c.max_square_log2, Some(4));
-        assert_eq!(c.merge_backend, MergeBackend::Reference);
-        assert_eq!(Config::default().merge_backend, MergeBackend::Csr);
     }
 
     #[test]
@@ -442,7 +400,5 @@ mod tests {
         );
         // Empty regions never satisfy the mean criterion.
         assert!(!mean_satisfies(0, 0, 10, 1, 255));
-        assert_eq!(MergeBackend::Csr.name(), "csr");
-        assert_eq!(MergeBackend::Reference.name(), "reference");
     }
 }

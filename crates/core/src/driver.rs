@@ -37,11 +37,10 @@
 //!
 //! Replay backends report their own wall attribution through
 //! [`StageStats::wall_seconds`]; live backends leave it `None` and the
-//! driver's stopwatch fills it in. Two optional hooks cover the remaining
-//! engine-specific behaviours: [`TraceHook`] exposes the merge dendrogram
-//! ([`crate::hierarchy::MergeTrace`]) a backend recorded, and [`ChaosHook`]
-//! lets a backend recover from an aborted substrate (the message-passing
-//! engine's degrade-to-host path) before the replay begins.
+//! driver's stopwatch fills it in. Engine-specific behaviour stays inside
+//! its backend: the host backend hands out the merge dendrogram
+//! (`HostBackend::take_trace`), and the message-passing backend degrades
+//! an aborted substrate to a host re-run inside its own `prepare`.
 //!
 //! The driver is the **only** place that opens `run` / `stage:*` /
 //! `iter:<n>` spans (the batch layer's `batch` / `image:<i>` spans wrap
@@ -51,11 +50,9 @@
 
 use crate::config::Config;
 use crate::engine::{Segmentation, Stopwatch};
-use crate::hierarchy::MergeTrace;
 use crate::telemetry::{
     Histogram, MergeIterationRecord, SpanGuard, SpanKind, Stage, StageSpan, Telemetry,
 };
-use std::fmt;
 use std::time::Instant;
 
 /// Per-stage outcome a backend reports to the driver: how the stage's
@@ -123,29 +120,6 @@ pub struct RunSummary<'a> {
     pub merges_per_iteration: &'a [u32],
     /// Regions at merge convergence.
     pub num_regions: usize,
-}
-
-/// An aborted backend execution (today: a simulated cluster lost to
-/// injected faults). The driver hands it to the backend's [`ChaosHook`],
-/// or panics with the message when the backend has none.
-#[derive(Debug, Clone)]
-pub struct BackendAbort {
-    message: String,
-}
-
-impl BackendAbort {
-    /// Wraps an abort description.
-    pub fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for BackendAbort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
 }
 
 /// The split stage: image → maximal homogeneous squares.
@@ -216,19 +190,9 @@ pub trait EngineBackend: SplitStage + GraphStage + MergeStage + LabelStage {
 
     /// Up-front execution for replay backends (the message-passing engine
     /// runs its whole SPMD program here, with tracing on iff
-    /// `telemetry_enabled`). Live backends keep the default no-op. An
-    /// `Err` routes to [`EngineBackend::chaos_hook`], or panics when the
-    /// backend has none.
-    fn prepare(&mut self, _telemetry_enabled: bool) -> Result<(), BackendAbort> {
-        Ok(())
-    }
-
-    /// The backend's abort-recovery hook, if it is armed for one (the
-    /// message-passing engine under a fault plan). Consulted only after
-    /// [`EngineBackend::prepare`] fails.
-    fn chaos_hook(&mut self) -> Option<&mut dyn ChaosHook> {
-        None
-    }
+    /// `telemetry_enabled`, and recovers from an aborted run itself).
+    /// Live backends keep the default no-op.
+    fn prepare(&mut self, _telemetry_enabled: bool) {}
 
     /// Split-stage summary for the driver's `split_done` record; called
     /// after the graph stage (the simulated engines fix their vertex count
@@ -242,22 +206,6 @@ pub trait EngineBackend: SplitStage + GraphStage + MergeStage + LabelStage {
     /// counters, fault events, causal flows) inside the `run` span, after
     /// the `region_size_px` histogram. Only called on enabled sinks.
     fn run_report(&mut self, _tel: &mut dyn Telemetry) {}
-}
-
-/// Recovery hook for backends whose substrate can abort mid-run: rebuild a
-/// consistent result (e.g. by degrading to a host re-run) so the stage
-/// replay can proceed.
-pub trait ChaosHook {
-    /// Recovers from the abort [`EngineBackend::prepare`] returned.
-    fn degrade(&mut self, abort: BackendAbort);
-}
-
-/// Optional access to the merge dendrogram a backend recorded during its
-/// run (see [`crate::hierarchy`]).
-pub trait TraceHook {
-    /// Takes the recorded [`MergeTrace`], if tracing was requested and the
-    /// backend supports it.
-    fn take_trace(&mut self) -> Option<MergeTrace>;
 }
 
 /// Merge-stage context handed to [`MergeStage::merge`]: wraps the sink
@@ -321,7 +269,7 @@ impl<'a> MergeCx<'a> {
 /// recyclable `out` buffer (cleared/refilled in place).
 ///
 /// This is the single orchestration loop behind every engine entry point —
-/// [`crate::segment`]/[`crate::segment_par`], `rg_datapar::segment_datapar*`,
+/// [`crate::segment`], `rg_datapar::segment_datapar*`,
 /// `rg_msgpass::segment_msgpass*`, and all [`crate::pipeline::Pipeline`]
 /// implementations — and the seam a new backend plugs into. With a disabled
 /// sink it emits nothing and allocates nothing of its own; with an enabled
@@ -333,12 +281,7 @@ pub fn run_driver<B: EngineBackend + ?Sized>(
     out: &mut Segmentation,
 ) {
     let enabled = tel.enabled();
-    if let Err(abort) = backend.prepare(enabled) {
-        match backend.chaos_hook() {
-            Some(hook) => hook.degrade(abort),
-            None => panic!("{abort}"),
-        }
-    }
+    backend.prepare(enabled);
     let (w, h) = backend.dims();
     if enabled {
         tel.run_start(&backend.engine(), w, h, backend.config());
@@ -463,18 +406,14 @@ mod tests {
         config: Config,
         merges: Vec<u32>,
         prepared: bool,
-        aborted: bool,
-        degraded: bool,
     }
 
     impl ToyBackend {
-        fn new(aborted: bool) -> Self {
+        fn new() -> Self {
             Self {
                 config: Config::with_threshold(10),
                 merges: vec![1],
                 prepared: false,
-                aborted,
-                degraded: false,
             }
         }
     }
@@ -527,20 +466,8 @@ mod tests {
         fn config(&self) -> &Config {
             &self.config
         }
-        fn prepare(&mut self, _enabled: bool) -> Result<(), BackendAbort> {
+        fn prepare(&mut self, _enabled: bool) {
             self.prepared = true;
-            if self.aborted {
-                Err(BackendAbort::new("toy cluster lost"))
-            } else {
-                Ok(())
-            }
-        }
-        fn chaos_hook(&mut self) -> Option<&mut dyn ChaosHook> {
-            if self.aborted {
-                Some(self)
-            } else {
-                None
-            }
         }
         fn split_info(&self) -> SplitInfo {
             SplitInfo {
@@ -561,19 +488,13 @@ mod tests {
             tel.counter("toy.epilogue", 1.0);
         }
     }
-    impl ChaosHook for ToyBackend {
-        fn degrade(&mut self, _abort: BackendAbort) {
-            self.degraded = true;
-        }
-    }
-
     #[test]
     fn driver_assembles_segmentation_and_canonical_report() {
-        let mut b = ToyBackend::new(false);
+        let mut b = ToyBackend::new();
         let mut rec = Recorder::new();
         let mut out = Segmentation::default();
         run_driver(&mut b, &mut rec, &mut out);
-        assert!(b.prepared && !b.degraded);
+        assert!(b.prepared);
         assert_eq!(out.labels, vec![0, 0]);
         assert_eq!(out.num_regions, 1);
         assert_eq!(out.num_squares, 2);
@@ -602,67 +523,5 @@ mod tests {
         assert!(r.histogram("region_size_px").is_some());
         // `measures_iteration_wall` defaults off.
         assert!(r.histogram("merge.iter_wall_us").is_none());
-    }
-
-    #[test]
-    fn aborted_prepare_routes_to_chaos_hook() {
-        let mut b = ToyBackend::new(true);
-        let mut out = Segmentation::default();
-        run_driver(&mut b, &mut crate::telemetry::NullTelemetry, &mut out);
-        assert!(b.degraded, "abort must degrade through the hook");
-        assert_eq!(out.num_regions, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "toy cluster lost")]
-    fn aborted_prepare_without_hook_panics() {
-        struct NoHook(ToyBackend);
-        impl SplitStage for NoHook {
-            fn split(&mut self, tel: &mut dyn Telemetry) -> StageStats {
-                self.0.split(tel)
-            }
-        }
-        impl GraphStage for NoHook {
-            fn graph(&mut self, tel: &mut dyn Telemetry) -> StageStats {
-                self.0.graph(tel)
-            }
-        }
-        impl MergeStage for NoHook {
-            fn merge(&mut self, cx: &mut MergeCx<'_>) -> StageStats {
-                self.0.merge(cx)
-            }
-        }
-        impl LabelStage for NoHook {
-            fn label(
-                &mut self,
-                tel: &mut dyn Telemetry,
-                out: &mut Segmentation,
-            ) -> (StageStats, usize) {
-                self.0.label(tel, out)
-            }
-        }
-        impl EngineBackend for NoHook {
-            fn engine(&self) -> String {
-                self.0.engine()
-            }
-            fn dims(&self) -> (usize, usize) {
-                self.0.dims()
-            }
-            fn config(&self) -> &Config {
-                self.0.config()
-            }
-            fn prepare(&mut self, enabled: bool) -> Result<(), BackendAbort> {
-                self.0.prepare(enabled)
-            }
-            fn split_info(&self) -> SplitInfo {
-                self.0.split_info()
-            }
-            fn summary(&self) -> RunSummary<'_> {
-                self.0.summary()
-            }
-        }
-        let mut b = NoHook(ToyBackend::new(true));
-        let mut out = Segmentation::default();
-        run_driver(&mut b, &mut crate::telemetry::NullTelemetry, &mut out);
     }
 }

@@ -1,10 +1,7 @@
 //! Top-level segmentation pipeline: split → RAG → merge → labels.
 
 use crate::config::Config;
-use crate::graph::Rag;
 use crate::hierarchy::MergeTrace;
-use crate::merge::{MergeSummary, Merger};
-use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, Telemetry};
 use rg_imaging::{Image, Intensity};
 use std::time::Instant;
@@ -126,7 +123,7 @@ pub fn segment_with_trace_telemetry<P: Intensity>(
     config: &Config,
     tel: &mut dyn Telemetry,
 ) -> (Segmentation, MergeTrace) {
-    use crate::driver::{run_driver, TraceHook};
+    use crate::driver::run_driver;
     let mut ws = crate::pipeline::Workspace::new();
     let mut out = Segmentation::default();
     let mut backend = crate::pipeline::HostBackend::new(img, config, &mut ws).with_trace();
@@ -149,33 +146,6 @@ fn run_pipeline<P: Intensity>(
     let mut out = Segmentation::default();
     crate::pipeline::run_host_into(img, config, tel, &mut ws, &mut out);
     out
-}
-
-/// Runs the merge stage over an existing split result, returning the merge
-/// summary and the raw (uncompacted) per-pixel labels.
-///
-/// A bench/analysis helper, not an engine entry point: it opens no telemetry
-/// spans — the span structure belongs to [`crate::driver::run_driver`].
-pub fn merge_from_split<P: Intensity>(
-    split_result: &SplitResult<P>,
-    config: &Config,
-) -> (MergeSummary, Vec<u32>) {
-    let rag = Rag::from_split(split_result, config.connectivity);
-    let stride = split_result.width as u32;
-    let ids: Vec<u64> = split_result
-        .squares
-        .iter()
-        .map(|s| s.id(stride) as u64)
-        .collect();
-    let mut merger = Merger::new(rag, ids, config);
-    let summary = merger.run();
-    let by_vertex = merger.labels_by_vertex();
-    let labels: Vec<u32> = split_result
-        .square_of
-        .iter()
-        .map(|&q| by_vertex[q as usize])
-        .collect();
-    (summary, labels)
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ pub mod json;
 pub mod kernels;
 pub mod labels;
 pub mod merge;
+pub mod merge_ref;
 pub mod metrics;
 pub mod pipeline;
 pub mod regions;
@@ -66,10 +67,10 @@ pub mod verify;
 pub use analyze::{analyze_journal, analyze_run, RankTimeline, RunAnalysis};
 pub use batch::{run_batch, run_batch_collect, BatchOptions, BatchSummary, ChaosSpec};
 pub use chrome::{chrome_trace, chrome_trace_multi, split_runs, validate_chrome_trace};
-pub use config::{Config, Connectivity, Criterion, MergeBackend, RegionStats, TieBreak};
+pub use config::{Config, Connectivity, Criterion, RegionStats, TieBreak};
 pub use driver::{
-    run_driver, BackendAbort, ChaosHook, EngineBackend, GraphStage, LabelStage, MergeCx,
-    MergeStage, RunSummary, SplitInfo, SplitStage, StageStats, TraceHook,
+    run_driver, EngineBackend, GraphStage, LabelStage, MergeCx, MergeStage, RunSummary, SplitInfo,
+    SplitStage, StageStats,
 };
 pub use engine::{
     segment, segment_with_telemetry, segment_with_trace, segment_with_trace_telemetry, Segmentation,
@@ -81,6 +82,7 @@ pub use journal::{
     JsonlSink, JsonlWriter, Streaming,
 };
 pub use merge::{choice_key, CandKey, MergeSummary, Merger, StepReport};
+pub use merge_ref::{merge_reference, ReferenceMerge};
 pub use pipeline::{HostBackend, HostPipeline, Pipeline, Workspace};
 pub use split::{split, split_into, SplitMetrics, SplitResult, SplitScratch, Square};
 pub use split_ref::split_reference;

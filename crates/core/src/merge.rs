@@ -19,39 +19,37 @@
 //!
 //! The loop repeats while active edges exist.
 //!
-//! ### Backends
+//! ### The engine
 //!
-//! Two interchangeable merge backends implement step 4
-//! ([`crate::config::MergeBackend`]):
+//! [`Merger`] keeps flat per-region adjacency in the spirit of the CM
+//! implementations' flat arrays. Every region owns one contiguous segment
+//! of a single slot arena, holding the current representatives of its
+//! neighbours. One kernel, `Csr::rescan`, does all the per-owner work for
+//! a list of owners: it redirects each slot through the iteration's
+//! one-level redirect table (exact, because a representative never loses
+//! in the iteration it wins), drops self-loops, per-owner duplicates and
+//! criterion-violating slots, squeezes the survivors, and folds the next
+//! iteration's `(weight, tie keys, id)` argmin. A region that won this
+//! iteration reads its own segment and its loser's and writes the
+//! survivors to the arena tail; every other owner is squeezed in place.
+//! When the tail would overflow, the same pass rewrites every live owner
+//! into a spare arena and the two swap. The kernel runs on every region
+//! with slots at a reset, which folds iteration 0's choices; after each
+//! iteration it runs on every live owner under random ties (whose keys
+//! change every iteration) and, under deterministic ties, only on the
+//! merged pairs and their neighbours (no other ranking can change). No
+//! per-iteration edge-list rebuild, no global sort and no steady-state
+//! allocation.
 //!
-//! * **CSR** (default): flat per-region adjacency in the spirit of the CM
-//!   implementations' flat arrays. Every region owns one contiguous
-//!   segment of a single slot arena, holding the current representatives
-//!   of its neighbours. One kernel, `Csr::rescan`, does all the per-owner
-//!   work for a list of owners: it redirects each slot through the
-//!   iteration's one-level redirect table (exact, because a representative
-//!   never loses in the iteration it wins), drops self-loops, per-owner
-//!   duplicates and criterion-violating slots, squeezes the survivors, and
-//!   folds the next iteration's `(weight, tie keys, id)` argmin. A region
-//!   that won this iteration reads its own segment and its loser's and
-//!   writes the survivors to the arena tail; every other owner is squeezed
-//!   in place. When the tail would overflow, the same pass rewrites every
-//!   live owner into a spare arena and the two swap. The kernel runs on
-//!   every region with slots at a reset, which folds iteration 0's
-//!   choices; after each iteration it runs on every live owner under
-//!   random ties (whose keys change every iteration) and, under
-//!   deterministic ties, only on the merged pairs and their neighbours (no
-//!   other ranking can change). No per-iteration edge-list rebuild, no
-//!   global sort and no steady-state allocation.
-//! * **Reference**: the original edge-list engine that rebuilds, re-sorts
-//!   and re-dedups the whole list every iteration, and folds each vertex's
-//!   best candidate key from it. Kept for differential testing and as the
-//!   perf baseline recorded in `BENCH_merge.json`.
+//! The differential oracle is [`crate::merge_ref::merge_reference`]: the
+//! same algorithm over one edge list that is rebuilt, re-sorted and
+//! re-deduped every iteration. It is a separate function for tests and
+//! for the baseline rows of `BENCH_merge.json`, not a mode of this engine.
 //!
 //! ### Resets
 //!
 //! A reset applies the paper's step 2 (drop the edges that violate the
-//! criterion) while it fills the backend. [`Merger::reset_from_split`]
+//! criterion) while it fills the CSR. [`Merger::reset_from_split`]
 //! takes a split's edges straight from the square-perimeter walk
 //! ([`crate::graph::square_forward_neighbours`]): each pair is tested as
 //! the walk finds it, and the CSR counts the survivors' degrees and lays
@@ -61,11 +59,11 @@
 //! Stamp tokens and dirty-set epochs keep counting up across resets, so a
 //! reset rewrites neither per-vertex array.
 //!
-//! Both backends produce byte-identical merge histories: the candidate
-//! argmin is order-invariant (strict total order per chooser, see
-//! `prop_tiebreak.rs`), duplicate parallel edges never change a minimum,
-//! and the CSR backend filters criterion-violating slots *eagerly* at the
-//! end of each iteration — exactly when the reference filters — so the
+//! The engine and the oracle produce byte-identical merge histories: the
+//! candidate argmin is order-invariant (strict total order per chooser,
+//! see `prop_tiebreak.rs`), duplicate parallel edges never change a
+//! minimum, and the engine filters criterion-violating slots *eagerly* at
+//! the end of each iteration — exactly when the oracle filters — so the
 //! de-activation schedule, the iteration count, and the stall/fallback
 //! behaviour coincide.
 //!
@@ -90,7 +88,7 @@ use std::marker::PhantomData;
 
 use crate::config::{
     mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
-    MergeBackend, RegionStats, TieBreak,
+    RegionStats, TieBreak,
 };
 use crate::graph::{square_forward_neighbours, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
@@ -136,15 +134,15 @@ pub fn tie_key(policy: TieBreak, iteration: u32, chooser_id: u64, candidate_id: 
 /// The full candidate ranking key `(weight, tie0, tie1, candidate)`: a
 /// chooser picks the candidate minimising this tuple. The trailing dense
 /// candidate index makes the order strict, so the argmin is invariant
-/// under any scan order — the property every backend's segmented-min
+/// under any scan order — the property every engine's segmented-min
 /// relies on.
 pub type CandKey = (u64, u64, u64, u32);
 
 /// Identity element of the [`CandKey`] min-fold ("no candidate seen").
-const KEY_SENTINEL: CandKey = (u64::MAX, u64::MAX, u64::MAX, u32::MAX);
+pub(crate) const KEY_SENTINEL: CandKey = (u64::MAX, u64::MAX, u64::MAX, u32::MAX);
 
 /// Builds the full [`CandKey`] for one directed candidate. Shared by the
-/// in-core backends and the message-passing engine so every implementation
+/// reference merge and the message-passing engine so every implementation
 /// ranks candidates identically.
 #[inline]
 pub fn choice_key(
@@ -168,8 +166,7 @@ pub struct StepReport {
     pub used_fallback: bool,
     /// Active undirected edges remaining *after* this iteration.
     pub active_edges: u64,
-    /// `true` when the CSR backend compacted its slot arena this
-    /// iteration.
+    /// `true` when the engine compacted its slot arena this iteration.
     pub compacted: bool,
 }
 
@@ -600,59 +597,6 @@ impl Csr {
     }
 }
 
-/// The backend-specific adjacency state.
-///
-/// Exactly one `BackendState` exists per [`Merger`], so the size gap
-/// between the thin reference variant and the many-vector CSR variant
-/// costs nothing — boxing would only add a pointer chase to every pass.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum BackendState {
-    /// Canonical sorted-unique edge list, rebuilt every iteration, and
-    /// the per-vertex best candidate key its choice pass folds.
-    Reference {
-        edges: Vec<(u32, u32)>,
-        best: Vec<CandKey>,
-    },
-    /// Per-region segments, rescanned at the end of every step.
-    Csr(Csr),
-}
-
-impl BackendState {
-    /// An empty state of the given backend.
-    fn new(backend: MergeBackend) -> Self {
-        match backend {
-            MergeBackend::Csr => Self::Csr(Csr::default()),
-            MergeBackend::Reference => Self::Reference {
-                edges: Vec::new(),
-                best: Vec::new(),
-            },
-        }
-    }
-
-    /// Starts a rebuild over `n` vertices (see [`BackendState::keep`]).
-    fn begin(&mut self, n: usize) {
-        match self {
-            Self::Reference { edges, best } => {
-                edges.clear();
-                best.clear();
-                best.resize(n, KEY_SENTINEL);
-            }
-            Self::Csr(csr) => csr.begin(n),
-        }
-    }
-
-    /// Keeps the canonical edge `(u, v)`, which satisfies the criterion;
-    /// edges must come in canonical order.
-    #[inline]
-    fn keep(&mut self, u: u32, v: u32) {
-        match self {
-            Self::Reference { edges, .. } => edges.push((u, v)),
-            Self::Csr(csr) => csr.keep(u, v),
-        }
-    }
-}
-
 /// The stepping merge engine over a RAG.
 ///
 /// Construct with [`Merger::new`], then either [`Merger::run`] to
@@ -668,8 +612,8 @@ pub struct Merger<P: Intensity> {
     /// Region statistics and canonical IDs, current at representative
     /// indices.
     stats: SoaStats,
-    /// Backend adjacency state.
-    backend: BackendState,
+    /// The per-region adjacency segments.
+    csr: Csr,
     /// Full merge history (original vertex → representative).
     history: DisjointSets,
     /// One-iteration redirect table (identity outside merged losers).
@@ -689,8 +633,9 @@ pub struct Merger<P: Intensity> {
     stalls: u32,
     trace: Option<MergeTrace>,
 
-    /// Total endpoint relabels / slot moves performed (the counter the CI
-    /// perf-smoke guard compares across backends).
+    /// Total slot reads of the end-of-step rescans after productive
+    /// iterations (the counter the CI perf-smoke guard compares against
+    /// the reference merge's).
     relabel_ops: u64,
     /// Maximum of [`Merger::active_edges`] observed over the run.
     peak_active_edges: u64,
@@ -704,8 +649,7 @@ impl<P: Intensity> Merger<P> {
     /// `v`; IDs must be strictly increasing (raster order of the regions).
     ///
     /// Edges of `rag` that do not satisfy the criterion are de-activated
-    /// immediately (the paper's step 2). The backend is chosen by
-    /// [`Config::merge_backend`].
+    /// immediately (the paper's step 2).
     pub fn new(rag: Rag<'_, P>, ids: Vec<u64>, config: &Config) -> Self {
         let mut m = Self::hollow(config);
         m.reset_from(&rag.stats, &rag.edges, &ids, config);
@@ -722,7 +666,7 @@ impl<P: Intensity> Merger<P> {
             tie: config.tie_break,
             max_stall: config.max_stall,
             stats: SoaStats::default(),
-            backend: BackendState::new(config.merge_backend),
+            csr: Csr::default(),
             history: DisjointSets::new(0),
             redirect: Vec::new(),
             pending_losers: Vec::new(),
@@ -746,9 +690,7 @@ impl<P: Intensity> Merger<P> {
     ///
     /// Semantically equivalent to `*self = Merger::new(rag, ids, config)` —
     /// edges that do not satisfy the criterion are de-activated immediately
-    /// (the paper's step 2), the backend is rebuilt per
-    /// [`Config::merge_backend`] (switching variants reallocates once), and
-    /// any enabled trace is dropped.
+    /// (the paper's step 2) and any enabled trace is dropped.
     pub fn reset_from(
         &mut self,
         stats: &[RegionStats<P>],
@@ -760,10 +702,10 @@ impl<P: Intensity> Merger<P> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
         self.begin_reset(stats, ids.iter().copied(), config);
         let (crit, t) = (self.criterion, self.threshold);
-        let Self { stats, backend, .. } = self;
+        let Self { stats, csr, .. } = self;
         for &(u, v) in edges {
             if stats.satisfies(crit, t, u as usize, v as usize) {
-                backend.keep(u, v);
+                csr.keep(u, v);
             }
         }
         self.finish_reset();
@@ -773,7 +715,7 @@ impl<P: Intensity> Merger<P> {
     /// list: region IDs are [`crate::split::Square::id`], and the criterion
     /// filter runs inside the perimeter walk
     /// ([`crate::graph::square_forward_neighbours`]), so only the pairs
-    /// that survive it reach the backend. Equivalent to
+    /// that survive it reach the CSR. Equivalent to
     /// `reset_from` over [`Rag::from_split`] with those IDs.
     pub fn reset_from_split(&mut self, split: &SplitResult<P>, config: &Config) {
         let stride = split.width as u32;
@@ -782,14 +724,14 @@ impl<P: Intensity> Merger<P> {
         let (crit, t) = (self.criterion, self.threshold);
         let Self {
             stats,
-            backend,
+            csr,
             neighbours,
             ..
         } = self;
         square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
             for &v in nb {
                 if stats.satisfies(crit, t, u as usize, v as usize) {
-                    backend.keep(u, v);
+                    csr.keep(u, v);
                 }
             }
         });
@@ -797,7 +739,7 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// The shared first half of a reset: configuration, statistics, the
-    /// per-vertex state and an empty backend ready for its edges.
+    /// per-vertex state and an empty CSR ready for its edges.
     fn begin_reset(
         &mut self,
         stats: &[RegionStats<P>],
@@ -823,36 +765,27 @@ impl<P: Intensity> Merger<P> {
         self.trace = None;
         self.relabel_ops = 0;
         self.compactions = 0;
-        // Backend switch: a one-off reallocation is acceptable.
-        if self.backend() != config.merge_backend {
-            self.backend = BackendState::new(config.merge_backend);
-        }
-        self.backend.begin(n);
+        self.csr.begin(n);
     }
 
-    /// The shared second half of a reset, once the backend holds every
-    /// edge that satisfies the criterion: the CSR lays out its segments
-    /// and folds iteration 0's choices with the end-of-step kernel over
-    /// every region with slots.
+    /// The shared second half of a reset, once the CSR has staged every
+    /// edge that satisfies the criterion: lay out the segments and fold
+    /// iteration 0's choices with the end-of-step kernel over every region
+    /// with slots.
     fn finish_reset(&mut self) {
         let policy = self.policy().0;
-        match &mut self.backend {
-            BackendState::Reference { edges, .. } => self.peak_active_edges = edges.len() as u64,
-            BackendState::Csr(csr) => {
-                csr.place();
-                self.peak_active_edges = csr.live as u64 / 2;
-                csr.rescan(
-                    &self.stats,
-                    self.criterion,
-                    self.threshold,
-                    &self.redirect,
-                    &[],
-                    policy,
-                    0,
-                    &mut self.choice,
-                );
-            }
-        }
+        self.csr.place();
+        self.peak_active_edges = self.csr.live as u64 / 2;
+        self.csr.rescan(
+            &self.stats,
+            self.criterion,
+            self.threshold,
+            &self.redirect,
+            &[],
+            policy,
+            0,
+            &mut self.choice,
+        );
     }
 
     /// Starts recording a [`MergeTrace`] (call before the first step).
@@ -869,39 +802,23 @@ impl<P: Intensity> Merger<P> {
 
     /// `true` when no active edges remain.
     pub fn is_done(&self) -> bool {
-        match &self.backend {
-            BackendState::Reference { edges, .. } => edges.is_empty(),
-            BackendState::Csr(csr) => csr.live == 0,
-        }
+        self.csr.live == 0
     }
 
-    /// Active undirected edge count (for the CSR backend: half the live
-    /// directed slot count; the rescan dedups every owner it visits, so
-    /// this equals the reference backend's deduplicated count).
+    /// Active undirected edge count: half the live directed slot count.
+    /// The rescan dedups every owner it visits, so this equals the
+    /// reference merge's deduplicated edge list.
     pub fn active_edges(&self) -> usize {
-        match &self.backend {
-            BackendState::Reference { edges, .. } => edges.len(),
-            BackendState::Csr(csr) => csr.live / 2,
-        }
-    }
-
-    /// Which backend this engine runs.
-    pub fn backend(&self) -> MergeBackend {
-        match self.backend {
-            BackendState::Reference { .. } => MergeBackend::Reference,
-            BackendState::Csr(_) => MergeBackend::Csr,
-        }
+        self.csr.live / 2
     }
 
     /// Total edge-relabel data movement performed so far — the counter the
-    /// CI perf-smoke guard compares across backends. For the CSR backend:
-    /// one op per slot the end-of-step rescan reads after a productive
-    /// iteration (every live slot under random ties, the merged pairs'
-    /// and their neighbours' slots under deterministic ties, every live
-    /// slot when the arena compacts). For the reference backend: two
-    /// endpoint maps per edge plus the per-iteration canonicalising sort
-    /// (`E·⌈log₂E⌉` element moves) and dedup scan it performs to rebuild
-    /// the edge list.
+    /// CI perf-smoke guard compares against
+    /// [`crate::merge_ref::ReferenceMerge::relabel_work`]: one op per slot
+    /// the end-of-step rescan reads after a productive iteration (every
+    /// live slot under random ties, the merged pairs' and their
+    /// neighbours' slots under deterministic ties, every live slot when
+    /// the arena compacts).
     pub fn relabel_work(&self) -> u64 {
         self.relabel_ops
     }
@@ -911,9 +828,8 @@ impl<P: Intensity> Merger<P> {
         self.peak_active_edges
     }
 
-    /// Times the CSR backend rewrote its live slots into the spare arena
-    /// because the winners' appends might not fit (0 under the reference
-    /// backend).
+    /// Times the engine rewrote its live slots into the spare arena
+    /// because the winners' appends might not fit.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -969,11 +885,14 @@ impl<P: Intensity> Merger<P> {
     /// relabel/filter/squeeze — in [`SpanKind::Choice`] /
     /// [`SpanKind::Apply`] / [`SpanKind::Compact`] spans on `tel`. On a
     /// disabled sink (the default [`NullTelemetry`] path through
-    /// [`Merger::step`]) the guards emit nothing.
+    /// [`Merger::step`]) the guards emit nothing. The choices were folded
+    /// by the previous rescan, so the `Choice` span is empty; it stays so
+    /// the journal keeps one span per phase.
     ///
     /// The caller is expected to hold the enclosing
-    /// [`SpanKind::MergeIteration`] span open around this call (see
-    /// `engine::merge_from_split_with`).
+    /// [`SpanKind::MergeIteration`] span open around this call (the host
+    /// backend's merge stage does, through
+    /// [`crate::driver::MergeCx::iteration`]).
     pub fn step_traced(&mut self, tel: &mut dyn Telemetry) -> StepReport {
         if self.is_done() {
             return StepReport {
@@ -983,10 +902,9 @@ impl<P: Intensity> Merger<P> {
                 compacted: false,
             };
         }
-        let (policy, used_fallback) = self.policy();
+        let used_fallback = self.policy().1;
         {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Choice);
-            self.compute_choices(policy);
         }
         let merges = {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Apply);
@@ -996,8 +914,8 @@ impl<P: Intensity> Merger<P> {
             merges
         };
         // Advance the iteration/stall counters *before* the end-of-step
-        // pass: the CSR backend folds the next iteration's choice minima in
-        // the same sweep, and needs the next step's policy and index.
+        // pass: it folds the next iteration's choice minima in the same
+        // sweep, and needs the next step's policy and index.
         self.iterations += 1;
         self.merges_per_iteration.push(merges);
         if merges == 0 {
@@ -1046,77 +964,27 @@ impl<P: Intensity> Merger<P> {
         )
     }
 
-    /// Reference backend: fills `choice` with every vertex's chosen
-    /// neighbour (`u32::MAX` = no choice), the minimum [`CandKey`]
-    /// `(weight, tie_key, neighbour)`. The CSR backend's end-of-step
-    /// rescan has already folded them.
-    fn compute_choices(&mut self, policy: TieBreak) {
-        let iteration = self.iterations;
-        let crit = self.criterion;
-        let Self {
-            stats,
-            backend,
-            choice,
-            ..
-        } = self;
-        let BackendState::Reference { edges, best } = backend else {
-            return;
-        };
-        let cand = |chooser: u32, nb: u32| -> CandKey {
-            let w = stats.weight(crit, chooser as usize, nb as usize);
-            let (k0, k1) = tie_key(
-                policy,
-                iteration,
-                stats.hot[chooser as usize].id,
-                stats.hot[nb as usize].id,
-            );
-            (w, k0, k1, nb)
-        };
-        best.fill(KEY_SENTINEL);
-        for &(u, v) in edges.iter() {
-            let ku = cand(u, v);
-            if ku < best[u as usize] {
-                best[u as usize] = ku;
-            }
-            let kv = cand(v, u);
-            if kv < best[v as usize] {
-                best[v as usize] = kv;
-            }
-        }
-        for (c, b) in choice.iter_mut().zip(best.iter()) {
-            *c = b.3;
-        }
-    }
-
     /// Merges every mutual pair; returns the number of merges.
     ///
-    /// Under the CSR backend only the owners the last rescan kept can hold
-    /// a choice (everyone else is `u32::MAX`), so the scan visits exactly
-    /// those vertices — no O(vertices) sweep. The reference backend and
-    /// traced runs scan every vertex in ascending order (trace events are
-    /// emitted in ascending-winner order, which the owner list does not
-    /// guarantee; the merges themselves are a matching, so application
-    /// order is otherwise irrelevant).
+    /// Only the owners the last rescan kept can hold a choice (everyone
+    /// else is `u32::MAX`), so an untraced scan visits exactly those
+    /// vertices — no O(vertices) sweep. Traced runs scan every vertex in
+    /// ascending order, because trace events are emitted in
+    /// ascending-winner order, which the owner list does not guarantee;
+    /// the merges themselves are a matching, so application order is
+    /// otherwise irrelevant.
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
-        let owners = match &mut self.backend {
-            BackendState::Csr(csr) if self.trace.is_none() => Some(std::mem::take(&mut csr.owners)),
-            _ => None,
-        };
         let mut merges = 0u32;
-        match &owners {
-            Some(list) => {
-                for &u in list {
-                    merges += u32::from(self.try_merge(u, choice));
-                }
+        if self.trace.is_some() {
+            for u in 0..choice.len() as u32 {
+                merges += u32::from(self.try_merge(u, choice));
             }
-            None => {
-                for u in 0..choice.len() as u32 {
-                    merges += u32::from(self.try_merge(u, choice));
-                }
+        } else {
+            let owners = std::mem::take(&mut self.csr.owners);
+            for &u in &owners {
+                merges += u32::from(self.try_merge(u, choice));
             }
-        }
-        if let (Some(list), BackendState::Csr(csr)) = (owners, &mut self.backend) {
-            csr.owners = list;
+            self.csr.owners = owners;
         }
         merges
     }
@@ -1157,101 +1025,40 @@ impl<P: Intensity> Merger<P> {
         true
     }
 
-    /// Backend-specific step 4 (plus the CSR backend's choice prefetch).
+    /// Step 4 plus the next iteration's choices: one [`Csr::rescan`] that
+    /// relabels, filters and squeezes the slots *and* folds the next
+    /// iteration's choices into `choice` under the policy the next step
+    /// will use (the stall counter is already updated and
+    /// `self.iterations` is the next step's index). Random ties
+    /// re-randomise every key each iteration, so every live owner is
+    /// rescanned; the reference merge pays the same sweep inside its
+    /// choice pass, so a stall iteration's rescan counts no relabel work.
+    /// Deterministic ties rescan only the dirty set ([`Csr::mark_dirty`]).
     ///
-    /// Reference: relabel endpoints through this iteration's redirects,
-    /// drop self-loops and criterion-violating edges, re-sort and dedup —
-    /// skipped on stall iterations (`merges == 0`), which change no
-    /// statistic and no representative, so every edge survives unchanged.
-    ///
-    /// CSR: one [`Csr::rescan`] that performs the same relabel / filter /
-    /// squeeze *and* folds the next iteration's choices into `choice`
-    /// under the policy the next step will use (the stall counter is
-    /// already updated and `self.iterations` is the next step's index).
-    /// Random ties re-randomise every key each iteration, so every live
-    /// owner is rescanned — the reference backend pays the same sweep
-    /// inside its choice pass, so a stall iteration's rescan counts no
-    /// relabel work. Deterministic ties rescan only the dirty set
-    /// ([`Csr::mark_dirty`]).
-    ///
-    /// Returns `true` if the CSR backend compacted its arena.
+    /// Returns `true` if the arena compacted.
     fn end_of_step(&mut self, merges: u32) -> bool {
-        let crit = self.criterion;
-        let t = self.threshold;
         let policy = self.policy().0;
-        let mut compacted = false;
-        let Self {
-            backend,
-            stats,
-            redirect,
-            choice,
-            tie,
-            iterations,
-            pending_losers,
-            relabel_ops,
-            compactions,
-            ..
-        } = self;
-        match backend {
-            BackendState::Reference { edges, .. } => {
-                if merges > 0 {
-                    let stats = &*stats;
-                    let redirect = &*redirect;
-                    let map = |&(u, v): &(u32, u32)| -> Option<(u32, u32)> {
-                        let (mut a, mut b) = (redirect[u as usize], redirect[v as usize]);
-                        if a == b {
-                            return None;
-                        }
-                        if a > b {
-                            std::mem::swap(&mut a, &mut b);
-                        }
-                        if stats.satisfies(crit, t, a as usize, b as usize) {
-                            Some((a, b))
-                        } else {
-                            None
-                        }
-                    };
-                    // Two endpoint maps per edge …
-                    *relabel_ops += 2 * edges.len() as u64;
-                    let mut next: Vec<(u32, u32)> = edges.iter().filter_map(map).collect();
-                    next.sort_unstable();
-                    // … plus the canonicalising sort (⌈log₂ E⌉ element
-                    // moves per edge) and the dedup scan (one more) — the
-                    // O(E log E) term the CSR backend exists to eliminate.
-                    let e = next.len() as u64;
-                    if e > 0 {
-                        *relabel_ops += e * u64::from(e.ilog2() + 1) + e;
-                    }
-                    next.dedup();
-                    *edges = next;
-                }
-            }
-            BackendState::Csr(csr) => {
-                if !matches!(*tie, TieBreak::Random { .. }) {
-                    csr.mark_dirty(pending_losers, redirect);
-                }
-                let (ops, c) = csr.rescan(
-                    stats,
-                    crit,
-                    t,
-                    redirect,
-                    pending_losers,
-                    policy,
-                    *iterations,
-                    choice,
-                );
-                if merges > 0 {
-                    *relabel_ops += ops;
-                }
-                if c {
-                    *compactions += 1;
-                    compacted = true;
-                }
-            }
+        let csr = &mut self.csr;
+        if !matches!(self.tie, TieBreak::Random { .. }) {
+            csr.mark_dirty(&self.pending_losers, &self.redirect);
         }
+        let (ops, compacted) = csr.rescan(
+            &self.stats,
+            self.criterion,
+            self.threshold,
+            &self.redirect,
+            &self.pending_losers,
+            policy,
+            self.iterations,
+            &mut self.choice,
+        );
+        if merges > 0 {
+            self.relabel_ops += ops;
+        }
+        self.compactions += u64::from(compacted);
         // Reset redirects for the merged losers.
-        for l in pending_losers.drain(..) {
-            redirect[l as usize] = l;
+        for l in self.pending_losers.drain(..) {
+            self.redirect[l as usize] = l;
         }
         compacted
     }
@@ -1261,25 +1068,54 @@ impl<P: Intensity> Merger<P> {
 mod tests {
     use super::*;
     use crate::config::Connectivity;
+    use crate::merge_ref::{merge_reference, ReferenceMerge};
     use crate::split::split;
     use rg_imaging::synth;
 
-    fn make_merger_on(t: u32, tie: TieBreak, backend: MergeBackend) -> Merger<u8> {
+    fn make_merger(t: u32, tie: TieBreak) -> Merger<u8> {
         let img = synth::figure1_image();
-        let cfg = Config::with_threshold(t)
-            .tie_break(tie)
-            .merge_backend(backend);
+        let cfg = Config::with_threshold(t).tie_break(tie);
         let s = split(&img, &cfg);
         let rag = Rag::from_split(&s, Connectivity::Four);
         let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(4) as u64).collect();
         Merger::new(rag, ids, &cfg)
     }
 
-    fn make_merger(t: u32, tie: TieBreak) -> Merger<u8> {
-        make_merger_on(t, tie, MergeBackend::Csr)
+    /// Steps a traced merger over `img`'s split to the end next to the
+    /// reference merge, asserting every step report (bar `compacted`),
+    /// the trace, the labels and the peak agree. Returns the merger, for
+    /// its work counters, and the oracle's run.
+    fn step_against_oracle(
+        img: &rg_imaging::Image<u8>,
+        cfg: &Config,
+    ) -> (Merger<u8>, ReferenceMerge) {
+        let s = split(img, cfg);
+        let rag = Rag::from_split(&s, Connectivity::Four);
+        let stride = s.width as u32;
+        let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
+        let oracle = merge_reference(&rag, &ids, cfg);
+        let mut m = Merger::new(rag, ids, cfg);
+        m.enable_trace();
+        let mut steps = Vec::new();
+        while !m.is_done() {
+            steps.push(StepReport {
+                compacted: false,
+                ..m.step()
+            });
+        }
+        assert_eq!(steps, oracle.steps);
+        assert_eq!(m.take_trace().as_ref(), Some(&oracle.trace));
+        assert_eq!(m.labels_by_vertex(), oracle.labels_by_vertex);
+        assert_eq!(m.peak_active_edges(), oracle.peak_active_edges);
+        (m, oracle)
     }
 
-    fn figure2_walkthrough(mut m: Merger<u8>) {
+    #[test]
+    fn figure2_walkthrough_smallest_id() {
+        // Hand-verified against the paper's Figure 2 (see DESIGN.md):
+        // start: 7 regions; iter 1 merges {0,5} and {2,4}; iter 2 merges
+        // {3,6}; iter 3 merges {0,3} and {1,2}; done with 2 regions.
+        let mut m = make_merger(3, TieBreak::SmallestId);
         assert_eq!(m.num_regions(), 7);
 
         let r1 = m.step();
@@ -1311,51 +1147,18 @@ mod tests {
     }
 
     #[test]
-    fn figure2_walkthrough_smallest_id() {
-        // Hand-verified against the paper's Figure 2 (see DESIGN.md):
-        // start: 7 regions; iter 1 merges {0,5} and {2,4}; iter 2 merges
-        // {3,6}; iter 3 merges {0,3} and {1,2}; done with 2 regions.
-        figure2_walkthrough(make_merger(3, TieBreak::SmallestId));
-    }
-
-    #[test]
-    fn figure2_walkthrough_reference_backend() {
-        figure2_walkthrough(make_merger_on(
-            3,
-            TieBreak::SmallestId,
-            MergeBackend::Reference,
-        ));
-    }
-
-    #[test]
-    fn csr_matches_reference_on_synthetic_images() {
-        for (name, img) in [
-            ("circles", synth::circle_collection(48)),
-            ("rects", synth::random_rects(64, 40, 11, 5)),
-            ("nested", synth::nested_rects(32)),
+    fn merger_matches_reference_on_synthetic_images() {
+        for img in [
+            synth::circle_collection(48),
+            synth::random_rects(64, 40, 11, 5),
+            synth::nested_rects(32),
         ] {
             for tie in [
                 TieBreak::SmallestId,
                 TieBreak::LargestId,
                 TieBreak::Random { seed: 17 },
             ] {
-                let run = |backend: MergeBackend| {
-                    let cfg = Config::with_threshold(12)
-                        .tie_break(tie)
-                        .merge_backend(backend);
-                    let s = split(&img, &cfg);
-                    let rag = Rag::from_split(&s, Connectivity::Four);
-                    let stride = s.width as u32;
-                    let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
-                    let mut m = Merger::new(rag, ids, &cfg);
-                    m.enable_trace();
-                    let summary = m.run();
-                    let trace = m.take_trace().unwrap();
-                    (summary, trace, m.labels_by_vertex())
-                };
-                let csr = run(MergeBackend::Csr);
-                let reference = run(MergeBackend::Reference);
-                assert_eq!(csr, reference, "{name} {tie:?}");
+                step_against_oracle(&img, &Config::with_threshold(12).tie_break(tie));
             }
         }
     }
@@ -1383,38 +1186,18 @@ mod tests {
             TieBreak::LargestId,
             TieBreak::Random { seed: 3 },
         ] {
-            let run = |backend: MergeBackend| {
-                let cfg = Config::with_threshold(2)
-                    .tie_break(tie)
-                    .max_square_log2(Some(0))
-                    .merge_backend(backend);
-                let s = split(&img, &cfg);
-                let rag = Rag::from_split(&s, Connectivity::Four);
-                let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(32) as u64).collect();
-                let mut m = Merger::new(rag, ids, &cfg);
-                let mut active = Vec::new();
-                while !m.is_done() {
-                    active.push(m.step().active_edges);
-                }
-                (
-                    m.merges_per_iteration().to_vec(),
-                    active,
-                    m.labels_by_vertex(),
-                    m.compactions(),
-                    m.relabel_work(),
-                )
-            };
-            let (merges_csr, active_csr, l_csr, compactions, work_csr) = run(MergeBackend::Csr);
-            let (merges_ref, active_ref, l_ref, _, work_ref) = run(MergeBackend::Reference);
-            assert_eq!(merges_csr, merges_ref, "{tie:?}");
-            assert_eq!(l_csr, l_ref, "{tie:?}");
+            let cfg = Config::with_threshold(2)
+                .tie_break(tie)
+                .max_square_log2(Some(0));
             // Every rescan dedups exactly, so the live slots are the
-            // reference's edge list in both directions.
-            assert_eq!(active_csr, active_ref, "{tie:?}");
-            assert!(compactions > 0, "{tie:?}: expected an arena compaction");
+            // oracle's edge list in both directions, every step.
+            let (m, oracle) = step_against_oracle(&img, &cfg);
+            assert!(m.compactions() > 0, "{tie:?}: expected an arena compaction");
             assert!(
-                work_csr <= work_ref,
-                "{tie:?}: CSR relabel work {work_csr} exceeds reference {work_ref}"
+                m.relabel_work() <= oracle.relabel_work,
+                "{tie:?}: CSR relabel work {} exceeds reference {}",
+                m.relabel_work(),
+                oracle.relabel_work
             );
         }
     }

@@ -24,7 +24,7 @@
 use crate::config::Config;
 use crate::driver::{
     run_driver, EngineBackend, GraphStage, LabelStage, MergeCx, MergeStage, RunSummary, SplitInfo,
-    SplitStage, StageStats, TraceHook,
+    SplitStage, StageStats,
 };
 use crate::engine::Segmentation;
 use crate::hierarchy::MergeTrace;
@@ -225,9 +225,9 @@ pub(crate) fn run_host_into<P: Intensity>(
 ///
 /// This is the exemplar backend: every stage runs for real inside the span
 /// the driver opens for it, wall time comes from the driver's stopwatch,
-/// and there is no simulated time. It is also the only backend implementing
-/// [`TraceHook`] — construct it with [`HostBackend::with_trace`] and take
-/// the merge dendrogram after the run.
+/// and there is no simulated time. It is also the only backend that records
+/// the merge dendrogram — construct it with [`HostBackend::with_trace`] and
+/// take the trace after the run with [`HostBackend::take_trace`].
 pub struct HostBackend<'a, P: Intensity> {
     img: &'a Image<P>,
     config: &'a Config,
@@ -246,10 +246,16 @@ impl<'a, P: Intensity> HostBackend<'a, P> {
         }
     }
 
-    /// Enables merge-dendrogram recording for this run (see [`TraceHook`]).
+    /// Enables merge-dendrogram recording for this run.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
+    }
+
+    /// Takes the [`MergeTrace`] the run recorded, if
+    /// [`HostBackend::with_trace`] armed it.
+    pub fn take_trace(&mut self) -> Option<MergeTrace> {
+        self.ws.merger.as_mut().and_then(|m| m.take_trace())
     }
 }
 
@@ -367,12 +373,6 @@ impl<P: Intensity> EngineBackend for HostBackend<'_, P> {
     }
 }
 
-impl<P: Intensity> TraceHook for HostBackend<'_, P> {
-    fn take_trace(&mut self) -> Option<MergeTrace> {
-        self.ws.merger.as_mut().and_then(|m| m.take_trace())
-    }
-}
-
 /// First-appearance compaction over squares, in place: turns the
 /// resolved merge history `lab` (square → representative square) into
 /// square → compact label and returns the number of regions.
@@ -407,7 +407,7 @@ fn compact_square_reps(lab: &mut [u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MergeBackend, TieBreak};
+    use crate::config::TieBreak;
     use crate::engine::segment;
     use rg_imaging::synth;
 
@@ -431,16 +431,6 @@ mod tests {
                     assert_eq!(fresh, out, "tie={tie:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reused_pipeline_matches_under_reference_backend() {
-        let cfg = Config::with_threshold(10).merge_backend(MergeBackend::Reference);
-        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
-        for img in [synth::circle_collection(64), synth::nested_rects(64)] {
-            let fresh = segment(&img, &cfg);
-            assert_eq!(fresh, pipe.run_image(&img));
         }
     }
 

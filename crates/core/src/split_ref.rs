@@ -1,5 +1,5 @@
 //! The retained pre-optimisation split implementation: the differential
-//! oracle for the packed engine in [`crate::split`] and the baseline of
+//! oracle for the packed engine, [`crate::split::split`], and the baseline of
 //! the `bench_record split` suite.
 //!
 //! This is the original layout, kept verbatim on purpose: an

@@ -38,8 +38,8 @@
 //!    count;
 //! 3. one [`MergeIterationRecord`] per merge iteration (merges performed,
 //!    whether the iteration was a stall, whether the stall guard forced a
-//!    smallest-ID fallback, and — for the host engine — the backend's
-//!    remaining active-edge count and whether the CSR backend compacted);
+//!    smallest-ID fallback, and — for the host engine — the merger's
+//!    remaining active-edge count and whether its slot arena compacted);
 //! 4. [`Telemetry::merge_done`] with the final region count;
 //! 5. optionally a [`CommRecord`] (message-passing engine) and any number
 //!    of named [`Telemetry::counter`]s (e.g. the data-parallel engine's
@@ -522,13 +522,13 @@ pub struct MergeIterationRecord {
     /// `true` when the stall guard forced a smallest-ID iteration
     /// (only possible under [`TieBreak::Random`]).
     pub used_fallback: bool,
-    /// Active edges remaining after the iteration. Host engines report it
-    /// from the merge backend; the simulated engines report `None`, so
+    /// Active edges remaining after the iteration. The host engine reports
+    /// it from its merger; the simulated engines report `None`, so
     /// this field is informational and excluded from cross-engine
     /// conformance comparisons.
     pub active_edges: Option<u64>,
-    /// Whether the CSR backend compacted its slot arena this iteration
-    /// (`None` when the engine does not run an in-core backend).
+    /// Whether the host merger compacted its slot arena this iteration
+    /// (`None` on the simulated engines).
     pub compacted: Option<bool>,
 }
 

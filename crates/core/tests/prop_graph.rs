@@ -10,14 +10,12 @@
 //! walk ([`rg_core::Merger::reset_from_split`]) against one built from the
 //! edge list ([`rg_core::graph::Rag::from_split`] + [`rg_core::Merger::new`]):
 //! same active edges at reset, same step reports, merge history, labels
-//! and work counters, for `u8` and `u16` scenes, both connectivities, both
-//! backends and every tie family.
+//! and work counters, for `u8` and `u16` scenes, both connectivities and
+//! every tie family.
 
 use proptest::prelude::*;
 use rg_core::graph::{adjacent_label_pairs, square_adjacency_into, Rag};
-use rg_core::{
-    split, Config, Connectivity, Criterion, MergeBackend, Merger, SplitResult, StepReport, TieBreak,
-};
+use rg_core::{split, Config, Connectivity, Criterion, Merger, SplitResult, StepReport, TieBreak};
 use rg_imaging::synth::{self, PaperImage};
 use rg_imaging::{Image, Intensity};
 
@@ -139,9 +137,9 @@ fn run_to_end<P: Intensity>(m: &mut Merger<P>) -> MergeRun {
 }
 
 /// Asserts that `warm.reset_from_split` runs exactly like a merger built
-/// from the split's edge list, for both connectivities, both backends and
-/// every tie family. `warm` is reused across all of them, so its
-/// persistent scratch crosses graphs, configs and backends.
+/// from the split's edge list, for both connectivities and every tie
+/// family. `warm` is reused across all of them, so its persistent scratch
+/// crosses graphs and configs.
 fn assert_reset_identity<P: Intensity>(
     img: &Image<P>,
     cfg: &Config,
@@ -152,25 +150,23 @@ fn assert_reset_identity<P: Intensity>(
     let stride = s.width as u32;
     let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
     for conn in [Connectivity::Four, Connectivity::Eight] {
-        for backend in [MergeBackend::Csr, MergeBackend::Reference] {
-            for tie in [
-                TieBreak::SmallestId,
-                TieBreak::LargestId,
-                TieBreak::Random { seed },
-            ] {
-                let cfg = cfg.connectivity(conn).merge_backend(backend).tie_break(tie);
-                let mut fresh = Merger::new(Rag::from_split(&s, conn), ids.clone(), &cfg);
-                warm.reset_from_split(&s, &cfg);
-                assert!(
-                    run_to_end(warm) == run_to_end(&mut fresh),
-                    "{}x{} {conn:?} {backend:?} {tie:?} T={} {:?} cap={:?}",
-                    s.width,
-                    s.height,
-                    cfg.threshold,
-                    cfg.criterion,
-                    cfg.max_square_log2,
-                );
-            }
+        for tie in [
+            TieBreak::SmallestId,
+            TieBreak::LargestId,
+            TieBreak::Random { seed },
+        ] {
+            let cfg = cfg.connectivity(conn).tie_break(tie);
+            let mut fresh = Merger::new(Rag::from_split(&s, conn), ids.clone(), &cfg);
+            warm.reset_from_split(&s, &cfg);
+            assert!(
+                run_to_end(warm) == run_to_end(&mut fresh),
+                "{}x{} {conn:?} {tie:?} T={} {:?} cap={:?}",
+                s.width,
+                s.height,
+                cfg.threshold,
+                cfg.criterion,
+                cfg.max_square_log2,
+            );
         }
     }
 }

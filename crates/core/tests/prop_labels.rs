@@ -3,15 +3,16 @@
 //! only because the merge history is min-rep and squares are in raster
 //! order of their top-left corners. Pin that: whole-image [`HostPipeline`]
 //! labels must equal `compact_first_appearance` of the raw per-pixel
-//! representatives `by_vertex[square_of[p]]`, across random shapes
-//! (non-power-of-two rectangles, 1×N and N×1 strips), both criteria, both
-//! connectivities, split on and off, both merge backends and both tie
-//! families.
+//! representatives `by_vertex[square_of[p]]`, taken from the reference
+//! merge ([`rg_core::merge_reference`]). One property thus checks both the
+//! compaction and the engine's labels against the oracle, across random
+//! shapes (non-power-of-two rectangles, 1×N and N×1 strips), both
+//! criteria, both connectivities, split on and off, and both tie families.
 
 use proptest::prelude::*;
-use rg_core::engine::merge_from_split;
+use rg_core::graph::Rag;
 use rg_core::labels::compact_first_appearance;
-use rg_core::{split, Config, Connectivity, Criterion, HostPipeline, MergeBackend, TieBreak};
+use rg_core::{merge_reference, split, Config, Connectivity, Criterion, HostPipeline, TieBreak};
 use rg_imaging::{synth, Image};
 
 prop_compose! {
@@ -35,7 +36,6 @@ prop_compose! {
         crit in prop_oneof![Just(Criterion::PixelRange), Just(Criterion::MeanDifference)],
         conn in prop_oneof![Just(Connectivity::Four), Just(Connectivity::Eight)],
         cap in prop_oneof![Just(None), Just(Some(0u8))],
-        backend in prop_oneof![Just(MergeBackend::Csr), Just(MergeBackend::Reference)],
         tie_seed in prop_oneof![Just(None), (0u64..1000).prop_map(Some)],
     ) -> Config {
         let tie = match tie_seed {
@@ -46,7 +46,6 @@ prop_compose! {
             .criterion(crit)
             .connectivity(conn)
             .max_square_log2(cap)
-            .merge_backend(backend)
             .tie_break(tie)
     }
 }
@@ -64,7 +63,13 @@ proptest! {
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
         for img in &imgs {
             let seg = pipe.run_image(img);
-            let (_, raw) = merge_from_split(&split(img, &cfg), &cfg);
+            let s = split(img, &cfg);
+            let stride = s.width as u32;
+            let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
+            let by_vertex =
+                merge_reference(&Rag::from_split(&s, cfg.connectivity), &ids, &cfg)
+                    .labels_by_vertex;
+            let raw: Vec<u32> = s.square_of.iter().map(|&q| by_vertex[q as usize]).collect();
             let (expect, n) = compact_first_appearance(&raw);
             prop_assert_eq!(&seg.labels, &expect);
             prop_assert_eq!(seg.num_regions, n);

@@ -1,6 +1,6 @@
 //! Property tests for the tie-break machinery shared by every engine.
 //!
-//! Two families of properties:
+//! Three families of properties:
 //!
 //! 1. **Order invariance** — `tie_key` induces a strict total order over a
 //!    chooser's candidates, so the winning candidate (the argmin) does not
@@ -15,12 +15,15 @@
 //!    iteration) must force termination on adversarial graphs where *every*
 //!    edge is an exact tie: equal-intensity rings and chorded rings, the
 //!    worst case for cyclic choices.
+//!
+//! 3. **Oracle differential** — the CSR [`Merger`] steps exactly like the
+//!    reference edge-list merge ([`rg_core::merge_reference`]).
 
 use proptest::prelude::*;
 use rg_core::graph::Rag;
 use rg_core::merge::{tie_key, tie_priority, Merger};
 use rg_core::telemetry::derive_merge_iterations;
-use rg_core::{segment, Config, Connectivity, Criterion, MergeBackend, RegionStats, TieBreak};
+use rg_core::{merge_reference, split, Config, Connectivity, Criterion, RegionStats, TieBreak};
 use rg_imaging::synth;
 
 /// Deterministically shuffles `v` with a splitmix-style keyed sort.
@@ -227,16 +230,15 @@ proptest! {
         }
     }
 
-    /// **Differential backend equivalence.** The incremental CSR merge
-    /// engine and the reference edge-list engine are different data
-    /// structures implementing one algorithm: for any image, threshold,
-    /// connectivity, criterion and tie policy, they must produce the *identical*
-    /// [`rg_core::Segmentation`] — same final labels, same region count,
-    /// and the same merge history iteration by iteration (the
-    /// merges-per-iteration trajectory, which pins down every intermediate
-    /// RAG state, not just the fixed point).
+    /// **Per-step oracle differential.** The CSR engine and the reference
+    /// edge-list merge are different data structures implementing one
+    /// algorithm: for any image, threshold, connectivity, criterion and
+    /// tie policy, every step must merge the same number of pairs, take
+    /// the same fallback decision and leave the same active edges, and the
+    /// runs must end with the same merge trace, labels and peak. The
+    /// engine never moves more data than the oracle.
     #[test]
-    fn csr_backend_matches_reference_backend(
+    fn merger_steps_match_reference_merge(
         w in 8usize..48,
         h in 8usize..48,
         rects in 0usize..9,
@@ -255,17 +257,65 @@ proptest! {
         ][policy];
         let conn = if eight { Connectivity::Eight } else { Connectivity::Four };
         let crit = if mean { Criterion::MeanDifference } else { Criterion::PixelRange };
-        let base = Config::with_threshold(threshold)
+        let cfg = Config::with_threshold(threshold)
             .tie_break(tie)
             .connectivity(conn)
             .criterion(crit);
-        let csr = Config { merge_backend: MergeBackend::Csr, ..base };
-        let reference = Config { merge_backend: MergeBackend::Reference, ..base };
+        let s = split(&img, &cfg);
+        let stride = s.width as u32;
+        let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
+        assert_steps_match(Rag::from_split(&s, conn), ids, &cfg)?;
+    }
+
+    /// The same differential on fully-tied adversarial rings under random
+    /// ties, where empty iterations and stall-guard fallbacks are common.
+    #[test]
+    fn merger_steps_match_reference_merge_on_rings(
+        (n, chords) in ring(),
+        seed in 0u64..10_000,
+        max_stall in 1u32..4,
+    ) {
+        let (rag, ids) = adversarial_ring(n, &chords);
+        let config = Config::with_threshold(10).tie_break(TieBreak::Random { seed });
+        assert_steps_match(rag, ids, &Config { max_stall, ..config })?;
+    }
+}
+
+/// Steps a traced [`Merger`] over `rag` next to [`merge_reference`] and
+/// compares everything both observe (all of a [`rg_core::StepReport`]
+/// but the engine-only `compacted` flag).
+fn assert_steps_match(rag: Rag<'_, u8>, ids: Vec<u64>, cfg: &Config) -> Result<(), String> {
+    let oracle = merge_reference(&rag, &ids, cfg);
+    let mut m = Merger::new(rag, ids, cfg);
+    m.enable_trace();
+    for (i, expect) in oracle.steps.iter().enumerate() {
+        prop_assert!(
+            !m.is_done(),
+            "engine finished after {} of {} steps",
+            i,
+            oracle.steps.len()
+        );
+        let step = m.step();
         prop_assert_eq!(
-            segment(&img, &csr),
-            segment(&img, &reference),
-            "backends diverged: {:?} conn={:?} {:?} t={}",
-            tie, conn, crit, threshold
+            (step.merges, step.used_fallback, step.active_edges),
+            (expect.merges, expect.used_fallback, expect.active_edges),
+            "step {}",
+            i
         );
     }
+    prop_assert!(
+        m.is_done(),
+        "engine runs past the oracle's {} steps",
+        oracle.steps.len()
+    );
+    prop_assert_eq!(m.take_trace(), Some(oracle.trace));
+    prop_assert_eq!(m.labels_by_vertex(), oracle.labels_by_vertex);
+    prop_assert_eq!(m.peak_active_edges(), oracle.peak_active_edges);
+    prop_assert!(
+        m.relabel_work() <= oracle.relabel_work,
+        "engine relabel work {} exceeds the oracle's {}",
+        m.relabel_work(),
+        oracle.relabel_work
+    );
+    Ok(())
 }

@@ -9,8 +9,8 @@ use cmmd_sim::{
     TimeParams, TraceEvent, TraceKind,
 };
 use rg_core::driver::{
-    run_driver, BackendAbort, ChaosHook, EngineBackend, GraphStage, LabelStage, MergeCx,
-    MergeStage, RunSummary, SplitInfo, SplitStage, StageStats,
+    run_driver, EngineBackend, GraphStage, LabelStage, MergeCx, MergeStage, RunSummary, SplitInfo,
+    SplitStage, StageStats,
 };
 use rg_core::labels::compact_first_appearance;
 use rg_core::telemetry::{
@@ -162,8 +162,8 @@ pub fn segment_msgpass_chaos_with_telemetry<P: Intensity>(
 /// concurrently on OS threads), so the whole run's wall time is attributed
 /// proportionally to the simulated stage times through
 /// [`StageStats::replayed`]. Under a fault plan ([`MsgPassBackend::with_chaos`])
-/// an unsurvivable schedule aborts `prepare`, and the [`ChaosHook`]
-/// degrades to a sequential host re-run under the same square cap.
+/// an unsurvivable schedule aborts the SPMD run, and `prepare` degrades to
+/// a sequential host re-run under the same square cap.
 pub struct MsgPassBackend<'a, P: Intensity> {
     img: &'a Image<P>,
     config: &'a Config,
@@ -172,7 +172,6 @@ pub struct MsgPassBackend<'a, P: Intensity> {
     params: TimeParams,
     plan: Option<&'a FaultPlan>,
     outcome: Option<MsgPassOutcome>,
-    abort: Option<SpmdAbort>,
     wall_total: f64,
 }
 
@@ -188,7 +187,6 @@ impl<'a, P: Intensity> MsgPassBackend<'a, P> {
             params: TimeParams::cm5_mp(),
             plan: None,
             outcome: None,
-            abort: None,
             wall_total: 0.0,
         }
     }
@@ -201,7 +199,7 @@ impl<'a, P: Intensity> MsgPassBackend<'a, P> {
 
     /// Arms the backend with a seeded deterministic fault-injection plan;
     /// unsurvivable schedules degrade to a host re-run instead of
-    /// panicking (see [`ChaosHook`]).
+    /// panicking.
     pub fn with_chaos(mut self, plan: &'a FaultPlan) -> Self {
         self.plan = Some(plan);
         self
@@ -226,6 +224,52 @@ impl<'a, P: Intensity> MsgPassBackend<'a, P> {
         let sim_total =
             (out.split_seconds + out.graph_seconds + out.merge_seconds).max(f64::MIN_POSITIVE);
         StageStats::replayed(self.wall_total * (sim / sim_total), Some(sim))
+    }
+
+    /// Graceful degradation: the cluster aborted under injected faults, so
+    /// the segmentation is recomputed by the sequential host engine under
+    /// the same square cap, flagged via [`MsgPassOutcome::degraded`] and a
+    /// `degraded` fault event. Simulated times and communication totals
+    /// are zeroed.
+    fn degrade(&mut self, abort: SpmdAbort) {
+        let decomp = Decomposition::for_nodes(self.nodes, self.img.width(), self.img.height());
+        let safe_cap = decomp.max_safe_square_log2();
+        let cap_used = self
+            .config
+            .max_square_log2
+            .map(|c| c.min(safe_cap))
+            .unwrap_or(safe_cap);
+        let host_cfg = Config {
+            max_square_log2: Some(cap_used),
+            ..*self.config
+        };
+        let seg = rg_core::segment(self.img, &host_cfg);
+        let mut fault_events = abort.fault_events;
+        fault_events.push(FaultEvent {
+            kind: FaultKind::Degraded,
+            src: 0,
+            dst: 0,
+            seq: 0,
+            ts_ns: 0.0,
+        });
+        self.outcome = Some(MsgPassOutcome {
+            seg,
+            split_seconds: 0.0,
+            graph_seconds: 0.0,
+            merge_seconds: 0.0,
+            scheme: self.scheme,
+            nodes: decomp.nodes(),
+            cap_used,
+            total_messages: 0,
+            total_bytes: 0,
+            total_comm_rounds: 0,
+            merge_comm_per_iteration: Vec::new(),
+            merge_msg_bytes: Histogram::new(),
+            degraded: true,
+            fault_events,
+            fault_counters: abort.fault_counters,
+            flows: Vec::new(),
+        });
     }
 }
 
@@ -309,7 +353,7 @@ impl<P: Intensity> EngineBackend for MsgPassBackend<'_, P> {
         self.config
     }
 
-    fn prepare(&mut self, telemetry_enabled: bool) -> Result<(), BackendAbort> {
+    fn prepare(&mut self, telemetry_enabled: bool) {
         // A live sink turns the CMMD trace layer on, so the journal
         // carries the causal flow events analysis needs; untraced runs
         // skip the capture entirely (the zero-cost telemetry contract).
@@ -328,21 +372,9 @@ impl<P: Intensity> EngineBackend for MsgPassBackend<'_, P> {
             Ok(out) => {
                 self.wall_total = wall.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0);
                 self.outcome = Some(out);
-                Ok(())
             }
-            Err(abort) => {
-                let message = format!("fault-free msgpass run aborted: {abort}");
-                self.abort = Some(abort);
-                Err(BackendAbort::new(message))
-            }
-        }
-    }
-
-    fn chaos_hook(&mut self) -> Option<&mut dyn ChaosHook> {
-        if self.plan.is_some() {
-            Some(self)
-        } else {
-            None
+            Err(abort) if self.plan.is_some() => self.degrade(abort),
+            Err(abort) => panic!("fault-free msgpass run aborted: {abort}"),
         }
     }
 
@@ -414,55 +446,6 @@ impl<P: Intensity> EngineBackend for MsgPassBackend<'_, P> {
                 wait_ns: f.wait_ns,
             });
         }
-    }
-}
-
-impl<P: Intensity> ChaosHook for MsgPassBackend<'_, P> {
-    /// Graceful degradation: the cluster aborted under injected faults, so
-    /// the segmentation is recomputed by the sequential host engine under
-    /// the same square cap, flagged via [`MsgPassOutcome::degraded`] and a
-    /// `degraded` fault event. Simulated times and communication totals
-    /// are zeroed.
-    fn degrade(&mut self, _abort: BackendAbort) {
-        let abort = self.abort.take().expect("prepare stashed the abort");
-        let decomp = Decomposition::for_nodes(self.nodes, self.img.width(), self.img.height());
-        let safe_cap = decomp.max_safe_square_log2();
-        let cap_used = self
-            .config
-            .max_square_log2
-            .map(|c| c.min(safe_cap))
-            .unwrap_or(safe_cap);
-        let host_cfg = Config {
-            max_square_log2: Some(cap_used),
-            ..*self.config
-        };
-        let seg = rg_core::segment(self.img, &host_cfg);
-        let mut fault_events = abort.fault_events;
-        fault_events.push(FaultEvent {
-            kind: FaultKind::Degraded,
-            src: 0,
-            dst: 0,
-            seq: 0,
-            ts_ns: 0.0,
-        });
-        self.outcome = Some(MsgPassOutcome {
-            seg,
-            split_seconds: 0.0,
-            graph_seconds: 0.0,
-            merge_seconds: 0.0,
-            scheme: self.scheme,
-            nodes: decomp.nodes(),
-            cap_used,
-            total_messages: 0,
-            total_bytes: 0,
-            total_comm_rounds: 0,
-            merge_comm_per_iteration: Vec::new(),
-            merge_msg_bytes: Histogram::new(),
-            degraded: true,
-            fault_events,
-            fault_counters: abort.fault_counters,
-            flows: Vec::new(),
-        });
     }
 }
 

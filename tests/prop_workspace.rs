@@ -12,7 +12,7 @@ use cmmd_sim::CommScheme;
 use proptest::prelude::*;
 use rg_core::telemetry::Recorder;
 use rg_core::{
-    segment, segment_with_telemetry, Config, HostPipeline, MergeBackend, NullTelemetry, Pipeline,
+    segment, segment_with_telemetry, Config, Criterion, HostPipeline, NullTelemetry, Pipeline,
     Segmentation, TieBreak,
 };
 use rg_datapar::DataParPipeline;
@@ -56,27 +56,27 @@ proptest! {
     /// image, so one warm merger crosses between the full rescans of
     /// random ties and the dirty-set rescans of deterministic ones. Images
     /// 1 and 2 share a config, so the second reuses the stamp tokens and
-    /// dirty-set epochs the first left behind. The merge backend switches
-    /// between CSR and reference at image 3, so the merger hands over
-    /// between backends.
+    /// dirty-set epochs the first left behind. The criterion switches
+    /// between pixel range and mean difference at image 3, so the merger
+    /// hands over between the two rescan kernels.
     #[test]
     fn host_pipeline_reuse_is_invisible(
         images in image_stream(),
         t in 0u32..120,
         random in proptest::bool::ANY,
-        reference_first in proptest::bool::ANY,
+        mean_first in proptest::bool::ANY,
         seed in 0u64..1_000,
     ) {
-        let backend = |i: usize| {
-            if (i < 3) == reference_first {
-                MergeBackend::Reference
+        let criterion = |i: usize| {
+            if (i < 3) == mean_first {
+                Criterion::MeanDifference
             } else {
-                MergeBackend::Csr
+                Criterion::PixelRange
             }
         };
         let first = Config::with_threshold(t)
             .tie_break(tie_of(random, seed))
-            .merge_backend(backend(0));
+            .criterion(criterion(0));
         let mut pipe: HostPipeline<u8> = HostPipeline::new(first, false);
         let mut out = Segmentation::default();
         for (i, img) in images.iter().enumerate() {
@@ -84,7 +84,7 @@ proptest! {
                 pipe.set_config(
                     first
                         .tie_break(tie_of(!random, seed))
-                        .merge_backend(backend(i)),
+                        .criterion(criterion(i)),
                 );
             }
             let cfg = *pipe.config();
