@@ -46,7 +46,7 @@ use std::time::Instant;
 use rg_bench::diff::{diff_docs, DiffOptions};
 use rg_core::graph::Rag;
 use rg_core::json::Json;
-use rg_core::{merge_reference, split, Config, Merger, TieBreak};
+use rg_core::{split, Config, Merger, ReferenceInput, SplitResult, TieBreak};
 use rg_imaging::{synth, GrayImage};
 
 /// The `backend` name of rows that time the `Merger` engine.
@@ -71,74 +71,96 @@ struct Row {
     compactions: u64,
 }
 
-fn bench_one(
+/// The split `bench_csr` and `bench_reference` merge: the configuration,
+/// the split result and each square's canonical ID.
+fn bench_setup(
+    img: &GrayImage,
+    threshold: u32,
+    tie: TieBreak,
+) -> (Config, SplitResult<u8>, Vec<u64>) {
+    let cfg = Config::with_threshold(threshold).tie_break(tie);
+    let s = split(img, &cfg);
+    let stride = s.width as u32;
+    let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
+    (cfg, s, ids)
+}
+
+/// `initial_edges x iterations / wall_seconds` (see the module doc).
+fn edges_per_sec(initial_edges: u64, iterations: u32, wall: f64) -> f64 {
+    if wall > 0.0 {
+        (initial_edges as f64) * f64::from(iterations) / wall
+    } else {
+        0.0
+    }
+}
+
+/// Times `Merger::run` on a built merger, after a warm-up run (page in
+/// buffers, steady-state allocator) over the same split.
+fn bench_csr(
     img: &GrayImage,
     image_name: &'static str,
     threshold: u32,
     tie: TieBreak,
     tie_name: &'static str,
-    backend: &'static str,
 ) -> Row {
-    let cfg = Config::with_threshold(threshold).tie_break(tie);
-    let s = split(img, &cfg);
+    let (cfg, s, ids) = bench_setup(img, threshold, tie);
     let rag = Rag::from_split(&s, cfg.connectivity);
     let initial_edges = rag.num_edges() as u64;
-    let stride = s.width as u32;
-    let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
-
-    // Warm-up pass (page in buffers, steady-state allocator), then the
-    // timed pass over the same RAG. The engine is timed from a built
-    // merger; the oracle's single call includes its initial filter.
-    let (iterations, num_regions, wall, peak_live_edges, relabel_work, compactions) =
-        if backend == CSR {
-            let warm = Rag::from_split(&s, cfg.connectivity);
-            Merger::new(warm, ids.clone(), &cfg).run();
-            let mut merger = Merger::new(rag, ids, &cfg);
-            let t0 = Instant::now();
-            let summary = merger.run();
-            let wall = t0.elapsed().as_secs_f64();
-            (
-                summary.iterations,
-                summary.num_regions,
-                wall,
-                merger.peak_active_edges(),
-                merger.relabel_work(),
-                merger.compactions(),
-            )
-        } else {
-            merge_reference(&rag, &ids, &cfg);
-            let t0 = Instant::now();
-            let r = merge_reference(&rag, &ids, &cfg);
-            let wall = t0.elapsed().as_secs_f64();
-            let merges: usize = r.steps.iter().map(|st| st.merges as usize).sum();
-            (
-                r.steps.len() as u32,
-                ids.len() - merges,
-                wall,
-                r.peak_active_edges,
-                r.relabel_work,
-                0,
-            )
-        };
-
-    let edges_per_sec = if wall > 0.0 {
-        (initial_edges as f64) * f64::from(iterations) / wall
-    } else {
-        0.0
-    };
+    let warm = Rag::from_split(&s, cfg.connectivity);
+    Merger::new(warm, ids.clone(), &cfg).run();
+    let mut merger = Merger::new(rag, ids, &cfg);
+    let t0 = Instant::now();
+    let summary = merger.run();
+    let wall = t0.elapsed().as_secs_f64();
     Row {
-        backend,
+        backend: CSR,
+        image: image_name,
+        tie_break: tie_name,
+        threshold,
+        initial_edges,
+        iterations: summary.iterations,
+        num_regions: summary.num_regions,
+        wall_ms: wall * 1e3,
+        edges_per_sec: edges_per_sec(initial_edges, summary.iterations, wall),
+        peak_live_edges: merger.peak_active_edges(),
+        relabel_work: merger.relabel_work(),
+        compactions: merger.compactions(),
+    }
+}
+
+/// Times [`ReferenceInput::run`], the reference merge's iterations, after a
+/// warm-up run over the same split. Like `bench_csr`, it leaves the
+/// initial criterion filter out of the timed phase.
+fn bench_reference(
+    img: &GrayImage,
+    image_name: &'static str,
+    threshold: u32,
+    tie: TieBreak,
+    tie_name: &'static str,
+) -> Row {
+    let (cfg, s, ids) = bench_setup(img, threshold, tie);
+    let rag = Rag::from_split(&s, cfg.connectivity);
+    let initial_edges = rag.num_edges() as u64;
+    ReferenceInput::new(&rag, &cfg).run(&ids, &cfg);
+    let input = ReferenceInput::new(&rag, &cfg);
+    let t0 = Instant::now();
+    let r = input.run(&ids, &cfg);
+    let wall = t0.elapsed().as_secs_f64();
+    let iterations = r.steps.len() as u32;
+    let merges: usize = r.steps.iter().map(|st| st.merges as usize).sum();
+    Row {
+        backend: REFERENCE,
         image: image_name,
         tie_break: tie_name,
         threshold,
         initial_edges,
         iterations,
-        num_regions,
+        num_regions: ids.len() - merges,
         wall_ms: wall * 1e3,
-        edges_per_sec,
-        peak_live_edges,
-        relabel_work,
-        compactions,
+        edges_per_sec: edges_per_sec(initial_edges, iterations, wall),
+        peak_live_edges: r.peak_active_edges,
+        relabel_work: r.relabel_work,
+        compactions: 0,
     }
 }
 
@@ -179,8 +201,8 @@ fn build_doc(n: usize) -> (Json, Vec<String>) {
     let mut rows = Vec::new();
     for (name, threshold, img) in &scenes {
         for &(tie, tie_name) in &ties {
-            for backend in [CSR, REFERENCE] {
-                let row = bench_one(img, name, *threshold, tie, tie_name, backend);
+            for bench in [bench_csr, bench_reference] {
+                let row = bench(img, name, *threshold, tie, tie_name);
                 eprintln!(
                     "{:9} {:8} {:11} edges={:7} iters={:3} wall={:9.3}ms \
                      e/s={:12.0} peak={:7} work={:10} compactions={}",

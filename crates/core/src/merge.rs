@@ -1081,10 +1081,27 @@ mod tests {
         Merger::new(rag, ids, &cfg)
     }
 
-    /// Steps a traced merger over `img`'s split to the end next to the
-    /// reference merge, asserting every step report (bar `compacted`),
-    /// the trace, the labels and the peak agree. Returns the merger, for
-    /// its work counters, and the oracle's run.
+    /// Steps `m` to the end and returns its step reports, with the
+    /// engine-only `compacted` flag cleared so they compare with the
+    /// reference merge's.
+    fn run_steps(m: &mut Merger<u8>) -> Vec<StepReport> {
+        let mut steps = Vec::new();
+        while !m.is_done() {
+            steps.push(StepReport {
+                compacted: false,
+                ..m.step()
+            });
+        }
+        steps
+    }
+
+    /// Steps an untraced merger over `img`'s split to the end next to the
+    /// reference merge, asserting every step report (bar `compacted`), the
+    /// labels and the peak agree. The untraced merger is the one
+    /// production runs: under deterministic ties its rescan visits only
+    /// the dirty owners. A second, traced merger (which scans every vertex)
+    /// must take the same steps and record the oracle's trace. Returns the
+    /// untraced merger, for its work counters, and the oracle's run.
     fn step_against_oracle(
         img: &rg_imaging::Image<u8>,
         cfg: &Config,
@@ -1094,19 +1111,16 @@ mod tests {
         let stride = s.width as u32;
         let ids: Vec<u64> = s.squares.iter().map(|sq| sq.id(stride) as u64).collect();
         let oracle = merge_reference(&rag, &ids, cfg);
-        let mut m = Merger::new(rag, ids, cfg);
-        m.enable_trace();
-        let mut steps = Vec::new();
-        while !m.is_done() {
-            steps.push(StepReport {
-                compacted: false,
-                ..m.step()
-            });
-        }
-        assert_eq!(steps, oracle.steps);
-        assert_eq!(m.take_trace().as_ref(), Some(&oracle.trace));
+
+        let mut m = Merger::new(rag.clone(), ids.clone(), cfg);
+        assert_eq!(run_steps(&mut m), oracle.steps);
         assert_eq!(m.labels_by_vertex(), oracle.labels_by_vertex);
         assert_eq!(m.peak_active_edges(), oracle.peak_active_edges);
+
+        let mut traced = Merger::new(rag, ids, cfg);
+        traced.enable_trace();
+        assert_eq!(run_steps(&mut traced), oracle.steps);
+        assert_eq!(traced.take_trace().as_ref(), Some(&oracle.trace));
         (m, oracle)
     }
 

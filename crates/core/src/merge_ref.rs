@@ -13,11 +13,10 @@
 //! obvious program the engine must match step for step
 //! (`prop_tiebreak.rs`) and be measured against (`BENCH_merge.json`).
 //!
-//! [`RegionStats`]: crate::config::RegionStats
 //! [`Criterion::weight`]: crate::config::Criterion::weight
 //! [`Criterion::satisfies`]: crate::config::Criterion::satisfies
 
-use crate::config::{Config, TieBreak};
+use crate::config::{Config, RegionStats, TieBreak};
 use crate::graph::Rag;
 use crate::hierarchy::{MergeEvent, MergeTrace};
 use crate::merge::{choice_key, CandKey, StepReport, KEY_SENTINEL};
@@ -42,111 +41,140 @@ pub struct ReferenceMerge {
 }
 
 /// Runs the merge stage on `rag` to convergence. `ids[v]` is the canonical
-/// ID of dense vertex `v` (see [`crate::split::Square::id`]); edges that
-/// violate the criterion are dropped up front (the paper's step 2).
+/// ID of dense vertex `v` (see [`crate::split::Square::id`]).
 pub fn merge_reference<P: Intensity>(
     rag: &Rag<'_, P>,
     ids: &[u64],
     config: &Config,
 ) -> ReferenceMerge {
-    let (crit, t) = (config.criterion, config.threshold);
-    let n = rag.stats.len();
-    assert_eq!(ids.len(), n, "ids length mismatch");
-    let mut stats = rag.stats.to_vec();
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut edges: Vec<(u32, u32)> = rag
-        .edges
-        .iter()
-        .copied()
-        .filter(|&(u, v)| crit.satisfies(&stats[u as usize], &stats[v as usize], t))
-        .collect();
-    let mut best: Vec<CandKey> = vec![KEY_SENTINEL; n];
-    let mut out = ReferenceMerge {
-        steps: Vec::new(),
-        labels_by_vertex: Vec::new(),
-        trace: MergeTrace::new(n),
-        peak_active_edges: edges.len() as u64,
-        relabel_work: 0,
-    };
-    let mut stalls = 0u32;
-    while !edges.is_empty() {
-        let iteration = out.steps.len() as u32;
-        let used_fallback =
-            matches!(config.tie_break, TieBreak::Random { .. }) && stalls >= config.max_stall;
-        let policy = if used_fallback {
-            TieBreak::SmallestId
-        } else {
-            config.tie_break
+    ReferenceInput::new(rag, config).run(ids, config)
+}
+
+/// The reference merge's starting state: its own copy of the region
+/// statistics and the edges that satisfy the criterion (the paper's step
+/// 2). It is built apart from the iterations so `bench_record` times those
+/// alone, as it times a built [`crate::merge::Merger`].
+#[derive(Debug, Clone)]
+pub struct ReferenceInput<P: Intensity> {
+    stats: Vec<RegionStats<P>>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl<P: Intensity> ReferenceInput<P> {
+    /// Copies `rag`'s statistics and drops the edges that violate the
+    /// criterion up front.
+    pub fn new(rag: &Rag<'_, P>, config: &Config) -> Self {
+        let stats = rag.stats.to_vec();
+        let edges = rag
+            .edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| {
+                let (a, b) = (&stats[u as usize], &stats[v as usize]);
+                config.criterion.satisfies(a, b, config.threshold)
+            })
+            .collect();
+        ReferenceInput { stats, edges }
+    }
+
+    /// Iterates to convergence; `ids` as for [`merge_reference`].
+    pub fn run(self, ids: &[u64], config: &Config) -> ReferenceMerge {
+        let (crit, t) = (config.criterion, config.threshold);
+        let ReferenceInput {
+            mut stats,
+            mut edges,
+        } = self;
+        let n = stats.len();
+        assert_eq!(ids.len(), n, "ids length mismatch");
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut best: Vec<CandKey> = vec![KEY_SENTINEL; n];
+        let mut out = ReferenceMerge {
+            steps: Vec::new(),
+            labels_by_vertex: Vec::new(),
+            trace: MergeTrace::new(n),
+            peak_active_edges: edges.len() as u64,
+            relabel_work: 0,
         };
+        let mut stalls = 0u32;
+        while !edges.is_empty() {
+            let iteration = out.steps.len() as u32;
+            let used_fallback =
+                matches!(config.tie_break, TieBreak::Random { .. }) && stalls >= config.max_stall;
+            let policy = if used_fallback {
+                TieBreak::SmallestId
+            } else {
+                config.tie_break
+            };
 
-        // Every vertex's minimum (weight, tie key, neighbour).
-        best.fill(KEY_SENTINEL);
-        for &(u, v) in &edges {
-            let w = crit.weight(&stats[u as usize], &stats[v as usize]);
-            for (a, b) in [(u, v), (v, u)] {
-                let key = choice_key(policy, iteration, ids[a as usize], ids[b as usize], w, b);
-                best[a as usize] = best[a as usize].min(key);
+            // Every vertex's minimum (weight, tie key, neighbour).
+            best.fill(KEY_SENTINEL);
+            for &(u, v) in &edges {
+                let w = crit.weight(&stats[u as usize], &stats[v as usize]);
+                for (a, b) in [(u, v), (v, u)] {
+                    let key = choice_key(policy, iteration, ids[a as usize], ids[b as usize], w, b);
+                    best[a as usize] = best[a as usize].min(key);
+                }
             }
-        }
 
-        // Mutual pairs merge into the smaller index, in ascending order.
-        let mut merges = 0u32;
-        for u in 0..n as u32 {
-            let v = best[u as usize].3;
-            if v == u32::MAX || u > v || best[v as usize].3 != u {
-                continue;
+            // Mutual pairs merge into the smaller index, in ascending order.
+            let mut merges = 0u32;
+            for u in 0..n as u32 {
+                let v = best[u as usize].3;
+                if v == u32::MAX || u > v || best[v as usize].3 != u {
+                    continue;
+                }
+                let (su, sv) = (stats[u as usize], stats[v as usize]);
+                out.trace.events.push(MergeEvent {
+                    iteration,
+                    winner: u,
+                    loser: v,
+                    weight_fp16: crit.weight(&su, &sv),
+                });
+                stats[u as usize] = su.fold(sv);
+                parent[v as usize] = u;
+                merges += 1;
             }
-            let (su, sv) = (stats[u as usize], stats[v as usize]);
-            out.trace.events.push(MergeEvent {
-                iteration,
-                winner: u,
-                loser: v,
-                weight_fp16: crit.weight(&su, &sv),
+
+            // Relabel, filter, sort and dedup; a stall changes nothing.
+            if merges > 0 {
+                out.relabel_work += 2 * edges.len() as u64;
+                let mut next: Vec<(u32, u32)> = edges
+                    .iter()
+                    .filter_map(|&(u, v)| {
+                        let (a, b) = (parent[u as usize], parent[v as usize]);
+                        let (a, b) = (a.min(b), a.max(b));
+                        (a != b && crit.satisfies(&stats[a as usize], &stats[b as usize], t))
+                            .then_some((a, b))
+                    })
+                    .collect();
+                next.sort_unstable();
+                let e = next.len() as u64;
+                if e > 0 {
+                    out.relabel_work += e * u64::from(e.ilog2() + 1) + e;
+                }
+                next.dedup();
+                edges = next;
+                stalls = 0;
+            } else {
+                stalls += 1;
+            }
+            out.peak_active_edges = out.peak_active_edges.max(edges.len() as u64);
+            out.steps.push(StepReport {
+                merges,
+                used_fallback,
+                active_edges: edges.len() as u64,
+                compacted: false,
             });
-            stats[u as usize] = su.fold(sv);
-            parent[v as usize] = u;
-            merges += 1;
         }
 
-        // Relabel, filter, sort and dedup; a stall changes nothing.
-        if merges > 0 {
-            out.relabel_work += 2 * edges.len() as u64;
-            let mut next: Vec<(u32, u32)> = edges
-                .iter()
-                .filter_map(|&(u, v)| {
-                    let (a, b) = (parent[u as usize], parent[v as usize]);
-                    let (a, b) = (a.min(b), a.max(b));
-                    (a != b && crit.satisfies(&stats[a as usize], &stats[b as usize], t))
-                        .then_some((a, b))
-                })
-                .collect();
-            next.sort_unstable();
-            let e = next.len() as u64;
-            if e > 0 {
-                out.relabel_work += e * u64::from(e.ilog2() + 1) + e;
-            }
-            next.dedup();
-            edges = next;
-            stalls = 0;
-        } else {
-            stalls += 1;
+        // A winner has the smaller index, so one ascending pass resolves
+        // every chain.
+        for v in 0..n {
+            parent[v] = parent[parent[v] as usize];
         }
-        out.peak_active_edges = out.peak_active_edges.max(edges.len() as u64);
-        out.steps.push(StepReport {
-            merges,
-            used_fallback,
-            active_edges: edges.len() as u64,
-            compacted: false,
-        });
+        out.labels_by_vertex = parent;
+        out
     }
-
-    // A winner has the smaller index, so one ascending pass resolves
-    // every chain.
-    for v in 0..n {
-        parent[v] = parent[parent[v] as usize];
-    }
-    out.labels_by_vertex = parent;
-    out
 }
 
 #[cfg(test)]
