@@ -48,23 +48,10 @@ impl CommScheme {
 /// node; returns the received messages sorted by source rank (stable for
 /// multiple messages from one source).
 ///
-/// Messages to self are delivered locally without network charges.
-///
-/// # Panics
-/// Panics if an armed fault plan makes the exchange fail; chaos-aware
-/// code must use [`try_all_to_many`].
-pub fn all_to_many(
-    node: &mut Node,
-    outgoing: Vec<(usize, Bytes)>,
-    scheme: CommScheme,
-) -> Vec<(usize, Bytes)> {
-    try_all_to_many(node, outgoing, scheme).expect("all-to-many failed under fault injection")
-}
-
-/// Fallible [`all_to_many`]: sends and receives ride the reliable
-/// transport, so injected faults either heal transparently (costing
-/// virtual retry time) or surface as a [`Fault`] for the caller to abort
-/// on.
+/// Messages to self are delivered locally without network charges. Sends
+/// and receives ride the reliable transport, so injected faults either
+/// heal transparently (costing virtual retry time) or surface as a
+/// [`Fault`] for the caller to abort on.
 pub fn try_all_to_many(
     node: &mut Node,
     outgoing: Vec<(usize, Bytes)>,
@@ -158,9 +145,15 @@ pub fn try_all_to_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{decode_u32s, encode_u32s};
-    use crate::runtime::run_spmd;
+    use crate::channel::encode_u32s;
+    use crate::runtime::tests::{spmd, u32s};
+    use crate::runtime::try_run_spmd;
     use crate::time::TimeParams;
+
+    /// The first word of a well-formed `u32` payload.
+    fn first_u32(b: Bytes) -> u32 {
+        u32s(b)[0]
+    }
 
     /// Every node sends `rank*100 + dst` to each odd destination.
     fn workload(node: &Node) -> Vec<(usize, Bytes)> {
@@ -171,12 +164,13 @@ mod tests {
     }
 
     fn run_scheme(scheme: CommScheme) -> (Vec<Vec<(usize, u32)>>, f64) {
-        let res = run_spmd(8, TimeParams::default(), move |node| {
+        let res = spmd(8, move |node| {
             let out = workload(node);
-            let got = all_to_many(node, out, scheme);
-            got.into_iter()
-                .map(|(src, b)| (src, decode_u32s(b)[0]))
-                .collect::<Vec<_>>()
+            let got = try_all_to_many(node, out, scheme)?;
+            Ok(got
+                .into_iter()
+                .map(|(src, b)| (src, first_u32(b)))
+                .collect::<Vec<_>>())
         });
         (res.results, res.max_seconds)
     }
@@ -217,10 +211,10 @@ mod tests {
             (CommScheme::LinearPermutation, 7u64),
             (CommScheme::Async, 1u64),
         ] {
-            let res = run_spmd(8, TimeParams::default(), move |node| {
+            let res = spmd(8, move |node| {
                 let out = workload(node);
-                let _ = all_to_many(node, out, scheme);
-                node.comm_rounds()
+                try_all_to_many(node, out, scheme)?;
+                Ok(node.comm_rounds())
             });
             assert!(
                 res.results.iter().all(|&r| r == expect),
@@ -233,8 +227,8 @@ mod tests {
     #[test]
     fn empty_exchange_works() {
         for scheme in [CommScheme::LinearPermutation, CommScheme::Async] {
-            let res = run_spmd(4, TimeParams::default(), move |node| {
-                all_to_many(node, Vec::new(), scheme).len()
+            let res = spmd(4, move |node| {
+                Ok(try_all_to_many(node, Vec::new(), scheme)?.len())
             });
             assert!(res.results.iter().all(|&n| n == 0));
         }
@@ -242,10 +236,10 @@ mod tests {
 
     #[test]
     fn self_messages_are_delivered() {
-        let res = run_spmd(3, TimeParams::default(), |node| {
+        let res = spmd(3, |node| {
             let out = vec![(node.rank(), encode_u32s(&[9]))];
-            let got = all_to_many(node, out, CommScheme::Async);
-            (got.len(), got[0].0)
+            let got = try_all_to_many(node, out, CommScheme::Async)?;
+            Ok((got.len(), got[0].0))
         });
         for (rank, &(n, src)) in res.results.iter().enumerate() {
             assert_eq!(n, 1);
@@ -256,14 +250,13 @@ mod tests {
     #[test]
     fn chaos_exchange_matches_fault_free() {
         use crate::fault::FaultPlan;
-        use crate::runtime::try_run_spmd;
         let run_with = |plan: Option<FaultPlan>, scheme: CommScheme| {
             try_run_spmd(6, TimeParams::default(), plan, move |node| {
                 let out = workload(node);
                 let got = try_all_to_many(node, out, scheme)?;
                 Ok(got
                     .into_iter()
-                    .map(|(src, b)| (src, decode_u32s(b)[0]))
+                    .map(|(src, b)| (src, first_u32(b)))
                     .collect::<Vec<_>>())
             })
             .expect("survivable schedule aborted")
@@ -286,16 +279,17 @@ mod tests {
 
     #[test]
     fn multiple_messages_per_destination() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
+        let res = spmd(4, |node| {
             // Everyone sends two messages to node 0.
             let out = vec![
                 (0, encode_u32s(&[node.rank() as u32])),
                 (0, encode_u32s(&[node.rank() as u32 + 100])),
             ];
-            let got = all_to_many(node, out, CommScheme::LinearPermutation);
-            got.into_iter()
-                .map(|(s, b)| (s, decode_u32s(b)[0]))
-                .collect::<Vec<_>>()
+            let got = try_all_to_many(node, out, CommScheme::LinearPermutation)?;
+            Ok(got
+                .into_iter()
+                .map(|(s, b)| (s, first_u32(b)))
+                .collect::<Vec<_>>())
         });
         let at0 = &res.results[0];
         assert_eq!(at0.len(), 8);

@@ -46,8 +46,8 @@ pub fn encode_u32s(data: &[u32]) -> Bytes {
 }
 
 /// Decodes a little-endian `u32` payload, rejecting truncated or
-/// misaligned lengths. This is the decoder fault-tolerant paths must use:
-/// a corrupted payload surfaces as a recoverable `Err`, not an abort.
+/// misaligned lengths: a corrupted payload surfaces as a recoverable
+/// `Err`, not an abort.
 pub fn try_decode_u32s(mut b: Bytes) -> Result<Vec<u32>, DecodeError> {
     if !b.len().is_multiple_of(4) {
         return Err(DecodeError {
@@ -60,16 +60,6 @@ pub fn try_decode_u32s(mut b: Bytes) -> Result<Vec<u32>, DecodeError> {
         out.push(b.get_u32_le());
     }
     Ok(out)
-}
-
-/// Decodes a little-endian `u32` payload.
-///
-/// # Panics
-/// Panics if the length is not a multiple of 4; use [`try_decode_u32s`]
-/// where malformed input must be recoverable.
-pub fn decode_u32s(b: Bytes) -> Vec<u32> {
-    let len = b.len();
-    try_decode_u32s(b).unwrap_or_else(|_| panic!("u32 payload length {len} not /4"))
 }
 
 /// Encodes a `u64` slice little-endian.
@@ -97,16 +87,6 @@ pub fn try_decode_u64s(mut b: Bytes) -> Result<Vec<u64>, DecodeError> {
     Ok(out)
 }
 
-/// Decodes a little-endian `u64` payload.
-///
-/// # Panics
-/// Panics if the length is not a multiple of 8; use [`try_decode_u64s`]
-/// where malformed input must be recoverable.
-pub fn decode_u64s(b: Bytes) -> Vec<u64> {
-    let len = b.len();
-    try_decode_u64s(b).unwrap_or_else(|_| panic!("u64 payload length {len} not /8"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,20 +94,14 @@ mod tests {
     #[test]
     fn u32_roundtrip() {
         let data = vec![0u32, 1, u32::MAX, 0xDEAD_BEEF];
-        assert_eq!(decode_u32s(encode_u32s(&data)), data);
-        assert!(decode_u32s(Bytes::new()).is_empty());
+        assert_eq!(try_decode_u32s(encode_u32s(&data)), Ok(data));
+        assert_eq!(try_decode_u32s(Bytes::new()), Ok(Vec::new()));
     }
 
     #[test]
     fn u64_roundtrip() {
         let data = vec![0u64, u64::MAX, 0x0123_4567_89AB_CDEF];
-        assert_eq!(decode_u64s(encode_u64s(&data)), data);
-    }
-
-    #[test]
-    #[should_panic(expected = "not /4")]
-    fn bad_length_panics() {
-        let _ = decode_u32s(Bytes::from_static(&[1, 2, 3]));
+        assert_eq!(try_decode_u64s(encode_u64s(&data)), Ok(data));
     }
 
     #[test]

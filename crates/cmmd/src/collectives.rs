@@ -4,7 +4,10 @@
 //! reduces to: each rank deposits `(timestamp, value)` in its slot, waits
 //! for the group, snapshots all slots, and waits again before slots are
 //! reused. Two barrier phases make the slot array race-free without
-//! generation counters on the slots themselves.
+//! generation counters on the slots themselves. There are two slot arrays,
+//! one of `u64` values and one of byte payloads, behind the one
+//! rendezvous body; a barrier rides the `u64` slots and reads only the
+//! timestamps.
 //!
 //! The rendezvous barrier is *poisonable*: when a node program aborts on a
 //! [`crate::fault::Fault`], the runtime calls [`CollectiveCtx::poison`],
@@ -89,9 +92,8 @@ impl PoisonBarrier {
 /// Rendezvous state shared by all nodes of one SPMD run.
 pub struct CollectiveCtx {
     barrier: PoisonBarrier,
-    clock_slots: Mutex<Vec<f64>>,
-    byte_slots: Mutex<Vec<(f64, Bytes)>>,
     u64_slots: Mutex<Vec<(f64, u64)>>,
+    byte_slots: Mutex<Vec<(f64, Bytes)>>,
 }
 
 impl CollectiveCtx {
@@ -99,9 +101,8 @@ impl CollectiveCtx {
     pub fn new(n: usize) -> Self {
         Self {
             barrier: PoisonBarrier::new(n),
-            clock_slots: Mutex::new(vec![0.0; n]),
-            byte_slots: Mutex::new(vec![(0.0, Bytes::new()); n]),
             u64_slots: Mutex::new(vec![(0.0, 0); n]),
+            byte_slots: Mutex::new(vec![(0.0, Bytes::new()); n]),
         }
     }
 
@@ -112,70 +113,40 @@ impl CollectiveCtx {
         self.barrier.poison();
     }
 
-    /// All-gather of clocks (used by barriers); fallible under poisoning.
-    pub fn try_exchange_clock(&self, rank: usize, clock_ns: f64) -> Result<Vec<f64>, Poisoned> {
-        self.clock_slots.lock()[rank] = clock_ns;
-        self.barrier.wait()?;
-        let snapshot = self.clock_slots.lock().clone();
-        self.barrier.wait()?;
-        Ok(snapshot)
-    }
-
-    /// All-gather of byte payloads (global concatenation); fallible under
-    /// poisoning.
-    pub fn try_exchange_bytes(
-        &self,
-        rank: usize,
-        clock_ns: f64,
-        payload: Bytes,
-    ) -> Result<Vec<(f64, Bytes)>, Poisoned> {
-        self.byte_slots.lock()[rank] = (clock_ns, payload);
-        self.barrier.wait()?;
-        let snapshot = self.byte_slots.lock().clone();
-        self.barrier.wait()?;
-        Ok(snapshot)
-    }
-
-    /// All-gather of `u64` values (reductions); fallible under poisoning.
+    /// All-gather of timestamped `u64` values (reductions, scans and
+    /// barriers); fallible under poisoning.
     pub fn try_exchange_u64(
         &self,
         rank: usize,
         clock_ns: f64,
         v: u64,
     ) -> Result<Vec<(f64, u64)>, Poisoned> {
-        self.u64_slots.lock()[rank] = (clock_ns, v);
+        self.rendezvous(&self.u64_slots, rank, (clock_ns, v))
+    }
+
+    /// All-gather of timestamped byte payloads (concatenation, broadcast,
+    /// gather); fallible under poisoning.
+    pub fn try_exchange_bytes(
+        &self,
+        rank: usize,
+        clock_ns: f64,
+        payload: Bytes,
+    ) -> Result<Vec<(f64, Bytes)>, Poisoned> {
+        self.rendezvous(&self.byte_slots, rank, (clock_ns, payload))
+    }
+
+    /// The all-gather skeleton: deposit, wait, snapshot, wait.
+    fn rendezvous<T: Clone>(
+        &self,
+        slots: &Mutex<Vec<T>>,
+        rank: usize,
+        entry: T,
+    ) -> Result<Vec<T>, Poisoned> {
+        slots.lock()[rank] = entry;
         self.barrier.wait()?;
-        let snapshot = self.u64_slots.lock().clone();
+        let snapshot = slots.lock().clone();
         self.barrier.wait()?;
         Ok(snapshot)
-    }
-
-    /// All-gather of clocks (used by barriers).
-    ///
-    /// # Panics
-    /// Panics if the context was poisoned; use
-    /// [`CollectiveCtx::try_exchange_clock`] on fallible paths.
-    pub fn exchange_clock(&self, rank: usize, clock_ns: f64) -> Vec<f64> {
-        self.try_exchange_clock(rank, clock_ns)
-            .expect("collective poisoned")
-    }
-
-    /// All-gather of byte payloads (global concatenation).
-    ///
-    /// # Panics
-    /// Panics if the context was poisoned.
-    pub fn exchange_bytes(&self, rank: usize, clock_ns: f64, payload: Bytes) -> Vec<(f64, Bytes)> {
-        self.try_exchange_bytes(rank, clock_ns, payload)
-            .expect("collective poisoned")
-    }
-
-    /// All-gather of `u64` values (reductions).
-    ///
-    /// # Panics
-    /// Panics if the context was poisoned.
-    pub fn exchange_u64(&self, rank: usize, clock_ns: f64, v: u64) -> Vec<(f64, u64)> {
-        self.try_exchange_u64(rank, clock_ns, v)
-            .expect("collective poisoned")
     }
 }
 
@@ -192,7 +163,10 @@ mod tests {
             let mut joins = Vec::new();
             for rank in 0..n {
                 let ctx = Arc::clone(&ctx);
-                joins.push(s.spawn(move || ctx.exchange_u64(rank, rank as f64, rank as u64 * 7)));
+                joins.push(s.spawn(move || {
+                    ctx.try_exchange_u64(rank, rank as f64, rank as u64 * 7)
+                        .unwrap()
+                }));
             }
             joins.into_iter().map(|j| j.join().unwrap()).collect()
         });
@@ -214,7 +188,9 @@ mod tests {
                 let ctx = Arc::clone(&ctx);
                 s.spawn(move || {
                     for round in 0..50u64 {
-                        let got = ctx.exchange_u64(rank, 0.0, round * 10 + rank as u64);
+                        let got = ctx
+                            .try_exchange_u64(rank, 0.0, round * 10 + rank as u64)
+                            .unwrap();
                         for (i, &(_, v)) in got.iter().enumerate() {
                             assert_eq!(v, round * 10 + i as u64, "round {round}");
                         }
@@ -281,10 +257,9 @@ mod tests {
     #[test]
     fn poisoned_context_rejects_future_calls() {
         let ctx = CollectiveCtx::new(1);
-        assert!(ctx.try_exchange_clock(0, 1.0).is_ok());
+        assert!(ctx.try_exchange_u64(0, 1.0, 0).is_ok());
         ctx.poison();
-        assert_eq!(ctx.try_exchange_clock(0, 2.0), Err(Poisoned));
-        assert_eq!(ctx.try_exchange_u64(0, 0.0, 1), Err(Poisoned));
+        assert_eq!(ctx.try_exchange_u64(0, 2.0, 0), Err(Poisoned));
         assert!(ctx.try_exchange_bytes(0, 0.0, Bytes::new()).is_err());
     }
 }

@@ -1,24 +1,24 @@
 //! The SPMD node runtime.
 //!
-//! [`run_spmd`] launches one OS thread per simulated CM-5 node and hands
-//! each a [`Node`] handle carrying its rank, its point-to-point channel
-//! endpoints, the shared collective context, and its virtual clock. The
-//! node program is the same closure on every rank — exactly the CMMD
-//! "hostless" execution model the paper's F77 code used.
+//! [`try_run_spmd`] launches one OS thread per simulated CM-5 node and
+//! hands each a [`Node`] handle carrying its rank, its point-to-point
+//! channel endpoints, the shared collective context, and its virtual
+//! clock. The node program is the same closure on every rank — exactly the
+//! CMMD "hostless" execution model the paper's F77 code used.
 //!
-//! [`try_run_spmd`] is the chaos-aware variant: an optional
-//! [`FaultPlan`] arms deterministic fault injection on every
-//! point-to-point link, and the node program returns `Result` so a
-//! [`Fault`] that escapes the built-in retry machinery aborts the run
-//! cleanly (collectives are poisoned, peers cascade out via disconnected
-//! channels) instead of panicking or deadlocking. When a plan is armed,
+//! Every communication call is fallible. An optional [`FaultPlan`] arms
+//! deterministic fault injection on every point-to-point link, and the
+//! node program returns `Result`, so a [`Fault`] that escapes the built-in
+//! retry machinery aborts the run cleanly (collectives are poisoned, peers
+//! cascade out via disconnected channels) instead of panicking or
+//! deadlocking. Without a plan no call fails. When a plan is armed,
 //! payloads travel in CRC-framed, sequence-numbered form and the runtime
 //! retransmits on (deterministically simulated) loss or corruption,
 //! charging the retry timeout in virtual time — so surviving runs produce
 //! exactly the fault-free byte stream, just later on the clock.
 
 use crate::channel::Msg;
-use crate::collectives::CollectiveCtx;
+use crate::collectives::{CollectiveCtx, Poisoned};
 use crate::fault::{
     decode_frame, encode_frame, Fault, FaultCounters, FaultEvent, FaultKind, FaultPlan,
     FRAME_HEADER_LEN,
@@ -130,11 +130,6 @@ impl Node {
         &self.params
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_deref()
-    }
-
     /// Current virtual time, nanoseconds.
     pub fn clock_ns(&self) -> f64 {
         self.clock_ns
@@ -170,11 +165,6 @@ impl Node {
     /// clock. Off by default; untraced runs pay one branch per call.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-    }
-
-    /// Whether causal tracing is armed.
-    pub fn tracing(&self) -> bool {
-        self.tracing
     }
 
     /// Sets the program-point tag stamped onto subsequent trace events
@@ -264,37 +254,18 @@ impl Node {
 
     /// Blocking (synchronous) send: charges the rendezvous setup plus
     /// bandwidth, then enqueues the message stamped with the post-charge
-    /// clock.
-    ///
-    /// # Panics
-    /// Panics if the armed fault plan kills the link; chaos-aware code
-    /// must use [`Node::try_send_sync`].
-    pub fn send_sync(&mut self, dst: usize, payload: Bytes) {
-        self.try_send_sync(dst, payload)
-            .expect("link died under fault injection — use try_send_sync");
-    }
-
-    /// Asynchronous send: cheaper setup; bandwidth is charged to the
-    /// receiver side (the NI drains the buffer while the CPU continues).
-    ///
-    /// # Panics
-    /// Panics if the armed fault plan kills the link; chaos-aware code
-    /// must use [`Node::try_send_async`].
-    pub fn send_async(&mut self, dst: usize, payload: Bytes) {
-        self.try_send_async(dst, payload)
-            .expect("link died under fault injection — use try_send_async");
-    }
-
-    /// Fallible synchronous send. Under a fault plan the payload travels
-    /// as a CRC-framed, sequence-numbered frame; simulated drops and
-    /// corruptions charge the retry timeout and retransmit, up to
+    /// clock. Under a fault plan the payload travels as a CRC-framed,
+    /// sequence-numbered frame; simulated drops and corruptions charge the
+    /// retry timeout and retransmit, up to
     /// [`crate::fault::RetryPolicy::max_retries`] — past that the link is
     /// declared dead.
     pub fn try_send_sync(&mut self, dst: usize, payload: Bytes) -> Result<(), Fault> {
         self.send_impl(dst, payload, true)
     }
 
-    /// Fallible asynchronous send (see [`Node::try_send_sync`]).
+    /// Asynchronous send: cheaper setup; bandwidth is charged to the
+    /// receiver side (the NI drains the buffer while the CPU continues).
+    /// Fails like [`Node::try_send_sync`].
     pub fn try_send_async(&mut self, dst: usize, payload: Bytes) -> Result<(), Fault> {
         self.send_impl(dst, payload, false)
     }
@@ -386,7 +357,7 @@ impl Node {
     }
 
     /// Records one communication round (see
-    /// [`crate::alltomany::all_to_many`]: LP counts each of its `Q−1`
+    /// [`crate::alltomany::try_all_to_many`]: LP counts each of its `Q−1`
     /// permutation rounds, Async counts one round per exchange).
     pub fn note_comm_round(&mut self) {
         self.comm_rounds += 1;
@@ -400,11 +371,6 @@ impl Node {
     /// Drains the node's recorded fault/recovery events.
     pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
         std::mem::take(&mut self.fault_events)
-    }
-
-    /// The node's fault counters so far.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.fault_counters
     }
 
     /// Poisons the collective context so peers blocked in collectives
@@ -435,21 +401,11 @@ impl Node {
 
     /// Blocking receive of the next message from `src`. The clock advances
     /// to the message's arrival time (sender timestamp + latency +
-    /// bandwidth) if that is later than local time.
-    ///
-    /// # Panics
-    /// Panics if the peer is down; chaos-aware code must use
-    /// [`Node::try_recv_from`].
-    pub fn recv_from(&mut self, src: usize) -> Bytes {
-        self.try_recv_from(src)
-            .expect("peer node hung up — node program panicked?")
-    }
-
-    /// Fallible blocking receive. Under a fault plan this runs the
-    /// receiver half of the reliable transport: corrupted frames (CRC
-    /// mismatch) and duplicates (stale sequence numbers) are charged for
-    /// and silently discarded until the expected frame arrives; a
-    /// disconnected peer yields [`Fault::PeerDown`].
+    /// bandwidth) if that is later than local time. Under a fault plan
+    /// this runs the receiver half of the reliable transport: corrupted
+    /// frames (CRC mismatch) and duplicates (stale sequence numbers) are
+    /// charged for and silently discarded until the expected frame
+    /// arrives; a disconnected peer yields [`Fault::PeerDown`].
     pub fn try_recv_from(&mut self, src: usize) -> Result<Bytes, Fault> {
         let mut wait_ns = 0.0;
         loop {
@@ -493,29 +449,35 @@ impl Node {
         }
     }
 
-    /// Barrier across all nodes; clocks synchronise to the latest arrival
-    /// plus the control-tree latency.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_barrier`].
-    pub fn barrier(&mut self) {
-        self.try_barrier().expect("collective poisoned");
-    }
-
-    /// Fallible barrier (see [`Node::barrier`]).
-    pub fn try_barrier(&mut self) -> Result<(), Fault> {
+    /// The skeleton every control-network collective shares: sample the
+    /// stall, deposit this rank's entry stamped with its clock, synchronise
+    /// to the latest arrival, charge one control-tree traversal plus `β`
+    /// per charged byte, and record the collective trace event. `bytes`
+    /// maps the gathered entries to `(charged, traced)` payload bytes.
+    fn collective<T>(
+        &mut self,
+        exchange: impl FnOnce(&CollectiveCtx, usize, f64) -> Result<Vec<(f64, T)>, Poisoned>,
+        bytes: impl FnOnce(&[(f64, T)]) -> (usize, usize),
+    ) -> Result<Vec<T>, Fault> {
         self.apply_stall();
         let entered = self.clock_ns;
-        let all = self
-            .collectives
-            .try_exchange_clock(self.rank, self.clock_ns)
+        let parts = exchange(&self.collectives, self.rank, entered)
             .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max = all.iter().copied().fold(f64::MIN, f64::max);
-        self.clock_ns = max + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns;
+        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
+        let (charged, traced) = bytes(&parts);
+        self.clock_ns = max_ts
+            + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns
+            + charged as f64 * self.params.beta_ns_per_byte;
         if self.tracing {
-            self.trace_coll(0, max - entered);
+            self.trace_coll(traced, max_ts - entered);
         }
+        Ok(parts.into_iter().map(|(_, v)| v).collect())
+    }
+
+    /// Barrier across all nodes; clocks synchronise to the latest arrival
+    /// plus the control-tree latency.
+    pub fn try_barrier(&mut self) -> Result<(), Fault> {
+        self.collective(|c, rank, t| c.try_exchange_u64(rank, t, 0), |_| (0, 0))?;
         Ok(())
     }
 
@@ -523,74 +485,29 @@ impl Node {
     /// receives all payloads indexed by rank. This is CMMD's
     /// `CMMD_concat_with_nodes`, the primitive the paper's LP scheme uses
     /// to build the communication matrix.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_concat`].
-    pub fn concat(&mut self, payload: Bytes) -> Vec<Bytes> {
-        self.try_concat(payload).expect("collective poisoned")
-    }
-
-    /// Fallible global concatenation (see [`Node::concat`]).
     pub fn try_concat(&mut self, payload: Bytes) -> Result<Vec<Bytes>, Fault> {
-        self.apply_stall();
-        let entered = self.clock_ns;
-        let parts = self
-            .collectives
-            .try_exchange_bytes(self.rank, self.clock_ns, payload)
-            .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
-        let total: usize = parts.iter().map(|(_, b)| b.len()).sum();
-        self.clock_ns = max_ts
-            + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns
-            + total as f64 * self.params.beta_ns_per_byte;
-        if self.tracing {
-            self.trace_coll(total, max_ts - entered);
-        }
-        Ok(parts.into_iter().map(|(_, b)| b).collect())
+        self.collective(
+            |c, rank, t| c.try_exchange_bytes(rank, t, payload),
+            |parts| {
+                let total = total_len(parts);
+                (total, total)
+            },
+        )
     }
 
     /// Global reduction of a `u64` with an associative-commutative `op`;
     /// every node receives the result.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_allreduce_u64`].
-    pub fn allreduce_u64(&mut self, v: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        self.try_allreduce_u64(v, op).expect("collective poisoned")
-    }
-
-    /// Fallible global reduction (see [`Node::allreduce_u64`]).
     pub fn try_allreduce_u64(
         &mut self,
         v: u64,
         op: impl Fn(u64, u64) -> u64,
     ) -> Result<u64, Fault> {
-        self.apply_stall();
-        let entered = self.clock_ns;
-        let parts = self
-            .collectives
-            .try_exchange_u64(self.rank, self.clock_ns, v)
-            .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
-        self.clock_ns = max_ts + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns;
-        if self.tracing {
-            self.trace_coll(8, max_ts - entered);
-        }
-        Ok(parts.into_iter().map(|(_, x)| x).reduce(&op).unwrap())
+        let parts = self.collective(|c, rank, t| c.try_exchange_u64(rank, t, v), |_| (0, 8))?;
+        Ok(parts.into_iter().reduce(op).unwrap())
     }
 
     /// Global OR — the merge loop's "does any node still have active
     /// edges?" test.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_allreduce_or`].
-    pub fn allreduce_or(&mut self, v: bool) -> bool {
-        self.try_allreduce_or(v).expect("collective poisoned")
-    }
-
-    /// Fallible global OR (see [`Node::allreduce_or`]).
     pub fn try_allreduce_or(&mut self, v: bool) -> Result<bool, Fault> {
         Ok(self.try_allreduce_u64(v as u64, |a, b| a | b)? != 0)
     }
@@ -598,124 +515,60 @@ impl Node {
     /// Broadcast from `root`: every node receives the root's payload
     /// (CMMD's `CMMD_bc_from_node`). Built on the control-network
     /// exchange; charged one tree traversal plus the payload bandwidth.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_broadcast`].
-    pub fn broadcast(&mut self, root: usize, payload: Bytes) -> Bytes {
-        self.try_broadcast(root, payload)
-            .expect("collective poisoned")
-    }
-
-    /// Fallible broadcast (see [`Node::broadcast`]).
     pub fn try_broadcast(&mut self, root: usize, payload: Bytes) -> Result<Bytes, Fault> {
         assert!(root < self.size, "broadcast root out of range");
-        self.apply_stall();
         let contribution = if self.rank == root {
             payload
         } else {
             Bytes::new()
         };
-        let entered = self.clock_ns;
-        let parts = self
-            .collectives
-            .try_exchange_bytes(self.rank, self.clock_ns, contribution)
-            .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
-        let data = parts[root].1.clone();
-        self.clock_ns = max_ts
-            + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns
-            + data.len() as f64 * self.params.beta_ns_per_byte;
-        if self.tracing {
-            self.trace_coll(data.len(), max_ts - entered);
-        }
-        Ok(data)
+        let mut parts = self.collective(
+            |c, rank, t| c.try_exchange_bytes(rank, t, contribution),
+            |parts| {
+                let len = parts[root].1.len();
+                (len, len)
+            },
+        )?;
+        Ok(parts.swap_remove(root))
     }
 
     /// Exclusive prefix over ranks: node `k` receives
     /// `op(v_0, …, v_{k-1})` (`init` for rank 0) — CMMD's scan on the
     /// control network.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_scan_exclusive_u64`].
-    pub fn scan_exclusive_u64(&mut self, v: u64, init: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        self.try_scan_exclusive_u64(v, init, op)
-            .expect("collective poisoned")
-    }
-
-    /// Fallible exclusive scan (see [`Node::scan_exclusive_u64`]).
     pub fn try_scan_exclusive_u64(
         &mut self,
         v: u64,
         init: u64,
         op: impl Fn(u64, u64) -> u64,
     ) -> Result<u64, Fault> {
-        self.apply_stall();
-        let entered = self.clock_ns;
-        let parts = self
-            .collectives
-            .try_exchange_u64(self.rank, self.clock_ns, v)
-            .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
-        self.clock_ns = max_ts + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns;
-        if self.tracing {
-            self.trace_coll(8, max_ts - entered);
-        }
-        Ok(parts[..self.rank]
-            .iter()
-            .fold(init, |acc, &(_, x)| op(acc, x)))
+        let parts = self.collective(|c, rank, t| c.try_exchange_u64(rank, t, v), |_| (0, 8))?;
+        Ok(parts[..self.rank].iter().fold(init, |acc, &x| op(acc, x)))
     }
 
     /// Gather to `root`: the root receives every node's payload indexed by
     /// rank; other nodes receive an empty vector. Charged like a
     /// concatenation whose bandwidth lands on the root.
-    ///
-    /// # Panics
-    /// Panics if the collectives were poisoned; chaos-aware code must use
-    /// [`Node::try_gather_to`].
-    pub fn gather_to(&mut self, root: usize, payload: Bytes) -> Vec<Bytes> {
-        self.try_gather_to(root, payload)
-            .expect("collective poisoned")
-    }
-
-    /// Fallible gather (see [`Node::gather_to`]).
     pub fn try_gather_to(&mut self, root: usize, payload: Bytes) -> Result<Vec<Bytes>, Fault> {
         assert!(root < self.size, "gather root out of range");
-        self.apply_stall();
-        let entered = self.clock_ns;
-        let parts = self
-            .collectives
-            .try_exchange_bytes(self.rank, self.clock_ns, payload)
-            .map_err(|_| Fault::CollectivePoisoned { rank: self.rank })?;
-        let max_ts = parts.iter().map(|(t, _)| *t).fold(f64::MIN, f64::max);
-        let total: usize = parts.iter().map(|(_, b)| b.len()).sum();
-        self.clock_ns = max_ts + (self.size.max(2) as f64).log2() * self.params.tree_stage_ns;
-        let out = if self.rank == root {
-            self.clock_ns += total as f64 * self.params.beta_ns_per_byte;
-            parts.into_iter().map(|(_, b)| b).collect()
-        } else {
-            Vec::new()
-        };
-        if self.tracing {
-            self.trace_coll(total, max_ts - entered);
-        }
-        Ok(out)
+        let is_root = self.rank == root;
+        let parts = self.collective(
+            |c, rank, t| c.try_exchange_bytes(rank, t, payload),
+            |parts| {
+                let total = total_len(parts);
+                (if is_root { total } else { 0 }, total)
+            },
+        )?;
+        Ok(if is_root { parts } else { Vec::new() })
     }
 }
 
-/// Runs `f` on `nodes` SPMD nodes, one thread each, and collects results
-/// and virtual times.
-pub fn run_spmd<R, F>(nodes: usize, params: TimeParams, f: F) -> SpmdResult<R>
-where
-    R: Send,
-    F: Fn(&mut Node) -> R + Sync,
-{
-    try_run_spmd(nodes, params, None, |node| Ok(f(node)))
-        .unwrap_or_else(|abort| panic!("fault-free SPMD run aborted: {abort}"))
+/// Total payload bytes of a byte-slot snapshot.
+fn total_len(parts: &[(f64, Bytes)]) -> usize {
+    parts.iter().map(|(_, b)| b.len()).sum()
 }
 
-/// Runs `f` on `nodes` SPMD nodes under an optional [`FaultPlan`].
+/// Runs `f` on `nodes` SPMD nodes, one thread each, under an optional
+/// [`FaultPlan`], and collects results and virtual times.
 ///
 /// A node program that returns `Err` poisons the collectives and drops
 /// its channel endpoints, so every peer blocked on it cascades out with
@@ -855,20 +708,33 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::channel::{decode_u32s, encode_u32s};
+    use crate::channel::{encode_u32s, try_decode_u32s};
+
+    /// A fault-free run of `f` on `nodes` nodes; no call can fail.
+    pub(crate) fn spmd<R: Send>(
+        nodes: usize,
+        f: impl Fn(&mut Node) -> Result<R, Fault> + Sync,
+    ) -> SpmdResult<R> {
+        try_run_spmd(nodes, TimeParams::default(), None, f).expect("fault-free run")
+    }
+
+    /// Decodes a payload known to be well formed.
+    pub(crate) fn u32s(b: Bytes) -> Vec<u32> {
+        try_decode_u32s(b).unwrap()
+    }
 
     #[test]
     fn ring_pass() {
         // Each node sends its rank to the right neighbour; receives from
         // the left.
-        let res = run_spmd(8, TimeParams::default(), |node| {
+        let res = spmd(8, |node| {
             let right = (node.rank() + 1) % node.size();
             let left = (node.rank() + node.size() - 1) % node.size();
-            node.send_sync(right, encode_u32s(&[node.rank() as u32]));
-            let got = decode_u32s(node.recv_from(left));
-            got[0]
+            node.try_send_sync(right, encode_u32s(&[node.rank() as u32]))?;
+            let got = u32s(node.try_recv_from(left)?);
+            Ok(got[0])
         });
         assert_eq!(res.results, vec![7, 0, 1, 2, 3, 4, 5, 6]);
         assert!(res.max_seconds > 0.0);
@@ -880,14 +746,14 @@ mod tests {
     fn clocks_synchronise_on_recv() {
         // Node 0 computes a long time, then sends to node 1; node 1's
         // receive must push its clock past node 0's send time.
-        let res = run_spmd(2, TimeParams::default(), |node| {
+        let res = spmd(2, |node| {
             if node.rank() == 0 {
                 node.compute(1_000_000);
-                node.send_sync(1, encode_u32s(&[42]));
+                node.try_send_sync(1, encode_u32s(&[42]))?;
             } else {
-                let _ = node.recv_from(0);
+                node.try_recv_from(0)?;
             }
-            node.clock_seconds()
+            Ok(node.clock_seconds())
         });
         assert!(res.results[1] > res.results[0] * 0.99);
         assert!(res.results[1] >= 1_000_000.0 * 150.0 / 1e9);
@@ -895,10 +761,10 @@ mod tests {
 
     #[test]
     fn barrier_equalises_clocks() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
+        let res = spmd(4, |node| {
             node.compute(node.rank() as u64 * 10_000);
-            node.barrier();
-            node.clock_seconds()
+            node.try_barrier()?;
+            Ok(node.clock_seconds())
         });
         let first = res.results[0];
         for &c in &res.results {
@@ -908,12 +774,9 @@ mod tests {
 
     #[test]
     fn concat_gathers_in_rank_order() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
-            let parts = node.concat(encode_u32s(&[node.rank() as u32 * 10]));
-            parts
-                .into_iter()
-                .flat_map(decode_u32s)
-                .collect::<Vec<u32>>()
+        let res = spmd(4, |node| {
+            let parts = node.try_concat(encode_u32s(&[node.rank() as u32 * 10]))?;
+            Ok(parts.into_iter().flat_map(u32s).collect::<Vec<u32>>())
         });
         for r in res.results {
             assert_eq!(r, vec![0, 10, 20, 30]);
@@ -922,11 +785,11 @@ mod tests {
 
     #[test]
     fn allreduce_or_and_max() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
-            let any = node.allreduce_or(node.rank() == 2);
-            let none = node.allreduce_or(false);
-            let max = node.allreduce_u64(node.rank() as u64, u64::max);
-            (any, none, max)
+        let res = spmd(4, |node| {
+            let any = node.try_allreduce_or(node.rank() == 2)?;
+            let none = node.try_allreduce_or(false)?;
+            let max = node.try_allreduce_u64(node.rank() as u64, u64::max)?;
+            Ok((any, none, max))
         });
         for (any, none, max) in res.results {
             assert!(any);
@@ -938,18 +801,18 @@ mod tests {
     #[test]
     fn async_send_cheaper_than_sync() {
         let time_of = |sync: bool| {
-            run_spmd(2, TimeParams::default(), move |node| {
+            spmd(2, move |node| {
                 if node.rank() == 0 {
                     let payload = encode_u32s(&vec![7u32; 100]);
                     if sync {
-                        node.send_sync(1, payload);
+                        node.try_send_sync(1, payload)?;
                     } else {
-                        node.send_async(1, payload);
+                        node.try_send_async(1, payload)?;
                     }
                 } else {
-                    let _ = node.recv_from(0);
+                    node.try_recv_from(0)?;
                 }
-                node.clock_seconds()
+                Ok(node.clock_seconds())
             })
             .results[0]
         };
@@ -959,11 +822,11 @@ mod tests {
     #[test]
     fn deterministic_virtual_time() {
         let run = || {
-            run_spmd(6, TimeParams::default(), |node| {
+            spmd(6, |node| {
                 node.compute((node.rank() as u64 + 1) * 1000);
-                let parts = node.concat(encode_u32s(&[node.rank() as u32]));
-                node.barrier();
-                (parts.len(), node.clock_ns())
+                let parts = node.try_concat(encode_u32s(&[node.rank() as u32]))?;
+                node.try_barrier()?;
+                Ok((parts.len(), node.clock_ns()))
             })
         };
         let a = run();
@@ -977,6 +840,7 @@ mod tests {
 
 #[cfg(test)]
 mod trace_tests {
+    use super::tests::spmd;
     use super::*;
     use crate::channel::encode_u32s;
     use crate::trace::TraceKind;
@@ -998,10 +862,10 @@ mod trace_tests {
 
     #[test]
     fn untraced_runs_record_nothing() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
-            node.send_sync((node.rank() + 1) % node.size(), encode_u32s(&[1]));
-            let _ = node.recv_from((node.rank() + node.size() - 1) % node.size());
-            node.barrier();
+        let res = spmd(4, |node| {
+            node.try_send_sync((node.rank() + 1) % node.size(), encode_u32s(&[1]))?;
+            node.try_recv_from((node.rank() + node.size() - 1) % node.size())?;
+            node.try_barrier()
         });
         assert!(res.trace_events.is_empty());
     }
@@ -1080,18 +944,18 @@ mod trace_tests {
 
 #[cfg(test)]
 mod collective_tests {
-    use super::*;
-    use crate::channel::{decode_u32s, encode_u32s};
+    use super::tests::{spmd, u32s};
+    use crate::channel::encode_u32s;
 
     #[test]
     fn broadcast_delivers_root_payload() {
-        let res = run_spmd(5, TimeParams::default(), |node| {
+        let res = spmd(5, |node| {
             let payload = if node.rank() == 2 {
                 encode_u32s(&[41, 42])
             } else {
                 encode_u32s(&[99]) // ignored: only the root's bytes matter
             };
-            decode_u32s(node.broadcast(2, payload))
+            Ok(u32s(node.try_broadcast(2, payload)?))
         });
         for r in res.results {
             assert_eq!(r, vec![41, 42]);
@@ -1100,8 +964,8 @@ mod collective_tests {
 
     #[test]
     fn exclusive_scan_over_ranks() {
-        let res = run_spmd(6, TimeParams::default(), |node| {
-            node.scan_exclusive_u64(node.rank() as u64 + 1, 0, |a, b| a + b)
+        let res = spmd(6, |node| {
+            node.try_scan_exclusive_u64(node.rank() as u64 + 1, 0, |a, b| a + b)
         });
         // Node k gets sum of 1..=k.
         assert_eq!(res.results, vec![0, 1, 3, 6, 10, 15]);
@@ -1109,9 +973,9 @@ mod collective_tests {
 
     #[test]
     fn gather_lands_on_root_only() {
-        let res = run_spmd(4, TimeParams::default(), |node| {
-            let got = node.gather_to(1, encode_u32s(&[node.rank() as u32 * 7]));
-            got.into_iter().flat_map(decode_u32s).collect::<Vec<_>>()
+        let res = spmd(4, |node| {
+            let got = node.try_gather_to(1, encode_u32s(&[node.rank() as u32 * 7]))?;
+            Ok(got.into_iter().flat_map(u32s).collect::<Vec<_>>())
         });
         assert!(res.results[0].is_empty());
         assert_eq!(res.results[1], vec![0, 7, 14, 21]);
@@ -1120,14 +984,14 @@ mod collective_tests {
 
     #[test]
     fn send_counters_track_traffic() {
-        let res = run_spmd(3, TimeParams::default(), |node| {
+        let res = spmd(3, |node| {
             if node.rank() == 0 {
-                node.send_sync(1, encode_u32s(&[1, 2, 3]));
-                node.send_async(2, encode_u32s(&[4]));
+                node.try_send_sync(1, encode_u32s(&[1, 2, 3]))?;
+                node.try_send_async(2, encode_u32s(&[4]))?;
             } else {
-                let _ = node.recv_from(0);
+                node.try_recv_from(0)?;
             }
-            (node.msgs_sent(), node.bytes_sent())
+            Ok((node.msgs_sent(), node.bytes_sent()))
         });
         assert_eq!(res.results[0], (2, 16));
         assert_eq!(res.results[1], (0, 0));
@@ -1136,8 +1000,9 @@ mod collective_tests {
 
 #[cfg(test)]
 mod chaos_tests {
+    use super::tests::{spmd, u32s};
     use super::*;
-    use crate::channel::{decode_u32s, encode_u32s};
+    use crate::channel::encode_u32s;
     use crate::fault::FaultPlan;
 
     /// A ring exchange under the given plan: payloads must survive intact.
@@ -1150,7 +1015,7 @@ mod chaos_tests {
             }
             let mut got = Vec::new();
             for _ in 0..20 {
-                got.extend(decode_u32s(node.try_recv_from(left)?));
+                got.extend(u32s(node.try_recv_from(left)?));
             }
             node.try_barrier()?;
             Ok(got)
@@ -1267,13 +1132,13 @@ mod chaos_tests {
     fn framing_only_applies_under_a_plan() {
         // The fault-free path must keep raw payloads (and exact byte
         // counters); the chaos path frames every payload.
-        let plain = run_spmd(2, TimeParams::default(), |node| {
+        let plain = spmd(2, |node| {
             if node.rank() == 0 {
-                node.send_sync(1, encode_u32s(&[1, 2, 3]));
+                node.try_send_sync(1, encode_u32s(&[1, 2, 3]))?;
             } else {
-                let _ = node.recv_from(0);
+                node.try_recv_from(0)?;
             }
-            node.bytes_sent()
+            Ok(node.bytes_sent())
         });
         assert_eq!(plain.results[0], 12);
         let framed = try_run_spmd(

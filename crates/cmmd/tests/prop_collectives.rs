@@ -3,9 +3,19 @@
 //! with a scalar reference computed outside the simulator, on every rank.
 
 use bytes::Bytes;
-use cmmd_sim::channel::{decode_u32s, encode_u32s};
-use cmmd_sim::{run_spmd, TimeParams};
+use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
+use cmmd_sim::{try_run_spmd, Fault, Node, SpmdResult, TimeParams};
 use proptest::prelude::*;
+
+/// A fault-free run of `f` on `q` nodes; no call can fail.
+fn spmd<R: Send>(q: usize, f: impl Fn(&mut Node) -> Result<R, Fault> + Sync) -> SpmdResult<R> {
+    try_run_spmd(q, TimeParams::default(), None, f).expect("fault-free run")
+}
+
+/// Decodes a payload known to be well formed.
+fn u32s(b: Bytes) -> Vec<u32> {
+    try_decode_u32s(b).unwrap()
+}
 
 /// Deterministic per-(seed, rank) test value.
 fn val(seed: u64, rank: usize) -> u64 {
@@ -30,8 +40,8 @@ proptest! {
 
     #[test]
     fn allreduce_u64_matches_scalar_fold(q in 1usize..=16, seed in any::<u64>()) {
-        let res = run_spmd(q, TimeParams::default(), |node| {
-            node.allreduce_u64(val(seed, node.rank()), |a, b| a.wrapping_add(b))
+        let res = spmd(q, |node| {
+            node.try_allreduce_u64(val(seed, node.rank()), |a, b| a.wrapping_add(b))
         });
         let want = (0..q).map(|r| val(seed, r)).fold(0u64, u64::wrapping_add);
         for (rank, got) in res.results.iter().enumerate() {
@@ -41,9 +51,9 @@ proptest! {
 
     #[test]
     fn allreduce_max_and_min_match(q in 1usize..=16, seed in any::<u64>()) {
-        let res = run_spmd(q, TimeParams::default(), |node| {
+        let res = spmd(q, |node| {
             let v = val(seed, node.rank());
-            (node.allreduce_u64(v, u64::max), node.allreduce_u64(v, u64::min))
+            Ok((node.try_allreduce_u64(v, u64::max)?, node.try_allreduce_u64(v, u64::min)?))
         });
         let want_max = (0..q).map(|r| val(seed, r)).max().unwrap();
         let want_min = (0..q).map(|r| val(seed, r)).min().unwrap();
@@ -56,8 +66,8 @@ proptest! {
     #[test]
     fn allreduce_or_matches_any(q in 1usize..=16, seed in any::<u64>()) {
         // Roughly one node in four holds `true`.
-        let res = run_spmd(q, TimeParams::default(), |node| {
-            node.allreduce_or(val(seed, node.rank()).is_multiple_of(4))
+        let res = spmd(q, |node| {
+            node.try_allreduce_or(val(seed, node.rank()).is_multiple_of(4))
         });
         let want = (0..q).any(|r| val(seed, r).is_multiple_of(4));
         for &got in &res.results {
@@ -67,8 +77,8 @@ proptest! {
 
     #[test]
     fn scan_exclusive_matches_prefix_sum(q in 1usize..=16, seed in any::<u64>()) {
-        let res = run_spmd(q, TimeParams::default(), |node| {
-            node.scan_exclusive_u64(val(seed, node.rank()) % 1000, 0, |a, b| a + b)
+        let res = spmd(q, |node| {
+            node.try_scan_exclusive_u64(val(seed, node.rank()) % 1000, 0, |a, b| a + b)
         });
         let mut want = 0u64;
         for (rank, &got) in res.results.iter().enumerate() {
@@ -80,9 +90,9 @@ proptest! {
     #[test]
     fn broadcast_delivers_root_payload_everywhere(q in 1usize..=16, seed in any::<u64>()) {
         let root = (val(seed, 777) % q as u64) as usize;
-        let res = run_spmd(q, TimeParams::default(), move |node| {
+        let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
-            decode_u32s(node.broadcast(root, encode_u32s(&words)))
+            Ok(u32s(node.try_broadcast(root, encode_u32s(&words))?))
         });
         let want = payload(seed, root);
         for got in &res.results {
@@ -92,12 +102,12 @@ proptest! {
 
     #[test]
     fn concat_collects_every_rank_in_order(q in 1usize..=16, seed in any::<u64>()) {
-        let res = run_spmd(q, TimeParams::default(), move |node| {
+        let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
-            node.concat(encode_u32s(&words))
+            Ok(node.try_concat(encode_u32s(&words))?
                 .into_iter()
-                .map(decode_u32s)
-                .collect::<Vec<_>>()
+                .map(u32s)
+                .collect::<Vec<_>>())
         });
         let want: Vec<Vec<u32>> = (0..q).map(|r| payload(seed, r)).collect();
         for got in &res.results {
@@ -108,12 +118,12 @@ proptest! {
     #[test]
     fn gather_to_collects_on_root_only(q in 1usize..=16, seed in any::<u64>()) {
         let root = (val(seed, 31) % q as u64) as usize;
-        let res = run_spmd(q, TimeParams::default(), move |node| {
+        let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
-            node.gather_to(root, encode_u32s(&words))
+            Ok(node.try_gather_to(root, encode_u32s(&words))?
                 .into_iter()
-                .map(decode_u32s)
-                .collect::<Vec<_>>()
+                .map(u32s)
+                .collect::<Vec<_>>())
         });
         let want: Vec<Vec<u32>> = (0..q).map(|r| payload(seed, r)).collect();
         for (rank, got) in res.results.iter().enumerate() {
@@ -127,10 +137,10 @@ proptest! {
 
     #[test]
     fn empty_payloads_are_legal_everywhere(q in 1usize..=16) {
-        let res = run_spmd(q, TimeParams::default(), |node| {
-            let parts = node.concat(Bytes::new());
-            let bc = node.broadcast(0, Bytes::new());
-            (parts.len(), parts.iter().all(|b| b.is_empty()), bc.is_empty())
+        let res = spmd(q, |node| {
+            let parts = node.try_concat(Bytes::new())?;
+            let bc = node.try_broadcast(0, Bytes::new())?;
+            Ok((parts.len(), parts.iter().all(|b| b.is_empty()), bc.is_empty()))
         });
         for &(n, all_empty, bc_empty) in &res.results {
             prop_assert_eq!(n, q);
@@ -142,12 +152,12 @@ proptest! {
     #[test]
     fn collectives_are_deterministic(q in 1usize..=16, seed in any::<u64>()) {
         let run = || {
-            run_spmd(q, TimeParams::default(), |node| {
+            spmd(q, |node| {
                 let v = val(seed, node.rank());
-                let sum = node.allreduce_u64(v, |a, b| a.wrapping_add(b));
-                let pre = node.scan_exclusive_u64(v, 0, u64::wrapping_add);
-                let all = node.concat(encode_u32s(&payload(seed, node.rank())));
-                (sum, pre, all)
+                let sum = node.try_allreduce_u64(v, |a, b| a.wrapping_add(b))?;
+                let pre = node.try_scan_exclusive_u64(v, 0, u64::wrapping_add)?;
+                let all = node.try_concat(encode_u32s(&payload(seed, node.rank())))?;
+                Ok((sum, pre, all))
             })
         };
         let (a, b) = (run(), run());

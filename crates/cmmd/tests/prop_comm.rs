@@ -2,14 +2,14 @@
 //! patterns, LP and Async deliver exactly the same messages, and the
 //! virtual-time makespan never favours LP.
 
-use cmmd_sim::channel::{decode_u32s, encode_u32s};
-use cmmd_sim::{all_to_many, run_spmd, CommScheme, TimeParams};
+use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
+use cmmd_sim::{try_all_to_many, try_run_spmd, CommScheme, TimeParams};
 use proptest::prelude::*;
 
 /// Pattern: for each (src, dst) pair, how many messages (0..3).
 fn run_pattern(q: usize, pattern: &[Vec<u8>], scheme: CommScheme) -> (Vec<Vec<(usize, u32)>>, f64) {
     let pattern = pattern.to_vec();
-    let res = run_spmd(q, TimeParams::default(), move |node| {
+    let res = try_run_spmd(q, TimeParams::default(), None, move |node| {
         let me = node.rank();
         let mut out = Vec::new();
         for (dst, &count) in pattern[me].iter().enumerate() {
@@ -20,11 +20,13 @@ fn run_pattern(q: usize, pattern: &[Vec<u8>], scheme: CommScheme) -> (Vec<Vec<(u
                 ));
             }
         }
-        let got = all_to_many(node, out, scheme);
-        got.into_iter()
-            .map(|(src, b)| (src, decode_u32s(b)[0]))
-            .collect::<Vec<_>>()
-    });
+        let got = try_all_to_many(node, out, scheme)?;
+        Ok(got
+            .into_iter()
+            .map(|(src, b)| (src, try_decode_u32s(b).unwrap()[0]))
+            .collect::<Vec<_>>())
+    })
+    .expect("fault-free run");
     (res.results, res.max_seconds)
 }
 

@@ -166,46 +166,29 @@ where
     let mut failed: Vec<usize> = Vec::new();
 
     if jobs <= 1 {
+        // One worker, traced or not: the guards emit nothing on a disabled
+        // sink.
         let mut pipe = make_pipeline();
         let mut out = Segmentation::default();
-        if enabled {
-            let mut batch_span = SpanGuard::enter(&mut *tel, SpanKind::Batch);
-            let tel = batch_span.tel();
-            for (i, img) in images.iter().enumerate() {
-                let mut img_span = SpanGuard::enter(&mut *tel, SpanKind::BatchImage(i as u32));
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    pipe.run_into(img, img_span.tel(), &mut out)
-                }));
-                drop(img_span);
-                if ran.is_err() {
-                    failed.push(i);
-                    pipe = make_pipeline();
-                    out = Segmentation::default();
-                    continue;
-                }
-                if catch_unwind(AssertUnwindSafe(|| each(i, &out))).is_err() {
-                    failed.push(i);
-                    continue;
-                }
-                total_regions += out.num_regions as u64;
+        let mut batch_span = SpanGuard::enter(&mut *tel, SpanKind::Batch);
+        let tel = batch_span.tel();
+        for (i, img) in images.iter().enumerate() {
+            let mut img_span = SpanGuard::enter(&mut *tel, SpanKind::BatchImage(i as u32));
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                pipe.run_into(img, img_span.tel(), &mut out)
+            }));
+            drop(img_span);
+            if ran.is_err() {
+                failed.push(i);
+                pipe = make_pipeline();
+                out = Segmentation::default();
+                continue;
             }
-        } else {
-            for (i, img) in images.iter().enumerate() {
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    pipe.run_into(img, &mut NullTelemetry, &mut out)
-                }));
-                if ran.is_err() {
-                    failed.push(i);
-                    pipe = make_pipeline();
-                    out = Segmentation::default();
-                    continue;
-                }
-                if catch_unwind(AssertUnwindSafe(|| each(i, &out))).is_err() {
-                    failed.push(i);
-                    continue;
-                }
-                total_regions += out.num_regions as u64;
+            if catch_unwind(AssertUnwindSafe(|| each(i, &out))).is_err() {
+                failed.push(i);
+                continue;
             }
+            total_regions += out.num_regions as u64;
         }
     } else {
         let next = AtomicUsize::new(0);

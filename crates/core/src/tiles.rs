@@ -335,18 +335,20 @@ impl TiledRunner {
         }
 
         if jobs <= 1 {
+            // One worker, traced or not: the guards emit nothing on a
+            // disabled sink.
             let worker = &mut self.workers[0];
+            let mut tiled = SpanGuard::enter(&mut *tel, SpanKind::Tiled);
+            let tel = tiled.tel();
+            for (i, slot) in self.tiles.iter_mut().enumerate() {
+                let mut span = SpanGuard::enter(&mut *tel, SpanKind::Tile(i as u32));
+                run_tile(worker, img, slot, span.tel());
+            }
+            let stats = {
+                let mut span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
+                self.stitch(grid, w, h, out, span.tel())
+            };
             if enabled {
-                let mut tiled = SpanGuard::enter(&mut *tel, SpanKind::Tiled);
-                let tel = tiled.tel();
-                for (i, slot) in self.tiles.iter_mut().enumerate() {
-                    let mut span = SpanGuard::enter(&mut *tel, SpanKind::Tile(i as u32));
-                    run_tile(worker, img, slot, span.tel());
-                }
-                let stats = {
-                    let mut span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
-                    self.stitch(grid, w, h, out, span.tel())
-                };
                 tel.counter("tiles.rows", stats.rows as f64);
                 tel.counter("tiles.cols", stats.cols as f64);
                 tel.counter("tiles.count", stats.tiles as f64);
@@ -357,11 +359,8 @@ impl TiledRunner {
                     "tiles.stitch_iterations",
                     f64::from(stats.stitch_iterations),
                 );
-                return stats;
             }
-            for slot in self.tiles.iter_mut() {
-                run_tile(worker, img, slot, &mut NullTelemetry);
-            }
+            stats
         } else {
             // Dynamic tile queue: each worker owns its pipeline and pulls
             // disjoint `&mut TileSlot`s through the shared iterator, so no
@@ -380,8 +379,8 @@ impl TiledRunner {
                     });
                 }
             });
+            self.stitch(grid, w, h, out, &mut NullTelemetry)
         }
-        self.stitch(grid, w, h, out, &mut NullTelemetry)
     }
 
     /// Convenience: segment `img` into a fresh [`Segmentation`].

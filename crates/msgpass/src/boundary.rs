@@ -16,6 +16,7 @@ use crate::decomp::{Decomposition, Tile};
 use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
 use cmmd_sim::{Fault, Node};
 use rg_core::graph::square_adjacency_into;
+use rg_core::kernels::{stats_from_words, stats_to_words, STATS_WIRE_WORDS};
 use rg_core::{split, Config, Connectivity, RegionStats};
 use rg_imaging::{Image, Intensity};
 use std::collections::{BTreeMap, HashMap};
@@ -48,17 +49,12 @@ pub struct LocalRag {
     pub split_done_seconds: f64,
 }
 
-/// Encodes `(id, stats)` entries as a u32 stream (7 words per entry).
+/// Encodes `(id, stats)` entries as a u32 stream of
+/// [`STATS_WIRE_WORDS`]-word records.
 fn encode_entries(entries: &[(u32, RegionStats<u32>)]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(entries.len() * 7);
-    for &(id, s) in entries {
-        out.push(id);
-        out.push(s.min);
-        out.push(s.max);
-        out.push(s.sum as u32);
-        out.push((s.sum >> 32) as u32);
-        out.push(s.count as u32);
-        out.push((s.count >> 32) as u32);
+    let mut out = Vec::with_capacity(entries.len() * STATS_WIRE_WORDS);
+    for (id, s) in entries {
+        out.extend_from_slice(&stats_to_words(*id, s));
     }
     out
 }
@@ -66,35 +62,15 @@ fn encode_entries(entries: &[(u32, RegionStats<u32>)]) -> Vec<u32> {
 /// Inverse of [`encode_entries`]; `None` for a length that is not a whole
 /// number of entries (a corrupted payload on a chaos run).
 fn try_decode_entries(words: &[u32]) -> Option<Vec<(u32, RegionStats<u32>)>> {
-    if !words.len().is_multiple_of(7) {
+    if !words.len().is_multiple_of(STATS_WIRE_WORDS) {
         return None;
     }
     Some(
         words
-            .chunks_exact(7)
-            .map(|c| {
-                (
-                    c[0],
-                    RegionStats {
-                        min: c[1],
-                        max: c[2],
-                        sum: c[3] as u64 | ((c[4] as u64) << 32),
-                        count: c[5] as u64 | ((c[6] as u64) << 32),
-                    },
-                )
-            })
+            .chunks_exact(STATS_WIRE_WORDS)
+            .map(stats_from_words)
             .collect(),
     )
-}
-
-/// Inverse of [`encode_entries`].
-///
-/// # Panics
-/// Panics on a malformed length; use [`try_decode_entries`] on paths that
-/// must survive corruption.
-#[cfg(test)]
-fn decode_entries(words: &[u32]) -> Vec<(u32, RegionStats<u32>)> {
-    try_decode_entries(words).unwrap_or_else(|| panic!("malformed stats payload"))
 }
 
 /// Splits the node's sub-image and assembles its local share of the graph,
@@ -335,13 +311,7 @@ mod tests {
                 },
             ),
         ];
-        assert_eq!(decode_entries(&encode_entries(&entries)), entries);
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn decode_rejects_bad_length() {
-        let _ = decode_entries(&[1, 2, 3]);
+        assert_eq!(try_decode_entries(&encode_entries(&entries)), Some(entries));
     }
 
     #[test]

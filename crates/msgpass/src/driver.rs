@@ -110,7 +110,7 @@ pub fn segment_msgpass<P: Intensity>(
     nodes: usize,
     scheme: CommScheme,
 ) -> MsgPassOutcome {
-    segment_msgpass_with(img, config, nodes, scheme, TimeParams::cm5_mp())
+    segment_msgpass_with_telemetry(img, config, nodes, scheme, &mut NullTelemetry)
 }
 
 /// [`segment_msgpass`] reporting into the given [`Telemetry`] sink: stage
@@ -169,7 +169,6 @@ pub struct MsgPassBackend<'a, P: Intensity> {
     config: &'a Config,
     nodes: usize,
     scheme: CommScheme,
-    params: TimeParams,
     plan: Option<&'a FaultPlan>,
     outcome: Option<MsgPassOutcome>,
     wall_total: f64,
@@ -184,17 +183,10 @@ impl<'a, P: Intensity> MsgPassBackend<'a, P> {
             config,
             nodes,
             scheme,
-            params: TimeParams::cm5_mp(),
             plan: None,
             outcome: None,
             wall_total: 0.0,
         }
-    }
-
-    /// Overrides the simulated machine's time parameters.
-    pub fn with_params(mut self, params: TimeParams) -> Self {
-        self.params = params;
-        self
     }
 
     /// Arms the backend with a seeded deterministic fault-injection plan;
@@ -365,7 +357,7 @@ impl<P: Intensity> EngineBackend for MsgPassBackend<'_, P> {
             self.config,
             self.nodes,
             self.scheme,
-            self.params,
+            TimeParams::cm5_mp(),
             self.plan.cloned(),
             telemetry_enabled,
         ) {
@@ -502,23 +494,6 @@ fn causal_order(flows: &[TraceEvent]) -> Vec<&TraceEvent> {
         out.extend(queue[heads[q]..].iter());
     }
     out
-}
-
-/// [`segment_msgpass`] with explicit time parameters.
-///
-/// Panics if the run aborts — impossible without a fault plan, since every
-/// abort path originates in injected faults.
-pub fn segment_msgpass_with<P: Intensity>(
-    img: &Image<P>,
-    config: &Config,
-    nodes: usize,
-    scheme: CommScheme,
-    params: TimeParams,
-) -> MsgPassOutcome {
-    let mut backend = MsgPassBackend::new(img, config, nodes, scheme).with_params(params);
-    let mut out = Segmentation::default();
-    run_driver(&mut backend, &mut NullTelemetry, &mut out);
-    backend.into_outcome(out)
 }
 
 /// [`segment_msgpass`] under a seeded deterministic fault-injection plan.

@@ -41,7 +41,7 @@ pub mod pipeline_mp;
 pub use decomp::Decomposition;
 pub use driver::{
     segment_msgpass, segment_msgpass_chaos, segment_msgpass_chaos_with_telemetry,
-    segment_msgpass_with, segment_msgpass_with_telemetry, MsgPassBackend, MsgPassOutcome,
+    segment_msgpass_with_telemetry, MsgPassBackend, MsgPassOutcome,
 };
 pub use merge_mp::{ExchangeComm, EXCHANGES_PER_ITERATION};
 pub use pipeline_mp::MsgPassPipeline;
