@@ -4,17 +4,21 @@
 //! runtime amortizes it. Each worker owns one reusable
 //! [`Pipeline`] (its workspace) and one
 //! recyclable [`Segmentation`] buffer, so a same-shape image stream runs
-//! **allocation-free in steady state** on the host engine.
+//! **allocation-free in steady state** on the host engine. The workers
+//! come from the crate's private `pool` module, which the tiled runner
+//! shares.
 //!
 //! ## Telemetry
 //!
 //! With an enabled sink the batch emits the span hierarchy
 //! `batch > image:<i> > run > ...` — each image's full run tree nests in
-//! its [`SpanKind::BatchImage`] span. Telemetry-enabled batches always run
-//! on **one** worker regardless of [`BatchOptions::jobs`], keeping the
+//! its [`SpanKind::BatchImage`] span. The pool runs an enabled sink on
+//! **one** worker regardless of [`BatchOptions::jobs`], keeping the
 //! journal's strict span nesting valid (a multi-worker batch would
 //! interleave image subtrees). Throughput runs use a disabled sink
-//! ([`NullTelemetry`]) and honour `jobs`.
+//! ([`NullTelemetry`](crate::telemetry::NullTelemetry)) and honour `jobs`. Chaos pipelines need no special
+//! case: each one replays its own fault plan per image, so the schedule
+//! does not depend on the worker count.
 //!
 //! ## Ordering
 //!
@@ -31,15 +35,15 @@
 //! [`BatchSummary::failed`]; their regions are not counted and their
 //! callback is not invoked (or not counted, if the callback itself
 //! panicked). The shared callback mutex recovers from poisoning, so one
-//! worker's panic can no longer cascade into every other worker dying on
-//! a poisoned lock.
+//! worker's panic cannot cascade into the others through a poisoned lock.
 
 use crate::engine::Segmentation;
 use crate::pipeline::Pipeline;
-use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
+use crate::pool;
+use crate::telemetry::{SpanGuard, SpanKind, Telemetry};
 use rg_imaging::Image;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -49,54 +53,24 @@ fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The shared per-image callback slot of a multi-worker batch.
-type SharedSink<'a> = Mutex<&'a mut (dyn FnMut(usize, &Segmentation) + Send)>;
-
-/// A seeded chaos schedule for a batch: which fault-injection plan the
-/// pipelines were built with. Carried on [`BatchOptions`] so the batch
-/// runtime knows the run must stay deterministic — chaos batches are
-/// forced to a single worker exactly like telemetry-enabled ones (the
-/// fault schedule and any host-fallback re-runs must replay identically).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSpec {
-    /// The fault-plan seed.
-    pub seed: u64,
-    /// Fault profile name (e.g. `"storm"`; see the CMMD fault module).
-    pub profile: String,
-}
-
 /// Options for [`run_batch`].
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Worker count (each worker owns one pipeline + workspace). Clamped
-    /// to at least 1; forced to 1 when telemetry is enabled (see module
-    /// docs) or when a chaos schedule is armed.
+    /// Worker count (each worker owns one pipeline + workspace). Capped
+    /// at the image count, at least 1, and 1 when telemetry is enabled
+    /// (see module docs); [`BatchSummary::jobs`] reports the count used.
     pub jobs: usize,
-    /// The chaos schedule the pipelines carry, if any (see [`ChaosSpec`]).
-    pub chaos: Option<ChaosSpec>,
 }
 
 impl BatchOptions {
-    /// Default options: one worker, no chaos.
+    /// Default options: one worker.
     pub fn new() -> Self {
-        Self {
-            jobs: 1,
-            chaos: None,
-        }
+        Self { jobs: 1 }
     }
 
     /// Sets the worker count.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Arms a chaos schedule (forces single-worker execution).
-    pub fn chaos(mut self, seed: u64, profile: &str) -> Self {
-        self.chaos = Some(ChaosSpec {
-            seed,
-            profile: profile.to_string(),
-        });
         self
     }
 }
@@ -112,6 +86,8 @@ impl Default for BatchOptions {
 pub struct BatchSummary {
     /// Number of images processed (attempted, including failures).
     pub images: usize,
+    /// Workers the batch actually ran on.
+    pub jobs: usize,
     /// Sum of per-image region counts over the successful images.
     pub total_regions: u64,
     /// Wall-clock seconds for the whole batch.
@@ -141,103 +117,62 @@ impl BatchSummary {
 /// once per image with the index-tagged result (borrowed from the worker's
 /// recycled buffer — clone it to keep it).
 ///
-/// `make_pipeline` is called once per worker; the pipelines it returns
-/// define the engine. See the module docs for telemetry and ordering
-/// semantics.
+/// `make_pipeline` is called on each worker's first image and again after
+/// an image panics; the pipelines it returns define the engine. See the
+/// module docs for telemetry and ordering semantics.
 pub fn run_batch<M, F>(
     images: &[Image<u8>],
     opts: &BatchOptions,
     make_pipeline: M,
     tel: &mut dyn Telemetry,
-    mut each: F,
+    each: F,
 ) -> BatchSummary
 where
     M: Fn() -> Box<dyn Pipeline + Send> + Sync,
     F: FnMut(usize, &Segmentation) + Send,
 {
     let t0 = Instant::now();
-    let enabled = tel.enabled();
-    let jobs = if enabled || opts.chaos.is_some() {
-        1
-    } else {
-        opts.jobs.max(1)
-    };
-    let mut total_regions = 0u64;
-    let mut failed: Vec<usize> = Vec::new();
-
-    if jobs <= 1 {
-        // One worker, traced or not: the guards emit nothing on a disabled
-        // sink.
-        let mut pipe = make_pipeline();
-        let mut out = Segmentation::default();
-        let mut batch_span = SpanGuard::enter(&mut *tel, SpanKind::Batch);
-        let tel = batch_span.tel();
-        for (i, img) in images.iter().enumerate() {
-            let mut img_span = SpanGuard::enter(&mut *tel, SpanKind::BatchImage(i as u32));
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                pipe.run_into(img, img_span.tel(), &mut out)
-            }));
+    let jobs = pool::worker_count(opts.jobs, images.len(), tel);
+    // A worker's pipeline and output buffer, built on first use and
+    // dropped after a panic so that the next image rebuilds them.
+    let mut workers: Vec<Option<(Box<dyn Pipeline + Send>, Segmentation)>> =
+        (0..jobs).map(|_| None).collect();
+    let regions = AtomicU64::new(0);
+    let failed = Mutex::new(Vec::new());
+    let each = Mutex::new(each);
+    let mut batch_span = SpanGuard::enter(tel, SpanKind::Batch);
+    pool::run(
+        &mut workers,
+        images.iter().enumerate(),
+        batch_span.tel(),
+        |worker, (i, img), tel| {
+            let (pipe, out) =
+                worker.get_or_insert_with(|| (make_pipeline(), Segmentation::default()));
+            let mut img_span = SpanGuard::enter(tel, SpanKind::BatchImage(i as u32));
+            let ran = catch_unwind(AssertUnwindSafe(|| pipe.run_into(img, img_span.tel(), out)));
             drop(img_span);
             if ran.is_err() {
-                failed.push(i);
-                pipe = make_pipeline();
-                out = Segmentation::default();
-                continue;
+                *worker = None;
+                lock_recover(&failed).push(i);
+                return;
             }
-            if catch_unwind(AssertUnwindSafe(|| each(i, &out))).is_err() {
-                failed.push(i);
-                continue;
+            // The lock lives inside the catch: if the callback panics, the
+            // guard drop poisons the mutex and the next `lock_recover`
+            // heals it.
+            if catch_unwind(AssertUnwindSafe(|| (lock_recover(&each))(i, out))).is_err() {
+                lock_recover(&failed).push(i);
+                return;
             }
-            total_regions += out.num_regions as u64;
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let regions = AtomicU64::new(0);
-        let failures: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let sink: SharedSink = Mutex::new(&mut each);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(images.len()) {
-                scope.spawn(|| {
-                    let mut pipe = make_pipeline();
-                    let mut out = Segmentation::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= images.len() {
-                            break;
-                        }
-                        let ran = catch_unwind(AssertUnwindSafe(|| {
-                            pipe.run_into(&images[i], &mut NullTelemetry, &mut out)
-                        }));
-                        if ran.is_err() {
-                            lock_recover(&failures).push(i);
-                            pipe = make_pipeline();
-                            out = Segmentation::default();
-                            continue;
-                        }
-                        // The lock lives inside the catch: if the callback
-                        // panics, the guard drop poisons the mutex and the
-                        // next `lock_recover` heals it.
-                        let delivered =
-                            catch_unwind(AssertUnwindSafe(|| (lock_recover(&sink))(i, &out)));
-                        if delivered.is_err() {
-                            lock_recover(&failures).push(i);
-                            continue;
-                        }
-                        regions.fetch_add(out.num_regions as u64, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        total_regions = regions.load(Ordering::Relaxed);
-        failed = failures
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        failed.sort_unstable();
-    }
+            regions.fetch_add(out.num_regions as u64, Ordering::Relaxed);
+        },
+    );
+    let mut failed = failed.into_inner().unwrap_or_else(PoisonError::into_inner);
+    failed.sort_unstable();
 
     BatchSummary {
         images: images.len(),
-        total_regions,
+        jobs,
+        total_regions: regions.into_inner(),
         wall_seconds: t0.elapsed().as_secs_f64(),
         failed,
     }
@@ -272,7 +207,7 @@ mod tests {
     use crate::config::Config;
     use crate::engine::segment;
     use crate::pipeline::HostPipeline;
-    use crate::telemetry::Recorder;
+    use crate::telemetry::{NullTelemetry, Recorder};
     use rg_imaging::synth;
 
     fn demo_images(n: usize) -> Vec<Image<u8>> {
@@ -293,6 +228,7 @@ mod tests {
                 &mut NullTelemetry,
             );
             assert_eq!(summary.images, images.len());
+            assert_eq!(summary.jobs, jobs);
             let mut expect_regions = 0u64;
             for (img, got) in images.iter().zip(&results) {
                 let want = segment(img, &cfg);
@@ -317,6 +253,7 @@ mod tests {
             |_i, _seg| {},
         );
         assert_eq!(summary.images, 3);
+        assert_eq!(summary.jobs, 1);
         // The journal nests batch > image:<i> > run and validates strictly.
         validate_journal(log.events()).expect("batch journal must validate");
         let labels: Vec<String> = log

@@ -57,6 +57,7 @@ pub mod merge;
 pub mod merge_ref;
 pub mod metrics;
 pub mod pipeline;
+mod pool;
 pub mod regions;
 pub mod split;
 pub mod split_ref;
@@ -65,7 +66,7 @@ pub mod tiles;
 pub mod verify;
 
 pub use analyze::{analyze_journal, analyze_run, RankTimeline, RunAnalysis};
-pub use batch::{run_batch, run_batch_collect, BatchOptions, BatchSummary, ChaosSpec};
+pub use batch::{run_batch, run_batch_collect, BatchOptions, BatchSummary};
 pub use chrome::{chrome_trace, chrome_trace_multi, split_runs, validate_chrome_trace};
 pub use config::{Config, Connectivity, Criterion, RegionStats, TieBreak};
 pub use driver::{

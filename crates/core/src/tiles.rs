@@ -7,9 +7,10 @@
 //! plans. A [`TiledRunner`] shards an image into a [`TileGrid`] of tiles
 //! (floor-split bounds, so non-divisible shapes produce slightly uneven
 //! edge tiles and every tile stays non-empty), runs the existing
-//! split+merge driver per tile on a worker pool — one recycled
-//! [`HostPipeline`] (with its workspace) per worker, so a same-shape image
-//! stream keeps the zero-steady-state-allocation property — and then
+//! split+merge driver per tile on the crate's private `pool` of workers
+//! (shared with the batch runtime) — one recycled [`HostPipeline`] (with
+//! its workspace) per worker, so a same-shape image stream keeps the
+//! zero-steady-state-allocation property — and then
 //! stitches the tiles with a boundary pass:
 //!
 //! 1. per-tile region statistics are carried in the 7-word stats wire
@@ -36,18 +37,19 @@
 //!
 //! With an enabled sink the runner emits the span hierarchy
 //! `tiled > tile:<i> > run > ...` followed by a `tiled > stitch` span and
-//! `tiles.*` counters. Telemetry-enabled runs always execute on **one**
-//! worker regardless of [`TiledRunner::jobs`] (exactly like the batch
-//! runtime) so the journal's strict span nesting stays valid.
+//! `tiles.*` counters. The pool runs an enabled sink on **one** worker
+//! whatever the requested `jobs` (exactly like the batch runtime) so the
+//! journal's strict span nesting stays valid; [`TiledStats::jobs`]
+//! reports the count used.
 
 use crate::config::{Config, Connectivity, RegionStats};
 use crate::engine::Segmentation;
 use crate::kernels::{stats_from_words, stats_to_words, STATS_WIRE_WORDS};
 use crate::merge::Merger;
 use crate::pipeline::{HostPipeline, Workspace};
+use crate::pool;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rg_imaging::Image;
-use std::sync::Mutex;
 
 /// A rows × cols tile decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +153,8 @@ pub struct TiledStats {
     pub cols: usize,
     /// Total tiles run.
     pub tiles: usize,
+    /// Workers the tiles actually ran on.
+    pub jobs: usize,
     /// Sum of per-tile region counts before the stitch.
     pub tile_regions: usize,
     /// Cross-tile adjacent region pairs collected along the seams.
@@ -262,7 +266,7 @@ pub struct TiledRunner {
     stats: Vec<RegionStats<u32>>,
     seam_edges: Vec<(u32, u32)>,
     ids: Vec<u64>,
-    merger: Option<Merger<u32>>,
+    merger: Merger<u32>,
     by_vertex: Vec<u32>,
     map_val: Vec<u32>,
     map_stamp: Vec<u32>,
@@ -270,7 +274,7 @@ pub struct TiledRunner {
 }
 
 impl TiledRunner {
-    /// A runner over `grid` with `jobs` workers.
+    /// A runner over `grid` with up to `jobs` workers.
     ///
     /// `_legacy_parallel` is ignored: tiles run on the one sequential host
     /// engine, and `jobs` is the only parallelism knob. The argument
@@ -281,29 +285,19 @@ impl TiledRunner {
         Self {
             config,
             grid,
-            jobs: jobs.max(1),
+            jobs,
             workers: Vec::new(),
             tiles: Vec::new(),
             vertex_of: Vec::new(),
             stats: Vec::new(),
             seam_edges: Vec::new(),
             ids: Vec::new(),
-            merger: None,
+            merger: Merger::hollow(&config),
             by_vertex: Vec::new(),
             map_val: Vec::new(),
             map_stamp: Vec::new(),
             epoch: 0,
         }
-    }
-
-    /// The configured tile grid (before per-image clamping).
-    pub fn grid(&self) -> TileGrid {
-        self.grid
-    }
-
-    /// The configured worker count (forced to 1 when telemetry is on).
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// The first worker's workspace, for reuse inspection in tests
@@ -324,63 +318,38 @@ impl TiledRunner {
         let (w, h) = (img.width(), img.height());
         let grid = self.grid.clamp_to(w, h);
         self.prepare_tiles(grid, w, h);
-        let enabled = tel.enabled();
-        let jobs = if enabled {
-            1
-        } else {
-            self.jobs.min(grid.count()).max(1)
-        };
+        let jobs = pool::worker_count(self.jobs, grid.count(), tel);
         while self.workers.len() < jobs {
             self.workers.push(WorkerSlot::new(self.config));
         }
-
-        if jobs <= 1 {
-            // One worker, traced or not: the guards emit nothing on a
-            // disabled sink.
-            let worker = &mut self.workers[0];
-            let mut tiled = SpanGuard::enter(&mut *tel, SpanKind::Tiled);
-            let tel = tiled.tel();
-            for (i, slot) in self.tiles.iter_mut().enumerate() {
-                let mut span = SpanGuard::enter(&mut *tel, SpanKind::Tile(i as u32));
+        let mut tiled = SpanGuard::enter(tel, SpanKind::Tiled);
+        let tel = tiled.tel();
+        pool::run(
+            &mut self.workers[..jobs],
+            self.tiles.iter_mut().enumerate(),
+            &mut *tel,
+            |worker, (i, slot), tel| {
+                let mut span = SpanGuard::enter(tel, SpanKind::Tile(i as u32));
                 run_tile(worker, img, slot, span.tel());
-            }
-            let stats = {
-                let mut span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
-                self.stitch(grid, w, h, out, span.tel())
-            };
-            if enabled {
-                tel.counter("tiles.rows", stats.rows as f64);
-                tel.counter("tiles.cols", stats.cols as f64);
-                tel.counter("tiles.count", stats.tiles as f64);
-                tel.counter("tiles.tile_regions", stats.tile_regions as f64);
-                tel.counter("tiles.seam_edges", stats.seam_edges as f64);
-                tel.counter("tiles.stitch_merges", stats.stitch_merges as f64);
-                tel.counter(
-                    "tiles.stitch_iterations",
-                    f64::from(stats.stitch_iterations),
-                );
-            }
-            stats
-        } else {
-            // Dynamic tile queue: each worker owns its pipeline and pulls
-            // disjoint `&mut TileSlot`s through the shared iterator, so no
-            // tile result is ever aliased.
-            let queue = Mutex::new(self.tiles.iter_mut());
-            std::thread::scope(|scope| {
-                let queue = &queue;
-                for worker in self.workers[..jobs].iter_mut() {
-                    scope.spawn(move || loop {
-                        let next = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .next();
-                        let Some(slot) = next else { break };
-                        run_tile(worker, img, slot, &mut NullTelemetry);
-                    });
-                }
-            });
-            self.stitch(grid, w, h, out, &mut NullTelemetry)
+            },
+        );
+        let stats = {
+            let _span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
+            self.stitch(grid, w, h, jobs, out)
+        };
+        if tel.enabled() {
+            tel.counter("tiles.rows", stats.rows as f64);
+            tel.counter("tiles.cols", stats.cols as f64);
+            tel.counter("tiles.count", stats.tiles as f64);
+            tel.counter("tiles.tile_regions", stats.tile_regions as f64);
+            tel.counter("tiles.seam_edges", stats.seam_edges as f64);
+            tel.counter("tiles.stitch_merges", stats.stitch_merges as f64);
+            tel.counter(
+                "tiles.stitch_iterations",
+                f64::from(stats.stitch_iterations),
+            );
         }
+        stats
     }
 
     /// Convenience: segment `img` into a fresh [`Segmentation`].
@@ -413,8 +382,8 @@ impl TiledRunner {
         grid: TileGrid,
         w: usize,
         h: usize,
+        jobs: usize,
         out: &mut Segmentation,
-        _tel: &mut dyn Telemetry,
     ) -> TiledStats {
         // Offset each tile's local labels into one global vertex space and
         // decode the wire-codec stats into the stitch RAG's vertex table.
@@ -484,17 +453,8 @@ impl TiledRunner {
         // global vertex indices themselves (dense, strictly increasing).
         self.ids.clear();
         self.ids.extend(0..total_vertices as u64);
-        let merger = match &mut self.merger {
-            Some(m) => {
-                m.reset_from(&self.stats, edges, &self.ids, &self.config);
-                m
-            }
-            slot @ None => {
-                let mut m = Merger::hollow(&self.config);
-                m.reset_from(&self.stats, edges, &self.ids, &self.config);
-                slot.insert(m)
-            }
-        };
+        let merger = &mut self.merger;
+        merger.reset_from(&self.stats, edges, &self.ids, &self.config);
         while !merger.is_done() {
             merger.step();
         }
@@ -542,6 +502,7 @@ impl TiledRunner {
             rows: grid.rows(),
             cols: grid.cols(),
             tiles: grid.count(),
+            jobs,
             tile_regions: total_vertices,
             seam_edges,
             stitch_merges,
@@ -727,6 +688,7 @@ mod tests {
         assert_eq!(seg.num_regions, 1);
         assert!(seg.labels.iter().all(|&l| l == 0));
         assert_eq!(stats.tiles, 12);
+        assert_eq!(stats.jobs, 2);
         assert_eq!(stats.tile_regions, 12);
         assert_eq!(stats.stitch_merges, 11);
         assert!(stats.seam_edges > 0);
@@ -742,6 +704,7 @@ mod tests {
         let mut out = Segmentation::default();
         let stats = runner.run_into(&img, &mut log, &mut out);
         assert_eq!(stats.tiles, 4);
+        assert_eq!(stats.jobs, 1);
         validate_journal(log.events()).expect("tiled journal must validate");
         let labels: Vec<String> = log
             .events()

@@ -540,8 +540,7 @@ fn pipeline_for(
 }
 
 /// Tiled mode: shard one image over the worker pool and stitch (see
-/// `rg_core::tiles`). Telemetry-enabled runs execute on one worker so the
-/// `tiled > tile:<i> > run` journal nesting stays strict.
+/// `rg_core::tiles`).
 fn run_tiled(
     o: &Options,
     img: &GrayImage,
@@ -552,13 +551,13 @@ fn run_tiled(
     let mut runner = TiledRunner::new(*cfg, false, grid, o.jobs);
     let mut seg = Segmentation::default();
     let stats = runner.run_into(img, tel, &mut seg);
-    let jobs = if tel.enabled() { 1 } else { o.jobs.max(1) };
     let note = format!(
-        "tiled {}x{} ({} tiles, jobs {jobs}): {} tile regions, {} seam edges, \
+        "tiled {}x{} ({} tiles, jobs {}): {} tile regions, {} seam edges, \
          {} stitch merges in {} stitch iters",
         stats.rows,
         stats.cols,
         stats.tiles,
+        stats.jobs,
         stats.tile_regions,
         stats.seam_edges,
         stats.stitch_merges,
@@ -578,13 +577,9 @@ fn run_batch_mode(o: &Options, cfg: &Config, tel: &mut dyn Telemetry) {
     }
     let imgs: Vec<GrayImage> = images.iter().map(|(_, img)| img.clone()).collect();
     let cfg = *cfg;
-    let mut opts = BatchOptions::new().jobs(o.jobs);
-    if let Some(plan) = &o.chaos {
-        opts = opts.chaos(plan.seed, &plan.profile_name);
-    }
     let summary = run_batch(
         &imgs,
-        &opts,
+        &BatchOptions::new().jobs(o.jobs),
         || pipeline_for(&o.engine, cfg, o.nodes, o.chaos.as_ref()),
         tel,
         |i, seg| {
@@ -630,11 +625,7 @@ fn run_batch_mode(o: &Options, cfg: &Config, tel: &mut dyn Telemetry) {
             summary.wall_seconds * 1e3,
             summary.images_per_sec(),
             o.engine,
-            if tel.enabled() || o.chaos.is_some() {
-                1
-            } else {
-                o.jobs.max(1)
-            },
+            summary.jobs,
         );
         if o.verify && summary.all_ok() {
             println!("verify: ok ({} images)", summary.images);
@@ -686,10 +677,9 @@ fn main() {
     // seeded runs write byte-identical journals and Chrome traces.
     let mut stream = (jsonl.is_some() || memory.is_some()).then(|| {
         let stream = Streaming::new((jsonl, memory));
-        if o.chaos.is_some() {
-            stream.with_logical_clock()
-        } else {
-            stream
+        match o.chaos {
+            Some(_) => stream.with_logical_clock(),
+            None => stream,
         }
     });
     let mut null = NullTelemetry;

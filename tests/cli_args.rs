@@ -200,6 +200,27 @@ fn tiled_demo_runs_and_verifies() {
 }
 
 #[test]
+fn summaries_print_the_workers_used() {
+    // Workers are capped at the item count, and a traced run uses one.
+    let stdout = |args: &[&str]| {
+        let out = rgrow(args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let batch = ["--batch", "demo:random:3", "--jobs", "8"];
+    let tiled = ["--demo", "rects", "--tiles", "2x2", "--jobs", "8"];
+    let traced = |args: &[&str]| stdout(&[args, &["--trace-out", "-"]].concat());
+    for (got, want) in [
+        (stdout(&batch), "engine seq, jobs 3)"),
+        (stdout(&tiled), "(4 tiles, jobs 4)"),
+        (traced(&batch), "engine seq, jobs 1)"),
+        (traced(&tiled), "(4 tiles, jobs 1)"),
+    ] {
+        assert!(got.contains(want), "want {want:?} in {got}");
+    }
+}
+
+#[test]
 fn good_args_still_run() {
     // Sanity: the guard rails above must not reject valid invocations.
     let out = rgrow(&[
@@ -213,7 +234,7 @@ fn good_args_still_run() {
 /// and the Chrome trace is the journal converted.
 #[test]
 fn telemetry_journal_and_chrome_trace_share_one_stream() {
-    use rg_core::{chrome_trace, parse_journal_strict, replay, TelemetryReport};
+    use rg_core::{chrome_trace, parse_journal_strict, replay};
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_one_stream");
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).display().to_string();
@@ -238,9 +259,6 @@ fn telemetry_journal_and_chrome_trace_share_one_stream() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let read = |p: &str| std::fs::read_to_string(p).unwrap();
     let events = parse_journal_strict(&read(&journal)).expect("strict journal");
-    assert_eq!(
-        TelemetryReport::parse(&read(&report)).unwrap(),
-        replay(&events)
-    );
+    assert_eq!(read(&report), replay(&events).to_json_pretty());
     assert_eq!(read(&chrome), chrome_trace(&events).to_compact());
 }

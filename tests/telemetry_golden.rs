@@ -1,4 +1,4 @@
-//! Telemetry JSON round-trip and golden-file snapshot.
+//! Telemetry golden-file snapshots.
 //!
 //! Two golden files pin the full report schema for deterministic runs of
 //! the 64×64 nested-rectangles scene — on the simulated CM-2 (8K), and on
@@ -16,7 +16,6 @@
 //! ```
 
 use cm_sim::CostModel;
-use cmmd_sim::CommScheme;
 use rg_core::{segment_with_telemetry, Config, Recorder, TelemetryReport, TieBreak};
 use rg_imaging::synth;
 use std::path::Path;
@@ -52,13 +51,7 @@ fn check_golden(report: &TelemetryReport, golden: &str) {
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {golden} ({e}); run with UPDATE_GOLDEN=1"));
-    // Compare parsed reports first for a structured failure message, then
-    // the exact rendering (field order, float formatting).
-    let expected_report = TelemetryReport::parse(&expected).expect("golden file parses");
-    assert_eq!(
-        report, &expected_report,
-        "telemetry content diverged from golden snapshot {golden}"
-    );
+    // The exact rendering: field order, float formatting and every value.
     assert_eq!(
         rendered.trim_end(),
         expected.trim_end(),
@@ -94,39 +87,6 @@ fn host_report_carries_split_counters() {
         );
     }
     assert!(report.counter("split.levels_built").unwrap() >= 1.0);
-}
-
-#[test]
-fn round_trip_is_lossless_for_every_engine() {
-    let img = synth::nested_rects(64);
-    let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 7 });
-
-    let mut reports = Vec::new();
-    let mut rec = Recorder::new();
-    segment_with_telemetry(&img, &cfg, &mut rec);
-    reports.push(rec.into_report());
-    let mut rec = Recorder::new();
-    rg_datapar::segment_datapar_with_telemetry(&img, &cfg, CostModel::cm5_dp_32(), &mut rec);
-    reports.push(rec.into_report());
-    let mut rec = Recorder::new();
-    rg_msgpass::segment_msgpass_with_telemetry(&img, &cfg, 8, CommScheme::Async, &mut rec);
-    reports.push(rec.into_report());
-
-    for r in reports {
-        let compact = r.to_json().to_compact();
-        let parsed = TelemetryReport::parse(&compact).expect("compact form parses");
-        assert_eq!(
-            parsed, r,
-            "compact round trip lost data for {}",
-            parsed.engine
-        );
-        let parsed = TelemetryReport::parse(&r.to_json_pretty()).expect("pretty form parses");
-        assert_eq!(
-            parsed, r,
-            "pretty round trip lost data for {}",
-            parsed.engine
-        );
-    }
 }
 
 #[test]
