@@ -29,17 +29,29 @@
 //! one-level redirect table (exact, because a representative never loses
 //! in the iteration it wins), drops self-loops, per-owner duplicates and
 //! criterion-violating slots, squeezes the survivors, and folds the next
-//! iteration's `(weight, tie keys, id)` argmin. A region that won this
-//! iteration reads its own segment and its loser's and writes the
-//! survivors to the arena tail; every other owner is squeezed in place.
-//! When the tail would overflow, the same pass rewrites every live owner
-//! into a spare arena and the two swap. The kernel runs on every region
-//! with slots at a reset, which folds iteration 0's choices; after each
-//! iteration it runs on every live owner under random ties (whose keys
-//! change every iteration) and, under deterministic ties, only on the
-//! merged pairs and their neighbours (no other ranking can change). No
-//! per-iteration edge-list rebuild, no global sort and no steady-state
-//! allocation.
+//! iteration's argmin. A region that won this iteration copies its own
+//! segment and its loser's to the arena tail and squeezes them there;
+//! every other owner is squeezed in place. When the tail would overflow,
+//! the same pass rewrites every live owner into a spare arena and the two
+//! swap. The kernel runs on every region with slots at a reset, which
+//! folds iteration 0's choices; after each iteration it runs on every live
+//! owner under random ties (whose keys change every iteration) and, under
+//! deterministic ties, only on the merged pairs and their neighbours (no
+//! other ranking can change). No per-iteration edge-list rebuild, no
+//! global sort and no steady-state allocation.
+//!
+//! Like the CM-2's segmented minimum under a context mask, the kernel's
+//! slot loop does not branch on the data. Each slot is weighed, stamped
+//! and written at the write cursor, which advances by the predicate
+//! `fresh` (not a self-loop, not a duplicate, keeps the criterion); on
+//! noise each of those tests is a coin flip a branch would mispredict.
+//! The argmin fold is picked once per call per tie family. Deterministic
+//! ties fold the packed key `(weight << 32) | candidate` (the candidate
+//! flipped for [`TieBreak::LargestId`]) with a select on every slot. That
+//! key is exact: canonical IDs strictly increase with the dense index, so
+//! the full `(weight, id, 0, candidate)` key orders like `(weight,
+//! candidate)`, and the `u128` holds any `u64` weight. Random ties hash
+//! only the fresh slots and fold the full [`CandKey`].
 //!
 //! The differential oracle is [`crate::merge_ref::merge_reference`]: the
 //! same algorithm over one edge list that is rebuilt, re-sorted and
@@ -84,6 +96,7 @@
 //! vertex indices, so the sequential, data-parallel, and message-passing
 //! engines make identical random decisions given the same seed.
 
+use std::hint::black_box;
 use std::marker::PhantomData;
 
 use crate::config::{
@@ -96,6 +109,17 @@ use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rg_dsu::DisjointSets;
 use rg_imaging::Intensity;
+
+/// `if c { a } else { b }` through an all-ones or all-zero mask that the
+/// optimiser cannot see through, so it stays arithmetic. LLVM turns a
+/// plain select in a running minimum back into a branch, even under
+/// [`std::hint::select_unpredictable`], and on noise that branch
+/// mispredicts often.
+#[inline(always)]
+fn blend(c: bool, a: u128, b: u128) -> u128 {
+    let m = black_box(0u128.wrapping_sub(u128::from(c)));
+    (a & m) | (b & !m)
+}
 
 /// Deterministic tie-break priority: a splitmix64-style hash of
 /// `(seed, iteration, chooser, candidate)`.
@@ -411,12 +435,17 @@ impl Csr {
         }
     }
 
+    /// Queues `x` unless this epoch already did. The push is
+    /// unconditional and the truncate keeps it only for a stale mark, so
+    /// the test costs no branch: where the merged pairs' neighbourhoods
+    /// overlap, as on noise, whether a mark repeats is hard to predict.
     #[inline]
     fn mark(&mut self, x: u32, epoch: u32) {
-        if self.dirty_epoch[x as usize] != epoch {
-            self.dirty_epoch[x as usize] = epoch;
-            self.owners.push(x);
-        }
+        let fresh = self.dirty_epoch[x as usize] != epoch;
+        self.dirty_epoch[x as usize] = epoch;
+        let len = self.owners.len();
+        self.owners.push(x);
+        self.owners.truncate(len + usize::from(fresh));
     }
 
     /// The end-of-step kernel. For every queued owner it
@@ -430,11 +459,11 @@ impl Csr {
     ///    because an iteration's mutual pairs form a matching), and drops
     ///    self-loops, duplicate neighbours and neighbours whose union
     ///    would violate the criterion;
-    /// 4. writes the survivors to the arena tail if it won, or squeezes
-    ///    them in place otherwise;
-    /// 5. folds the survivors' `(weight, tie keys, id)` argmin under
-    ///    `policy` at `iteration` (the next step's) into `choice`, so the
-    ///    next choice pass is a table read.
+    /// 4. squeezes the survivors in place or, if it won, in the arena
+    ///    tail, where it first copies both segments;
+    /// 5. folds the survivors' argmin under `policy` at `iteration` (the
+    ///    next step's) into `choice`, so the next choice pass is a table
+    ///    read.
     ///
     /// If the winners' appends might not fit in the arena's capacity,
     /// every live owner is queued instead and rewritten into the spare
@@ -444,6 +473,24 @@ impl Csr {
     /// Dropping a duplicate slot is free of semantic effect: the argmin is
     /// invariant under duplicates, the criterion filter would kill every
     /// copy together, and at least one copy per direction always survives.
+    ///
+    /// The slot loop has no data-dependent branch. Every slot is
+    /// redirected, weighed and stamped, and written at the write cursor,
+    /// which then advances by the predicate `fresh` (not a self-loop, not
+    /// yet stamped by this owner, keeps the criterion). Stamping a
+    /// rejected neighbour is exact: the criterion test depends only on the
+    /// owner and the neighbour, so every later copy of it is rejected
+    /// too. The criterion and the tie family are picked here, once per
+    /// call, as closures for [`Csr::rescan_impl`]:
+    ///
+    /// - **Deterministic ties** fold the packed key `(weight << 32) | c`
+    ///   (`u32::MAX - c` for [`TieBreak::LargestId`]) with a select over
+    ///   every slot. Canonical IDs strictly increase with the dense index
+    ///   (see [`Merger::new`]), so [`choice_key`]'s `(w, id, 0, c)` orders
+    ///   exactly like `(w, c)`; the `u128` holds any `u64` weight, so the
+    ///   key is exact and [`tie_key`] is never called.
+    /// - **Random ties** hash only the fresh slots (a branch on `fresh`)
+    ///   and fold the full [`CandKey`].
     ///
     /// Returns `(slots read, compacted)`.
     #[allow(clippy::too_many_arguments)]
@@ -458,6 +505,7 @@ impl Csr {
         iteration: u32,
         choice: &mut [u32],
     ) -> (u64, bool) {
+        let hot = &stats.hot[..];
         match crit {
             Criterion::PixelRange => {
                 // `range_weight_fp16` is exactly the union range in 16.16,
@@ -465,8 +513,8 @@ impl Csr {
                 // ranking needs anyway against `threshold << 16` — one
                 // extrema gather serves both filter and argmin.
                 let cut = u64::from(t) << 16;
-                self.rescan_impl(
-                    &stats.hot,
+                self.rescan_tie(
+                    hot,
                     redirect,
                     losers,
                     policy,
@@ -476,8 +524,8 @@ impl Csr {
                     |_, _, wk| wk <= cut,
                 )
             }
-            Criterion::MeanDifference => self.rescan_impl(
-                &stats.hot,
+            Criterion::MeanDifference => self.rescan_tie(
+                hot,
                 redirect,
                 losers,
                 policy,
@@ -491,12 +539,10 @@ impl Csr {
         }
     }
 
-    /// Criterion-monomorphised body of [`Csr::rescan`]: `weight(o, c)`
-    /// ranks a candidate, `keeps(o, c, weight)` is the de-activation
-    /// predicate (both are loop-invariant closures, so the inner loop
-    /// specialises per criterion with no per-slot dispatch).
+    /// The tie-family half of [`Csr::rescan`]'s dispatch: hands
+    /// [`Csr::rescan_impl`] the argmin fold for `policy`.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_impl<W, K>(
+    fn rescan_tie<W, K>(
         &mut self,
         hot: &[HotVertex],
         redirect: &[u32],
@@ -510,6 +556,85 @@ impl Csr {
     where
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
+    {
+        match policy {
+            TieBreak::Random { seed } => self.rescan_impl(
+                hot,
+                redirect,
+                losers,
+                choice,
+                weight,
+                keeps,
+                KEY_SENTINEL,
+                |b, fresh, chooser, wk, c| {
+                    if !fresh {
+                        return b;
+                    }
+                    // A literal policy, so `tie_key`'s match folds away.
+                    let random = TieBreak::Random { seed };
+                    let (k0, k1) = tie_key(random, iteration, chooser, hot[c].id);
+                    b.min((wk, k0, k1, c as u32))
+                },
+                |b| b.3,
+            ),
+            TieBreak::SmallestId | TieBreak::LargestId => {
+                let flip = if policy == TieBreak::LargestId {
+                    u32::MAX
+                } else {
+                    0
+                };
+                self.rescan_impl(
+                    hot,
+                    redirect,
+                    losers,
+                    choice,
+                    weight,
+                    keeps,
+                    u128::MAX,
+                    |b, fresh, _, wk, c| {
+                        let key = u128::from(wk) << 32 | u128::from(c as u32 ^ flip);
+                        blend(fresh & (key < b), key, b)
+                    },
+                    // Keys are at most 96 bits wide, so `u128::MAX` is no
+                    // candidate's key: it means none survived.
+                    |b| {
+                        if b == u128::MAX {
+                            u32::MAX
+                        } else {
+                            b as u32 ^ flip
+                        }
+                    },
+                )
+            }
+        }
+    }
+
+    /// Criterion- and tie-monomorphised body of [`Csr::rescan`]:
+    /// `weight(o, c)` ranks a candidate, `keeps(o, c, weight)` is the
+    /// de-activation predicate, and `fold(best, fresh, chooser_id, weight,
+    /// c)` folds one slot into the owner's argmin, which starts at `none`
+    /// and `pick` turns into the choice (`u32::MAX` for none). All are
+    /// loop-invariant closures, so the inner loop specialises with no
+    /// per-slot dispatch.
+    #[allow(clippy::too_many_arguments)]
+    fn rescan_impl<W, K, A, F, P>(
+        &mut self,
+        hot: &[HotVertex],
+        redirect: &[u32],
+        losers: &[u32],
+        choice: &mut [u32],
+        weight: W,
+        keeps: K,
+        none: A,
+        fold: F,
+        pick: P,
+    ) -> (u64, bool)
+    where
+        W: Fn(usize, usize) -> u64,
+        K: Fn(usize, usize, u64) -> bool,
+        A: Copy,
+        F: Fn(A, bool, u64, u64, usize) -> A,
+        P: Fn(A) -> u32,
     {
         let n = self.len.len();
         // Each winner appends at most its pair's slots.
@@ -531,68 +656,80 @@ impl Csr {
         // neighbours across both segments it reads.
         let base = self.next_token + 1;
         self.next_token += n as u64;
+        let Self {
+            start,
+            len,
+            col,
+            spare,
+            live,
+            owners,
+            stamp,
+            ..
+        } = self;
+        let stamp = stamp.as_mut_slice();
         let mut ops = 0u64;
         let mut kept_owners = 0;
-        for i in 0..self.owners.len() {
-            let o = self.owners[i] as usize;
+        for i in 0..owners.len() {
+            let o = owners[i] as usize;
             let mate = choice[o];
             choice[o] = u32::MAX;
             if redirect[o] as usize != o {
                 continue;
             }
             let won = mate != u32::MAX && redirect[mate as usize] as usize == o;
-            let own = (self.start[o] as usize, self.len[o] as usize);
+            let own = (start[o] as usize, len[o] as usize);
             let absorbed = if won {
                 let m = mate as usize;
-                let seg = (self.start[m] as usize, self.len[m] as usize);
-                self.len[m] = 0;
+                let seg = (start[m] as usize, len[m] as usize);
+                len[m] = 0;
                 seg
             } else {
                 (0, 0)
             };
             let moved = compact || won;
-            let dst = if moved { self.col.len() } else { own.0 };
-            let token = base + o as u64;
-            let chooser = hot[o].id;
-            let mut b = KEY_SENTINEL;
-            // In place, the write cursor never passes the read cursor; a
-            // moving owner writes behind every segment.
-            let mut w = dst;
-            for (s, len) in [own, absorbed] {
-                for j in s..s + len {
-                    let c = if compact { self.spare[j] } else { self.col[j] };
-                    let c = redirect[c as usize] as usize;
-                    if c == o || self.stamp[c] == token {
-                        continue;
-                    }
-                    let wk = weight(o, c);
-                    if !keeps(o, c, wk) {
-                        continue;
-                    }
-                    self.stamp[c] = token;
-                    if moved {
-                        self.col.push(c as u32);
+            let read = own.1 + absorbed.1;
+            // A moving owner copies its raw slots to the arena tail (within
+            // `cap`, no zero-fill) and squeezes them there; every other
+            // owner squeezes its segment where it is.
+            let dst = if moved { col.len() } else { own.0 };
+            if moved {
+                for (s, l) in [own, absorbed] {
+                    if compact {
+                        col.extend_from_slice(&spare[s..s + l]);
                     } else {
-                        self.col[w] = c as u32;
+                        col.extend_from_within(s..s + l);
                     }
-                    w += 1;
-                    let (k0, k1) = tie_key(policy, iteration, chooser, hot[c].id);
-                    b = b.min((wk, k0, k1, c as u32));
                 }
             }
-            let read = own.1 + absorbed.1;
-            let kept = w - dst;
+            let token = base + o as u64;
+            let chooser = hot[o].id;
+            let seg = &mut col[dst..dst + read];
+            let mut best = none;
+            // The write cursor never passes the read cursor.
+            let mut w = 0;
+            for j in 0..seg.len() {
+                let c = redirect[seg[j] as usize] as usize;
+                let wk = weight(o, c);
+                let fresh = (c != o) & (stamp[c] != token) & keeps(o, c, wk);
+                stamp[c] = token;
+                seg[w] = c as u32;
+                w += usize::from(fresh);
+                best = fold(best, fresh, chooser, wk, c);
+            }
+            if moved {
+                col.truncate(dst + w);
+            }
             ops += read as u64;
-            self.live -= read - kept;
-            self.start[o] = dst as u32;
-            self.len[o] = kept as u32;
-            choice[o] = b.3; // `u32::MAX` when no candidate survived
-            if kept > 0 {
-                self.owners[kept_owners] = o as u32;
+            *live -= read - w;
+            start[o] = dst as u32;
+            len[o] = w as u32;
+            choice[o] = pick(best);
+            if w > 0 {
+                owners[kept_owners] = o as u32;
                 kept_owners += 1;
             }
         }
-        self.owners.truncate(kept_owners);
+        owners.truncate(kept_owners);
         (ops, compact)
     }
 }

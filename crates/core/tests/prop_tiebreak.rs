@@ -17,14 +17,17 @@
 //!    worst case for cyclic choices.
 //!
 //! 3. **Oracle differential** — the CSR [`Merger`] steps exactly like the
-//!    reference edge-list merge ([`rg_core::merge_reference`]).
+//!    reference edge-list merge ([`rg_core::merge_reference`]): on random
+//!    rectangles, on narrow-band noise, on fully-tied rings, and on `u16`
+//!    and `u32` rasters whose 16.16 weights pass 2³², so a ranking key
+//!    that truncated the weight would fail.
 
 use proptest::prelude::*;
 use rg_core::graph::Rag;
 use rg_core::merge::{tie_key, tie_priority, Merger};
 use rg_core::telemetry::derive_merge_iterations;
 use rg_core::{merge_reference, split, Config, Connectivity, Criterion, RegionStats, TieBreak};
-use rg_imaging::synth;
+use rg_imaging::{synth, Image, Intensity};
 
 /// Deterministically shuffles `v` with a splitmix-style keyed sort.
 fn shuffle<T: Copy>(v: &[T], key: u64) -> Vec<T> {
@@ -82,6 +85,56 @@ prop_compose! {
         v.dedup();
         v
     }
+}
+
+// Random rectangles: large squares and exact ties on flat regions.
+prop_compose! {
+    fn rects_scene()(
+        w in 8usize..48,
+        h in 8usize..48,
+        rects in 0usize..9,
+        seed in 0u64..1_000,
+        threshold in 0u32..48,
+    ) -> (Image<u8>, u32) {
+        (synth::random_rects(w, h, rects, seed), threshold)
+    }
+}
+
+// Narrow-band noise: dense 1×1 squares, many duplicate slots after each
+// round of merges, and criterion tests that pass about half the time.
+prop_compose! {
+    fn noise_scene()(
+        w in 8usize..48,
+        h in 8usize..48,
+        lo in 0u8..=235,
+        band in 0u8..=20,
+        seed in 0u64..1_000,
+        threshold in 0u32..=24,
+    ) -> (Image<u8>, u32) {
+        (synth::uniform_noise(w, h, lo, lo + band, seed), threshold)
+    }
+}
+
+/// A raster for the per-step differential, with a threshold drawn for it.
+fn scene() -> impl Strategy<Value = (Image<u8>, u32)> {
+    prop_oneof![rects_scene(), noise_scene()]
+}
+
+/// One of the three tie policies.
+fn tie(policy: usize, seed: u64) -> TieBreak {
+    [
+        TieBreak::SmallestId,
+        TieBreak::LargestId,
+        TieBreak::Random { seed },
+    ][policy]
+}
+
+/// Splits `img` under `cfg` and runs [`assert_steps_match`] on its RAG.
+fn assert_split_steps_match<P: Intensity>(img: &Image<P>, cfg: &Config) -> Result<(), String> {
+    let s = split(img, cfg);
+    let stride = s.width as u32;
+    let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
+    assert_steps_match(Rag::from_split(&s, cfg.connectivity), ids, cfg)
 }
 
 prop_compose! {
@@ -239,32 +292,52 @@ proptest! {
     /// engine never moves more data than the oracle.
     #[test]
     fn merger_steps_match_reference_merge(
-        w in 8usize..48,
-        h in 8usize..48,
-        rects in 0usize..9,
-        img_seed in 0u64..1_000,
-        threshold in 0u32..48,
+        (img, threshold) in scene(),
         eight in any::<bool>(),
         mean in any::<bool>(),
         policy in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let img = synth::random_rects(w, h, rects, img_seed);
-        let tie = [
-            TieBreak::SmallestId,
-            TieBreak::LargestId,
-            TieBreak::Random { seed },
-        ][policy];
         let conn = if eight { Connectivity::Eight } else { Connectivity::Four };
         let crit = if mean { Criterion::MeanDifference } else { Criterion::PixelRange };
         let cfg = Config::with_threshold(threshold)
-            .tie_break(tie)
+            .tie_break(tie(policy, seed))
             .connectivity(conn)
             .criterion(crit);
-        let s = split(&img, &cfg);
-        let stride = s.width as u32;
-        let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
-        assert_steps_match(Rag::from_split(&s, conn), ids, &cfg)?;
+        assert_split_steps_match(&img, &cfg)?;
+    }
+
+    /// The same differential on wide rasters: random rectangles with each
+    /// grey level `v` scaled to `v << shift` in a `u32` raster (intensities
+    /// up to 2³², so 16.16 weights up to 2⁴⁸) or to `257 v` in a `u16`
+    /// one, with thresholds in the same units or `u32::MAX`. The tiled
+    /// stitch runs a `Merger<u32>` in production.
+    #[test]
+    fn merger_steps_match_reference_merge_on_wide_intensities(
+        w in 8usize..40,
+        h in 8usize..40,
+        rects in 0usize..9,
+        img_seed in 0u64..1_000,
+        shift in 16u32..=24,
+        levels in 0u32..48,
+        unbounded in any::<bool>(),
+        wide32 in any::<bool>(),
+        mean in any::<bool>(),
+        policy in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let base = synth::random_rects(w, h, rects, img_seed);
+        let scale = if wide32 { 1 << shift } else { 257 };
+        let threshold = if unbounded { u32::MAX } else { levels * scale };
+        let crit = if mean { Criterion::MeanDifference } else { Criterion::PixelRange };
+        let cfg = Config::with_threshold(threshold)
+            .tie_break(tie(policy, seed))
+            .criterion(crit);
+        if wide32 {
+            assert_split_steps_match(&base.map(|v| u32::from(v) << shift), &cfg)?;
+        } else {
+            assert_split_steps_match(&base.map(|v| u16::from(v) * 257), &cfg)?;
+        }
     }
 
     /// The same differential on fully-tied adversarial rings under random
@@ -287,7 +360,11 @@ proptest! {
 /// production runs: under deterministic ties its rescan visits only the
 /// dirty owners. A traced merger, which scans every vertex instead, steps
 /// alongside and must take the same steps and record the oracle's trace.
-fn assert_steps_match(rag: Rag<'_, u8>, ids: Vec<u64>, cfg: &Config) -> Result<(), String> {
+fn assert_steps_match<P: Intensity>(
+    rag: Rag<'_, P>,
+    ids: Vec<u64>,
+    cfg: &Config,
+) -> Result<(), String> {
     let oracle = merge_reference(&rag, &ids, cfg);
     let mut traced = Merger::new(rag.clone(), ids.clone(), cfg);
     traced.enable_trace();
