@@ -94,8 +94,28 @@ fn edges_per_sec(initial_edges: u64, iterations: u32, wall: f64) -> f64 {
     }
 }
 
-/// Times `Merger::run` on a built merger, after a warm-up run (page in
-/// buffers, steady-state allocator) over the same split.
+/// Timed runs behind each merge row's `wall_ms`, after one untimed
+/// warm-up: the row keeps the best, as the split and batch suites do, so
+/// the column compares across recordings.
+const MERGE_REPEATS: usize = 5;
+
+/// Runs `run` on a fresh `build()` once untimed, then `MERGE_REPEATS`
+/// times timed (the build is never timed), and returns the last run's
+/// output with the best wall time in seconds.
+fn best_of<I, O>(build: impl Fn() -> I, run: impl Fn(I) -> O) -> (O, f64) {
+    let mut out = run(build());
+    let mut wall = f64::MAX;
+    for _ in 0..MERGE_REPEATS {
+        let input = build();
+        let t0 = Instant::now();
+        out = run(input);
+        wall = wall.min(t0.elapsed().as_secs_f64());
+    }
+    (out, wall)
+}
+
+/// Times `Merger::run` on a freshly built merger, best of
+/// [`MERGE_REPEATS`] (see [`best_of`]).
 fn bench_csr(
     img: &GrayImage,
     image_name: &'static str,
@@ -106,12 +126,13 @@ fn bench_csr(
     let (cfg, s, ids) = bench_setup(img, threshold, tie);
     let rag = Rag::from_split(&s, cfg.connectivity);
     let initial_edges = rag.num_edges() as u64;
-    let warm = Rag::from_split(&s, cfg.connectivity);
-    Merger::new(warm, ids.clone(), &cfg).run();
-    let mut merger = Merger::new(rag, ids, &cfg);
-    let t0 = Instant::now();
-    let summary = merger.run();
-    let wall = t0.elapsed().as_secs_f64();
+    let ((merger, summary), wall) = best_of(
+        || Merger::new(rag.clone(), ids.clone(), &cfg),
+        |mut merger| {
+            let summary = merger.run();
+            (merger, summary)
+        },
+    );
     Row {
         backend: CSR,
         image: image_name,
@@ -128,9 +149,9 @@ fn bench_csr(
     }
 }
 
-/// Times [`ReferenceInput::run`], the reference merge's iterations, after a
-/// warm-up run over the same split. Like `bench_csr`, it leaves the
-/// initial criterion filter out of the timed phase.
+/// Times [`ReferenceInput::run`], the reference merge's iterations, best
+/// of [`MERGE_REPEATS`]. Like `bench_csr`, it leaves the initial criterion
+/// filter out of the timed phase.
 fn bench_reference(
     img: &GrayImage,
     image_name: &'static str,
@@ -141,11 +162,10 @@ fn bench_reference(
     let (cfg, s, ids) = bench_setup(img, threshold, tie);
     let rag = Rag::from_split(&s, cfg.connectivity);
     let initial_edges = rag.num_edges() as u64;
-    ReferenceInput::new(&rag, &cfg).run(&ids, &cfg);
-    let input = ReferenceInput::new(&rag, &cfg);
-    let t0 = Instant::now();
-    let r = input.run(&ids, &cfg);
-    let wall = t0.elapsed().as_secs_f64();
+    let (r, wall) = best_of(
+        || ReferenceInput::new(&rag, &cfg),
+        |input| input.run(&ids, &cfg),
+    );
     let iterations = r.steps.len() as u32;
     let merges: usize = r.steps.iter().map(|st| st.merges as usize).sum();
     Row {
@@ -615,11 +635,13 @@ fn build_split_doc(n: usize) -> (Json, Vec<String>) {
 
     // `nested` coalesces deep (many productive levels), `rects` is the
     // paper's object scene, `noise` goes unproductive immediately — the
-    // case where tight grids + deferred folding pay the most.
+    // case where tight grids + deferred folding pay the most. `speckle`
+    // leaves nearly every pixel its own 1×1 square, so emission dominates.
     let scenes: Vec<(&'static str, u32, GrayImage)> = vec![
         ("nested", 10, synth::nested_rects(n)),
         ("rects", 12, synth::random_rects(n, n, 40, 11)),
         ("noise", 10, synth::uniform_noise(n, n, 120, 135, 7)),
+        ("speckle", 12, synth::uniform_noise(n, n, 0, 255, 7)),
     ];
     let criteria = [
         (Criterion::PixelRange, "range"),

@@ -104,9 +104,10 @@ pub fn square_adjacency_into<P: Intensity>(
 /// current square's list and does not allocate once it has reached its
 /// high-water capacity.
 ///
-/// **Construction.** Squares leave the split in raster order of their
-/// top-left corners, so a square's dense index orders like its id. For
-/// each square `u` at `(x0, y0)` with side `s`, in index order:
+/// **Construction.** The split emits squares in one row-major pass, in
+/// raster order of their top-left corners, so a square's dense index
+/// orders like its id and `square_of` needs no sort. For each square `u`
+/// at `(x0, y0)` with side `s`, in index order:
 ///
 /// * walk `square_of` along column `x0 + s` (right), column `x0 − 1`
 ///   (left) and row `y0 + s` (below), each clipped to the image; a walk

@@ -66,8 +66,12 @@
 //! ([`crate::graph::square_forward_neighbours`]): each pair is tested as
 //! the walk finds it, and the CSR counts the survivors' degrees and lays
 //! them out as per-region segments, so no edge list exists.
-//! [`Merger::reset_from`] does the same from an edge list, for graphs that
-//! only exist as one (the tiled stitch's seam RAG, [`Merger::new`]).
+//! [`Merger::reset_from`] does the same from a canonical edge list, for
+//! graphs that only exist as one (the tiled stitch's seam RAG,
+//! [`Merger::new`]). Either way no segment can hold a self-loop, a
+//! duplicate or a criterion violation, and the redirect is the identity,
+//! so the reset's rescan folds iteration 0's argmin only: the same kernel
+//! with its upkeep switched off for that call.
 //! Stamp tokens and dirty-set epochs keep counting up across resets, so a
 //! reset rewrites neither per-vertex array.
 //!
@@ -346,15 +350,20 @@ impl Csr {
         self.spare.clear();
     }
 
-    /// Keeps the undirected edge `(u, v)`: counts both endpoints' degrees
-    /// and stages the pair in the spare arena, which is idle until the
-    /// first compaction and is reserved for three times these slots
-    /// anyway.
+    /// Keeps the undirected edge `(u, v)` if `kept`: counts both
+    /// endpoints' degrees and stages the pair in the spare arena, which is
+    /// idle until the first compaction and is reserved for three times
+    /// these slots anyway. The pair is staged either way and the truncate
+    /// drops it, so the test costs no branch: on speckle about one pair in
+    /// ten survives the criterion, at random.
     #[inline]
-    fn keep(&mut self, u: u32, v: u32) {
-        self.len[u as usize] += 1;
-        self.len[v as usize] += 1;
+    fn keep(&mut self, u: u32, v: u32, kept: bool) {
+        let k = u32::from(kept);
+        self.len[u as usize] += k;
+        self.len[v as usize] += k;
+        let staged = self.spare.len();
         self.spare.extend([u, v]);
+        self.spare.truncate(staged + 2 * k as usize);
     }
 
     /// Lays the staged pairs out **in place**, reusing every array's
@@ -386,13 +395,25 @@ impl Csr {
         self.spare.clear();
         self.spare.reserve(self.cap);
         self.live = slots;
-        self.owners.clear();
-        let len = &self.len;
-        self.owners
-            .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
+        self.queue_all();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
         }
+    }
+
+    /// Queues every vertex with slots, in vertex order. The write cursor
+    /// advances by `len > 0` instead of a branch: at a reset on speckle
+    /// about one vertex in four keeps a slot, at random.
+    fn queue_all(&mut self) {
+        let Self { len, owners, .. } = self;
+        owners.clear();
+        owners.resize(len.len(), 0);
+        let mut kept = 0;
+        for (v, &l) in len.iter().enumerate() {
+            owners[kept] = v as u32;
+            kept += usize::from(l > 0);
+        }
+        owners.truncate(kept);
     }
 
     /// Queues the deterministic-tie dirty set for the next rescan: this
@@ -492,9 +513,16 @@ impl Csr {
     /// - **Random ties** hash only the fresh slots (a branch on `fresh`)
     ///   and fold the full [`CandKey`].
     ///
+    /// `UPKEEP = false` is the reset's mode, picked once per call by
+    /// [`Merger::finish_reset`]: the redirect is the identity, no owner
+    /// won, and every segment already holds unique, criterion-filtered
+    /// neighbours other than its owner, so steps 3 and 4 are no-ops. The
+    /// slot loop then only weighs each slot and folds it, with `fresh`
+    /// constant `true`; it redirects, stamps and writes nothing.
+    ///
     /// Returns `(slots read, compacted)`.
     #[allow(clippy::too_many_arguments)]
-    fn rescan(
+    fn rescan<const UPKEEP: bool>(
         &mut self,
         stats: &SoaStats,
         crit: Criterion,
@@ -513,7 +541,7 @@ impl Csr {
                 // ranking needs anyway against `threshold << 16` — one
                 // extrema gather serves both filter and argmin.
                 let cut = u64::from(t) << 16;
-                self.rescan_tie(
+                self.rescan_tie::<UPKEEP, _, _>(
                     hot,
                     redirect,
                     losers,
@@ -524,7 +552,7 @@ impl Csr {
                     |_, _, wk| wk <= cut,
                 )
             }
-            Criterion::MeanDifference => self.rescan_tie(
+            Criterion::MeanDifference => self.rescan_tie::<UPKEEP, _, _>(
                 hot,
                 redirect,
                 losers,
@@ -542,7 +570,7 @@ impl Csr {
     /// The tie-family half of [`Csr::rescan`]'s dispatch: hands
     /// [`Csr::rescan_impl`] the argmin fold for `policy`.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_tie<W, K>(
+    fn rescan_tie<const UPKEEP: bool, W, K>(
         &mut self,
         hot: &[HotVertex],
         redirect: &[u32],
@@ -558,7 +586,7 @@ impl Csr {
         K: Fn(usize, usize, u64) -> bool,
     {
         match policy {
-            TieBreak::Random { seed } => self.rescan_impl(
+            TieBreak::Random { seed } => self.rescan_impl::<UPKEEP, _, _, _, _, _>(
                 hot,
                 redirect,
                 losers,
@@ -583,7 +611,7 @@ impl Csr {
                 } else {
                     0
                 };
-                self.rescan_impl(
+                self.rescan_impl::<UPKEEP, _, _, _, _, _>(
                     hot,
                     redirect,
                     losers,
@@ -614,10 +642,10 @@ impl Csr {
     /// de-activation predicate, and `fold(best, fresh, chooser_id, weight,
     /// c)` folds one slot into the owner's argmin, which starts at `none`
     /// and `pick` turns into the choice (`u32::MAX` for none). All are
-    /// loop-invariant closures, so the inner loop specialises with no
-    /// per-slot dispatch.
+    /// loop-invariant closures, and `UPKEEP` is a constant, so the inner
+    /// loop specialises with no per-slot dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_impl<W, K, A, F, P>(
+    fn rescan_impl<const UPKEEP: bool, W, K, A, F, P>(
         &mut self,
         hot: &[HotVertex],
         redirect: &[u32],
@@ -646,10 +674,7 @@ impl Csr {
         if compact {
             std::mem::swap(&mut self.col, &mut self.spare);
             self.col.clear();
-            self.owners.clear();
-            let len = &self.len;
-            self.owners
-                .extend((0..n as u32).filter(|&v| len[v as usize] > 0));
+            self.queue_all();
         }
         // Token `base + o` is unique to (pass, owner `o`) and above every
         // earlier token, so `stamp[c] == token` dedups the owner's
@@ -708,11 +733,17 @@ impl Csr {
             // The write cursor never passes the read cursor.
             let mut w = 0;
             for j in 0..seg.len() {
-                let c = redirect[seg[j] as usize] as usize;
+                let c = if UPKEEP {
+                    redirect[seg[j] as usize] as usize
+                } else {
+                    seg[j] as usize
+                };
                 let wk = weight(o, c);
-                let fresh = (c != o) & (stamp[c] != token) & keeps(o, c, wk);
-                stamp[c] = token;
-                seg[w] = c as u32;
+                let fresh = !UPKEEP || (c != o) & (stamp[c] != token) & keeps(o, c, wk);
+                if UPKEEP {
+                    stamp[c] = token;
+                    seg[w] = c as u32;
+                }
                 w += usize::from(fresh);
                 best = fold(best, fresh, chooser, wk, c);
             }
@@ -827,7 +858,8 @@ impl<P: Intensity> Merger<P> {
     ///
     /// Semantically equivalent to `*self = Merger::new(rag, ids, config)` —
     /// edges that do not satisfy the criterion are de-activated immediately
-    /// (the paper's step 2) and any enabled trace is dropped.
+    /// (the paper's step 2) and any enabled trace is dropped. `edges` must
+    /// be canonical, as [`Rag::edges`] is: `u < v`, sorted and unique.
     pub fn reset_from(
         &mut self,
         stats: &[RegionStats<P>],
@@ -837,13 +869,17 @@ impl<P: Intensity> Merger<P> {
     ) {
         assert_eq!(ids.len(), stats.len(), "ids length mismatch");
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
+        // The reset's argmin-only rescan relies on this: no self-loop and
+        // no duplicate reaches a segment.
+        debug_assert!(
+            edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|p| p[0] < p[1]),
+            "edges must be canonical: u < v, sorted, unique"
+        );
         self.begin_reset(stats, ids.iter().copied(), config);
         let (crit, t) = (self.criterion, self.threshold);
         let Self { stats, csr, .. } = self;
         for &(u, v) in edges {
-            if stats.satisfies(crit, t, u as usize, v as usize) {
-                csr.keep(u, v);
-            }
+            csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
         }
         self.finish_reset();
     }
@@ -867,9 +903,7 @@ impl<P: Intensity> Merger<P> {
         } = self;
         square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
             for &v in nb {
-                if stats.satisfies(crit, t, u as usize, v as usize) {
-                    csr.keep(u, v);
-                }
+                csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
             }
         });
         self.finish_reset();
@@ -908,12 +942,13 @@ impl<P: Intensity> Merger<P> {
     /// The shared second half of a reset, once the CSR has staged every
     /// edge that satisfies the criterion: lay out the segments and fold
     /// iteration 0's choices with the end-of-step kernel over every region
-    /// with slots.
+    /// with slots. Every staged pair was canonical and unique and passed
+    /// the criterion, so the kernel runs argmin-only (`UPKEEP = false`).
     fn finish_reset(&mut self) {
         let policy = self.policy().0;
         self.csr.place();
         self.peak_active_edges = self.csr.live as u64 / 2;
-        self.csr.rescan(
+        self.csr.rescan::<false>(
             &self.stats,
             self.criterion,
             self.threshold,
@@ -1179,7 +1214,7 @@ impl<P: Intensity> Merger<P> {
         if !matches!(self.tie, TieBreak::Random { .. }) {
             csr.mark_dirty(&self.pending_losers, &self.redirect);
         }
-        let (ops, compacted) = csr.rescan(
+        let (ops, compacted) = csr.rescan::<true>(
             &self.stats,
             self.criterion,
             self.threshold,
@@ -1350,6 +1385,67 @@ mod tests {
                 m.relabel_work(),
                 oracle.relabel_work
             );
+        }
+    }
+
+    #[test]
+    fn reset_argmin_only_rescan_matches_full_rescan() {
+        // The reset's rescan skips redirect, stamp, filter and squeeze.
+        // The same reset with the full kernel must leave the same choices,
+        // the same segments and the same live count.
+        let state = |m: &Merger<u8>| {
+            let csr = &m.csr;
+            let segments = (csr.start.clone(), csr.len.clone(), csr.col.clone());
+            (m.choice.clone(), segments, csr.live)
+        };
+        for img in [
+            synth::uniform_noise(48, 40, 0, 255, 3),
+            synth::uniform_noise(48, 40, 120, 135, 4),
+        ] {
+            for tie in [
+                TieBreak::SmallestId,
+                TieBreak::LargestId,
+                TieBreak::Random { seed: 11 },
+            ] {
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    let cfg = Config::with_threshold(12).tie_break(tie).connectivity(conn);
+                    let s = split(&img, &cfg);
+                    let mut fast = Merger::hollow(&cfg);
+                    fast.reset_from_split(&s, &cfg);
+
+                    // `reset_from_split` step by step, ending in the full
+                    // kernel instead of the argmin-only one.
+                    let mut full = Merger::hollow(&cfg);
+                    let ids = s.squares.iter().map(|q| u64::from(q.id(s.width as u32)));
+                    full.begin_reset(&s.stats, ids, &cfg);
+                    let (crit, t) = (full.criterion, full.threshold);
+                    let Merger {
+                        stats,
+                        csr,
+                        neighbours,
+                        ..
+                    } = &mut full;
+                    square_forward_neighbours(&s, conn, neighbours, |u, nb| {
+                        for &v in nb {
+                            csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
+                        }
+                    });
+                    full.csr.place();
+                    full.csr.rescan::<true>(
+                        &full.stats,
+                        crit,
+                        t,
+                        &full.redirect,
+                        &[],
+                        full.policy().0,
+                        0,
+                        &mut full.choice,
+                    );
+
+                    assert!(fast.csr.live > 0, "{tie:?} {conn:?}: no active edges");
+                    assert_eq!(state(&fast), state(&full), "{tie:?} {conn:?}");
+                }
+            }
         }
     }
 

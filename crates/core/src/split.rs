@@ -28,6 +28,16 @@
 //! * Iteration `k` can only coalesce groups of four *whole* level-(k−1)
 //!   squares, so the first unproductive iteration is terminal; like the
 //!   paper we report only productive iterations.
+//! * The maximal squares leave in one row-major pass over the pixels that
+//!   writes `squares`, `stats` and `square_of` together, already in raster
+//!   order of the top-left corners, into outputs sized once from the
+//!   bitsets' popcounts. Each run of pixels outside every larger square
+//!   (clear level-1 bits) becomes 1×1 squares in three bulk appends; a
+//!   pixel under a square begun on an earlier row copies that square's
+//!   run of `square_of` from the row above; any other pixel is a corner
+//!   whose square is the highest aligned level with its `is_square` bit
+//!   set. No stack and no sort: on speckle, where nearly every pixel is
+//!   its own 1×1 square, the pass is a few bulk appends per row.
 //! * [`Config::max_square_log2`] caps square growth; `Some(0)` disables the
 //!   stage (the merge-only baseline).
 //! * [`split`] is bit-identical to the retained pre-optimisation oracle
@@ -178,14 +188,36 @@ impl BitGrid {
         (self.words[y * self.wpr + x / 64] >> (x % 64)) & 1 == 1
     }
 
+    /// The first column `≥ x` of row `y` whose bit is set, or `width` if
+    /// there is none.
+    #[inline]
+    fn next_set(&self, x: usize, y: usize) -> usize {
+        let row = &self.words[y * self.wpr..(y + 1) * self.wpr];
+        let mut j = x / 64;
+        let mut word = row[j] & (!0u64 << (x % 64));
+        while word == 0 {
+            j += 1;
+            if j == row.len() {
+                return self.width;
+            }
+            word = row[j];
+        }
+        64 * j + word.trailing_zeros() as usize
+    }
+
     fn any(&self) -> bool {
         self.words.iter().any(|&w| w != 0)
     }
+
+    /// Number of set bits.
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
 }
 
-/// Reusable scratch for [`split_into`]: the per-level SoA stats planes, the
-/// packed per-level `is_square` bitsets, and the maximal-square extraction
-/// stack.
+/// Reusable scratch for [`split_into`]: the per-level SoA stats planes and
+/// the packed per-level `is_square` bitsets. Emission needs nothing more:
+/// it reads the bitsets and writes the output vectors directly.
 ///
 /// All buffers grow to a high-water mark and are never freed, so running
 /// many same-shape images through one scratch performs **zero** heap
@@ -204,13 +236,6 @@ pub struct SplitScratch<P: Intensity> {
     /// ceil grid. Index 0 is an always-empty placeholder — level-0 squares
     /// are exactly the real pixels and are never materialised.
     bits: Vec<BitGrid>,
-    /// Explicit DFS stack for top-down maximal-square extraction.
-    stack: Vec<(usize, usize, usize)>,
-    /// Per-row bucket offsets for the counting sort of extracted squares
-    /// (`h + 1` entries while in use).
-    sort_rows: Vec<u32>,
-    /// Scatter target of the counting sort (swapped with the output vec).
-    sort_tmp: Vec<Square>,
 }
 
 impl<P: Intensity> SplitScratch<P> {
@@ -219,9 +244,6 @@ impl<P: Intensity> SplitScratch<P> {
         Self {
             levels: Vec::new(),
             bits: Vec::new(),
-            stack: Vec::new(),
-            sort_rows: Vec::new(),
-            sort_tmp: Vec::new(),
         }
     }
 
@@ -509,13 +531,7 @@ pub fn split_into<P: Intensity>(
     let crit = config.criterion;
 
     scratch.ensure_levels(cap + 1);
-    let SplitScratch {
-        levels,
-        bits,
-        stack,
-        sort_rows,
-        sort_tmp,
-    } = scratch;
+    let SplitScratch { levels, bits } = scratch;
     // Level 0 is the image: nothing to fill.
     let mut metrics = SplitMetrics {
         levels_built: 1,
@@ -557,116 +573,77 @@ pub fn split_into<P: Intensity>(
     }
     metrics.productive_levels = iterations;
 
-    // Extract maximal squares, top-down (a square is maximal when no
-    // ancestor block is itself a square). Seeds cover the ceil grid of the
-    // top processed level, so partially-inside border blocks descend.
-    let squares = &mut out.squares;
+    // Emit the maximal squares, their stats and the pixel -> square map in
+    // one row-major pass, so squares come out in raster order of their
+    // top-left corners. A set `is_square` bit implies its whole subtree,
+    // so a pixel lies in a larger square iff its level-1 block is one:
+    // each run of other pixels is emitted at once as 1×1 squares. A pixel
+    // of a larger square that started on an earlier row copies that
+    // square's run of `square_of` from the row above. Any other one is the
+    // top-left corner of its square (the squares left of it on this row
+    // were skipped whole), which is the highest level `k <= top` the
+    // corner is aligned to whose bit is set.
+    let SplitResult {
+        squares,
+        stats,
+        square_of,
+        ..
+    } = out;
+    // A set bit at level k covers four set bits at level k − 1 (or four
+    // pixels), so the maximal squares number w·h − 3·(set bits at levels
+    // 1..=top). Sizing both outputs once spares them growth by doubling.
+    let num_squares = w * h - 3 * (1..=top).map(|k| bits[k].count()).sum::<usize>();
     squares.clear();
-    if top == 0 {
-        // Merge-only baseline (or 1×1 image): every pixel is a square.
-        squares.reserve(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                squares.push(Square {
+    squares.reserve(num_squares);
+    stats.clear();
+    stats.reserve(num_squares);
+    square_of.clear();
+    square_of.reserve(w * h);
+    let px = img.pixels();
+    for y in 0..h {
+        let row = &px[y * w..(y + 1) * w];
+        let mut x = 0;
+        while x < w {
+            let end = if top == 0 {
+                w
+            } else {
+                (2 * bits[1].next_set(x >> 1, y >> 1)).min(w)
+            };
+            if end > x {
+                let i = squares.len() as u32;
+                squares.extend((x..end).map(|x| Square {
                     x: x as u32,
                     y: y as u32,
                     log2: 0,
-                });
+                }));
+                stats.extend(row[x..end].iter().map(|&p| pixel_stats(p)));
+                square_of.extend(i..i + (end - x) as u32);
+                x = end;
+                continue;
             }
-        }
-    } else {
-        stack.clear();
-        let (tcw, tch) = ((w + (1 << top) - 1) >> top, (h + (1 << top) - 1) >> top);
-        for by in (0..tch).rev() {
-            for bx in (0..tcw).rev() {
-                stack.push((top, bx, by));
-            }
-        }
-        while let Some((k, bx, by)) = stack.pop() {
-            let (x0, y0) = (bx << k, by << k);
-            if x0 >= w || y0 >= h {
-                continue; // block entirely outside the image
-            }
-            if k == 0 {
-                squares.push(Square {
-                    x: x0 as u32,
-                    y: y0 as u32,
-                    log2: 0,
-                });
-            } else if bits[k].get(bx, by) {
-                squares.push(Square {
-                    x: x0 as u32,
-                    y: y0 as u32,
-                    log2: k as u8,
-                });
-            } else {
-                // Push in reverse Morton order so pops visit TL, TR, BL, BR.
-                for (dy, dx) in [(1usize, 1usize), (1, 0), (0, 1), (0, 0)] {
-                    stack.push((k - 1, 2 * bx + dx, 2 * by + dy));
+            if y > 0 {
+                let above = (y - 1) * w + x;
+                let s = squares[square_of[above] as usize];
+                let side = s.side() as usize;
+                if s.y as usize + side > y {
+                    square_of.extend_from_within(above..above + side);
+                    x += side;
+                    continue;
                 }
             }
-        }
-
-        // Canonical order: raster order of the top-left corner, which makes
-        // the dense square index order-isomorphic to `Square::id`. The DFS
-        // emits top-block rows top-to-bottom and Z-order inside each block,
-        // so corners on any fixed row already appear left-to-right — a
-        // stable counting sort on `y` alone restores full raster order in
-        // O(n + h) instead of a comparison sort (the dominant extraction
-        // cost on fragmented scenes).
-        sort_rows.clear();
-        sort_rows.resize(h + 1, 0);
-        for s in squares.iter() {
-            sort_rows[s.y as usize + 1] += 1;
-        }
-        for y in 0..h {
-            sort_rows[y + 1] += sort_rows[y];
-        }
-        sort_tmp.clear();
-        sort_tmp.resize(
-            squares.len(),
-            Square {
-                x: 0,
-                y: 0,
-                log2: 0,
-            },
-        );
-        for s in squares.iter() {
-            let slot = &mut sort_rows[s.y as usize];
-            sort_tmp[*slot as usize] = *s;
-            *slot += 1;
-        }
-        std::mem::swap(squares, sort_tmp);
-        // Belt-and-braces: if the x-monotonicity invariant ever broke, fall
-        // back to the comparison sort rather than emit out of order.
-        if !squares
-            .windows(2)
-            .all(|p| (p[0].y, p[0].x) < (p[1].y, p[1].x))
-        {
-            debug_assert!(false, "DFS emission lost within-row x order");
-            squares.sort_unstable_by_key(|s| (s.y, s.x));
-        }
-    }
-
-    // Per-square stats (1×1 squares read the image; larger ones the tight
-    // planes, with the constant count 4^k of a whole level-k block) and
-    // the pixel -> square map.
-    let stats = &mut out.stats;
-    stats.clear();
-    stats.reserve(squares.len());
-    let square_of = &mut out.square_of;
-    square_of.clear();
-    square_of.resize(w * h, u32::MAX);
-    let px = img.pixels();
-    for (i, s) in squares.iter().enumerate() {
-        if s.log2 == 0 {
-            // Pixel squares dominate fragmented scenes; skip the loop setup.
-            let p = s.y as usize * w + s.x as usize;
-            stats.push(pixel_stats(px[p]));
-            square_of[p] = i as u32;
-        } else {
-            let k = s.log2 as usize;
-            let idx = ((s.y as usize) >> k) * (w >> k) + ((s.x as usize) >> k);
+            let mut k = ((x | y).trailing_zeros() as usize).min(top);
+            while !bits[k].get(x >> k, y >> k) {
+                k -= 1;
+            }
+            // A whole level-k block: its stats are one cell of the tight
+            // planes, with the constant count 4^k.
+            let i = squares.len() as u32;
+            squares.push(Square {
+                x: x as u32,
+                y: y as u32,
+                log2: k as u8,
+            });
+            let idx = (y >> k) * (w >> k) + (x >> k);
             let lvl = &levels[k];
             stats.push(RegionStats {
                 min: lvl.min[idx],
@@ -674,16 +651,12 @@ pub fn split_into<P: Intensity>(
                 sum: lvl.sum[idx],
                 count: 1u64 << (2 * k),
             });
-            for y in s.y as usize..s.y as usize + s.side() as usize {
-                for cell in
-                    &mut square_of[y * w + s.x as usize..y * w + s.x as usize + s.side() as usize]
-                {
-                    *cell = i as u32;
-                }
-            }
+            square_of.extend(std::iter::repeat_n(i, 1 << k));
+            x += 1 << k;
         }
     }
-    debug_assert!(square_of.iter().all(|&q| q != u32::MAX));
+    debug_assert_eq!(squares.len(), num_squares);
+    debug_assert_eq!(square_of.len(), w * h);
 
     out.iterations = iterations;
     out.width = w;

@@ -3,15 +3,29 @@
 //! ([`rg_core::split_reference`]): squares, per-square stats, the
 //! pixel→square map and the iteration count must be bit-identical across
 //! random sizes (including non-power-of-two rectangles and degenerate
-//! 1×N / N×1 strips), both criteria, `u8` and `u16` intensities, and a
-//! scratch reused across shape changes vs fresh calls.
+//! 1×N / N×1 strips), random rectangles, speckle and narrow-band noise,
+//! both criteria, `u8` and `u16` intensities, and a scratch reused across
+//! shape changes vs fresh calls.
 
 use proptest::prelude::*;
 use rg_core::{split, split_into, split_reference, Config, Criterion, SplitResult, SplitScratch};
 use rg_imaging::{synth, Image, Intensity};
 
-// Random rectangles, biased toward awkward shapes: non-power-of-two
-// sides, strips of width or height 1, and tiny images.
+/// What a drawn scene paints.
+#[derive(Debug, Clone, Copy)]
+enum Paint {
+    /// `count` random rectangles: large squares and exact ties.
+    Rects,
+    /// Speckle (`0..=255`): nearly every pixel its own 1×1 square, with a
+    /// few 2×2 squares at small thresholds and mixed levels at large ones.
+    Speckle,
+    /// Narrow-band noise (`120..=135`): mostly 1×1 and 2×2 squares below
+    /// T = 15, whole aligned blocks at and above it.
+    Narrow,
+}
+
+// Random rectangles and pixel-dense noise, biased toward awkward shapes:
+// non-power-of-two sides, strips of width or height 1, and tiny images.
 prop_compose! {
     fn scene()(
         seed in 0u64..1_000_000,
@@ -22,8 +36,19 @@ prop_compose! {
             (Just(65usize), Just(33usize)), // just past powers of two
         ],
         count in 0usize..12,
+        paint in prop_oneof![
+            Just(Paint::Rects),
+            Just(Paint::Rects),
+            Just(Paint::Speckle),
+            Just(Paint::Narrow),
+        ],
     ) -> Image<u8> {
-        synth::random_rects(shape.0, shape.1, count, seed)
+        let (w, h) = shape;
+        match paint {
+            Paint::Rects => synth::random_rects(w, h, count, seed),
+            Paint::Speckle => synth::uniform_noise(w, h, 0, 255, seed),
+            Paint::Narrow => synth::uniform_noise(w, h, 120, 135, seed),
+        }
     }
 }
 
