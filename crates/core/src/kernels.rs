@@ -104,23 +104,24 @@ pub fn gather2x2<T: Copy>(plane: &[T], stride: usize, bx: usize, by: usize) -> [
     ]
 }
 
-/// Minimum of a gathered 2×2 lane quad (branch-free tree fold).
-#[inline]
-pub fn lane_min4<T: Ord + Copy>(v: [T; 4]) -> T {
-    v[0].min(v[1]).min(v[2].min(v[3]))
-}
-
-/// Maximum of a gathered 2×2 lane quad (branch-free tree fold).
-#[inline]
-pub fn lane_max4<T: Ord + Copy>(v: [T; 4]) -> T {
-    v[0].max(v[1]).max(v[2].max(v[3]))
-}
-
 /// Sum of a gathered 2×2 accumulator quad (tree-shaped for the
 /// autovectorizer's benefit).
 #[inline]
 pub fn lane_sum4(v: [u64; 4]) -> u64 {
     (v[0] + v[1]) + (v[2] + v[3])
+}
+
+/// Packs 64 lane tests (each byte 0 or 1) into one bitset word: output
+/// bit `i` is `tests[i]`. Each group of 8 bytes is gathered into one byte
+/// by a single multiply — byte `m` of the group lands on bit `56 + m` and
+/// no two partial products overlap, so nothing carries into the top byte.
+#[inline]
+pub fn pack_lane_tests(tests: &[u8; 64]) -> u64 {
+    let (groups, _) = tests.as_chunks::<8>();
+    groups.iter().enumerate().fold(0, |word, (g, &group)| {
+        let byte = u64::from_le_bytes(group).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        word | byte << (8 * g)
+    })
 }
 
 /// Width of the region-stats wire record in `u32` words:
@@ -267,15 +268,31 @@ mod tests {
     }
 
     #[test]
-    fn gather2x2_and_lane_folds() {
+    fn gather2x2_and_lane_sum() {
         // 4×2 plane: parent (bx=1, by=0) gathers columns 2..4 of both rows.
         let plane: [u32; 8] = [9, 1, 7, 3, 2, 8, 5, 4];
         let q = gather2x2(&plane, 4, 1, 0);
         assert_eq!(q, [7, 3, 5, 4]); // TL, TR, BL, BR
-        assert_eq!(lane_min4(q), 3);
-        assert_eq!(lane_max4(q), 7);
         let s = gather2x2(&[1u64, 2, 3, 4, 10, 20, 30, 40], 4, 0, 0);
         assert_eq!(lane_sum4(s), 1 + 2 + 10 + 20);
+    }
+
+    #[test]
+    fn pack_lane_tests_matches_naive() {
+        let mut rng = 0x0bad_cafe_1234_5678u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..256 {
+            let w = next();
+            let tests: [u8; 64] = std::array::from_fn(|i| (w >> i) as u8 & 1);
+            assert_eq!(pack_lane_tests(&tests), w, "w={w:#x}");
+        }
+        assert_eq!(pack_lane_tests(&[1; 64]), !0);
+        assert_eq!(pack_lane_tests(&[0; 64]), 0);
     }
 
     #[test]

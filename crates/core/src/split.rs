@@ -10,21 +10,30 @@
 //! * Level 0 is the image itself: a pixel's min and max are the pixel and
 //!   its sum is the widened pixel, so nothing is copied out of
 //!   [`Image::pixels`]. Per level `k ≥ 1` the block statistics live in
-//!   packed structure-of-arrays planes (`min` / `max` / `sum`, one flat
-//!   lane each) over the **tight** floor grid `(w >> k) × (h >> k)` — only
-//!   blocks wholly inside the image ever have their stats consumed, and
-//!   such blocks form exactly that rectangle, so no `Option` tag, no
-//!   validity mask and no padding to the enclosing power-of-two square are
-//!   needed. The level-to-level fold walks child row pairs and writes each
-//!   plane exactly once, combining 2×2 quads with the branch-free lane
-//!   min/max/add of [`crate::kernels`].
+//!   packed structure-of-arrays planes (`min` / `max`, plus `sum` under the
+//!   mean criterion, one flat lane each) over the **tight** floor grid
+//!   `(w >> k) × (h >> k)` — only blocks wholly inside the image ever have
+//!   their stats consumed, and such blocks form exactly that rectangle, so
+//!   no `Option` tag, no validity mask and no padding to the enclosing
+//!   power-of-two square are needed.
+//! * Like the CM-2's elementwise min/max over every block of a level, the
+//!   `min` and `max` planes fold through one fixed-width lane-block kernel
+//!   for every level: 32 child lanes of a top and a bottom row fold
+//!   vertically, split into even and odd lanes and fold again, a shape the
+//!   autovectoriser turns into SIMD min/max on the baseline target; a
+//!   scalar tail takes the leftover cells. Each cell is written once.
+//!   Sums are folded only where the mean criterion's next decide reads
+//!   them; the range criterion, like the paper's `max − min ≤ T` test,
+//!   never folds one.
 //! * `is_square` levels are packed `u64` bitsets over the ceil grid
 //!   `⌈w/2ᵏ⌉ × ⌈h/2ᵏ⌉`. The "four whole child squares" test runs a word at
 //!   a time: two [`crate::kernels::coalesce_pair_words`] calls AND 128
 //!   child bits down to one 64-block parent word, and all-zero candidate
 //!   words skip the criterion entirely. A partially-outside block can never
 //!   have four whole children (induction from level 0 = real pixels), so
-//!   the old per-block bounds test is implied by the child bits.
+//!   the old per-block bounds test is implied by the child bits. The range
+//!   test of a full candidate word runs over 64 lanes into a byte array
+//!   that [`crate::kernels::pack_lane_tests`] packs 8 lanes per multiply.
 //! * Iteration `k` can only coalesce groups of four *whole* level-(k−1)
 //!   squares, so the first unproductive iteration is terminal; like the
 //!   paper we report only productive iterations.
@@ -34,10 +43,14 @@
 //!   bitsets' popcounts. Each run of pixels outside every larger square
 //!   (clear level-1 bits) becomes 1×1 squares in three bulk appends; a
 //!   pixel under a square begun on an earlier row copies that square's
-//!   run of `square_of` from the row above; any other pixel is a corner
-//!   whose square is the highest aligned level with its `is_square` bit
-//!   set. No stack and no sort: on speckle, where nearly every pixel is
-//!   its own 1×1 square, the pass is a few bulk appends per row.
+//!   run of `square_of` from the row above and adds that row's pixels to
+//!   the square's sum; any other pixel is a corner whose square is the
+//!   highest aligned level with its `is_square` bit set, taking its min
+//!   and max from that level's planes and starting its sum with its first
+//!   row. The squares tile the image, so every sum is one row-major read
+//!   of each pixel, the same path under both criteria. No stack and no
+//!   sort: on speckle, where nearly every pixel is its own 1×1 square, the
+//!   pass is a few bulk appends per row.
 //! * [`Config::max_square_log2`] caps square growth; `Some(0)` disables the
 //!   stage (the merge-only baseline).
 //! * [`split`] is bit-identical to the retained pre-optimisation oracle
@@ -45,7 +58,7 @@
 
 use crate::config::{Config, Criterion, RegionStats};
 use crate::kernels::{
-    coalesce_pair_words, gather2x2, lane_max4, lane_min4, lane_sum4, range_pair_satisfies,
+    coalesce_pair_words, gather2x2, lane_sum4, pack_lane_tests, range_pair_satisfies,
 };
 use rg_imaging::{Image, Intensity};
 
@@ -93,7 +106,8 @@ pub struct SplitMetrics {
     /// word-parallel engine, scalar block probes for the reference oracle.
     pub words_tested: u64,
     /// Stats cells written by pyramid folds (levels `k ≥ 1`; level 0 is
-    /// the image and is never written).
+    /// the image and is never written). A cell is one block's min and max,
+    /// plus its sum where the mean criterion's next decide reads it.
     pub cells_folded: u64,
 }
 
@@ -142,7 +156,8 @@ impl<P: Intensity> Default for SplitResult<P> {
 
 /// One level (`k ≥ 1`) of the stats pyramid: packed structure-of-arrays
 /// planes over the tight floor grid (no `Option` tags — every cell is a
-/// whole in-image block by construction).
+/// whole in-image block by construction). `sum` is written only by mean
+/// criterion runs and holds stale cells otherwise.
 #[derive(Debug)]
 struct PlaneLevel<P: Intensity> {
     min: Vec<P>,
@@ -225,7 +240,8 @@ impl BitGrid {
 /// 0 is the image itself, so a `w × h` image allocates
 /// `w·h (1/4 + 1/16 + …) < 1/3·w·h` stats cells, never the enclosing
 /// power-of-two square (a 513×100 image does *not* pay for 1024² cells —
-/// pinned by a regression test).
+/// pinned by a regression test). A cell is a min and a max; the `u64` sum
+/// planes exist only once a mean criterion run has folded them.
 #[derive(Debug)]
 pub struct SplitScratch<P: Intensity> {
     /// `levels[k]` (`k ≥ 1`): stats planes over the level-`k` floor grid
@@ -258,9 +274,10 @@ impl<P: Intensity> SplitScratch<P> {
         }
     }
 
-    /// Pre-sizes the level-1 planes (the dominant allocation) for a
-    /// `width × height` image, so a planned warm-up run takes fewer growth
-    /// reallocations.
+    /// Pre-sizes the level-1 min and max planes (the dominant allocation)
+    /// for a `width × height` image, so a planned warm-up run takes fewer
+    /// growth reallocations. The level-1 sum plane is left to grow on a
+    /// mean criterion run's first fold: range runs never write it.
     pub fn prepare(&mut self, width: usize, height: usize) {
         self.ensure_levels(2);
         let cells = (width >> 1) * (height >> 1);
@@ -270,9 +287,6 @@ impl<P: Intensity> SplitScratch<P> {
         }
         if l1.max.capacity() < cells {
             l1.max.reserve(cells - l1.max.len());
-        }
-        if l1.sum.capacity() < cells {
-            l1.sum.reserve(cells - l1.sum.len());
         }
     }
 
@@ -323,6 +337,12 @@ fn widen<P: Intensity>(p: P) -> u64 {
     p.to_u32() as u64
 }
 
+/// Sum of a run of pixels, each widened to its level-0 sum.
+#[inline]
+fn row_sum<P: Intensity>(row: &[P]) -> u64 {
+    row.iter().map(|&p| widen(p)).sum()
+}
+
 /// The stats of a level-0 square (one pixel): `min = max = pixel`, `sum` =
 /// widened pixel.
 #[inline]
@@ -335,11 +355,57 @@ fn pixel_stats<P: Intensity>(p: P) -> RegionStats<P> {
     }
 }
 
+/// Child lanes of one block of the min/max fold: 32 lanes of a top and a
+/// bottom child row fold to 16 parent cells.
+const FOLD_LANES: usize = 32;
+
+/// Rewrites `dst` with the min or max fold (`op`) of the child plane `src`
+/// (row stride `stride`): for every block row `by < fh`, child rows `2by`
+/// and `2by+1` are folded block by block. A block folds [`FOLD_LANES`]
+/// lanes of the two rows vertically, splits the result into even and odd
+/// lanes and folds those, one fixed-width shape the autovectoriser turns
+/// into SIMD min/max and shuffles; the leftover cells of a row fold one
+/// 2×2 quad at a time. Each cell is written exactly once.
+fn fold_extrema<P: Intensity>(
+    dst: &mut Vec<P>,
+    src: &[P],
+    stride: usize,
+    fw: usize,
+    fh: usize,
+    op: impl Fn(P, P) -> P + Copy,
+) {
+    dst.clear();
+    if fw == 0 || fh == 0 {
+        return;
+    }
+    dst.reserve(fw * fh);
+    for pair in src.chunks_exact(2 * stride).take(fh) {
+        let (top, bot) = pair.split_at(stride);
+        let (mut tops, mut bots) = (
+            top[..2 * fw].chunks_exact(FOLD_LANES),
+            bot[..2 * fw].chunks_exact(FOLD_LANES),
+        );
+        for (t, b) in (&mut tops).zip(&mut bots) {
+            let v: [P; FOLD_LANES] = std::array::from_fn(|i| op(t[i], b[i]));
+            let even: [P; FOLD_LANES / 2] = std::array::from_fn(|i| v[2 * i]);
+            let odd: [P; FOLD_LANES / 2] = std::array::from_fn(|i| v[2 * i + 1]);
+            let folded: [P; FOLD_LANES / 2] = std::array::from_fn(|i| op(even[i], odd[i]));
+            dst.extend_from_slice(&folded);
+        }
+        let (t, b) = (tops.remainder(), bots.remainder());
+        dst.extend(
+            t.chunks_exact(2)
+                .zip(b.chunks_exact(2))
+                .map(|(t, b)| op(op(t[0], b[0]), op(t[1], b[1]))),
+        );
+    }
+}
+
 /// Rewrites `dst` with one row-pair fold of the child plane `src` (row
 /// stride `stride`): for every block row `by < fh`, child rows `2by` and
 /// `2by+1` are walked in lockstep two lanes at a time and each 2×2 quad
 /// (TL, TR, BL, BR) is combined by `f`. Each cell is written exactly once
-/// — no zero-fill, no per-lane index math.
+/// — no zero-fill, no per-lane index math. The sum planes fold with it.
 fn fold_plane<T: Copy, U>(
     dst: &mut Vec<U>,
     src: &[T],
@@ -364,24 +430,32 @@ fn fold_plane<T: Copy, U>(
 }
 
 /// Folds the level-`k` stats planes from level `k−1` — from the image
-/// itself at `k == 1` — with three row-pair passes (min, max, sum) over
-/// the tight floor grid.
-fn fold_level<P: Intensity>(img: &Image<P>, levels: &mut [PlaneLevel<P>], k: usize) {
+/// itself at `k == 1` — over the tight floor grid: the min and max planes
+/// always, the sum plane only when `sums` (the mean criterion's decide
+/// at level `k+1` reads it; emitted squares take their sums from the
+/// pixels).
+fn fold_level<P: Intensity>(img: &Image<P>, levels: &mut [PlaneLevel<P>], k: usize, sums: bool) {
     let (w, h) = (img.width(), img.height());
     let (fw, fh) = (w >> k, h >> k);
     let (lo, hi) = levels.split_at_mut(k);
     let cur = &mut hi[0];
-    if k == 1 {
+    let (min, max, stride) = if k == 1 {
         let px = img.pixels();
-        fold_plane(&mut cur.min, px, w, fw, fh, lane_min4);
-        fold_plane(&mut cur.max, px, w, fw, fh, lane_max4);
-        fold_plane(&mut cur.sum, px, w, fw, fh, |q| lane_sum4(q.map(widen)));
+        (px, px, w)
     } else {
         let child = &lo[k - 1];
-        let cfw = w >> (k - 1);
-        fold_plane(&mut cur.min, &child.min, cfw, fw, fh, lane_min4);
-        fold_plane(&mut cur.max, &child.max, cfw, fw, fh, lane_max4);
-        fold_plane(&mut cur.sum, &child.sum, cfw, fw, fh, lane_sum4);
+        (&child.min[..], &child.max[..], w >> (k - 1))
+    };
+    fold_extrema(&mut cur.min, min, stride, fw, fh, Ord::min);
+    fold_extrema(&mut cur.max, max, stride, fw, fh, Ord::max);
+    if sums {
+        if k == 1 {
+            fold_plane(&mut cur.sum, img.pixels(), w, fw, fh, |q| {
+                lane_sum4(q.map(widen))
+            });
+        } else {
+            fold_plane(&mut cur.sum, &lo[k - 1].sum, stride, fw, fh, lane_sum4);
+        }
     }
 }
 
@@ -440,24 +514,29 @@ fn decide_level<P: Intensity>(
     match crit {
         Criterion::PixelRange => {
             // The block's range is the range of its (already folded)
-            // level-k stats: one branch-free compare per lane, 64 lanes
-            // per candidate word.
+            // level-k stats: one branch-free compare per lane, and a full
+            // candidate word packs its 64 lane tests 8 at a time.
             let (minp, maxp) = (&levels[k].min, &levels[k].max);
+            let test = |(lo, hi): (&P, &P)| range_pair_satisfies(lo.to_u32(), hi.to_u32(), t);
             for_rows(&mut cur.words, wpr, fh, |by, row| {
-                for (j, slot) in row.iter_mut().enumerate().take(nw) {
-                    let lanes = (fw - 64 * j).min(64);
+                let (mins, maxs) = (&minp[by * fw..][..fw], &maxp[by * fw..][..fw]);
+                let words = row.iter_mut().zip(mins.chunks(64).zip(maxs.chunks(64)));
+                for (j, (slot, (mn, mx))) in words.enumerate() {
                     let cok =
-                        children_ok_word(child_words, child_wpr, k, by, j) & lanes_mask(lanes);
+                        children_ok_word(child_words, child_wpr, k, by, j) & lanes_mask(mn.len());
                     if cok == 0 {
                         continue;
                     }
-                    let off = by * fw + 64 * j;
-                    let mut rb = 0u64;
-                    for i in 0..lanes {
-                        let ok =
-                            range_pair_satisfies(minp[off + i].to_u32(), maxp[off + i].to_u32(), t);
-                        rb |= (ok as u64) << i;
-                    }
+                    let rb = match (<&[P; 64]>::try_from(mn), <&[P; 64]>::try_from(mx)) {
+                        (Ok(mn), Ok(mx)) => {
+                            pack_lane_tests(&std::array::from_fn(|i| test((&mn[i], &mx[i])) as u8))
+                        }
+                        _ => mn
+                            .iter()
+                            .zip(mx)
+                            .enumerate()
+                            .fold(0, |rb, (i, lane)| rb | (test(lane) as u64) << i),
+                    };
                     *slot = cok & rb;
                 }
             });
@@ -551,9 +630,11 @@ pub fn split_into<P: Intensity>(
         // candidate test *is* a range check on the folded stats. The mean
         // criterion tests child pairs instead, so its fold is deferred
         // until the level is known productive (skipping the apex probe).
+        // Only the mean criterion's next decide reads this level's sums.
         let fold_first = matches!(crit, Criterion::PixelRange);
+        let sums = !fold_first && k < cap;
         if fold_first {
-            fold_level(img, levels, k);
+            fold_level(img, levels, k, sums);
             metrics.levels_built += 1;
             metrics.cells_folded += (fw * fh) as u64;
         }
@@ -565,7 +646,7 @@ pub fn split_into<P: Intensity>(
             break;
         }
         if !fold_first {
-            fold_level(img, levels, k);
+            fold_level(img, levels, k, sums);
             metrics.levels_built += 1;
             metrics.cells_folded += (fw * fh) as u64;
         }
@@ -623,9 +704,11 @@ pub fn split_into<P: Intensity>(
             }
             if y > 0 {
                 let above = (y - 1) * w + x;
-                let s = squares[square_of[above] as usize];
+                let si = square_of[above] as usize;
+                let s = squares[si];
                 let side = s.side() as usize;
                 if s.y as usize + side > y {
+                    stats[si].sum += row_sum(&row[x..x + side]);
                     square_of.extend_from_within(above..above + side);
                     x += side;
                     continue;
@@ -635,8 +718,11 @@ pub fn split_into<P: Intensity>(
             while !bits[k].get(x >> k, y >> k) {
                 k -= 1;
             }
-            // A whole level-k block: its stats are one cell of the tight
-            // planes, with the constant count 4^k.
+            // A whole level-k block: its min and max are one cell of the
+            // tight planes, its count is the constant 4^k, and its sum
+            // starts as the sum of its first pixel row; each row below
+            // adds its own when the copy branch above emits it.
+            let side = 1 << k;
             let i = squares.len() as u32;
             squares.push(Square {
                 x: x as u32,
@@ -645,14 +731,15 @@ pub fn split_into<P: Intensity>(
             });
             let idx = (y >> k) * (w >> k) + (x >> k);
             let lvl = &levels[k];
+            let sum = row_sum(&row[x..x + side]);
             stats.push(RegionStats {
                 min: lvl.min[idx],
                 max: lvl.max[idx],
-                sum: lvl.sum[idx],
+                sum,
                 count: 1u64 << (2 * k),
             });
-            square_of.extend(std::iter::repeat_n(i, 1 << k));
-            x += 1 << k;
+            square_of.extend(std::iter::repeat_n(i, side));
+            x += side;
         }
     }
     debug_assert_eq!(squares.len(), num_squares);

@@ -2,8 +2,8 @@
 //! against the retained pre-optimisation oracle
 //! ([`rg_core::split_reference`]): squares, per-square stats, the
 //! pixel→square map and the iteration count must be bit-identical across
-//! random sizes (including non-power-of-two rectangles and degenerate
-//! 1×N / N×1 strips), random rectangles, speckle and narrow-band noise,
+//! random sizes (including non-power-of-two rectangles, degenerate
+//! 1×N / N×1 strips and rows wider than one 64-lane word), random rectangles, speckle and narrow-band noise,
 //! both criteria, `u8` and `u16` intensities, and a scratch reused across
 //! shape changes vs fresh calls.
 
@@ -25,7 +25,8 @@ enum Paint {
 }
 
 // Random rectangles and pixel-dense noise, biased toward awkward shapes:
-// non-power-of-two sides, strips of width or height 1, and tiny images.
+// non-power-of-two sides, strips of width or height 1, tiny images, and
+// rows wide enough for the full-width lane paths of the fold and decide.
 prop_compose! {
     fn scene()(
         seed in 0u64..1_000_000,
@@ -34,6 +35,11 @@ prop_compose! {
             ((1usize..2), (1usize..130)),   // 1×N strip
             ((1usize..130), (1usize..2)),   // N×1 strip
             (Just(65usize), Just(33usize)), // just past powers of two
+            // Wide rows: level-1 floor rows of ≥ 64 cells fill whole
+            // candidate words, and the level ≥ 2 folds take several
+            // lane blocks per row plus a tail.
+            ((128usize..300), (2usize..12)),
+            (Just(257usize), Just(130usize)),
         ],
         count in 0usize..12,
         paint in prop_oneof![
