@@ -1,8 +1,8 @@
-//! Batch runtime: stream many images through pooled pipeline workspaces.
+//! Batch runtime: stream many images through pooled, warm pipelines.
 //!
 //! The one-shot entry points pay arena setup per image; the batch
 //! runtime amortizes it. Each worker owns one reusable
-//! [`Pipeline`] (its workspace) and one
+//! [`Pipeline`] (with its arenas) and one
 //! recyclable [`Segmentation`] buffer, so a same-shape image stream runs
 //! **allocation-free in steady state** on the host engine. The workers
 //! come from the crate's private `pool` module, which the tiled runner
@@ -56,7 +56,7 @@ fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Options for [`run_batch`].
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Worker count (each worker owns one pipeline + workspace). Capped
+    /// Worker count (each worker owns one pipeline and its arenas). Capped
     /// at the image count, at least 1, and 1 when telemetry is enabled
     /// (see module docs); [`BatchSummary::jobs`] reports the count used.
     pub jobs: usize,

@@ -38,8 +38,8 @@
 //! Replay backends report their own wall attribution through
 //! [`StageStats::wall_seconds`]; live backends leave it `None` and the
 //! driver's stopwatch fills it in. Engine-specific behaviour stays inside
-//! its backend: the host backend hands out the merge dendrogram
-//! (`HostBackend::take_trace`), and the message-passing backend degrades
+//! its backend: the host backend records the merge dendrogram for
+//! [`crate::segment_with_trace`], and the message-passing backend degrades
 //! an aborted substrate to a host re-run inside its own `prepare`.
 //!
 //! The driver is the **only** place that opens `run` / `stage:*` /
@@ -107,7 +107,7 @@ pub struct SplitInfo {
 
 /// Scalar summary of a finished run, borrowed from the backend; the driver
 /// copies it into the output [`Segmentation`] (into recycled buffers — the
-/// borrow keeps the assembly allocation-free for workspace backends).
+/// borrow keeps the assembly allocation-free for arena-reusing backends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary<'a> {
     /// Productive split iterations.

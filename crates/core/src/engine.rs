@@ -1,7 +1,9 @@
-//! Top-level segmentation pipeline: split → RAG → merge → labels.
+//! One-shot entry points of the host engine (split → RAG → merge →
+//! labels), each a run of a fresh [`HostPipeline`].
 
 use crate::config::Config;
 use crate::hierarchy::MergeTrace;
+use crate::pipeline::HostPipeline;
 use crate::telemetry::{NullTelemetry, Telemetry};
 use rg_imaging::{Image, Intensity};
 use std::time::Instant;
@@ -92,7 +94,7 @@ impl Segmentation {
 
 /// Runs the full split-and-merge pipeline on the host.
 pub fn segment<P: Intensity>(img: &Image<P>, config: &Config) -> Segmentation {
-    run_pipeline(img, config, &mut NullTelemetry)
+    segment_with_telemetry(img, config, &mut NullTelemetry)
 }
 
 /// Like [`segment`], reporting stage spans and per-iteration merge
@@ -102,7 +104,9 @@ pub fn segment_with_telemetry<P: Intensity>(
     config: &Config,
     tel: &mut dyn Telemetry,
 ) -> Segmentation {
-    run_pipeline(img, config, tel)
+    let mut out = Segmentation::default();
+    HostPipeline::new(*config, false).run_image_into(img, tel, &mut out);
+    out
 }
 
 /// Like [`segment`], additionally recording the [`MergeTrace`] — the full
@@ -111,41 +115,9 @@ pub fn segment_with_trace<P: Intensity>(
     img: &Image<P>,
     config: &Config,
 ) -> (Segmentation, MergeTrace) {
-    segment_with_trace_telemetry(img, config, &mut NullTelemetry)
-}
-
-/// Like [`segment_with_trace`], reporting the full stage span sequence into
-/// the given [`Telemetry`] sink (identical to [`segment_with_telemetry`]'s —
-/// trace recording rides the unified stage driver, it no longer bypasses
-/// telemetry).
-pub fn segment_with_trace_telemetry<P: Intensity>(
-    img: &Image<P>,
-    config: &Config,
-    tel: &mut dyn Telemetry,
-) -> (Segmentation, MergeTrace) {
-    use crate::driver::run_driver;
-    let mut ws = crate::pipeline::Workspace::new();
     let mut out = Segmentation::default();
-    let mut backend = crate::pipeline::HostBackend::new(img, config, &mut ws).with_trace();
-    run_driver(&mut backend, tel, &mut out);
-    let trace = backend.take_trace().expect("trace was enabled");
+    let trace = HostPipeline::new(*config, false).run_traced_into(img, &mut out);
     (out, trace)
-}
-
-/// One-shot pipeline body: delegates to the workspace layer
-/// ([`crate::pipeline::run_host_into`]) with a throwaway workspace, so the
-/// one-shot entry points and the reusable [`crate::pipeline::HostPipeline`]
-/// share a single implementation (identical output and telemetry by
-/// construction).
-fn run_pipeline<P: Intensity>(
-    img: &Image<P>,
-    config: &Config,
-    tel: &mut dyn Telemetry,
-) -> Segmentation {
-    let mut ws = crate::pipeline::Workspace::new();
-    let mut out = Segmentation::default();
-    crate::pipeline::run_host_into(img, config, tel, &mut ws, &mut out);
-    out
 }
 
 #[cfg(test)]

@@ -35,8 +35,9 @@ pub struct MergeEvent {
 /// The ordered record of every merge in a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MergeTrace {
-    /// Events in execution order (iteration-major, winner order within an
-    /// iteration).
+    /// Events in iteration order, and by ascending winner within an
+    /// iteration (the merges of one iteration are a matching, so their
+    /// order carries no meaning of its own).
     pub events: Vec<MergeEvent>,
     /// Number of initial regions (dense vertices).
     pub num_vertices: usize,

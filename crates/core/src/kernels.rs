@@ -1,71 +1,28 @@
-//! Shared scalar kernels for the accelerator engines' choice/weight glue.
+//! Shared scalar kernels: the split's packed bitset and gather helpers and
+//! the CM-5 region-stats wire codec.
 //!
-//! The data-parallel (`rg-datapar`) and message-passing (`rg-msgpass`)
-//! engines both lower the merge criterion onto their machine primitives —
-//! elementwise zips over gathered endpoint fields on the CM-2, and a
-//! fixed-width wire codec for ghost-region stats on the CM-5. Before this
-//! module each crate carried its own copy of the scalar glue (pooled
-//! extrema, mean-pair weights, the 7-word stats codec); both now call the
-//! named kernels below, so the two lowerings cannot drift apart.
+//! The criterion's weight and test primitives live in [`crate::config`]
+//! (`range_weight_fp16`, `range_satisfies`, `mean_weight_fp16`,
+//! `mean_satisfies`); the engines call them directly in their zips. The
+//! message-passing engine (`rg-msgpass`) ships ghost-region statistics in
+//! the 7-word wire record below.
 //!
 //! Everything here is a **pure scalar function**: the engines keep their
 //! own zip/gather shapes (machine op counts are part of the simulated cost
-//! model and must not change), only the closure bodies are shared.
+//! model and must not change).
 
-use crate::config::{
-    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, RegionStats,
-};
-
-/// Pooled minimum of two region minima (the union's `lo`).
-#[inline]
-pub fn union_lo(a: u32, b: u32) -> u32 {
-    a.min(b)
-}
-
-/// Pooled maximum of two region maxima (the union's `hi`).
-#[inline]
-pub fn union_hi(a: u32, b: u32) -> u32 {
-    a.max(b)
-}
-
-/// Pixel-range merge weight of a pooled `(lo, hi)` pair (16.16 fixed
-/// point) — the elementwise kernel of the CM-2 weight zip.
-#[inline]
-pub fn range_pair_weight(lo: u32, hi: u32) -> u64 {
-    range_weight_fp16(lo, hi)
-}
-
-/// Pixel-range criterion test of a pooled `(lo, hi)` pair at threshold
-/// `t`.
-#[inline]
-pub fn range_pair_satisfies(lo: u32, hi: u32, t: u32) -> bool {
-    range_satisfies(lo, hi, t)
-}
-
-/// Mean-difference merge weight of two `(sum, count)` accumulators (16.16
-/// fixed point).
-#[inline]
-pub fn mean_pair_weight(a: (u64, u64), b: (u64, u64)) -> u64 {
-    mean_weight_fp16(a.0, a.1, b.0, b.1)
-}
-
-/// Mean-difference criterion test of two `(sum, count)` accumulators at
-/// threshold `t`.
-#[inline]
-pub fn mean_pair_satisfies(a: (u64, u64), b: (u64, u64), t: u32) -> bool {
-    mean_satisfies(a.0, a.1, b.0, b.1, t)
-}
+use crate::config::RegionStats;
 
 /// Mask of the even-index bits of a 64-bit word (the CM-2 context-mask
 /// idiom: child blocks of one parent sit at bit positions `2i`, `2i+1`).
-pub const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Compresses the 32 even-index bits of `w` into the low 32 bits: input
 /// bit `2i` becomes output bit `i`; odd-index bits are ignored; the high
 /// 32 output bits are zero. This is the inverse of a Morton interleave,
 /// done in five shift/mask rounds.
 #[inline]
-pub fn gather_even_bits(w: u64) -> u64 {
+fn gather_even_bits(w: u64) -> u64 {
     let mut x = w & EVEN_BITS;
     x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
     x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
@@ -77,7 +34,7 @@ pub fn gather_even_bits(w: u64) -> u64 {
 /// AND-combines adjacent bit pairs of `w` and compresses: output bit `i`
 /// (low 32 bits) is `w[2i] & w[2i+1]`.
 #[inline]
-pub fn pair_and_compress(w: u64) -> u64 {
+fn pair_and_compress(w: u64) -> u64 {
     gather_even_bits(w & (w >> 1))
 }
 
@@ -164,42 +121,6 @@ pub fn stats_from_words(words: &[u32]) -> (u32, RegionStats<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Criterion;
-
-    #[test]
-    fn pooled_kernels_match_criterion_methods() {
-        let a = RegionStats::<u32> {
-            min: 3,
-            max: 9,
-            sum: 120,
-            count: 16,
-        };
-        let b = RegionStats::<u32> {
-            min: 5,
-            max: 14,
-            sum: 77,
-            count: 7,
-        };
-        let (lo, hi) = (union_lo(a.min, b.min), union_hi(a.max, b.max));
-        assert_eq!(
-            range_pair_weight(lo, hi),
-            Criterion::PixelRange.weight(&a, &b)
-        );
-        assert_eq!(
-            mean_pair_weight((a.sum, a.count), (b.sum, b.count)),
-            Criterion::MeanDifference.weight(&a, &b)
-        );
-        for t in [0, 5, 11, 100] {
-            assert_eq!(
-                range_pair_satisfies(lo, hi, t),
-                Criterion::PixelRange.satisfies(&a, &b, t)
-            );
-            assert_eq!(
-                mean_pair_satisfies((a.sum, a.count), (b.sum, b.count), t),
-                Criterion::MeanDifference.satisfies(&a, &b, t)
-            );
-        }
-    }
 
     #[test]
     fn gather_even_bits_matches_naive() {

@@ -73,9 +73,7 @@ pub use driver::{
     run_driver, EngineBackend, GraphStage, LabelStage, MergeCx, MergeStage, RunSummary, SplitInfo,
     SplitStage, StageStats,
 };
-pub use engine::{
-    segment, segment_with_telemetry, segment_with_trace, segment_with_trace_telemetry, Segmentation,
-};
+pub use engine::{segment, segment_with_telemetry, segment_with_trace, Segmentation};
 pub use hierarchy::{MergeEvent, MergeTrace};
 pub use journal::{
     flow_pairing, jsonl_writer, parse_journal, parse_journal_strict, replay, validate_journal,
@@ -84,7 +82,7 @@ pub use journal::{
 };
 pub use merge::{choice_key, CandKey, MergeSummary, Merger, StepReport};
 pub use merge_ref::{merge_reference, ReferenceInput, ReferenceMerge};
-pub use pipeline::{HostBackend, HostPipeline, Pipeline, Workspace};
+pub use pipeline::{HostPipeline, Pipeline};
 pub use split::{split, split_into, SplitMetrics, SplitResult, SplitScratch, Square};
 pub use split_ref::split_reference;
 pub use telemetry::{

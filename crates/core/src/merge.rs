@@ -1139,24 +1139,23 @@ impl<P: Intensity> Merger<P> {
     /// Merges every mutual pair; returns the number of merges.
     ///
     /// Only the owners the last rescan kept can hold a choice (everyone
-    /// else is `u32::MAX`), so an untraced scan visits exactly those
-    /// vertices — no O(vertices) sweep. Traced runs scan every vertex in
-    /// ascending order, because trace events are emitted in
-    /// ascending-winner order, which the owner list does not guarantee;
-    /// the merges themselves are a matching, so application order is
-    /// otherwise irrelevant.
+    /// else is `u32::MAX`), so the scan visits exactly those vertices — no
+    /// O(vertices) sweep. The merges are a matching, so application order
+    /// is irrelevant to the outcome. The owner list is not in index order
+    /// ([`Csr::mark_dirty`] queues losers, winners and neighbours as it
+    /// meets them), so a traced run sorts the iteration's events by
+    /// winner afterwards: a [`MergeTrace`] lists each iteration's merges
+    /// in ascending-winner order.
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
+        let traced = self.trace.as_ref().map_or(0, |t| t.events.len());
+        let owners = std::mem::take(&mut self.csr.owners);
         let mut merges = 0u32;
-        if self.trace.is_some() {
-            for u in 0..choice.len() as u32 {
-                merges += u32::from(self.try_merge(u, choice));
-            }
-        } else {
-            let owners = std::mem::take(&mut self.csr.owners);
-            for &u in &owners {
-                merges += u32::from(self.try_merge(u, choice));
-            }
-            self.csr.owners = owners;
+        for &u in &owners {
+            merges += u32::from(self.try_merge(u, choice));
+        }
+        self.csr.owners = owners;
+        if let Some(trace) = &mut self.trace {
+            trace.events[traced..].sort_unstable_by_key(|e| e.winner);
         }
         merges
     }
@@ -1169,9 +1168,8 @@ impl<P: Intensity> Merger<P> {
     /// The check is bidirectional — either endpoint of a mutual pair
     /// triggers the merge — because the deterministic-tie rescan only
     /// guarantees that at least one endpoint of any *new* mutual pair is
-    /// in the owner list, not which one. In full-scan (ascending) order
-    /// the smaller endpoint is always reached first, so trace-event order
-    /// is unchanged.
+    /// in the owner list, not which one. The event it records names the
+    /// smaller endpoint as winner whichever endpoint triggered it.
     #[inline]
     fn try_merge(&mut self, x: u32, choice: &mut [u32]) -> bool {
         let y = choice[x as usize];
@@ -1269,11 +1267,10 @@ mod tests {
 
     /// Steps an untraced merger over `img`'s split to the end next to the
     /// reference merge, asserting every step report (bar `compacted`), the
-    /// labels and the peak agree. The untraced merger is the one
-    /// production runs: under deterministic ties its rescan visits only
-    /// the dirty owners. A second, traced merger (which scans every vertex)
-    /// must take the same steps and record the oracle's trace. Returns the
-    /// untraced merger, for its work counters, and the oracle's run.
+    /// labels and the peak agree. Under deterministic ties the rescan
+    /// visits only the dirty owners. A second, traced merger must take the
+    /// same steps and record the oracle's trace, event for event. Returns
+    /// the untraced merger, for its work counters, and the oracle's run.
     fn step_against_oracle(
         img: &rg_imaging::Image<u8>,
         cfg: &Config,

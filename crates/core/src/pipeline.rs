@@ -1,17 +1,16 @@
-//! Workspace pipeline layer: allocation-free engine reuse.
+//! The host engine: one reusable split → RAG → merge → label pipeline.
 //!
-//! The paper's design premise is *flat arrays only, no dynamic structures* —
-//! yet a one-shot [`crate::engine::segment`] call allocates a fresh set of
-//! split buffers, RAG arrays and label scratch for every image. In this
-//! module a [`Workspace`] owns **all mutable scratch** — split level
-//! buffers, the merge engine's CSR arrays, history DSU and stamp tokens,
-//! the per-square label table — in reusable arenas with *high-water-mark*
-//! reuse: buffers grow to the largest image seen and [`Workspace::reset`]
-//! never frees.
+//! The paper's design premise is *flat arrays only, no dynamic structures*.
+//! A [`HostPipeline`] owns **all mutable scratch** of a host run — the
+//! split's level planes and bitsets, the split result, the merge engine's
+//! CSR arrays, history DSU and stamp tokens, and the per-square label
+//! table — with *high-water-mark* reuse: every buffer grows to the largest
+//! image seen and is refilled in place, never freed. The one-shot entry
+//! points ([`crate::engine::segment`] and friends) run a fresh pipeline.
 //!
-//! Running the same-shape image stream through one [`HostPipeline`]
-//! therefore performs **zero heap allocations per image after the warm-up
-//! image** (asserted by the `alloc_steady_state` integration test), while
+//! Running a same-shape image stream through one pipeline therefore
+//! performs **zero heap allocations per image after the warm-up image**
+//! (asserted by the `alloc_steady_state` integration test), while
 //! producing bit-identical [`Segmentation`]s and the exact telemetry
 //! span/record sequence of the one-shot entry points.
 //!
@@ -21,7 +20,7 @@
 //! interface so the batch runtime ([`crate::batch`]) can stream images
 //! through any engine.
 
-use crate::config::Config;
+use crate::config::{Config, RegionStats};
 use crate::driver::{
     run_driver, EngineBackend, GraphStage, LabelStage, MergeCx, MergeStage, RunSummary, SplitInfo,
     SplitStage, StageStats,
@@ -32,71 +31,6 @@ use crate::merge::Merger;
 use crate::split::{split_into, SplitResult, SplitScratch};
 use crate::telemetry::{MergeIterationRecord, NullTelemetry, Telemetry};
 use rg_imaging::{Image, Intensity};
-
-/// All mutable scratch of a host-engine run, held in reusable arenas.
-///
-/// Every buffer follows the *high-water-mark* rule: it grows (once) to the
-/// largest size demanded so far and is re-filled in place thereafter —
-/// [`Workspace::reset`] clears logical contents but **never frees**.
-#[derive(Debug)]
-pub struct Workspace<P: Intensity> {
-    /// Split-stage level pyramids, bitmaps and extraction stack.
-    split_scratch: SplitScratch<P>,
-    /// The current split result (squares / stats / square-of map), refilled
-    /// in place by `split_into`.
-    split: SplitResult<P>,
-    /// The merge engine with all its CSR/DSU/stamp-token state; rebuilt in
-    /// place from each split by [`Merger::reset_from_split`].
-    merger: Option<Merger<P>>,
-    /// Original vertex → representative, batch-resolved after the merge,
-    /// then compacted in place to vertex → final label.
-    by_vertex: Vec<u32>,
-}
-
-impl<P: Intensity> Workspace<P> {
-    /// Creates an empty workspace (no allocation until first use).
-    pub fn new() -> Self {
-        Self {
-            split_scratch: SplitScratch::new(),
-            split: SplitResult::default(),
-            merger: None,
-            by_vertex: Vec::new(),
-        }
-    }
-
-    /// Clears logical contents while keeping every arena's capacity (the
-    /// reuse invariant: `reset` **never frees**). A reset workspace behaves
-    /// exactly like a fresh one on the next run.
-    pub fn reset(&mut self) {
-        self.split.squares.clear();
-        self.split.stats.clear();
-        self.split.square_of.clear();
-        self.split.iterations = 0;
-        self.split.metrics = crate::split::SplitMetrics::default();
-        self.by_vertex.clear();
-        // Keep the merger: its buffers are the most expensive to warm.
-    }
-
-    /// Pre-sizes the pixel-indexed arenas for `width`×`height` images, so
-    /// the warm-up image takes fewer growth reallocations. Vertex/edge
-    /// arenas are left to the warm-up run (their true sizes are typically
-    /// far below the worst-case bound).
-    pub fn prepare(&mut self, width: usize, height: usize) {
-        let px = width * height;
-        if self.split.square_of.capacity() < px {
-            self.split
-                .square_of
-                .reserve(px - self.split.square_of.len());
-        }
-        self.split_scratch.prepare(width, height);
-    }
-}
-
-impl<P: Intensity> Default for Workspace<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// An engine-agnostic, reusable segmentation pipeline.
 ///
@@ -122,25 +56,30 @@ pub trait Pipeline {
     }
 }
 
-/// The host-engine pipeline, built on a reusable [`Workspace`].
+/// The host engine: the configuration plus every arena a run needs.
 ///
 /// Produces bit-identical output to [`crate::engine::segment`] and the
 /// identical telemetry sequence, with **zero heap allocations per image**
-/// once warmed up on a shape.
-/// Images of a new shape (or a config change via
-/// [`HostPipeline::set_config`]) re-size the pixel-indexed arenas first;
-/// arenas keep their high-water capacity throughout.
+/// once warmed up on a shape. Images of a new shape grow the arenas; no
+/// arena ever shrinks.
 #[derive(Debug)]
 pub struct HostPipeline<P: Intensity = u8> {
     config: Config,
-    /// `(width, height)` the workspace was last prepared for; `None`
-    /// before the first run and after a config change.
-    shape: Option<(usize, usize)>,
-    ws: Workspace<P>,
+    /// Split-stage level planes and bitsets.
+    split_scratch: SplitScratch<P>,
+    /// The current split result (squares / stats / square-of map), refilled
+    /// in place by `split_into`.
+    split: SplitResult<P>,
+    /// The merge engine, rebuilt in place from each split by
+    /// [`Merger::reset_from_split`].
+    merger: Merger<P>,
+    /// Square → representative square, resolved after the merge, then
+    /// compacted in place to square → final label.
+    by_vertex: Vec<u32>,
 }
 
 impl<P: Intensity> HostPipeline<P> {
-    /// Creates a pipeline.
+    /// Creates a pipeline (no allocation until the first run).
     ///
     /// `_legacy_parallel` is ignored: the host engine has one sequential
     /// path. The argument remains only because the end-to-end benchmark
@@ -149,8 +88,10 @@ impl<P: Intensity> HostPipeline<P> {
     pub fn new(config: Config, _legacy_parallel: bool) -> Self {
         Self {
             config,
-            shape: None,
-            ws: Workspace::new(),
+            split_scratch: SplitScratch::new(),
+            split: SplitResult::default(),
+            merger: Merger::hollow(&config),
+            by_vertex: Vec::new(),
         }
     }
 
@@ -159,15 +100,9 @@ impl<P: Intensity> HostPipeline<P> {
         &self.config
     }
 
-    /// Replaces the configuration; the next run re-prepares the workspace.
+    /// Replaces the configuration; the next run uses it.
     pub fn set_config(&mut self, config: Config) {
         self.config = config;
-        self.shape = None;
-    }
-
-    /// The workspace (for inspection in tests).
-    pub fn workspace(&self) -> &Workspace<P> {
-        &self.ws
     }
 
     /// Segment `img` into the recyclable `out` buffer (see
@@ -178,12 +113,7 @@ impl<P: Intensity> HostPipeline<P> {
         tel: &mut dyn Telemetry,
         out: &mut Segmentation,
     ) {
-        let shape = (img.width(), img.height());
-        if self.shape != Some(shape) {
-            self.ws.prepare(shape.0, shape.1);
-            self.shape = Some(shape);
-        }
-        run_host_into(img, &self.config, tel, &mut self.ws, out);
+        self.run_backend(img, false, tel, out);
     }
 
     /// Convenience: segment `img` into a fresh [`Segmentation`] with no
@@ -192,6 +122,46 @@ impl<P: Intensity> HostPipeline<P> {
         let mut out = Segmentation::default();
         self.run_image_into(img, &mut NullTelemetry, &mut out);
         out
+    }
+
+    /// [`HostPipeline::run_image_into`] with no telemetry, recording the
+    /// merge dendrogram.
+    pub(crate) fn run_traced_into(&mut self, img: &Image<P>, out: &mut Segmentation) -> MergeTrace {
+        self.run_backend(img, true, &mut NullTelemetry, out);
+        self.merger.take_trace().expect("trace was enabled")
+    }
+
+    /// Statistics of every region of the last run, indexed by compact
+    /// label, in O(squares). The merger keeps a region's statistics at its
+    /// representative, the region's lowest-index square, and the label
+    /// stage numbers representatives in index order; every other square's
+    /// label is already taken when it is reached. So the representative of
+    /// label `next` is the first square `q` with `by_vertex[q] == next`.
+    pub(crate) fn region_stats_into(&self, out: &mut Vec<RegionStats<P>>) {
+        out.clear();
+        for (q, &label) in self.by_vertex.iter().enumerate() {
+            if label as usize == out.len() {
+                out.push(self.merger.stats_of(q as u32));
+            }
+        }
+    }
+
+    /// Hands a [`HostBackend`] over this pipeline to the unified stage
+    /// driver ([`crate::driver::run_driver`]), which owns the telemetry
+    /// span/record sequence (golden-snapshot and trace-schema tested).
+    fn run_backend(
+        &mut self,
+        img: &Image<P>,
+        trace: bool,
+        tel: &mut dyn Telemetry,
+        out: &mut Segmentation,
+    ) {
+        let mut backend = HostBackend {
+            img,
+            pipe: self,
+            trace,
+        };
+        run_driver(&mut backend, tel, out);
     }
 }
 
@@ -205,67 +175,28 @@ impl Pipeline for HostPipeline<u8> {
     }
 }
 
-/// The host pipeline body: builds a [`HostBackend`] over the workspace and
-/// hands it to the unified stage driver ([`crate::driver::run_driver`]),
-/// which owns the telemetry span/record sequence (golden-snapshot and
-/// trace-schema tested).
-pub(crate) fn run_host_into<P: Intensity>(
-    img: &Image<P>,
-    config: &Config,
-    tel: &mut dyn Telemetry,
-    ws: &mut Workspace<P>,
-    out: &mut Segmentation,
-) {
-    let mut backend = HostBackend::new(img, config, ws);
-    run_driver(&mut backend, tel, out);
-}
-
-/// The host engine as a stage-driver backend: live stages over
-/// [`Workspace`] arenas, zero steady-state allocation under a disabled sink.
+/// The host engine as a stage-driver backend: live stages over a
+/// [`HostPipeline`]'s arenas, zero steady-state allocation under a
+/// disabled sink.
 ///
 /// This is the exemplar backend: every stage runs for real inside the span
 /// the driver opens for it, wall time comes from the driver's stopwatch,
-/// and there is no simulated time. It is also the only backend that records
-/// the merge dendrogram — construct it with [`HostBackend::with_trace`] and
-/// take the trace after the run with [`HostBackend::take_trace`].
-pub struct HostBackend<'a, P: Intensity> {
+/// and there is no simulated time. It is also the only backend that can
+/// record the merge dendrogram (`trace`).
+struct HostBackend<'a, P: Intensity> {
     img: &'a Image<P>,
-    config: &'a Config,
-    ws: &'a mut Workspace<P>,
+    pipe: &'a mut HostPipeline<P>,
     trace: bool,
-}
-
-impl<'a, P: Intensity> HostBackend<'a, P> {
-    /// A backend over `img` using the given workspace arenas.
-    pub fn new(img: &'a Image<P>, config: &'a Config, ws: &'a mut Workspace<P>) -> Self {
-        Self {
-            img,
-            config,
-            ws,
-            trace: false,
-        }
-    }
-
-    /// Enables merge-dendrogram recording for this run.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Takes the [`MergeTrace`] the run recorded, if
-    /// [`HostBackend::with_trace`] armed it.
-    pub fn take_trace(&mut self) -> Option<MergeTrace> {
-        self.ws.merger.as_mut().and_then(|m| m.take_trace())
-    }
 }
 
 impl<P: Intensity> SplitStage for HostBackend<'_, P> {
     fn split(&mut self, _tel: &mut dyn Telemetry) -> StageStats {
+        let pipe = &mut *self.pipe;
         split_into(
             self.img,
-            self.config,
-            &mut self.ws.split_scratch,
-            &mut self.ws.split,
+            &pipe.config,
+            &mut pipe.split_scratch,
+            &mut pipe.split,
         );
         StageStats::live()
     }
@@ -273,7 +204,7 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
     fn split_report(&mut self, tel: &mut dyn Telemetry) {
         // Engine-internal work counters of the packed split (excluded
         // from cross-engine conformance, like the merge counters).
-        let m = &self.ws.split.metrics;
+        let m = &self.pipe.split.metrics;
         tel.counter("split.levels_built", m.levels_built as f64);
         tel.counter("split.productive_levels", m.productive_levels as f64);
         tel.counter("split.words_tested", m.words_tested as f64);
@@ -283,13 +214,12 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
 
 impl<P: Intensity> GraphStage for HostBackend<'_, P> {
     fn graph(&mut self, _tel: &mut dyn Telemetry) -> StageStats {
-        let ws = &mut *self.ws;
-        let merger = ws.merger.get_or_insert_with(|| Merger::hollow(self.config));
-        merger.reset_from_split(&ws.split, self.config);
+        let pipe = &mut *self.pipe;
+        pipe.merger.reset_from_split(&pipe.split, &pipe.config);
         if self.trace {
             // A reset drops any previous trace, so arm it here —
             // after the merger has its vertices for this image.
-            merger.enable_trace();
+            pipe.merger.enable_trace();
         }
         StageStats::live()
     }
@@ -297,25 +227,21 @@ impl<P: Intensity> GraphStage for HostBackend<'_, P> {
 
 impl<P: Intensity> MergeStage for HostBackend<'_, P> {
     fn merge(&mut self, cx: &mut MergeCx<'_>) -> StageStats {
-        let merger = self.ws.merger.as_mut().expect("graph stage ran");
-        if cx.enabled() {
-            while !merger.is_done() {
-                let iteration = merger.iterations();
-                cx.iteration(iteration, |tel| {
-                    let report = merger.step_traced(tel);
-                    MergeIterationRecord {
-                        iteration,
-                        merges: report.merges,
-                        used_fallback: report.used_fallback,
-                        active_edges: Some(report.active_edges),
-                        compacted: Some(report.compacted),
-                    }
-                });
-            }
-        } else {
-            while !merger.is_done() {
-                merger.step();
-            }
+        // One loop whatever the sink: on a disabled sink every span guard
+        // and record below emits nothing.
+        let merger = &mut self.pipe.merger;
+        while !merger.is_done() {
+            let iteration = merger.iterations();
+            cx.iteration(iteration, |tel| {
+                let report = merger.step_traced(tel);
+                MergeIterationRecord {
+                    iteration,
+                    merges: report.merges,
+                    used_fallback: report.used_fallback,
+                    active_edges: Some(report.active_edges),
+                    compacted: Some(report.compacted),
+                }
+            });
         }
         StageStats::live()
     }
@@ -329,14 +255,16 @@ impl<P: Intensity> MergeStage for HostBackend<'_, P> {
 
 impl<P: Intensity> LabelStage for HostBackend<'_, P> {
     fn label(&mut self, _tel: &mut dyn Telemetry, out: &mut Segmentation) -> (StageStats, usize) {
-        let ws = &mut *self.ws;
-        let merger = ws.merger.as_ref().expect("graph stage ran");
-        merger.labels_by_vertex_into(&mut ws.by_vertex);
-        let num_regions = compact_square_reps(&mut ws.by_vertex);
-        let lab = &ws.by_vertex;
+        let pipe = &mut *self.pipe;
+        pipe.merger.labels_by_vertex_into(&mut pipe.by_vertex);
+        let num_regions = compact_square_reps(&mut pipe.by_vertex);
+        // A slice, not `&Vec`: through a `&Vec` this gather measured ~30%
+        // slower, presumably because the `Vec` header was reloaded around
+        // every label write.
+        let lab: &[u32] = &pipe.by_vertex;
         out.labels.clear();
         out.labels
-            .extend(ws.split.square_of.iter().map(|&q| lab[q as usize]));
+            .extend(pipe.split.square_of.iter().map(|&q| lab[q as usize]));
         (StageStats::live(), num_regions)
     }
 }
@@ -351,21 +279,21 @@ impl<P: Intensity> EngineBackend for HostBackend<'_, P> {
     }
 
     fn config(&self) -> &Config {
-        self.config
+        &self.pipe.config
     }
 
     fn split_info(&self) -> SplitInfo {
         SplitInfo {
-            iterations: self.ws.split.iterations,
-            num_squares: self.ws.split.num_squares(),
+            iterations: self.pipe.split.iterations,
+            num_squares: self.pipe.split.num_squares(),
         }
     }
 
     fn summary(&self) -> RunSummary<'_> {
-        let merger = self.ws.merger.as_ref().expect("graph stage ran");
+        let (split, merger) = (&self.pipe.split, &self.pipe.merger);
         RunSummary {
-            split_iterations: self.ws.split.iterations,
-            num_squares: self.ws.split.num_squares(),
+            split_iterations: split.iterations,
+            num_squares: split.num_squares(),
             merge_iterations: merger.iterations(),
             merges_per_iteration: merger.merges_per_iteration(),
             num_regions: merger.num_regions(),
@@ -438,31 +366,84 @@ mod tests {
     fn pipeline_replans_on_shape_and_config_change() {
         let cfg = Config::with_threshold(10);
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
-        assert_eq!(pipe.shape, None);
         let a = synth::random_rects(32, 32, 5, 1);
         assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
-        assert_eq!(pipe.shape, Some((32, 32)));
-        // Different shape: re-prepare, and back again.
+        // Different shape, and back again.
         let b = synth::random_rects(48, 16, 5, 2);
         assert_eq!(pipe.run_image(&b), segment(&b, &cfg));
-        assert_eq!(pipe.shape, Some((48, 16)));
         assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
-        // A config change re-prepares too, and the new config takes effect.
+        // A config change takes effect on the next run.
         let cfg2 = Config::with_threshold(25);
         pipe.set_config(cfg2);
-        assert_eq!(pipe.shape, None);
         assert_eq!(pipe.run_image(&b), segment(&b, &cfg2));
         assert_ne!(segment(&b, &cfg2), segment(&b, &cfg));
     }
 
+    /// Per-label statistics accumulated from the pixels and labels.
+    fn pixel_region_stats<P: Intensity>(img: &Image<P>, seg: &Segmentation) -> Vec<RegionStats<P>> {
+        let mut stats: Vec<Option<RegionStats<P>>> = vec![None; seg.num_regions];
+        for (&label, &p) in seg.labels.iter().zip(img.pixels()) {
+            let px = RegionStats::of_pixel(p);
+            let s = &mut stats[label as usize];
+            *s = Some(s.map_or(px, |s| s.fold(px)));
+        }
+        stats
+            .into_iter()
+            .map(|s| s.expect("label has a pixel"))
+            .collect()
+    }
+
     #[test]
-    fn workspace_reset_preserves_behavior() {
-        let cfg = Config::with_threshold(10);
-        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
-        let img = synth::circle_collection(64);
-        let first = pipe.run_image(&img);
-        pipe.ws.reset();
-        assert_eq!(first, pipe.run_image(&img));
+    fn region_stats_match_per_label_pixel_stats() {
+        use crate::config::{Connectivity, Criterion};
+        // One warm pipeline per intensity type across every shape and
+        // configuration, so the check also covers stale arenas.
+        let mut pipe8: HostPipeline<u8> = HostPipeline::new(Config::with_threshold(10), false);
+        let mut pipe16: HostPipeline<u16> = HostPipeline::new(Config::with_threshold(10), false);
+        let (mut got8, mut got16) = (Vec::new(), Vec::new());
+        let mut out = Segmentation::default();
+        let ties = |seed| {
+            [
+                TieBreak::SmallestId,
+                TieBreak::LargestId,
+                TieBreak::Random { seed },
+            ]
+        };
+        for seed in 0..4u64 {
+            let (w, h) = (9 + 23 * seed as usize % 37, 5 + 31 * seed as usize % 41);
+            for img in [
+                synth::random_rects(w, h, 8, seed),
+                synth::uniform_noise(w, h, 120, 135, seed),
+            ] {
+                // The same scene widened to u16, with low-bit texture.
+                let wide = Image::from_fn(w, h, |x, y| {
+                    u16::from(img.get(x, y)) * 256 + ((x * 7 + y * 13) % 64) as u16
+                });
+                for crit in [Criterion::PixelRange, Criterion::MeanDifference] {
+                    for conn in [Connectivity::Four, Connectivity::Eight] {
+                        for tie in ties(seed) {
+                            let cfg = Config::with_threshold(10)
+                                .criterion(crit)
+                                .connectivity(conn)
+                                .tie_break(tie);
+                            let ctx = format!("{w}x{h} seed {seed} {crit:?} {conn:?} {tie:?}");
+                            pipe8.set_config(cfg);
+                            pipe8.run_image_into(&img, &mut NullTelemetry, &mut out);
+                            pipe8.region_stats_into(&mut got8);
+                            assert_eq!(got8, pixel_region_stats(&img, &out), "u8 {ctx}");
+
+                            pipe16.set_config(Config {
+                                threshold: 10 * 256,
+                                ..cfg
+                            });
+                            pipe16.run_image_into(&wide, &mut NullTelemetry, &mut out);
+                            pipe16.region_stats_into(&mut got16);
+                            assert_eq!(got16, pixel_region_stats(&wide, &out), "u16 {ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,10 +56,8 @@
 //! * [`split`] is bit-identical to the retained pre-optimisation oracle
 //!   [`crate::split_ref::split_reference`] (differential-proptested).
 
-use crate::config::{Config, Criterion, RegionStats};
-use crate::kernels::{
-    coalesce_pair_words, gather2x2, lane_sum4, pack_lane_tests, range_pair_satisfies,
-};
+use crate::config::{range_satisfies, Config, Criterion, RegionStats};
+use crate::kernels::{coalesce_pair_words, gather2x2, lane_sum4, pack_lane_tests};
 use rg_imaging::{Image, Intensity};
 
 /// One homogeneous square produced by the split stage.
@@ -271,22 +269,6 @@ impl<P: Intensity> SplitScratch<P> {
         }
         while self.bits.len() < n {
             self.bits.push(BitGrid::default());
-        }
-    }
-
-    /// Pre-sizes the level-1 min and max planes (the dominant allocation)
-    /// for a `width × height` image, so a planned warm-up run takes fewer
-    /// growth reallocations. The level-1 sum plane is left to grow on a
-    /// mean criterion run's first fold: range runs never write it.
-    pub fn prepare(&mut self, width: usize, height: usize) {
-        self.ensure_levels(2);
-        let cells = (width >> 1) * (height >> 1);
-        let l1 = &mut self.levels[1];
-        if l1.min.capacity() < cells {
-            l1.min.reserve(cells - l1.min.len());
-        }
-        if l1.max.capacity() < cells {
-            l1.max.reserve(cells - l1.max.len());
         }
     }
 
@@ -517,7 +499,7 @@ fn decide_level<P: Intensity>(
             // level-k stats: one branch-free compare per lane, and a full
             // candidate word packs its 64 lane tests 8 at a time.
             let (minp, maxp) = (&levels[k].min, &levels[k].max);
-            let test = |(lo, hi): (&P, &P)| range_pair_satisfies(lo.to_u32(), hi.to_u32(), t);
+            let test = |(lo, hi): (&P, &P)| range_satisfies(lo.to_u32(), hi.to_u32(), t);
             for_rows(&mut cur.words, wpr, fh, |by, row| {
                 let (mins, maxs) = (&minp[by * fw..][..fw], &maxp[by * fw..][..fw]);
                 let words = row.iter_mut().zip(mins.chunks(64).zip(maxs.chunks(64)));

@@ -3,19 +3,18 @@
 //! The paper's message-passing formulation already splits the image into
 //! per-processor subimages and reconciles regions across subimage
 //! boundaries; this module applies the same idea at host scale so an image
-//! far larger than one workspace arena can stream through tile-sized
+//! far larger than one pipeline's arenas can stream through tile-sized
 //! plans. A [`TiledRunner`] shards an image into a [`TileGrid`] of tiles
 //! (floor-split bounds, so non-divisible shapes produce slightly uneven
-//! edge tiles and every tile stays non-empty), runs the existing
-//! split+merge driver per tile on the crate's private `pool` of workers
-//! (shared with the batch runtime) — one recycled [`HostPipeline`] (with
-//! its workspace) per worker, so a same-shape image stream keeps the
-//! zero-steady-state-allocation property — and then
-//! stitches the tiles with a boundary pass:
+//! edge tiles and every tile stays non-empty), runs the host engine per
+//! tile on the crate's private `pool` of workers (shared with the batch
+//! runtime) — one recycled [`HostPipeline`] per worker, so a same-shape
+//! image stream keeps the zero-steady-state-allocation property — and
+//! then stitches the tiles with a boundary pass:
 //!
-//! 1. per-tile region statistics are carried in the 7-word stats wire
-//!    codec of [`crate::kernels`] (the same record the CM-5 engine ships
-//!    between nodes);
+//! 1. each tile's region statistics come from its pipeline's merger, which
+//!    holds them at the region representatives once the tile converges —
+//!    as each CM-5 node already holds its own regions' statistics;
 //! 2. local labels are offset into one global vertex space and cross-tile
 //!    adjacent label pairs are collected **along tile seams only** (the
 //!    interior adjacencies were already resolved by the per-tile merges);
@@ -44,9 +43,8 @@
 
 use crate::config::{Config, Connectivity, RegionStats};
 use crate::engine::Segmentation;
-use crate::kernels::{stats_from_words, stats_to_words, STATS_WIRE_WORDS};
 use crate::merge::Merger;
-use crate::pipeline::{HostPipeline, Workspace};
+use crate::pipeline::HostPipeline;
 use crate::pool;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rg_imaging::Image;
@@ -165,37 +163,20 @@ pub struct TiledStats {
     pub stitch_iterations: u32,
 }
 
-/// Per-worker state: one warm pipeline plus recycled crop/output buffers.
+/// Per-worker state: one warm pipeline plus its recycled tile crop.
 struct WorkerSlot {
     pipe: HostPipeline<u8>,
     tile_img: Image<u8>,
-    seg: Segmentation,
-    region_stats: Vec<RegionStats<u32>>,
-}
-
-impl WorkerSlot {
-    fn new(config: Config) -> Self {
-        Self {
-            pipe: HostPipeline::new(config, false),
-            tile_img: Image::new(1, 1, 0),
-            seg: Segmentation::default(),
-            region_stats: Vec::new(),
-        }
-    }
 }
 
 /// Per-tile result, recycled across runs (high-water capacity kept).
 #[derive(Default)]
 struct TileSlot {
     rect: TileRect,
-    labels: Vec<u32>,
-    num_regions: usize,
-    num_squares: usize,
-    split_iterations: u32,
-    merge_iterations: u32,
-    /// Region stats in the [`STATS_WIRE_WORDS`]-word wire codec, one
-    /// record per local region, indexed by local label.
-    stats_words: Vec<u32>,
+    /// The tile's segmentation, in tile-local labels.
+    seg: Segmentation,
+    /// Statistics of each local region, indexed by local label.
+    stats: Vec<RegionStats<u8>>,
 }
 
 /// Runs one tile through the worker's warm pipeline and refills `slot`.
@@ -209,42 +190,8 @@ fn run_tile(
     img.crop_into(r.x0, r.y0, r.width, r.height, &mut worker.tile_img);
     worker
         .pipe
-        .run_image_into(&worker.tile_img, tel, &mut worker.seg);
-    let seg = &worker.seg;
-    slot.labels.clear();
-    slot.labels.extend_from_slice(&seg.labels);
-    slot.num_regions = seg.num_regions;
-    slot.num_squares = seg.num_squares;
-    slot.split_iterations = seg.split_iterations;
-    slot.merge_iterations = seg.merge_iterations;
-
-    // One pass over the tile's pixels accumulates the per-region stats the
-    // stitch RAG needs, then encodes them in the wire codec.
-    let stats = &mut worker.region_stats;
-    stats.clear();
-    stats.resize(
-        seg.num_regions,
-        RegionStats {
-            min: u32::MAX,
-            max: 0,
-            sum: 0,
-            count: 0,
-        },
-    );
-    for (&label, &px) in seg.labels.iter().zip(worker.tile_img.pixels()) {
-        let s = &mut stats[label as usize];
-        let v = u32::from(px);
-        s.min = s.min.min(v);
-        s.max = s.max.max(v);
-        s.sum += u64::from(v);
-        s.count += 1;
-    }
-    slot.stats_words.clear();
-    slot.stats_words.reserve(seg.num_regions * STATS_WIRE_WORDS);
-    for (label, s) in stats.iter().enumerate() {
-        slot.stats_words
-            .extend_from_slice(&stats_to_words(label as u32, s));
-    }
+        .run_image_into(&worker.tile_img, tel, &mut slot.seg);
+    worker.pipe.region_stats_into(&mut slot.stats);
 }
 
 /// The tiled execution layer: shards an image into a [`TileGrid`], runs
@@ -252,7 +199,7 @@ fn run_tile(
 /// the tiles with a seam RAG + boundary merge + global relabel.
 ///
 /// All scratch — per-worker pipelines, per-tile result slots, the stitch
-/// graph and compaction tables — follows the workspace high-water rule:
+/// graph and compaction tables — follows the pipeline's high-water rule:
 /// buffers grow to the largest image seen and are refilled in place, so a
 /// same-shape image stream runs allocation-free in steady state.
 pub struct TiledRunner {
@@ -263,10 +210,10 @@ pub struct TiledRunner {
     tiles: Vec<TileSlot>,
     // Stitch scratch (all high-water recycled).
     vertex_of: Vec<u32>,
-    stats: Vec<RegionStats<u32>>,
+    stats: Vec<RegionStats<u8>>,
     seam_edges: Vec<(u32, u32)>,
     ids: Vec<u64>,
-    merger: Merger<u32>,
+    merger: Merger<u8>,
     by_vertex: Vec<u32>,
     map_val: Vec<u32>,
     map_stamp: Vec<u32>,
@@ -300,12 +247,6 @@ impl TiledRunner {
         }
     }
 
-    /// The first worker's workspace, for reuse inspection in tests
-    /// (`None` before the first run).
-    pub fn worker_workspace(&self) -> Option<&Workspace<u8>> {
-        self.workers.first().map(|w| w.pipe.workspace())
-    }
-
     /// Segments `img` into the recyclable `out` buffer and returns the
     /// tiled-run summary. See the module docs for the execution and
     /// telemetry model.
@@ -320,7 +261,10 @@ impl TiledRunner {
         self.prepare_tiles(grid, w, h);
         let jobs = pool::worker_count(self.jobs, grid.count(), tel);
         while self.workers.len() < jobs {
-            self.workers.push(WorkerSlot::new(self.config));
+            self.workers.push(WorkerSlot {
+                pipe: HostPipeline::new(self.config, false),
+                tile_img: Image::new(1, 1, 0),
+            });
         }
         let mut tiled = SpanGuard::enter(tel, SpanKind::Tiled);
         let tel = tiled.tel();
@@ -386,26 +330,23 @@ impl TiledRunner {
         out: &mut Segmentation,
     ) -> TiledStats {
         // Offset each tile's local labels into one global vertex space and
-        // decode the wire-codec stats into the stitch RAG's vertex table.
+        // append its region statistics to the stitch RAG's vertex table.
         self.stats.clear();
         self.vertex_of.clear();
         self.vertex_of.resize(w * h, 0);
         let mut offset = 0u32;
         for slot in &self.tiles {
-            for (words, local) in slot.stats_words.chunks_exact(STATS_WIRE_WORDS).zip(0u32..) {
-                let (id, stats) = stats_from_words(words);
-                debug_assert_eq!(id, local, "wire records are indexed by local label");
-                self.stats.push(stats);
-            }
+            debug_assert_eq!(slot.stats.len(), slot.seg.num_regions);
+            self.stats.extend_from_slice(&slot.stats);
             let r = slot.rect;
             for ty in 0..r.height {
-                let row = &slot.labels[ty * r.width..(ty + 1) * r.width];
+                let row = &slot.seg.labels[ty * r.width..(ty + 1) * r.width];
                 let base = (r.y0 + ty) * w + r.x0;
                 for (dst, &l) in self.vertex_of[base..base + r.width].iter_mut().zip(row) {
                     *dst = offset + l;
                 }
             }
-            offset += slot.num_regions as u32;
+            offset += slot.seg.num_regions as u32;
         }
         let total_vertices = offset as usize;
 
@@ -480,20 +421,11 @@ impl TiledRunner {
         out.width = w;
         out.height = h;
         out.num_regions = num_regions;
-        out.num_squares = self.tiles.iter().map(|t| t.num_squares).sum();
-        out.split_iterations = self
-            .tiles
-            .iter()
-            .map(|t| t.split_iterations)
-            .max()
-            .unwrap_or(0);
-        out.merge_iterations = self
-            .tiles
-            .iter()
-            .map(|t| t.merge_iterations)
-            .max()
-            .unwrap_or(0)
-            + stitch_iterations;
+        let tiles = self.tiles.iter().map(|t| &t.seg);
+        out.num_squares = tiles.clone().map(|t| t.num_squares).sum();
+        out.split_iterations = tiles.clone().map(|t| t.split_iterations).max().unwrap_or(0);
+        out.merge_iterations =
+            tiles.map(|t| t.merge_iterations).max().unwrap_or(0) + stitch_iterations;
         out.merges_per_iteration.clear();
         out.merges_per_iteration
             .extend_from_slice(merger.merges_per_iteration());

@@ -27,10 +27,7 @@
 use crate::fields::NONE;
 use crate::graph_dp::DpGraph;
 use cm_sim::{Field, Machine, Shape};
-use rg_core::kernels::{
-    mean_pair_satisfies, mean_pair_weight, range_pair_satisfies, range_pair_weight, union_hi,
-    union_lo,
-};
+use rg_core::config::{mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16};
 use rg_core::merge::tie_key;
 use rg_core::{Config, Criterion, MergeSummary, TieBreak};
 
@@ -120,14 +117,14 @@ pub fn merge_dp(m: &Machine, g: &DpGraph, config: &Config) -> DpMerge {
 
         let w = match crit {
             Criterion::PixelRange => {
-                let lo = m.zip(&min_u, &min_v, union_lo);
-                let hi = m.zip(&max_u, &max_v, union_hi);
-                m.zip(&lo, &hi, range_pair_weight)
+                let lo = m.zip(&min_u, &min_v, u32::min);
+                let hi = m.zip(&max_u, &max_v, u32::max);
+                m.zip(&lo, &hi, range_weight_fp16)
             }
             Criterion::MeanDifference => {
                 let a = m.zip(&sum_u, &cnt_u, |s, c| (s, c));
                 let b = m.zip(&sum_v, &cnt_v, |s, c| (s, c));
-                m.zip(&a, &b, mean_pair_weight)
+                m.zip(&a, &b, |a, b| mean_weight_fp16(a.0, a.1, b.0, b.1))
             }
         };
 
@@ -275,9 +272,9 @@ fn refresh_active(
                 m.get(v_min, e_v, None, u32::MAX),
             );
             let (max_u, max_v) = (m.get(v_max, e_u, None, 0), m.get(v_max, e_v, None, 0));
-            let lo = m.zip(&min_u, &min_v, union_lo);
-            let hi = m.zip(&max_u, &max_v, union_hi);
-            m.zip(&lo, &hi, move |l, h| range_pair_satisfies(l, h, t))
+            let lo = m.zip(&min_u, &min_v, u32::min);
+            let hi = m.zip(&max_u, &max_v, u32::max);
+            m.zip(&lo, &hi, move |l, h| range_satisfies(l, h, t))
         }
         Criterion::MeanDifference => {
             let a = m.zip(
@@ -290,7 +287,7 @@ fn refresh_active(
                 &m.get(v_cnt, e_v, None, 0),
                 |s, c| (s, c),
             );
-            m.zip(&a, &b, move |a, b| mean_pair_satisfies(a, b, t))
+            m.zip(&a, &b, move |a, b| mean_satisfies(a.0, a.1, b.0, b.1, t))
         }
     };
     *e_active = m.zip(e_active, &sat, |a, b| a && b);

@@ -21,7 +21,7 @@
 
 use crate::fields::{PixelStats, DEAD};
 use cm_sim::{Field, Machine, Shape};
-use rg_core::kernels::{mean_pair_satisfies, range_pair_satisfies, union_hi, union_lo};
+use rg_core::config::{mean_satisfies, range_satisfies};
 use rg_core::{Config, Criterion};
 use rg_imaging::{Image, Intensity};
 
@@ -156,14 +156,14 @@ fn homogeneous4(
     match crit {
         Criterion::PixelRange => {
             // Pooled extrema + range test through the shared scalar
-            // kernels (the same closures the packed host split uses).
-            let min1 = m.zip(&own.min, &e.min, union_lo);
-            let min2 = m.zip(&s.min, &se.min, union_lo);
-            let mn = m.zip(&min1, &min2, union_lo);
-            let max1 = m.zip(&own.max, &e.max, union_hi);
-            let max2 = m.zip(&s.max, &se.max, union_hi);
-            let mx = m.zip(&max1, &max2, union_hi);
-            m.zip(&mn, &mx, move |lo, hi| range_pair_satisfies(lo, hi, t))
+            // primitive (the same one the packed host split uses).
+            let min1 = m.zip(&own.min, &e.min, u32::min);
+            let min2 = m.zip(&s.min, &se.min, u32::min);
+            let mn = m.zip(&min1, &min2, u32::min);
+            let max1 = m.zip(&own.max, &e.max, u32::max);
+            let max2 = m.zip(&s.max, &se.max, u32::max);
+            let mx = m.zip(&max1, &max2, u32::max);
+            m.zip(&mn, &mx, move |lo, hi| range_satisfies(lo, hi, t))
         }
         Criterion::MeanDifference => {
             // Exact pairwise mean test via the shared cross-multiplication
@@ -181,7 +181,7 @@ fn homogeneous4(
                         if a.1 == 0 || b.1 == 0 {
                             return true;
                         }
-                        mean_pair_satisfies(a, b, t)
+                        mean_satisfies(a.0, a.1, b.0, b.1, t)
                     });
                     ok = m.zip(&ok, &close, |a, b| a && b);
                 }

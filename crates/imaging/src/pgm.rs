@@ -190,6 +190,10 @@ impl<R: Read> HeaderScanner<R> {
     }
 }
 
+/// Samples reserved before any is read: a 1024² image's worth, so a
+/// header's size claim alone never commits memory.
+const MAX_UPFRONT_SAMPLES: usize = 1 << 20;
+
 /// Reads a PGM stream (either flavour) into an image.
 ///
 /// Intensities wider than `P` are rejected with [`PgmError::Range`].
@@ -220,22 +224,31 @@ pub fn read<P: Intensity, R: BufRead>(mut r: R) -> Result<Image<P>, PgmError> {
             P::MAX_VALUE.to_u32()
         )));
     }
-    let n = width * height;
-    let mut data = Vec::with_capacity(n);
+    let too_large = || PgmError::Malformed(format!("{width}x{height} image is too large"));
+    let n = width.checked_mul(height).ok_or_else(too_large)?;
+    // The header is untrusted: reserve a bounded amount up front and let
+    // the samples that actually arrive grow the buffers.
+    let mut data = Vec::with_capacity(n.min(MAX_UPFRONT_SAMPLES));
     if binary {
         // Per the spec exactly one whitespace byte follows maxval; the
         // scanner has already consumed it as the token delimiter.
-        if maxval <= 255 {
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf)?;
-            data.extend(buf.into_iter().map(|b| P::from_u32_saturating(b as u32)));
-        } else {
-            let mut buf = vec![0u8; n * 2];
-            r.read_exact(&mut buf)?;
+        let wide = maxval > 255;
+        let bytes = n.checked_mul(1 + usize::from(wide)).ok_or_else(too_large)?;
+        let mut buf = Vec::with_capacity(bytes.min(2 * MAX_UPFRONT_SAMPLES));
+        r.by_ref().take(bytes as u64).read_to_end(&mut buf)?;
+        if buf.len() < bytes {
+            return Err(PgmError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("stream ends after {} of {bytes} sample bytes", buf.len()),
+            )));
+        }
+        if wide {
             data.extend(
                 buf.chunks_exact(2)
                     .map(|c| P::from_u32_saturating(u16::from_be_bytes([c[0], c[1]]) as u32)),
             );
+        } else {
+            data.extend(buf.into_iter().map(|b| P::from_u32_saturating(b as u32)));
         }
     } else {
         for _ in 0..n {
@@ -328,6 +341,32 @@ mod tests {
         let mut buf = b"P5\n4 4\n255\n".to_vec();
         buf.extend_from_slice(&[1, 2, 3]); // 13 bytes short
         assert!(matches!(read::<u8, _>(&buf[..]), Err(PgmError::Io(_))));
+    }
+
+    #[test]
+    fn oversized_header_is_an_error_not_a_panic() {
+        for magic in ["P5", "P2"] {
+            let text = format!("{magic}\n4294967295 4294967295\n255\n");
+            assert!(
+                read::<u8, _>(text.as_bytes()).is_err(),
+                "{magic} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn header_promising_more_samples_than_the_stream_holds_is_rejected() {
+        let mut p5 = b"P5\n3000 2000\n255\n".to_vec();
+        p5.extend_from_slice(&[7; 100]);
+        assert!(matches!(read::<u8, _>(&p5[..]), Err(PgmError::Io(_))));
+        let mut wide = b"P5\n3000 2000\n65535\n".to_vec();
+        wide.extend_from_slice(&[7; 101]);
+        assert!(matches!(read::<u16, _>(&wide[..]), Err(PgmError::Io(_))));
+        let p2 = b"P2\n3000 2000\n255\n1 2 3\n";
+        assert!(matches!(
+            read::<u8, _>(&p2[..]),
+            Err(PgmError::Malformed(_))
+        ));
     }
 
     #[test]

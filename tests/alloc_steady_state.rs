@@ -1,6 +1,6 @@
 //! Steady-state zero-allocation assertion for the host pipeline.
 //!
-//! The plan/workspace layer promises that once a [`HostPipeline`] has been
+//! The pipeline layer promises that once a [`HostPipeline`] has been
 //! warmed up on an image shape, running further same-shape images performs
 //! **zero heap allocations** — every arena reuses its high-water-mark
 //! capacity. This test wraps the global allocator in a counting shim and

@@ -62,11 +62,6 @@ fn warm_tiled_runner_streams_allocation_free() {
         runner.run_into(img, &mut NullTelemetry, &mut out);
         expected.push(out.clone());
     }
-    assert!(
-        runner.worker_workspace().is_some(),
-        "worker pool must persist across runs"
-    );
-
     // Steady-state pass: identical results, zero new allocations.
     for (img, want) in images.iter().zip(&expected) {
         let before = allocs();

@@ -262,3 +262,25 @@ fn telemetry_journal_and_chrome_trace_share_one_stream() {
     assert_eq!(read(&report), replay(&events).to_json_pretty());
     assert_eq!(read(&chrome), chrome_trace(&events).to_compact());
 }
+
+#[test]
+fn oversized_pgm_header_exits_1_without_panicking() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_huge_pgm");
+    std::fs::create_dir_all(&dir).unwrap();
+    for magic in ["P5", "P2"] {
+        let path = dir.join(format!("huge_{magic}.pgm"));
+        std::fs::write(&path, format!("{magic}\n4294967295 4294967295\n255\n")).unwrap();
+        let out = rgrow(&[path.to_str().unwrap(), "--quiet"]);
+        assert_eq!(out.status.code(), Some(1), "{magic}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("cannot read"),
+            "{magic}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{magic}: {}",
+            stderr(&out)
+        );
+    }
+}

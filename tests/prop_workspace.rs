@@ -1,9 +1,9 @@
-//! Property tests of workspace reuse: a pooled pipeline streamed over a
+//! Property tests of pipeline reuse: a pooled pipeline streamed over a
 //! random image sequence must be **bit-identical** — segmentation and
 //! telemetry conformance view — to fresh one-shot runs, across the host,
 //! data-parallel and message-passing engines and both tie-break families.
 //!
-//! This is the safety net under the workspace layer's core claim: arena
+//! This is the safety net under the pipeline layer's core claim: arena
 //! reuse (including shape and config changes mid-stream) is invisible to
 //! every observable output.
 
@@ -51,7 +51,7 @@ fn tie_of(random: bool, seed: u64) -> TieBreak {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Host engine: reused workspace vs fresh run, segmentation AND
+    /// Host engine: reused pipeline vs fresh run, segmentation AND
     /// telemetry conformance view. The tie family switches after the first
     /// image, so one warm merger crosses between the full rescans of
     /// random ties and the dirty-set rescans of deterministic ones. Images
