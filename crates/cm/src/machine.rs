@@ -5,7 +5,7 @@
 
 use crate::cost::{CostLedger, CostModel, Prim};
 use crate::field::{Elem, Field};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A simulated SIMD/data-parallel machine with a cost ledger.
 ///
@@ -33,25 +33,31 @@ impl Machine {
         &self.model
     }
 
+    /// The ledger, recovered if a panicking holder poisoned it: every
+    /// charge leaves it consistent.
+    fn ledger(&self) -> MutexGuard<'_, CostLedger> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Simulated seconds elapsed so far.
     pub fn seconds(&self) -> f64 {
-        self.ledger.lock().seconds()
+        self.ledger().seconds()
     }
 
     /// Snapshot of the ledger (time + op counts).
     pub fn ledger_snapshot(&self) -> CostLedger {
-        self.ledger.lock().clone()
+        self.ledger().clone()
     }
 
     /// Zeroes the ledger (e.g. between the split and merge stages).
     pub fn reset_ledger(&self) {
-        self.ledger.lock().reset();
+        self.ledger().reset();
     }
 
     /// Charges one `prim` over `n` elements.
     pub(crate) fn charge(&self, prim: Prim, n: usize) {
         let ns = self.model.charge_ns(prim, n);
-        self.ledger.lock().charge(prim, ns);
+        self.ledger().charge(prim, ns);
     }
 
     // ---- elementwise operations -------------------------------------

@@ -22,7 +22,10 @@
 use crate::channel::{encode_u32s, try_decode_u32s};
 use crate::fault::Fault;
 use crate::runtime::Node;
-use bytes::Bytes;
+
+/// A payload and its peer rank: the destination when sent, the source
+/// when received.
+pub type Routed = (usize, Vec<u8>);
 
 /// Which all-to-many scheme to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,9 +57,9 @@ impl CommScheme {
 /// [`Fault`] for the caller to abort on.
 pub fn try_all_to_many(
     node: &mut Node,
-    outgoing: Vec<(usize, Bytes)>,
+    outgoing: Vec<Routed>,
     scheme: CommScheme,
-) -> Result<Vec<(usize, Bytes)>, Fault> {
+) -> Result<Vec<Routed>, Fault> {
     let q = node.size();
     let me = node.rank();
 
@@ -72,7 +75,7 @@ pub fn try_all_to_many(
         .try_concat(encode_u32s(&my_counts))?
         .into_iter()
         .map(|b| {
-            try_decode_u32s(b).map_err(|_| Fault::Malformed {
+            try_decode_u32s(&b).map_err(|_| Fault::Malformed {
                 rank: me,
                 what: "all-to-many count matrix",
             })
@@ -82,12 +85,12 @@ pub fn try_all_to_many(
     node.compute((q * q) as u64 / 8);
 
     // Buckets of my messages per destination, preserving order.
-    let mut buckets: Vec<Vec<Bytes>> = vec![Vec::new(); q];
+    let mut buckets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); q];
     for (dst, payload) in outgoing {
         buckets[dst].push(payload);
     }
 
-    let mut received: Vec<(usize, Bytes)> = Vec::new();
+    let mut received: Vec<Routed> = Vec::new();
     // Self-delivery is free of network costs.
     for payload in buckets[me].drain(..) {
         received.push((me, payload));
@@ -151,12 +154,12 @@ mod tests {
     use crate::time::TimeParams;
 
     /// The first word of a well-formed `u32` payload.
-    fn first_u32(b: Bytes) -> u32 {
+    fn first_u32(b: &[u8]) -> u32 {
         u32s(b)[0]
     }
 
     /// Every node sends `rank*100 + dst` to each odd destination.
-    fn workload(node: &Node) -> Vec<(usize, Bytes)> {
+    fn workload(node: &Node) -> Vec<Routed> {
         (0..node.size())
             .filter(|d| d % 2 == 1)
             .map(|d| (d, encode_u32s(&[(node.rank() * 100 + d) as u32])))
@@ -169,7 +172,7 @@ mod tests {
             let got = try_all_to_many(node, out, scheme)?;
             Ok(got
                 .into_iter()
-                .map(|(src, b)| (src, first_u32(b)))
+                .map(|(src, b)| (src, first_u32(&b)))
                 .collect::<Vec<_>>())
         });
         (res.results, res.max_seconds)
@@ -256,7 +259,7 @@ mod tests {
                 let got = try_all_to_many(node, out, scheme)?;
                 Ok(got
                     .into_iter()
-                    .map(|(src, b)| (src, first_u32(b)))
+                    .map(|(src, b)| (src, first_u32(&b)))
                     .collect::<Vec<_>>())
             })
             .expect("survivable schedule aborted")
@@ -288,7 +291,7 @@ mod tests {
             let got = try_all_to_many(node, out, CommScheme::LinearPermutation)?;
             Ok(got
                 .into_iter()
-                .map(|(s, b)| (s, first_u32(b)))
+                .map(|(s, b)| (s, first_u32(&b)))
                 .collect::<Vec<_>>())
         });
         let at0 = &res.results[0];

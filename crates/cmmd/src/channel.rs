@@ -1,6 +1,5 @@
-//! Timestamped message channels and payload encoding helpers.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! Timestamped messages and the little-endian payload codecs, which
+//! decode from any `&[u8]`.
 
 /// A message in flight: the sender's rank, the virtual time at which it
 /// left the sender, and the payload.
@@ -10,8 +9,8 @@ pub struct Msg {
     pub src: usize,
     /// Sender-side virtual timestamp, nanoseconds.
     pub ts_ns: f64,
-    /// Payload bytes.
-    pub payload: Bytes,
+    /// Payload bytes, moved from sender to receiver.
+    pub payload: Vec<u8>,
 }
 
 /// A payload whose length is not a whole number of elements — truncated or
@@ -37,54 +36,48 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encodes a `u32` slice little-endian.
-pub fn encode_u32s(data: &[u32]) -> Bytes {
-    let mut b = BytesMut::with_capacity(data.len() * 4);
-    for &v in data {
-        b.put_u32_le(v);
+pub fn encode_u32s(data: &[u32]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(data.len() * 4);
+    for v in data {
+        b.extend_from_slice(&v.to_le_bytes());
     }
-    b.freeze()
+    b
 }
 
 /// Decodes a little-endian `u32` payload, rejecting truncated or
 /// misaligned lengths: a corrupted payload surfaces as a recoverable
 /// `Err`, not an abort.
-pub fn try_decode_u32s(mut b: Bytes) -> Result<Vec<u32>, DecodeError> {
-    if !b.len().is_multiple_of(4) {
+pub fn try_decode_u32s(b: &[u8]) -> Result<Vec<u32>, DecodeError> {
+    let (words, rest) = b.as_chunks::<4>();
+    if !rest.is_empty() {
         return Err(DecodeError {
             len: b.len(),
             elem: 4,
         });
     }
-    let mut out = Vec::with_capacity(b.len() / 4);
-    while b.has_remaining() {
-        out.push(b.get_u32_le());
-    }
-    Ok(out)
+    Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
 }
 
 /// Encodes a `u64` slice little-endian.
-pub fn encode_u64s(data: &[u64]) -> Bytes {
-    let mut b = BytesMut::with_capacity(data.len() * 8);
-    for &v in data {
-        b.put_u64_le(v);
+pub fn encode_u64s(data: &[u64]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(data.len() * 8);
+    for v in data {
+        b.extend_from_slice(&v.to_le_bytes());
     }
-    b.freeze()
+    b
 }
 
 /// Decodes a little-endian `u64` payload, rejecting truncated or
 /// misaligned lengths.
-pub fn try_decode_u64s(mut b: Bytes) -> Result<Vec<u64>, DecodeError> {
-    if !b.len().is_multiple_of(8) {
+pub fn try_decode_u64s(b: &[u8]) -> Result<Vec<u64>, DecodeError> {
+    let (words, rest) = b.as_chunks::<8>();
+    if !rest.is_empty() {
         return Err(DecodeError {
             len: b.len(),
             elem: 8,
         });
     }
-    let mut out = Vec::with_capacity(b.len() / 8);
-    while b.has_remaining() {
-        out.push(b.get_u64_le());
-    }
-    Ok(out)
+    Ok(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
 }
 
 #[cfg(test)]
@@ -94,49 +87,59 @@ mod tests {
     #[test]
     fn u32_roundtrip() {
         let data = vec![0u32, 1, u32::MAX, 0xDEAD_BEEF];
-        assert_eq!(try_decode_u32s(encode_u32s(&data)), Ok(data));
-        assert_eq!(try_decode_u32s(Bytes::new()), Ok(Vec::new()));
+        assert_eq!(try_decode_u32s(&encode_u32s(&data)), Ok(data));
+        assert_eq!(try_decode_u32s(&[]), Ok(Vec::new()));
     }
 
     #[test]
     fn u64_roundtrip() {
         let data = vec![0u64, u64::MAX, 0x0123_4567_89AB_CDEF];
-        assert_eq!(try_decode_u64s(encode_u64s(&data)), Ok(data));
+        assert_eq!(try_decode_u64s(&encode_u64s(&data)), Ok(data));
     }
 
     #[test]
     fn try_decoders_reject_truncation() {
         // A u32 payload losing its last byte.
-        let mut bytes = encode_u32s(&[1, 2]).to_vec();
+        let mut bytes = encode_u32s(&[1, 2]);
         bytes.pop();
         assert_eq!(
-            try_decode_u32s(Bytes::from(bytes)),
+            try_decode_u32s(&bytes),
             Err(DecodeError { len: 7, elem: 4 })
         );
         // A u64 payload losing three bytes.
-        let mut bytes = encode_u64s(&[7]).to_vec();
+        let mut bytes = encode_u64s(&[7]);
         bytes.truncate(5);
         assert_eq!(
-            try_decode_u64s(Bytes::from(bytes)),
+            try_decode_u64s(&bytes),
             Err(DecodeError { len: 5, elem: 8 })
+        );
+        // A payload shorter than one element.
+        let short = [1u8, 2, 3];
+        assert_eq!(
+            try_decode_u32s(&short),
+            Err(DecodeError { len: 3, elem: 4 })
+        );
+        assert_eq!(
+            try_decode_u64s(&short),
+            Err(DecodeError { len: 3, elem: 8 })
         );
     }
 
     #[test]
     fn try_decoders_reject_misalignment() {
-        assert!(try_decode_u32s(Bytes::from(vec![0u8; 6])).is_err());
+        assert!(try_decode_u32s(&[0u8; 6]).is_err());
         // A length that is /4 but not /8 is valid u32 data, invalid u64.
-        assert!(try_decode_u32s(Bytes::from(vec![0u8; 12])).is_ok());
-        assert!(try_decode_u64s(Bytes::from(vec![0u8; 12])).is_err());
+        assert!(try_decode_u32s(&[0u8; 12]).is_ok());
+        assert!(try_decode_u64s(&[0u8; 12]).is_err());
     }
 
     #[test]
     fn try_decoders_accept_good_payloads() {
         let data = vec![3u32, 1, 4, 1, 5];
-        assert_eq!(try_decode_u32s(encode_u32s(&data)), Ok(data));
+        assert_eq!(try_decode_u32s(&encode_u32s(&data)), Ok(data));
         let data = vec![9u64, 2, 6];
-        assert_eq!(try_decode_u64s(encode_u64s(&data)), Ok(data));
-        assert_eq!(try_decode_u64s(Bytes::new()), Ok(Vec::new()));
+        assert_eq!(try_decode_u64s(&encode_u64s(&data)), Ok(data));
+        assert_eq!(try_decode_u64s(&[]), Ok(Vec::new()));
     }
 
     #[test]

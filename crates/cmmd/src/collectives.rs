@@ -17,9 +17,16 @@
 //! round either completes on every rank or poisons on every rank —
 //! deterministically, regardless of host scheduling.
 
-use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the data if a panicking holder poisoned it: every
+/// critical section here leaves the state consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One rank's timestamped byte payload, shared by reference count.
+pub type ByteSlot = (f64, Arc<[u8]>);
 
 /// Error: the collective context was poisoned because some node aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +36,7 @@ pub struct Poisoned;
 /// early (with an error) when the group is known never to re-form.
 struct PoisonBarrier {
     n: usize,
-    state: StdMutex<BarrierState>,
+    state: Mutex<BarrierState>,
     cv: Condvar,
 }
 
@@ -43,7 +50,7 @@ impl PoisonBarrier {
     fn new(n: usize) -> Self {
         Self {
             n,
-            state: StdMutex::new(BarrierState {
+            state: Mutex::new(BarrierState {
                 arrived: 0,
                 generation: 0,
                 poisoned: false,
@@ -53,7 +60,7 @@ impl PoisonBarrier {
     }
 
     fn wait(&self) -> Result<(), Poisoned> {
-        let mut s = self.state.lock().expect("barrier mutex");
+        let mut s = lock(&self.state);
         if s.poisoned {
             return Err(Poisoned);
         }
@@ -66,7 +73,7 @@ impl PoisonBarrier {
         }
         let gen = s.generation;
         while s.generation == gen && !s.poisoned {
-            s = self.cv.wait(s).expect("barrier mutex");
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         if s.generation != gen {
             // This round completed: every rank arrived, so the snapshot it
@@ -83,7 +90,7 @@ impl PoisonBarrier {
     }
 
     fn poison(&self) {
-        let mut s = self.state.lock().expect("barrier mutex");
+        let mut s = lock(&self.state);
         s.poisoned = true;
         self.cv.notify_all();
     }
@@ -93,7 +100,7 @@ impl PoisonBarrier {
 pub struct CollectiveCtx {
     barrier: PoisonBarrier,
     u64_slots: Mutex<Vec<(f64, u64)>>,
-    byte_slots: Mutex<Vec<(f64, Bytes)>>,
+    byte_slots: Mutex<Vec<ByteSlot>>,
 }
 
 impl CollectiveCtx {
@@ -102,7 +109,7 @@ impl CollectiveCtx {
         Self {
             barrier: PoisonBarrier::new(n),
             u64_slots: Mutex::new(vec![(0.0, 0); n]),
-            byte_slots: Mutex::new(vec![(0.0, Bytes::new()); n]),
+            byte_slots: Mutex::new(vec![(0.0, Arc::from([])); n]),
         }
     }
 
@@ -125,13 +132,14 @@ impl CollectiveCtx {
     }
 
     /// All-gather of timestamped byte payloads (concatenation, broadcast,
-    /// gather); fallible under poisoning.
+    /// gather); fallible under poisoning. The snapshot shares every rank's
+    /// payload by reference count instead of copying it.
     pub fn try_exchange_bytes(
         &self,
         rank: usize,
         clock_ns: f64,
-        payload: Bytes,
-    ) -> Result<Vec<(f64, Bytes)>, Poisoned> {
+        payload: Arc<[u8]>,
+    ) -> Result<Vec<ByteSlot>, Poisoned> {
         self.rendezvous(&self.byte_slots, rank, (clock_ns, payload))
     }
 
@@ -142,9 +150,9 @@ impl CollectiveCtx {
         rank: usize,
         entry: T,
     ) -> Result<Vec<T>, Poisoned> {
-        slots.lock()[rank] = entry;
+        lock(slots)[rank] = entry;
         self.barrier.wait()?;
-        let snapshot = slots.lock().clone();
+        let snapshot = lock(slots).clone();
         self.barrier.wait()?;
         Ok(snapshot)
     }
@@ -153,7 +161,6 @@ impl CollectiveCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn exchange_is_consistent_across_threads() {
@@ -260,6 +267,6 @@ mod tests {
         assert!(ctx.try_exchange_u64(0, 1.0, 0).is_ok());
         ctx.poison();
         assert_eq!(ctx.try_exchange_u64(0, 2.0, 0), Err(Poisoned));
-        assert!(ctx.try_exchange_bytes(0, 0.0, Bytes::new()).is_err());
+        assert!(ctx.try_exchange_bytes(0, 0.0, Arc::from([])).is_err());
     }
 }

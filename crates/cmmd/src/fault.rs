@@ -23,8 +23,6 @@
 //! the node program — or reports [`Fault::LinkDead`] once
 //! [`RetryPolicy::max_retries`] is exhausted.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Framed-transport header length in bytes (`seq_lo`, `seq_hi`, `crc`).
 pub const FRAME_HEADER_LEN: usize = 12;
 
@@ -427,40 +425,37 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// With `corrupt` set, one payload byte (chosen from `seq`) is flipped
 /// *after* the CRC is computed, so the receiver's check fails; an empty
 /// payload corrupts the CRC field itself.
-pub fn encode_frame(seq: u64, payload: &Bytes, corrupt: bool) -> Bytes {
-    let mut b = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+pub fn encode_frame(seq: u64, payload: &[u8], corrupt: bool) -> Vec<u8> {
+    let mut b = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     let crc = crc32(payload);
-    b.put_u32_le(seq as u32);
-    b.put_u32_le((seq >> 32) as u32);
+    // `seq` little-endian is the two header words, low word first.
+    b.extend_from_slice(&seq.to_le_bytes());
     if corrupt && payload.is_empty() {
-        b.put_u32_le(crc ^ 0xDEAD_BEEF);
+        b.extend_from_slice(&(crc ^ 0xDEAD_BEEF).to_le_bytes());
     } else {
-        b.put_u32_le(crc);
+        b.extend_from_slice(&crc.to_le_bytes());
     }
+    b.extend_from_slice(payload);
     if corrupt && !payload.is_empty() {
-        let mut body = payload.to_vec();
-        let idx = seq as usize % body.len();
-        body[idx] ^= 0xA5;
-        b.extend_from_slice(&body);
-    } else {
-        b.extend_from_slice(payload);
+        let idx = FRAME_HEADER_LEN + seq as usize % payload.len();
+        b[idx] ^= 0xA5;
     }
-    b.freeze()
+    b
 }
 
-/// Decodes a transport frame; `Err` for truncated headers or CRC
-/// mismatches (i.e. corrupted frames).
-pub fn decode_frame(mut b: Bytes) -> Result<(u64, Bytes), FrameError> {
+/// Decodes a transport frame, stripping the header in place; `Err` for
+/// truncated headers or CRC mismatches (i.e. corrupted frames).
+pub fn decode_frame(mut b: Vec<u8>) -> Result<(u64, Vec<u8>), FrameError> {
     if b.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated { len: b.len() });
     }
-    let lo = b.get_u32_le() as u64;
-    let hi = b.get_u32_le() as u64;
-    let crc = b.get_u32_le();
-    if crc32(&b) != crc {
+    let seq = u64::from_le_bytes(b[..8].try_into().expect("8-byte seq field"));
+    let crc = u32::from_le_bytes(b[8..FRAME_HEADER_LEN].try_into().expect("4-byte CRC field"));
+    if crc32(&b[FRAME_HEADER_LEN..]) != crc {
         return Err(FrameError::BadCrc);
     }
-    Ok((lo | (hi << 32), b))
+    b.drain(..FRAME_HEADER_LEN);
+    Ok((seq, b))
 }
 
 /// Why a transport frame failed to decode.
@@ -611,7 +606,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let payload = Bytes::from_static(b"hello, fabric");
+        let payload = b"hello, fabric".to_vec();
         let frame = encode_frame(0x1_0000_0007, &payload, false);
         let (seq, got) = decode_frame(frame).unwrap();
         assert_eq!(seq, 0x1_0000_0007);
@@ -620,18 +615,46 @@ mod tests {
 
     #[test]
     fn corrupt_frames_fail_crc() {
-        let payload = Bytes::from_static(b"hello");
-        let frame = encode_frame(9, &payload, true);
+        let payload = b"hello";
+        let frame = encode_frame(9, payload, true);
         assert_eq!(decode_frame(frame), Err(FrameError::BadCrc));
         // Empty payloads are corrupted via the CRC field.
-        let frame = encode_frame(9, &Bytes::new(), true);
+        let frame = encode_frame(9, &[], true);
         assert_eq!(decode_frame(frame), Err(FrameError::BadCrc));
     }
 
     #[test]
+    fn frame_bytes_are_pinned() {
+        // The wire layout: seq low word, seq high word, CRC-32, payload,
+        // all little-endian. Virtual time is charged per frame byte, so
+        // these bytes fix the chaos runs' clocks.
+        let seq = 0x0102_0304_0506_0709;
+        let cases: [(&[u8], bool, &[u8]); 4] = [
+            (
+                b"abc",
+                false,
+                &[9, 7, 6, 5, 4, 3, 2, 1, 194, 65, 36, 53, 97, 98, 99],
+            ),
+            // One payload byte flipped after the CRC: `seq % 3 == 1`.
+            (
+                b"abc",
+                true,
+                &[9, 7, 6, 5, 4, 3, 2, 1, 194, 65, 36, 53, 97, 199, 99],
+            ),
+            (b"", false, &[9, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0]),
+            // An empty payload corrupts the CRC field: 0 ^ 0xDEAD_BEEF.
+            (b"", true, &[9, 7, 6, 5, 4, 3, 2, 1, 239, 190, 173, 222]),
+        ];
+        for (payload, corrupt, want) in cases {
+            let frame = encode_frame(seq, payload, corrupt);
+            assert_eq!(frame, want, "{payload:?} corrupt={corrupt}");
+        }
+    }
+
+    #[test]
     fn truncated_frames_are_rejected() {
-        let frame = encode_frame(1, &Bytes::from_static(b"xy"), false);
-        let truncated = Bytes::from(frame[..5].to_vec());
+        let mut truncated = encode_frame(1, b"xy", false);
+        truncated.truncate(5);
         assert_eq!(
             decode_frame(truncated),
             Err(FrameError::Truncated { len: 5 })

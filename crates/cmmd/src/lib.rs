@@ -11,7 +11,9 @@
 //! control-network collectives (barrier, global concatenation,
 //! reductions), and — the paper's focus — two **all-to-many personalized
 //! communication** schemes, [`CommScheme::LinearPermutation`] and
-//! [`CommScheme::Async`].
+//! [`CommScheme::Async`]. It is built on `std` alone: point-to-point
+//! payloads are `Vec<u8>` moved over `std::sync::mpsc` channels, and the
+//! byte collectives return `Arc<[u8]>` parts shared between ranks.
 //!
 //! Timing is *virtual*: every node advances its own clock by calibrated
 //! per-operation costs ([`TimeParams`]); receives synchronise clocks
@@ -33,7 +35,7 @@
 //!     let mut sum = 0;
 //!     for part in node.try_concat(encode_u32s(&[rank as u32]))? {
 //!         let malformed = |_| Fault::Malformed { rank, what: "rank word" };
-//!         sum += try_decode_u32s(part).map_err(malformed)?.iter().sum::<u32>();
+//!         sum += try_decode_u32s(&part).map_err(malformed)?.iter().sum::<u32>();
 //!     }
 //!     Ok(sum)
 //! })
@@ -52,7 +54,7 @@ pub mod runtime;
 pub mod time;
 pub mod trace;
 
-pub use alltomany::{try_all_to_many, CommScheme};
+pub use alltomany::{try_all_to_many, CommScheme, Routed};
 pub use fault::{
     Fault, FaultCounters, FaultEvent, FaultKind, FaultPlan, FaultProfile, RetryPolicy,
     PROFILE_NAMES,

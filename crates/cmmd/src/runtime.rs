@@ -4,7 +4,8 @@
 //! hands each a [`Node`] handle carrying its rank, its point-to-point
 //! channel endpoints, the shared collective context, and its virtual
 //! clock. The node program is the same closure on every rank — exactly the
-//! CMMD "hostless" execution model the paper's F77 code used.
+//! CMMD "hostless" execution model the paper's F77 code used. Each
+//! (source, destination) pair has its own `std::sync::mpsc` channel.
 //!
 //! Every communication call is fallible. An optional [`FaultPlan`] arms
 //! deterministic fault injection on every point-to-point link, and the
@@ -18,15 +19,14 @@
 //! exactly the fault-free byte stream, just later on the clock.
 
 use crate::channel::Msg;
-use crate::collectives::{CollectiveCtx, Poisoned};
+use crate::collectives::{ByteSlot, CollectiveCtx, Poisoned};
 use crate::fault::{
     decode_frame, encode_frame, Fault, FaultCounters, FaultEvent, FaultKind, FaultPlan,
     FRAME_HEADER_LEN,
 };
 use crate::time::TimeParams;
 use crate::trace::{TraceEvent, TraceKind};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Result of an SPMD run.
@@ -259,18 +259,18 @@ impl Node {
     /// retry timeout and retransmit, up to
     /// [`crate::fault::RetryPolicy::max_retries`] — past that the link is
     /// declared dead.
-    pub fn try_send_sync(&mut self, dst: usize, payload: Bytes) -> Result<(), Fault> {
+    pub fn try_send_sync(&mut self, dst: usize, payload: Vec<u8>) -> Result<(), Fault> {
         self.send_impl(dst, payload, true)
     }
 
     /// Asynchronous send: cheaper setup; bandwidth is charged to the
     /// receiver side (the NI drains the buffer while the CPU continues).
     /// Fails like [`Node::try_send_sync`].
-    pub fn try_send_async(&mut self, dst: usize, payload: Bytes) -> Result<(), Fault> {
+    pub fn try_send_async(&mut self, dst: usize, payload: Vec<u8>) -> Result<(), Fault> {
         self.send_impl(dst, payload, false)
     }
 
-    fn send_impl(&mut self, dst: usize, payload: Bytes, sync: bool) -> Result<(), Fault> {
+    fn send_impl(&mut self, dst: usize, payload: Vec<u8>, sync: bool) -> Result<(), Fault> {
         let Some(plan) = self.plan.clone() else {
             let len = payload.len();
             if sync {
@@ -313,8 +313,8 @@ impl Node {
                 self.record(FaultKind::Delay, dst, seq);
             }
             let frame = encode_frame(seq, &payload, o.corrupt);
-            self.post(dst, frame.clone(), o.delay_ns);
             if o.corrupt {
+                self.post(dst, frame, o.delay_ns);
                 // The receiver discards the frame on its CRC check; the
                 // sender deterministically knows, charges the timeout,
                 // and retransmits.
@@ -329,8 +329,9 @@ impl Node {
             if o.dup {
                 self.fault_counters.duplicates += 1;
                 self.record(FaultKind::Duplicate, dst, seq);
-                self.post(dst, frame, o.delay_ns);
+                self.post(dst, frame.clone(), o.delay_ns);
             }
+            self.post(dst, frame, o.delay_ns);
             if self.tracing {
                 self.trace_send(dst, len, retry_wait_ns);
             }
@@ -379,7 +380,7 @@ impl Node {
         self.collectives.poison();
     }
 
-    fn post(&mut self, dst: usize, payload: Bytes, delay_ns: f64) {
+    fn post(&mut self, dst: usize, payload: Vec<u8>, delay_ns: f64) {
         self.msgs_sent += 1;
         self.bytes_sent += payload.len() as u64;
         let msg = Msg {
@@ -406,7 +407,7 @@ impl Node {
     /// frames (CRC mismatch) and duplicates (stale sequence numbers) are
     /// charged for and silently discarded until the expected frame
     /// arrives; a disconnected peer yields [`Fault::PeerDown`].
-    pub fn try_recv_from(&mut self, src: usize) -> Result<Bytes, Fault> {
+    pub fn try_recv_from(&mut self, src: usize) -> Result<Vec<u8>, Fault> {
         let mut wait_ns = 0.0;
         loop {
             let msg = self.from[src].recv().map_err(|_| Fault::PeerDown {
@@ -485,9 +486,9 @@ impl Node {
     /// receives all payloads indexed by rank. This is CMMD's
     /// `CMMD_concat_with_nodes`, the primitive the paper's LP scheme uses
     /// to build the communication matrix.
-    pub fn try_concat(&mut self, payload: Bytes) -> Result<Vec<Bytes>, Fault> {
+    pub fn try_concat(&mut self, payload: Vec<u8>) -> Result<Vec<Arc<[u8]>>, Fault> {
         self.collective(
-            |c, rank, t| c.try_exchange_bytes(rank, t, payload),
+            |c, rank, t| c.try_exchange_bytes(rank, t, payload.into()),
             |parts| {
                 let total = total_len(parts);
                 (total, total)
@@ -515,12 +516,12 @@ impl Node {
     /// Broadcast from `root`: every node receives the root's payload
     /// (CMMD's `CMMD_bc_from_node`). Built on the control-network
     /// exchange; charged one tree traversal plus the payload bandwidth.
-    pub fn try_broadcast(&mut self, root: usize, payload: Bytes) -> Result<Bytes, Fault> {
+    pub fn try_broadcast(&mut self, root: usize, payload: Vec<u8>) -> Result<Arc<[u8]>, Fault> {
         assert!(root < self.size, "broadcast root out of range");
         let contribution = if self.rank == root {
-            payload
+            payload.into()
         } else {
-            Bytes::new()
+            Arc::from([])
         };
         let mut parts = self.collective(
             |c, rank, t| c.try_exchange_bytes(rank, t, contribution),
@@ -548,11 +549,15 @@ impl Node {
     /// Gather to `root`: the root receives every node's payload indexed by
     /// rank; other nodes receive an empty vector. Charged like a
     /// concatenation whose bandwidth lands on the root.
-    pub fn try_gather_to(&mut self, root: usize, payload: Bytes) -> Result<Vec<Bytes>, Fault> {
+    pub fn try_gather_to(
+        &mut self,
+        root: usize,
+        payload: Vec<u8>,
+    ) -> Result<Vec<Arc<[u8]>>, Fault> {
         assert!(root < self.size, "gather root out of range");
         let is_root = self.rank == root;
         let parts = self.collective(
-            |c, rank, t| c.try_exchange_bytes(rank, t, payload),
+            |c, rank, t| c.try_exchange_bytes(rank, t, payload.into()),
             |parts| {
                 let total = total_len(parts);
                 (if is_root { total } else { 0 }, total)
@@ -563,7 +568,7 @@ impl Node {
 }
 
 /// Total payload bytes of a byte-slot snapshot.
-fn total_len(parts: &[(f64, Bytes)]) -> usize {
+fn total_len(parts: &[ByteSlot]) -> usize {
     parts.iter().map(|(_, b)| b.len()).sum()
 }
 
@@ -597,7 +602,7 @@ where
         .collect();
     for s in 0..nodes {
         for d in 0..nodes {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders[s][d] = Some(tx);
             receivers[d][s] = Some(rx);
         }
@@ -721,7 +726,7 @@ pub(crate) mod tests {
     }
 
     /// Decodes a payload known to be well formed.
-    pub(crate) fn u32s(b: Bytes) -> Vec<u32> {
+    pub(crate) fn u32s(b: &[u8]) -> Vec<u32> {
         try_decode_u32s(b).unwrap()
     }
 
@@ -733,7 +738,7 @@ pub(crate) mod tests {
             let right = (node.rank() + 1) % node.size();
             let left = (node.rank() + node.size() - 1) % node.size();
             node.try_send_sync(right, encode_u32s(&[node.rank() as u32]))?;
-            let got = u32s(node.try_recv_from(left)?);
+            let got = u32s(&node.try_recv_from(left)?);
             Ok(got[0])
         });
         assert_eq!(res.results, vec![7, 0, 1, 2, 3, 4, 5, 6]);
@@ -776,7 +781,7 @@ pub(crate) mod tests {
     fn concat_gathers_in_rank_order() {
         let res = spmd(4, |node| {
             let parts = node.try_concat(encode_u32s(&[node.rank() as u32 * 10]))?;
-            Ok(parts.into_iter().flat_map(u32s).collect::<Vec<u32>>())
+            Ok(parts.iter().flat_map(|b| u32s(b)).collect::<Vec<u32>>())
         });
         for r in res.results {
             assert_eq!(r, vec![0, 10, 20, 30]);
@@ -955,7 +960,7 @@ mod collective_tests {
             } else {
                 encode_u32s(&[99]) // ignored: only the root's bytes matter
             };
-            Ok(u32s(node.try_broadcast(2, payload)?))
+            Ok(u32s(&node.try_broadcast(2, payload)?))
         });
         for r in res.results {
             assert_eq!(r, vec![41, 42]);
@@ -975,7 +980,7 @@ mod collective_tests {
     fn gather_lands_on_root_only() {
         let res = spmd(4, |node| {
             let got = node.try_gather_to(1, encode_u32s(&[node.rank() as u32 * 7]))?;
-            Ok(got.into_iter().flat_map(u32s).collect::<Vec<_>>())
+            Ok(got.iter().flat_map(|b| u32s(b)).collect::<Vec<_>>())
         });
         assert!(res.results[0].is_empty());
         assert_eq!(res.results[1], vec![0, 7, 14, 21]);
@@ -1015,7 +1020,7 @@ mod chaos_tests {
             }
             let mut got = Vec::new();
             for _ in 0..20 {
-                got.extend(u32s(node.try_recv_from(left)?));
+                got.extend(u32s(&node.try_recv_from(left)?));
             }
             node.try_barrier()?;
             Ok(got)

@@ -2,7 +2,6 @@
 //! counts (1..=16) and seeded per-node inputs, every collective agrees
 //! with a scalar reference computed outside the simulator, on every rank.
 
-use bytes::Bytes;
 use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
 use cmmd_sim::{try_run_spmd, Fault, Node, SpmdResult, TimeParams};
 use proptest::prelude::*;
@@ -13,7 +12,7 @@ fn spmd<R: Send>(q: usize, f: impl Fn(&mut Node) -> Result<R, Fault> + Sync) -> 
 }
 
 /// Decodes a payload known to be well formed.
-fn u32s(b: Bytes) -> Vec<u32> {
+fn u32s(b: &[u8]) -> Vec<u32> {
     try_decode_u32s(b).unwrap()
 }
 
@@ -92,7 +91,7 @@ proptest! {
         let root = (val(seed, 777) % q as u64) as usize;
         let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
-            Ok(u32s(node.try_broadcast(root, encode_u32s(&words))?))
+            Ok(u32s(&node.try_broadcast(root, encode_u32s(&words))?))
         });
         let want = payload(seed, root);
         for got in &res.results {
@@ -105,8 +104,8 @@ proptest! {
         let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
             Ok(node.try_concat(encode_u32s(&words))?
-                .into_iter()
-                .map(u32s)
+                .iter()
+                .map(|b| u32s(b))
                 .collect::<Vec<_>>())
         });
         let want: Vec<Vec<u32>> = (0..q).map(|r| payload(seed, r)).collect();
@@ -121,8 +120,8 @@ proptest! {
         let res = spmd(q, move |node| {
             let words = payload(seed, node.rank());
             Ok(node.try_gather_to(root, encode_u32s(&words))?
-                .into_iter()
-                .map(u32s)
+                .iter()
+                .map(|b| u32s(b))
                 .collect::<Vec<_>>())
         });
         let want: Vec<Vec<u32>> = (0..q).map(|r| payload(seed, r)).collect();
@@ -138,8 +137,8 @@ proptest! {
     #[test]
     fn empty_payloads_are_legal_everywhere(q in 1usize..=16) {
         let res = spmd(q, |node| {
-            let parts = node.try_concat(Bytes::new())?;
-            let bc = node.try_broadcast(0, Bytes::new())?;
+            let parts = node.try_concat(Vec::new())?;
+            let bc = node.try_broadcast(0, Vec::new())?;
             Ok((parts.len(), parts.iter().all(|b| b.is_empty()), bc.is_empty()))
         });
         for &(n, all_empty, bc_empty) in &res.results {

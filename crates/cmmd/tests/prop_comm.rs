@@ -23,7 +23,7 @@ fn run_pattern(q: usize, pattern: &[Vec<u8>], scheme: CommScheme) -> (Vec<Vec<(u
         let got = try_all_to_many(node, out, scheme)?;
         Ok(got
             .into_iter()
-            .map(|(src, b)| (src, try_decode_u32s(b).unwrap()[0]))
+            .map(|(src, b)| (src, try_decode_u32s(&b).unwrap()[0]))
             .collect::<Vec<_>>())
     })
     .expect("fault-free run");

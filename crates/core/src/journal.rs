@@ -280,13 +280,13 @@ impl Event {
                 span: StageSpan::from_json_fields(v)?,
             },
             "split_done" => EventKind::SplitDone {
-                iterations: v.field("iterations", Json::as_u64)? as u32,
+                iterations: v.field("iterations", Json::as_u32)?,
                 num_squares: v.field("num_squares", Json::as_u64)? as usize,
             },
             "merge_iter" => EventKind::MergeIteration {
                 rec: MergeIterationRecord {
-                    iteration: v.field("iter", Json::as_u64)? as u32,
-                    merges: v.field("merges", Json::as_u64)? as u32,
+                    iteration: v.field("iter", Json::as_u32)?,
+                    merges: v.field("merges", Json::as_u32)?,
                     used_fallback: v.field("fallback", Json::as_bool)?,
                     active_edges: v.get("active_edges").and_then(Json::as_u64),
                     compacted: v.get("compacted").and_then(Json::as_bool),
@@ -305,8 +305,8 @@ impl Event {
                 rec: FlowRecord {
                     kind: FlowKind::parse(tag).unwrap(),
                     stream: v.field("stream", Json::as_str)?.to_string(),
-                    src: v.field("src", Json::as_u64)? as u32,
-                    dst: v.field("dst", Json::as_u64)? as u32,
+                    src: v.field("src", Json::as_u32)?,
+                    dst: v.field("dst", Json::as_u32)?,
                     seq: v.field("seq", Json::as_u64)?,
                     bytes: v.field("bytes", Json::as_u64)?,
                     t_ns: v.field("t_ns", Json::as_f64)?,
@@ -1120,6 +1120,41 @@ mod tests {
         assert_eq!((fp.sends, fp.recvs, fp.colls, fp.matched), (2, 2, 2, 2));
         // Flow events leave the replayed report untouched.
         assert_eq!(replay(&events), TelemetryReport::default());
+    }
+
+    #[test]
+    fn narrowed_fields_past_u32_are_errors_not_wraps() {
+        let send = Event {
+            t_us: 0,
+            kind: flow(FlowKind::Send, "boundary", 1, 2, 0, 10.0),
+        };
+        let iter = Event {
+            t_us: 0,
+            kind: EventKind::MergeIteration {
+                rec: MergeIterationRecord {
+                    iteration: 3,
+                    merges: 4,
+                    used_fallback: false,
+                    active_edges: None,
+                    compacted: None,
+                },
+            },
+        };
+        for (ev, field, value) in [
+            (&send, "src", 1),
+            (&send, "dst", 2),
+            (&iter, "iter", 3),
+            (&iter, "merges", 4),
+        ] {
+            let line = ev.to_line();
+            assert_eq!(&Event::parse_line(&line).unwrap(), ev);
+            let from = format!("\"{field}\":{value}");
+            assert!(line.contains(&from), "{line}");
+            // 2³² + value would wrap to `value` under `as u32`.
+            let wide = line.replace(&from, &format!("\"{field}\":{}", (1u64 << 32) + value));
+            let err = Event::parse_line(&wide).unwrap_err();
+            assert!(err.message.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -56,6 +56,11 @@ impl Json {
         }
     }
 
+    /// The value as a `u32`; `None` past `u32::MAX` instead of wrapping.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -159,7 +164,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut p = Parser { bytes, pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
@@ -262,6 +267,11 @@ impl std::fmt::Display for JsonError {
 }
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. A telemetry
+/// report nests 5 levels and a journal line 4; the bound keeps a hostile
+/// line from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -303,21 +313,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -327,7 +341,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -340,7 +354,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -354,7 +368,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -511,6 +525,20 @@ mod tests {
         let e = Json::parse("{\"a\" 1}").unwrap_err();
         assert!(e.offset > 0);
         assert!(e.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
+        let ok = |d: usize| Json::parse(&nest(d)).is_ok();
+        assert!(ok(MAX_DEPTH));
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("64 levels"), "{e}");
+        // Objects count too, and a huge unclosed prefix fails fast.
+        let obj = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&obj).unwrap_err().message.contains("deeper"));
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

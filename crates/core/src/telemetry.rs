@@ -614,8 +614,8 @@ impl FaultRecord {
     pub(crate) fn from_json_fields(v: &Json) -> Result<Self, JsonError> {
         Ok(FaultRecord {
             kind: v.field("kind", Json::as_str)?.to_string(),
-            src: v.field("src", Json::as_u64)? as u32,
-            dst: v.field("dst", Json::as_u64)? as u32,
+            src: v.field("src", Json::as_u32)?,
+            dst: v.field("dst", Json::as_u32)?,
             seq: v.field("seq", Json::as_u64)?,
             ts_ns: v.field("ts_ns", Json::as_f64)?,
         })
@@ -885,7 +885,7 @@ impl ConfigRecord {
     /// Parses a [`ConfigRecord`] from [`ConfigRecord::to_json`] output.
     pub fn from_json(c: &Json) -> Result<Self, JsonError> {
         Ok(ConfigRecord {
-            threshold: c.field("threshold", Json::as_u64)? as u32,
+            threshold: c.field("threshold", Json::as_u32)?,
             tie_break: c.field("tie_break", Json::as_str)?.to_string(),
             seed: c.get("seed").and_then(Json::as_u64),
             connectivity: c.field("connectivity", Json::as_u64)? as u8,
@@ -894,7 +894,7 @@ impl ConfigRecord {
                 .get("max_square_log2")
                 .and_then(Json::as_u64)
                 .map(|x| x as u8),
-            max_stall: c.field("max_stall", Json::as_u64)? as u32,
+            max_stall: c.field("max_stall", Json::as_u32)?,
         })
     }
 }

@@ -199,7 +199,7 @@ pub fn build_local_rag<P: Intensity>(
         expected.push((peer, side));
     }
     for (peer, my_side) in expected {
-        let words = try_decode_u32s(node.try_recv_from(peer)?)
+        let words = try_decode_u32s(&node.try_recv_from(peer)?)
             .map_err(|_| malformed("boundary strip payload"))?;
         let theirs =
             try_decode_entries(&words).ok_or_else(|| malformed("boundary strip entries"))?;
@@ -253,7 +253,7 @@ pub fn build_local_rag<P: Intensity>(
             expected.push(peer);
         }
         for peer in expected {
-            let words = try_decode_u32s(node.try_recv_from(peer)?)
+            let words = try_decode_u32s(&node.try_recv_from(peer)?)
                 .map_err(|_| malformed("corner stats payload"))?;
             let theirs =
                 try_decode_entries(&words).ok_or_else(|| malformed("corner stats entries"))?;

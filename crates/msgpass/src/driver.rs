@@ -562,7 +562,7 @@ fn try_segment_msgpass_impl<P: Intensity>(
         let all = node.try_concat(encode_u32s(&words))?;
         let mut redirect: HashMap<u32, u32> = HashMap::new();
         for payload in all {
-            let part = try_decode_u32s(payload).map_err(|_| Fault::Malformed {
+            let part = try_decode_u32s(&payload).map_err(|_| Fault::Malformed {
                 rank: me,
                 what: "redirect history payload",
             })?;

@@ -31,9 +31,8 @@
 
 use crate::boundary::LocalRag;
 use crate::decomp::Decomposition;
-use bytes::Bytes;
 use cmmd_sim::channel::{encode_u32s, try_decode_u32s};
-use cmmd_sim::{try_all_to_many, CommScheme, Fault, Node};
+use cmmd_sim::{try_all_to_many, CommScheme, Fault, Node, Routed};
 use rg_core::kernels::{stats_from_words, stats_to_words, STATS_WIRE_WORDS};
 use rg_core::merge::{choice_key, CandKey};
 use rg_core::telemetry::Histogram;
@@ -103,11 +102,11 @@ pub struct MpMergeOutcome {
 /// so send and recv halves agree).
 fn traced_exchange(
     node: &mut Node,
-    outgoing: Vec<(usize, Bytes)>,
+    outgoing: Vec<Routed>,
     scheme: CommScheme,
     hist: &mut Histogram,
     stream: &'static str,
-) -> Result<(Vec<(usize, Bytes)>, ExchangeComm), Fault> {
+) -> Result<(Vec<Routed>, ExchangeComm), Fault> {
     node.set_trace_stream(stream);
     for (_, payload) in &outgoing {
         hist.record(payload.len() as u64);
@@ -176,7 +175,7 @@ pub fn merge_mp(
             traced_exchange(node, outgoing, scheme, &mut msg_bytes_hist, "merge:stats")?;
         iter_comm[0] = comm;
         for (_, payload) in received {
-            let words = try_decode_u32s(payload).map_err(|_| malformed("stats payload"))?;
+            let words = try_decode_u32s(&payload).map_err(|_| malformed("stats payload"))?;
             for c in words.chunks_exact(STATS_WIRE_WORDS) {
                 let (id, stats) = stats_from_words(c);
                 rag.ghosts.insert(id, stats);
@@ -270,7 +269,7 @@ pub fn merge_mp(
             traced_exchange(node, outgoing, scheme, &mut msg_bytes_hist, "merge:choice")?;
         iter_comm[1] = comm;
         for (_, payload) in received {
-            let words = try_decode_u32s(payload).map_err(|_| malformed("choice payload"))?;
+            let words = try_decode_u32s(&payload).map_err(|_| malformed("choice payload"))?;
             for c in words.chunks_exact(2) {
                 remote_claims.push((c[0], c[1]));
             }
@@ -342,7 +341,7 @@ pub fn merge_mp(
         )?;
         iter_comm[2] = comm;
         for (_, payload) in received {
-            let words = try_decode_u32s(payload).map_err(|_| malformed("redirect payload"))?;
+            let words = try_decode_u32s(&payload).map_err(|_| malformed("redirect payload"))?;
             for c in words.chunks_exact(2) {
                 redir.insert(c[0], c[1]);
             }
@@ -380,7 +379,7 @@ pub fn merge_mp(
         )?;
         iter_comm[3] = comm;
         for (_, payload) in received {
-            let words = try_decode_u32s(payload).map_err(|_| malformed("transfer payload"))?;
+            let words = try_decode_u32s(&payload).map_err(|_| malformed("transfer payload"))?;
             for c in words.chunks_exact(2) {
                 keep.push((c[0], c[1]));
             }

@@ -5,7 +5,8 @@
 //! These tests spawn the real binary (no argv mocking) — the same code
 //! path a user's shell hits.
 
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{self, Command, Output};
 
 fn rgrow(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rgrow"))
@@ -16,6 +17,14 @@ fn rgrow(args: &[&str]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A fresh directory under the target's temp dir, suffixed with this
+/// process's id so concurrent `cargo test` runs never share files.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}_{}", process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
@@ -235,8 +244,7 @@ fn good_args_still_run() {
 #[test]
 fn telemetry_journal_and_chrome_trace_share_one_stream() {
     use rg_core::{chrome_trace, parse_journal_strict, replay};
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_one_stream");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("cli_one_stream");
     let path = |name: &str| dir.join(name).display().to_string();
     let (report, journal, chrome) = (
         path("report.json"),
@@ -265,8 +273,7 @@ fn telemetry_journal_and_chrome_trace_share_one_stream() {
 
 #[test]
 fn oversized_pgm_header_exits_1_without_panicking() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_huge_pgm");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("cli_huge_pgm");
     for magic in ["P5", "P2"] {
         let path = dir.join(format!("huge_{magic}.pgm"));
         std::fs::write(&path, format!("{magic}\n4294967295 4294967295\n255\n")).unwrap();
@@ -283,4 +290,30 @@ fn oversized_pgm_header_exits_1_without_panicking() {
             stderr(&out)
         );
     }
+}
+
+/// One journal line of 200,000 `[`: the JSON parser's depth bound turns it
+/// into an error instead of a stack overflow that aborts the reader.
+#[test]
+fn deep_journal_line_exits_1_without_overflowing() {
+    use rg_core::parse_journal;
+    let path = temp_dir("cli_deep_journal").join("deep.jsonl");
+    let deep = "[".repeat(200_000) + "\n";
+    std::fs::write(&path, &deep).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_convert"))
+        .args([path.to_str().unwrap(), "--validate", "--strict"])
+        .output()
+        .expect("spawn trace_convert");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("nesting deeper than 64"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains("overflowed"), "{}", stderr(&out));
+    // `trace_analyze` reads through the tolerant parser, which stops at
+    // the bad line. Its binary lives in rg-bench, whose own test spawns
+    // it on the same line.
+    let (events, stats) = parse_journal(&deep);
+    assert!(events.is_empty() && stats.truncated);
 }
