@@ -154,7 +154,7 @@ fn main() {
     if analyses.is_empty() {
         eprintln!(
             "{path}: no flow events in any of {} run(s) — trace with the \
-             message-passing engine (rgrow --engine msgpass --trace-out ...)",
+             message-passing engine (rgrow --engine mp-async --trace-out ...)",
             runs.len()
         );
         exit(1);

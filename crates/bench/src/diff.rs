@@ -2,9 +2,8 @@
 //!
 //! Compares a *current* benchmark document against a *baseline* (both in
 //! a `bench_record` schema: `bench-merge-v1`, `bench-split-v1`,
-//! `bench-batch-v1` or `bench-tiles-v1` — historical split and batch files
-//! stamped with the merge tag are still accepted, with a warning) and
-//! classifies every metric of every row:
+//! `bench-batch-v1` or `bench-tiles-v1`) and classifies every metric of
+//! every row:
 //!
 //! * **identity metrics** (`initial_edges`, `num_regions`, `num_squares`)
 //!   are products of the deterministic pipeline — any change at all is a
@@ -109,9 +108,6 @@ pub struct DiffReport {
     pub missing_rows: Vec<String>,
     /// Rows in the current document the baseline lacks (informational).
     pub new_rows: Vec<String>,
-    /// Non-fatal schema notes (e.g. a split document still stamped with
-    /// the legacy `bench-merge-v1` tag).
-    pub schema_warnings: Vec<String>,
 }
 
 impl DiffReport {
@@ -170,9 +166,6 @@ impl DiffReport {
         for row in &self.new_rows {
             let _ = writeln!(out, "new row: {row} (not in baseline)");
         }
-        for w in &self.schema_warnings {
-            let _ = writeln!(out, "schema warning: {w}");
-        }
         let _ = writeln!(
             out,
             "{} metric(s) compared, {} regression(s), {} warning(s){}",
@@ -201,22 +194,10 @@ fn row_key(row: &Json) -> Option<String> {
     Some(format!("{backend}/{image}/{tie}/t{threshold}"))
 }
 
-/// Validates the schema tag; returns a warning string for accepted legacy
-/// stampings (split and batch documents written before `bench-split-v1`
-/// and `bench-batch-v1` existed).
-fn check_schema(doc: &Json, which: &str) -> Result<Option<String>, String> {
-    let generator = doc.get("generator").and_then(Json::as_str).unwrap_or("");
+/// Validates the schema tag: one of the four `bench_record` schemas.
+fn check_schema(doc: &Json, which: &str) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bench-merge-v1")
-            if matches!(generator, "bench_record split" | "bench_record batch") =>
-        {
-            let kind = generator.trim_start_matches("bench_record ");
-            Ok(Some(format!(
-                "{which}: {kind} document stamped with legacy schema \"bench-merge-v1\" \
-                 (regenerate with `{generator}` for \"bench-{kind}-v1\")"
-            )))
-        }
-        Some("bench-merge-v1" | "bench-split-v1" | "bench-batch-v1" | "bench-tiles-v1") => Ok(None),
+        Some("bench-merge-v1" | "bench-split-v1" | "bench-batch-v1" | "bench-tiles-v1") => Ok(()),
         Some(other) => Err(format!("{which}: unsupported schema {other:?}")),
         None => Err(format!("{which}: missing schema field")),
     }
@@ -260,7 +241,7 @@ fn classify(metric: &str, base: f64, cur: f64, opts: &DiffOptions) -> Severity {
     }
 }
 
-/// Diffs two `bench-merge-v1` documents. Errors on schema/shape problems;
+/// Diffs two `bench_record` documents. Errors on schema/shape problems;
 /// regressions are reported through the returned [`DiffReport`], not as
 /// `Err`.
 pub fn diff_docs(
@@ -268,13 +249,9 @@ pub fn diff_docs(
     current: &Json,
     opts: &DiffOptions,
 ) -> Result<DiffReport, String> {
+    check_schema(baseline, "baseline")?;
+    check_schema(current, "current")?;
     let mut report = DiffReport::default();
-    report
-        .schema_warnings
-        .extend(check_schema(baseline, "baseline")?);
-    report
-        .schema_warnings
-        .extend(check_schema(current, "current")?);
     let base_rows = rows_of(baseline, "baseline")?;
     let cur_rows = rows_of(current, "current")?;
     for (key, brow) in &base_rows {
@@ -533,51 +510,16 @@ mod tests {
 
     #[test]
     fn current_schemas_are_accepted() {
-        for tag in ["bench-split-v1", "bench-batch-v1", "bench-tiles-v1"] {
+        for tag in [
+            "bench-merge-v1",
+            "bench-split-v1",
+            "bench-batch-v1",
+            "bench-tiles-v1",
+        ] {
             let d = Json::obj(vec![("schema", tag.into()), ("rows", Json::Arr(vec![]))]);
             let r = diff_docs(&d, &d, &DiffOptions::default()).unwrap();
             assert!(r.ok(), "{tag}: {}", r.render());
-            assert!(r.schema_warnings.is_empty());
         }
-    }
-
-    #[test]
-    fn legacy_split_tag_warns_but_passes() {
-        // Split documents written before `bench-split-v1` carry the merge
-        // tag; they still diff cleanly, with a visible nudge to regenerate.
-        let legacy = Json::obj(vec![
-            ("schema", "bench-merge-v1".into()),
-            ("generator", "bench_record split".into()),
-            ("rows", Json::Arr(vec![])),
-        ]);
-        let r = diff_docs(&legacy, &legacy, &DiffOptions::default()).unwrap();
-        assert!(r.ok());
-        assert_eq!(r.schema_warnings.len(), 2); // baseline + current
-        assert!(r.render().contains("legacy schema"));
-    }
-
-    #[test]
-    fn legacy_batch_tag_warns_but_passes() {
-        // `bench_record batch` stamped the merge tag before `bench-batch-v1`;
-        // such a baseline still diffs against a fresh document, with a
-        // warning that names the batch tag.
-        let batch_doc = |tag: &str| {
-            Json::obj(vec![
-                ("schema", tag.into()),
-                ("generator", "bench_record batch".into()),
-                ("rows", Json::Arr(vec![])),
-            ])
-        };
-        let r = diff_docs(
-            &batch_doc("bench-merge-v1"),
-            &batch_doc("bench-batch-v1"),
-            &DiffOptions::default(),
-        )
-        .unwrap();
-        assert!(r.ok());
-        assert_eq!(r.schema_warnings.len(), 1); // baseline only
-        assert!(r.schema_warnings[0].starts_with("baseline: batch document"));
-        assert!(r.render().contains("\"bench-batch-v1\""));
     }
 
     #[test]

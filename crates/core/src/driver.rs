@@ -50,6 +50,7 @@
 
 use crate::config::Config;
 use crate::engine::{Segmentation, Stopwatch};
+use crate::labels::region_sizes;
 use crate::telemetry::{
     Histogram, MergeIterationRecord, SpanGuard, SpanKind, Stage, StageSpan, Telemetry,
 };
@@ -361,13 +362,9 @@ pub fn run_driver<B: EngineBackend + ?Sized>(
                 sim_seconds: stats.sim_seconds,
             });
             // Region-size distribution at convergence (pixels per region).
-            let mut sizes = vec![0u64; num_regions];
-            for &l in &out.labels {
-                sizes[l as usize] += 1;
-            }
             let mut hist = Histogram::new();
-            for &s in &sizes {
-                hist.record(s);
+            for s in region_sizes(&out.labels, num_regions) {
+                hist.record(s as u64);
             }
             tel.histogram("region_size_px", &hist);
             backend.run_report(tel);

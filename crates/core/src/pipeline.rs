@@ -1,11 +1,15 @@
 //! The host engine: one reusable split → RAG → merge → label pipeline.
 //!
 //! The paper's design premise is *flat arrays only, no dynamic structures*.
-//! A [`HostPipeline`] owns **all mutable scratch** of a host run — the
-//! split's level planes and bitsets, the split result, the merge engine's
-//! CSR arrays, history DSU and stamp tokens, and the per-square label
-//! table — with *high-water-mark* reuse: every buffer grows to the largest
-//! image seen and is refilled in place, never freed. The one-shot entry
+//! A [`HostPipeline`] owns **all per-square scratch** of a host run — the
+//! split's level planes, bitsets, squares and statistics, the merge
+//! engine's CSR arrays, history DSU and stamp tokens, and the per-square
+//! label table — with *high-water-mark* reuse: every buffer grows to the
+//! largest image seen and is refilled in place, never freed. The run's one
+//! per-pixel plane is the caller's [`Segmentation::labels`]: it starts as
+//! the split's square map and the label stage overwrites it in place with
+//! region ids, as the paper's CM programs do with one per-pixel field, so
+//! between runs the pipeline holds no `w·h` buffer. The one-shot entry
 //! points ([`crate::engine::segment`] and friends) run a fresh pipeline.
 //!
 //! Running a same-shape image stream through one pipeline therefore
@@ -68,7 +72,8 @@ pub struct HostPipeline<P: Intensity = u8> {
     /// Split-stage level planes and bitsets.
     split_scratch: SplitScratch<P>,
     /// The current split result (squares / stats / square-of map), refilled
-    /// in place by `split_into`.
+    /// in place by `split_into`. Its `square_of` plane is the caller's
+    /// label buffer, held only for the length of a run.
     split: SplitResult<P>,
     /// The merge engine, rebuilt in place from each split by
     /// [`Merger::reset_from_split`].
@@ -156,6 +161,9 @@ impl<P: Intensity> HostPipeline<P> {
         tel: &mut dyn Telemetry,
         out: &mut Segmentation,
     ) {
+        // The caller's label buffer becomes the square map; the label stage
+        // maps it in place and hands it back.
+        self.split.square_of = std::mem::take(&mut out.labels);
         let mut backend = HostBackend {
             img,
             pipe: self,
@@ -258,13 +266,14 @@ impl<P: Intensity> LabelStage for HostBackend<'_, P> {
         let pipe = &mut *self.pipe;
         pipe.merger.labels_by_vertex_into(&mut pipe.by_vertex);
         let num_regions = compact_square_reps(&mut pipe.by_vertex);
-        // A slice, not `&Vec`: through a `&Vec` this gather measured ~30%
+        // A slice, not `&Vec`: through a `&Vec` the label map measured ~30%
         // slower, presumably because the `Vec` header was reloaded around
         // every label write.
         let lab: &[u32] = &pipe.by_vertex;
-        out.labels.clear();
-        out.labels
-            .extend(pipe.split.square_of.iter().map(|&q| lab[q as usize]));
+        out.labels = std::mem::take(&mut pipe.split.square_of);
+        for l in &mut out.labels {
+            *l = lab[*l as usize];
+        }
         (StageStats::live(), num_regions)
     }
 }
@@ -314,9 +323,9 @@ impl<P: Intensity> EngineBackend for HostBackend<'_, P> {
 ///   representative — and numbering representatives in index order is
 ///   numbering regions in order of first pixel appearance.
 ///
-/// The per-pixel labels are then one gather, `lab[square_of[p]]`,
-/// bit-identical to `compact_first_appearance` of the raw per-pixel
-/// representatives.
+/// The per-pixel labels are then one in-place map of the square plane,
+/// `l = lab[l]`, bit-identical to `compact_first_appearance` of the raw
+/// per-pixel representatives.
 fn compact_square_reps(lab: &mut [u32]) -> usize {
     let mut next = 0u32;
     for q in 0..lab.len() {
@@ -359,6 +368,22 @@ mod tests {
                     assert_eq!(fresh, out, "tie={tie:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pipeline_keeps_no_pixel_plane_between_runs() {
+        let cfg = Config::with_threshold(10);
+        let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
+        let mut out = Segmentation::default();
+        for img in [
+            synth::random_rects(40, 24, 5, 1),
+            synth::rect_collection(64),
+        ] {
+            pipe.run_image_into(&img, &mut NullTelemetry, &mut out);
+            assert_eq!(pipe.split.square_of.capacity(), 0);
+            assert_eq!(out.labels.len(), img.width() * img.height());
+            assert_eq!(out, segment(&img, &cfg));
         }
     }
 

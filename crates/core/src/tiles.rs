@@ -15,12 +15,13 @@
 //! 1. each tile's region statistics come from its pipeline's merger, which
 //!    holds them at the region representatives once the tile converges —
 //!    as each CM-5 node already holds its own regions' statistics;
-//! 2. local labels are offset into one global vertex space and cross-tile
-//!    adjacent label pairs are collected **along tile seams only** (the
-//!    interior adjacencies were already resolved by the per-tile merges);
+//! 2. local labels are offset into one global vertex space, written
+//!    straight into the output's label buffer, and cross-tile adjacent
+//!    label pairs are read from it **along tile seams only** (the interior
+//!    adjacencies were already resolved by the per-tile merges);
 //! 3. the CSR [`Merger`] runs on that boundary RAG until quiescence;
-//! 4. one fused gather+first-appearance relabel (`compact_gather`)
-//!    produces the final dense labels in global raster order.
+//! 4. the output's label buffer is relabelled in place, by first
+//!    appearance in global raster order, into the final dense labels.
 //!
 //! ## Invariance
 //!
@@ -173,7 +174,8 @@ struct WorkerSlot {
 #[derive(Default)]
 struct TileSlot {
     rect: TileRect,
-    /// The tile's segmentation, in tile-local labels.
+    /// The tile's segmentation, in tile-local labels; its label buffer is
+    /// the tile pipeline's square map while the tile runs.
     seg: Segmentation,
     /// Statistics of each local region, indexed by local label.
     stats: Vec<RegionStats<u8>>,
@@ -199,9 +201,10 @@ fn run_tile(
 /// the tiles with a seam RAG + boundary merge + global relabel.
 ///
 /// All scratch — per-worker pipelines, per-tile result slots, the stitch
-/// graph and compaction tables — follows the pipeline's high-water rule:
-/// buffers grow to the largest image seen and are refilled in place, so a
-/// same-shape image stream runs allocation-free in steady state.
+/// graph and its first-appearance table — follows the pipeline's
+/// high-water rule: buffers grow to the largest image seen and are
+/// refilled in place, so a same-shape image stream runs allocation-free in
+/// steady state.
 pub struct TiledRunner {
     config: Config,
     grid: TileGrid,
@@ -209,15 +212,14 @@ pub struct TiledRunner {
     workers: Vec<WorkerSlot>,
     tiles: Vec<TileSlot>,
     // Stitch scratch (all high-water recycled).
-    vertex_of: Vec<u32>,
     stats: Vec<RegionStats<u8>>,
     seam_edges: Vec<(u32, u32)>,
     ids: Vec<u64>,
     merger: Merger<u8>,
     by_vertex: Vec<u32>,
-    map_val: Vec<u32>,
-    map_stamp: Vec<u32>,
-    epoch: u32,
+    /// Representative vertex → compact label; `u32::MAX` until the
+    /// region's first pixel in raster order is reached.
+    first: Vec<u32>,
 }
 
 impl TiledRunner {
@@ -235,15 +237,12 @@ impl TiledRunner {
             jobs,
             workers: Vec::new(),
             tiles: Vec::new(),
-            vertex_of: Vec::new(),
             stats: Vec::new(),
             seam_edges: Vec::new(),
             ids: Vec::new(),
             merger: Merger::hollow(&config),
             by_vertex: Vec::new(),
-            map_val: Vec::new(),
-            map_stamp: Vec::new(),
-            epoch: 0,
+            first: Vec::new(),
         }
     }
 
@@ -306,11 +305,7 @@ impl TiledRunner {
     /// Refits the per-tile slots to this image's clamped grid (slot
     /// buffers keep their high-water capacity).
     fn prepare_tiles(&mut self, grid: TileGrid, w: usize, h: usize) {
-        let count = grid.count();
-        self.tiles.truncate(count);
-        while self.tiles.len() < count {
-            self.tiles.push(TileSlot::default());
-        }
+        self.tiles.resize_with(grid.count(), TileSlot::default);
         for r in 0..grid.rows() {
             for c in 0..grid.cols() {
                 self.tiles[r * grid.cols() + c].rect = grid.tile(r, c, w, h);
@@ -318,9 +313,9 @@ impl TiledRunner {
         }
     }
 
-    /// The boundary pass: global vertex space, seam RAG, boundary merge,
-    /// fused global relabel. Runs single-threaded (seam work is a lower-
-    /// order term next to the per-tile phase).
+    /// The boundary pass over `out.labels`: global vertex space, seam RAG,
+    /// boundary merge, in-place global relabel. Runs single-threaded (seam
+    /// work is a lower-order term next to the per-tile phase).
     fn stitch(
         &mut self,
         grid: TileGrid,
@@ -329,11 +324,12 @@ impl TiledRunner {
         jobs: usize,
         out: &mut Segmentation,
     ) -> TiledStats {
-        // Offset each tile's local labels into one global vertex space and
-        // append its region statistics to the stitch RAG's vertex table.
+        // Offset each tile's local labels into one global vertex space,
+        // written straight into `out.labels`, and append its region
+        // statistics to the stitch RAG's vertex table. The tiles cover
+        // every pixel, so the resize needs no clear.
         self.stats.clear();
-        self.vertex_of.clear();
-        self.vertex_of.resize(w * h, 0);
+        out.labels.resize(w * h, 0);
         let mut offset = 0u32;
         for slot in &self.tiles {
             debug_assert_eq!(slot.stats.len(), slot.seg.num_regions);
@@ -342,7 +338,7 @@ impl TiledRunner {
             for ty in 0..r.height {
                 let row = &slot.seg.labels[ty * r.width..(ty + 1) * r.width];
                 let base = (r.y0 + ty) * w + r.x0;
-                for (dst, &l) in self.vertex_of[base..base + r.width].iter_mut().zip(row) {
+                for (dst, &l) in out.labels[base..base + r.width].iter_mut().zip(row) {
                     *dst = offset + l;
                 }
             }
@@ -355,7 +351,7 @@ impl TiledRunner {
         // adjacency crosses an internal band boundary; duplicates (corner
         // diagonals appear from both seams) fall to the dedup.
         let eight = self.config.connectivity == Connectivity::Eight;
-        let v = &self.vertex_of;
+        let v = &out.labels;
         let edges = &mut self.seam_edges;
         edges.clear();
         let push = |a: u32, b: u32, edges: &mut Vec<(u32, u32)>| {
@@ -406,17 +402,25 @@ impl TiledRunner {
             .map(|&m| u64::from(m))
             .sum();
 
-        // Fused gather + first-appearance compaction over the global
-        // raster order — the same labeling the whole-image engines emit.
+        // Relabel in place, numbering regions by first appearance in the
+        // global raster order — the labeling the whole-image engines emit.
+        // The vertex order is tile-major, so a region's first pixel need
+        // not belong to its lowest vertex and the compaction walks pixels.
         merger.labels_by_vertex_into(&mut self.by_vertex);
-        let num_regions = compact_gather(
-            &self.vertex_of,
-            &self.by_vertex,
-            &mut self.map_val,
-            &mut self.map_stamp,
-            &mut self.epoch,
-            &mut out.labels,
-        );
+        let by_vertex: &[u32] = &self.by_vertex;
+        let first = &mut self.first;
+        first.clear();
+        first.resize(total_vertices, u32::MAX);
+        let mut next = 0u32;
+        for l in &mut out.labels {
+            let r = by_vertex[*l as usize] as usize;
+            if first[r] == u32::MAX {
+                first[r] = next;
+                next += 1;
+            }
+            *l = first[r];
+        }
+        let num_regions = next as usize;
 
         out.width = w;
         out.height = h;
@@ -454,56 +458,6 @@ pub fn segment_tiled(
     let mut out = Segmentation::default();
     runner.run_into(img, &mut NullTelemetry, &mut out);
     out
-}
-
-/// Fused per-pixel label gather + first-appearance compaction, writing
-/// straight into the recycled `labels` buffer.
-///
-/// The stitch's global vertex order is tile-major, not raster order, so
-/// the first pixel of a region need not belong to its lowest-numbered
-/// vertex; unlike the whole-image label stage, compaction therefore walks
-/// the pixels. Raw merge labels are dense vertex indices
-/// (`< by_vertex.len()`), so instead of the `HashMap` of
-/// [`crate::labels::compact_first_appearance`] an epoch-stamped dense
-/// table maps representative → compact label: `map_stamp[v] == epoch`
-/// marks a valid entry, making per-image table invalidation O(1) with no
-/// clearing pass and no allocation. Output is bit-identical to
-/// gather-then-`compact_first_appearance`.
-fn compact_gather(
-    vertex_of: &[u32],
-    by_vertex: &[u32],
-    map_val: &mut Vec<u32>,
-    map_stamp: &mut Vec<u32>,
-    epoch: &mut u32,
-    labels: &mut Vec<u32>,
-) -> usize {
-    let n = by_vertex.len();
-    if map_stamp.len() < n {
-        map_stamp.resize(n, 0);
-        map_val.resize(n, 0);
-    }
-    *epoch = match epoch.checked_add(1) {
-        Some(e) => e,
-        None => {
-            // Epoch wrap after 2^32 images: one full clear, then restart.
-            map_stamp.iter_mut().for_each(|s| *s = 0);
-            1
-        }
-    };
-    let epoch = *epoch;
-    let mut next = 0u32;
-    labels.clear();
-    labels.reserve(vertex_of.len());
-    for &q in vertex_of {
-        let r = by_vertex[q as usize] as usize;
-        if map_stamp[r] != epoch {
-            map_stamp[r] = epoch;
-            map_val[r] = next;
-            next += 1;
-        }
-        labels.push(map_val[r]);
-    }
-    next as usize
 }
 
 #[cfg(test)]

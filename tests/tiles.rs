@@ -10,7 +10,10 @@
 //! property-tested separately.
 
 use proptest::prelude::*;
-use rg_core::{segment, segment_tiled, verify_segmentation, Config, TieBreak, TileGrid};
+use rg_core::{
+    segment, segment_tiled, verify_segmentation, Config, NullTelemetry, Segmentation, TieBreak,
+    TileGrid, TiledRunner,
+};
 use rg_imaging::{synth, Image};
 
 /// Paints axis-aligned rectangles whose intensities are multiples of 40 on
@@ -103,6 +106,47 @@ proptest! {
                 "grid {}x{} on {}x{} t={}: {:?}",
                 rows, cols, w, h, t, violations
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One warm runner and one recycled output over a stream of shapes:
+    /// each result equals a fresh one-shot tiled run. The stitch writes its
+    /// vertex map into the output's label buffer, and each tile's label
+    /// buffer is its pipeline's square map, so a buffer left by an image
+    /// of another shape must not leak into the next.
+    #[test]
+    fn warm_runner_streams_varying_shapes(
+        w in 2usize..48,
+        h in 2usize..48,
+        grow in (1usize..24, 1usize..24),
+        rotate in 0usize..3,
+        count in 2usize..4,
+        seed in 0u64..10_000,
+        t in 5u32..60,
+        rows in 1usize..5,
+        cols in 1usize..5,
+    ) {
+        // Three distinct shapes in a rotated order, so the stream both
+        // grows and shrinks the buffers.
+        let mut shapes = [(w, h), (w + grow.0, h), (w, h + grow.1)];
+        shapes.rotate_left(rotate);
+        let cfg = Config::with_threshold(t);
+        let grid = TileGrid::new(rows, cols);
+        for jobs in [1, 2] {
+            let mut runner = TiledRunner::new(cfg, false, grid, jobs);
+            let mut out = Segmentation::default();
+            for (i, &(w, h)) in shapes[..count].iter().enumerate() {
+                let img = synth::random_rects(w, h, 8, seed + i as u64);
+                runner.run_into(&img, &mut NullTelemetry, &mut out);
+                prop_assert_eq!(
+                    &out, &segment_tiled(&img, &cfg, grid, jobs),
+                    "grid {}x{} jobs {} on {}x{}", rows, cols, jobs, w, h
+                );
+            }
         }
     }
 }
