@@ -37,8 +37,11 @@
 //! folds iteration 0's choices; after each iteration it runs on every live
 //! owner under random ties (whose keys change every iteration) and, under
 //! deterministic ties, only on the merged pairs and their neighbours (no
-//! other ranking can change). No per-iteration edge-list rebuild, no
-//! global sort and no steady-state allocation.
+//! other ranking can change). That dirty set is built by the pass itself:
+//! it starts as the iteration's winners, and each winner queues the
+//! neighbours it meets while it reads its pair's slots, so every slot is
+//! read once. No per-iteration edge-list rebuild, no global sort and no
+//! steady-state allocation.
 //!
 //! Like the CM-2's segmented minimum under a context mask, the kernel's
 //! slot loop does not branch on the data. Each slot is weighed, stamped
@@ -46,12 +49,16 @@
 //! `fresh` (not a self-loop, not a duplicate, keeps the criterion); on
 //! noise each of those tests is a coin flip a branch would mispredict.
 //! The argmin fold is picked once per call per tie family. Deterministic
-//! ties fold the packed key `(weight << 32) | candidate` (the candidate
-//! flipped for [`TieBreak::LargestId`]) with a select on every slot. That
-//! key is exact: canonical IDs strictly increase with the dense index, so
-//! the full `(weight, id, 0, candidate)` key orders like `(weight,
-//! candidate)`, and the `u128` holds any `u64` weight. Random ties hash
-//! only the fresh slots and fold the full [`CandKey`].
+//! ties fold a packed key, the weight above the candidate's 32 bits (the
+//! candidate flipped for [`TieBreak::LargestId`]), with a select on every
+//! slot: `(range << 32) | candidate` in a `u64` under the pixel range,
+//! `(weight << 32) | candidate` in a `u128` under the mean difference,
+//! whose 16.16 weights reach 2⁴⁸. That key is exact: canonical IDs
+//! strictly increase with the dense index, so the full `(weight, id, 0,
+//! candidate)` key orders like `(weight, candidate)`. Random ties hash
+//! only the fresh slots and fold the full [`CandKey`]. The per-vertex
+//! records the slot loop gathers are narrow: an 8-byte [`HotVertex`] of
+//! extrema (canonical IDs live apart) and a `u32` stamp token.
 //!
 //! The differential oracle is [`crate::merge_ref::merge_reference`]: the
 //! same algorithm over one edge list that is rebuilt, re-sorted and
@@ -123,6 +130,49 @@ use rg_imaging::Intensity;
 fn blend(c: bool, a: u128, b: u128) -> u128 {
     let m = black_box(0u128.wrapping_sub(u128::from(c)));
     (a & m) | (b & !m)
+}
+
+/// [`blend`] at half the width.
+#[inline(always)]
+fn blend64(c: bool, a: u64, b: u64) -> u64 {
+    let m = black_box(0u64.wrapping_sub(u64::from(c)));
+    (a & m) | (b & !m)
+}
+
+/// A deterministic-tie ranking key, the weight above the 32 candidate
+/// bits, folded by a masked select: `u64` under the pixel-range criterion,
+/// `u128` under the mean difference (see [`Csr::rescan`]).
+trait PackedKey: Copy + Ord {
+    /// The fold's start value, above every key but `MAX` itself.
+    const MAX: Self;
+    /// `if c { a } else { b }`, branch-free.
+    fn blend(c: bool, a: Self, b: Self) -> Self;
+    /// The candidate bits.
+    fn low(self) -> u32;
+}
+
+impl PackedKey for u64 {
+    const MAX: Self = u64::MAX;
+    #[inline(always)]
+    fn blend(c: bool, a: Self, b: Self) -> Self {
+        blend64(c, a, b)
+    }
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
+}
+
+impl PackedKey for u128 {
+    const MAX: Self = u128::MAX;
+    #[inline(always)]
+    fn blend(c: bool, a: Self, b: Self) -> Self {
+        blend(c, a, b)
+    }
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
 }
 
 /// Deterministic tie-break priority: a splitmix64-style hash of
@@ -211,12 +261,15 @@ pub struct MergeSummary {
 }
 
 /// Region statistics in structure-of-arrays layout, one entry per vertex
-/// and current at representatives: the pixel-range extrema with the
-/// canonical ID in `hot`, the mean-difference sums in `sum`/`cnt`, so each
+/// and current at representatives: the pixel-range extrema in `hot`, the
+/// canonical IDs in `id`, the mean-difference sums in `sum`/`cnt`, so each
 /// criterion's kernels touch only the fields they need.
 #[derive(Debug, Default)]
 struct SoaStats {
     hot: Vec<HotVertex>,
+    /// Canonical region IDs (see [`crate::split::Square::id`]); only the
+    /// random-tie fold reads them.
+    id: Vec<u64>,
     sum: Vec<u64>,
     cnt: Vec<u64>,
 }
@@ -226,12 +279,12 @@ impl SoaStats {
     /// canonical IDs, reusing capacity.
     fn refill<P: Intensity>(&mut self, stats: &[RegionStats<P>], ids: impl Iterator<Item = u64>) {
         self.hot.clear();
-        self.hot
-            .extend(stats.iter().zip(ids).map(|(s, id)| HotVertex {
-                min: s.min.to_u32(),
-                max: s.max.to_u32(),
-                id,
-            }));
+        self.hot.extend(stats.iter().map(|s| HotVertex {
+            min: s.min.to_u32(),
+            max: s.max.to_u32(),
+        }));
+        self.id.clear();
+        self.id.extend(ids);
         self.sum.clear();
         self.sum.extend(stats.iter().map(|s| s.sum));
         self.cnt.clear();
@@ -242,10 +295,7 @@ impl SoaStats {
     #[inline]
     fn weight(&self, crit: Criterion, a: usize, b: usize) -> u64 {
         match crit {
-            Criterion::PixelRange => {
-                let (x, y) = (self.hot[a], self.hot[b]);
-                range_weight_fp16(x.min.min(y.min), x.max.max(y.max))
-            }
+            Criterion::PixelRange => self.hot[a].union_weight(self.hot[b]),
             Criterion::MeanDifference => {
                 mean_weight_fp16(self.sum[a], self.cnt[a], self.sum[b], self.cnt[b])
             }
@@ -278,17 +328,24 @@ impl SoaStats {
     }
 }
 
-/// Hot per-vertex record: the pixel-range extrema and the canonical
-/// tie-break ID packed into one 16-byte slot, so ranking a candidate costs
-/// a single gather instead of three.
+/// Hot per-vertex record: the pixel-range extrema in one 8-byte slot, so
+/// ranking a candidate under the range criterion costs a single narrow
+/// gather. The canonical IDs live apart ([`SoaStats::id`]): deterministic
+/// ties never read them.
 #[derive(Debug, Clone, Copy)]
 struct HotVertex {
     /// Current region minimum, widened to `u32`.
     min: u32,
     /// Current region maximum, widened to `u32`.
     max: u32,
-    /// Canonical region ID (see [`crate::split::Square::id`]).
-    id: u64,
+}
+
+impl HotVertex {
+    /// 16.16 range weight of the union of `self` and `other`.
+    #[inline(always)]
+    fn union_weight(self, other: Self) -> u64 {
+        range_weight_fp16(self.min.min(other.min), self.max.max(other.max))
+    }
 }
 
 /// Arena capacity in multiples of the initial slot count. Live slots never
@@ -333,11 +390,12 @@ struct Csr {
     /// Per-neighbour stamp for per-owner duplicate detection; a fresh
     /// token per (owner, pass) makes the check exact with no clearing.
     /// Tokens persist across resets; only a growing graph zero-fills the
-    /// new tail.
-    stamp: Vec<u64>,
-    /// The last stamp token handed out (monotonically increasing; tokens
-    /// start above it, so none is 0, the zero-filled tail's value).
-    next_token: u64,
+    /// new tail, and only an exhausted counter clears the whole array.
+    stamp: Vec<u32>,
+    /// The last stamp token handed out (increasing until it would pass
+    /// `u32::MAX`; tokens start above it, so none is 0, the cleared
+    /// value).
+    next_token: u32,
 }
 
 impl Csr {
@@ -416,8 +474,12 @@ impl Csr {
         owners.truncate(kept);
     }
 
-    /// Queues the deterministic-tie dirty set for the next rescan: this
+    /// Starts the deterministic-tie dirty set for the next rescan: this
     /// iteration's losers, their winners, and every neighbour of either.
+    /// Only the winners are queued here. A loser needs no visit of its
+    /// own, because its winner reads its segment, and the winners' rescan
+    /// queues the neighbours while it reads the pair's slots (see
+    /// [`Csr::rescan`]), so no slot is read twice.
     ///
     /// Deterministic tie keys do not depend on the iteration, a region's
     /// statistics change only when it merges, and a slot's endpoints
@@ -441,32 +503,26 @@ impl Csr {
             self.dirty_epoch.resize(n, 0);
         }
         self.epoch += 1;
-        let epoch = self.epoch;
         self.owners.clear();
+        // The merges are a matching, so no winner repeats.
         for &v in losers {
-            self.mark(v, epoch);
-            self.mark(redirect[v as usize], epoch);
-        }
-        for i in 0..self.owners.len() {
-            let d = self.owners[i] as usize;
-            let s = self.start[d] as usize;
-            for j in s..s + self.len[d] as usize {
-                self.mark(redirect[self.col[j] as usize], epoch);
-            }
+            let w = redirect[v as usize];
+            self.dirty_epoch[w as usize] = self.epoch;
+            self.owners.push(w);
         }
     }
 
-    /// Queues `x` unless this epoch already did. The push is
-    /// unconditional and the truncate keeps it only for a stale mark, so
-    /// the test costs no branch: where the merged pairs' neighbourhoods
+    /// Queues `x` on `owners` unless `epoch` already marked it. The push
+    /// is unconditional and the truncate keeps it only for a stale mark,
+    /// so the test costs no branch: where the merged pairs' neighbourhoods
     /// overlap, as on noise, whether a mark repeats is hard to predict.
-    #[inline]
-    fn mark(&mut self, x: u32, epoch: u32) {
-        let fresh = self.dirty_epoch[x as usize] != epoch;
-        self.dirty_epoch[x as usize] = epoch;
-        let len = self.owners.len();
-        self.owners.push(x);
-        self.owners.truncate(len + usize::from(fresh));
+    #[inline(always)]
+    fn mark(dirty_epoch: &mut [u32], owners: &mut Vec<u32>, x: u32, epoch: u32) {
+        let fresh = dirty_epoch[x as usize] != epoch;
+        dirty_epoch[x as usize] = epoch;
+        let len = owners.len();
+        owners.push(x);
+        owners.truncate(len + usize::from(fresh));
     }
 
     /// The end-of-step kernel. For every queued owner it
@@ -479,17 +535,28 @@ impl Csr {
     /// 3. redirects every slot through the one-level `redirect` (exact,
     ///    because an iteration's mutual pairs form a matching), and drops
     ///    self-loops, duplicate neighbours and neighbours whose union
-    ///    would violate the criterion;
+    ///    would violate the criterion; under `MARK` a winner also queues
+    ///    every redirected neighbour, kept or not, that the dirty set
+    ///    lacks;
     /// 4. squeezes the survivors in place or, if it won, in the arena
     ///    tail, where it first copies both segments;
     /// 5. folds the survivors' argmin under `policy` at `iteration` (the
     ///    next step's) into `choice`, so the next choice pass is a table
     ///    read.
     ///
+    /// `MARK` is the deterministic-tie end of step, picked by
+    /// [`Merger::end_of_step`]: `owners` starts as this iteration's
+    /// winners ([`Csr::mark_dirty`]) and grows while it is walked, so the
+    /// walk goes by index and the kept owners are written behind the
+    /// cursor. Every winner precedes every neighbour it queues. Marking is
+    /// a constant, not a flag, so the random-tie slot loop compiles
+    /// without it.
+    ///
     /// If the winners' appends might not fit in the arena's capacity,
-    /// every live owner is queued instead and rewritten into the spare
-    /// arena, which then becomes the arena. Afterwards `owners` holds the
-    /// visited owners that kept a slot.
+    /// every live owner is queued instead, nothing is marked, and every
+    /// owner is rewritten into the spare arena, which then becomes the
+    /// arena. Afterwards `owners` holds the visited owners that kept a
+    /// slot.
     ///
     /// Dropping a duplicate slot is free of semantic effect: the argmin is
     /// invariant under duplicates, the criterion filter would kill every
@@ -504,12 +571,19 @@ impl Csr {
     /// too. The criterion and the tie family are picked here, once per
     /// call, as closures for [`Csr::rescan_impl`]:
     ///
-    /// - **Deterministic ties** fold the packed key `(weight << 32) | c`
-    ///   (`u32::MAX - c` for [`TieBreak::LargestId`]) with a select over
-    ///   every slot. Canonical IDs strictly increase with the dense index
-    ///   (see [`Merger::new`]), so [`choice_key`]'s `(w, id, 0, c)` orders
-    ///   exactly like `(w, c)`; the `u128` holds any `u64` weight, so the
-    ///   key is exact and [`tie_key`] is never called.
+    /// - **Deterministic ties** fold a packed key, the weight above the
+    ///   candidate `c` (`u32::MAX - c` for [`TieBreak::LargestId`]), with
+    ///   a select over every slot. Canonical IDs strictly increase with
+    ///   the dense index (see [`Merger::new`]), so [`choice_key`]'s `(w,
+    ///   id, 0, c)` orders exactly like `(w, c)`, and [`tie_key`] is never
+    ///   called. Under the pixel range the key is `(range << 32) | c` in a
+    ///   `u64`, exact because a range fits in 32 bits. The mean difference's
+    ///   16.16 weight carries fraction bits up to 2⁴⁸, so its key is
+    ///   `(weight << 32) | c` in a `u128`. Whether a candidate survived is
+    ///   read from the survivor count, not the key: under
+    ///   [`TieBreak::LargestId`], range `u32::MAX` to candidate 0 packs to
+    ///   exactly `u64::MAX`, the fold's start value, whose low bits then
+    ///   decode to that same candidate.
     /// - **Random ties** hash only the fresh slots (a branch on `fresh`)
     ///   and fold the full [`CandKey`].
     ///
@@ -522,7 +596,7 @@ impl Csr {
     ///
     /// Returns `(slots read, compacted)`.
     #[allow(clippy::too_many_arguments)]
-    fn rescan<const UPKEEP: bool>(
+    fn rescan<const UPKEEP: bool, const MARK: bool>(
         &mut self,
         stats: &SoaStats,
         crit: Criterion,
@@ -533,46 +607,57 @@ impl Csr {
         iteration: u32,
         choice: &mut [u32],
     ) -> (u64, bool) {
-        let hot = &stats.hot[..];
+        let ids = &stats.id[..];
+        // The closures capture slices, not `stats`: `blend`'s clobber
+        // would make the slot loop reload a `Vec` header on every slot.
         match crit {
             Criterion::PixelRange => {
                 // `range_weight_fp16` is exactly the union range in 16.16,
                 // so the criterion test is a comparison of the weight the
                 // ranking needs anyway against `threshold << 16` — one
                 // extrema gather serves both filter and argmin.
+                let hot = &stats.hot[..];
                 let cut = u64::from(t) << 16;
-                self.rescan_tie::<UPKEEP, _, _>(
-                    hot,
+                self.rescan_tie::<UPKEEP, MARK, _, _, _, _>(
+                    ids,
                     redirect,
                     losers,
                     policy,
                     iteration,
                     choice,
-                    |o, c| stats.weight(Criterion::PixelRange, o, c),
+                    |o, c| hot[o].union_weight(hot[c]),
                     |_, _, wk| wk <= cut,
+                    // The weight is `range << 16`: this is `(range << 32) | c`.
+                    |wk, c| wk << 16 | u64::from(c),
                 )
             }
-            Criterion::MeanDifference => self.rescan_tie::<UPKEEP, _, _>(
-                hot,
-                redirect,
-                losers,
-                policy,
-                iteration,
-                choice,
-                |o, c| stats.weight(Criterion::MeanDifference, o, c),
-                // Floor division makes the 16.16 mean distance an inexact
-                // proxy for the criterion; keep the exact integer predicate.
-                |o, c, _| stats.satisfies(Criterion::MeanDifference, t, o, c),
-            ),
+            Criterion::MeanDifference => {
+                let (sum, cnt) = (&stats.sum[..], &stats.cnt[..]);
+                self.rescan_tie::<UPKEEP, MARK, _, _, _, _>(
+                    ids,
+                    redirect,
+                    losers,
+                    policy,
+                    iteration,
+                    choice,
+                    |o, c| mean_weight_fp16(sum[o], cnt[o], sum[c], cnt[c]),
+                    // Floor division makes the 16.16 mean distance an
+                    // inexact proxy for the criterion; keep the exact
+                    // integer predicate.
+                    |o, c, _| mean_satisfies(sum[o], cnt[o], sum[c], cnt[c], t),
+                    |wk, c| u128::from(wk) << 32 | u128::from(c),
+                )
+            }
         }
     }
 
     /// The tie-family half of [`Csr::rescan`]'s dispatch: hands
-    /// [`Csr::rescan_impl`] the argmin fold for `policy`.
+    /// [`Csr::rescan_impl`] the argmin fold for `policy`, which for
+    /// deterministic ties folds the keys `pack(weight, c)` builds.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_tie<const UPKEEP: bool, W, K>(
+    fn rescan_tie<const UPKEEP: bool, const MARK: bool, W, K, Key, Pk>(
         &mut self,
-        hot: &[HotVertex],
+        ids: &[u64],
         redirect: &[u32],
         losers: &[u32],
         policy: TieBreak,
@@ -580,14 +665,18 @@ impl Csr {
         choice: &mut [u32],
         weight: W,
         keeps: K,
+        pack: Pk,
     ) -> (u64, bool)
     where
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
+        Key: PackedKey,
+        Pk: Fn(u64, u32) -> Key,
     {
         match policy {
-            TieBreak::Random { seed } => self.rescan_impl::<UPKEEP, _, _, _, _, _>(
-                hot,
+            // Random ties rescan every live owner, so they never mark.
+            TieBreak::Random { seed } => self.rescan_impl::<UPKEEP, false, _, _, _, _, _>(
+                ids,
                 redirect,
                 losers,
                 choice,
@@ -600,10 +689,10 @@ impl Csr {
                     }
                     // A literal policy, so `tie_key`'s match folds away.
                     let random = TieBreak::Random { seed };
-                    let (k0, k1) = tie_key(random, iteration, chooser, hot[c].id);
+                    let (k0, k1) = tie_key(random, iteration, chooser, ids[c]);
                     b.min((wk, k0, k1, c as u32))
                 },
-                |b| b.3,
+                |b, _| b.3,
             ),
             TieBreak::SmallestId | TieBreak::LargestId => {
                 let flip = if policy == TieBreak::LargestId {
@@ -611,25 +700,23 @@ impl Csr {
                 } else {
                     0
                 };
-                self.rescan_impl::<UPKEEP, _, _, _, _, _>(
-                    hot,
+                self.rescan_impl::<UPKEEP, MARK, _, _, _, _, _>(
+                    ids,
                     redirect,
                     losers,
                     choice,
                     weight,
                     keeps,
-                    u128::MAX,
+                    Key::MAX,
                     |b, fresh, _, wk, c| {
-                        let key = u128::from(wk) << 32 | u128::from(c as u32 ^ flip);
-                        blend(fresh & (key < b), key, b)
+                        let key = pack(wk, c as u32 ^ flip);
+                        Key::blend(fresh & (key < b), key, b)
                     },
-                    // Keys are at most 96 bits wide, so `u128::MAX` is no
-                    // candidate's key: it means none survived.
-                    |b| {
-                        if b == u128::MAX {
+                    |b, survivors| {
+                        if survivors == 0 {
                             u32::MAX
                         } else {
-                            b as u32 ^ flip
+                            b.low() ^ flip
                         }
                     },
                 )
@@ -641,13 +728,13 @@ impl Csr {
     /// `weight(o, c)` ranks a candidate, `keeps(o, c, weight)` is the
     /// de-activation predicate, and `fold(best, fresh, chooser_id, weight,
     /// c)` folds one slot into the owner's argmin, which starts at `none`
-    /// and `pick` turns into the choice (`u32::MAX` for none). All are
-    /// loop-invariant closures, and `UPKEEP` is a constant, so the inner
-    /// loop specialises with no per-slot dispatch.
+    /// and `pick(best, survivors)` turns into the choice (`u32::MAX` for
+    /// none). All are loop-invariant closures, and `UPKEEP` and `MARK` are
+    /// constants, so the inner loop specialises with no per-slot dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_impl<const UPKEEP: bool, W, K, A, F, P>(
+    fn rescan_impl<const UPKEEP: bool, const MARK: bool, W, K, A, F, P>(
         &mut self,
-        hot: &[HotVertex],
+        ids: &[u64],
         redirect: &[u32],
         losers: &[u32],
         choice: &mut [u32],
@@ -662,7 +749,7 @@ impl Csr {
         K: Fn(usize, usize, u64) -> bool,
         A: Copy,
         F: Fn(A, bool, u64, u64, usize) -> A,
-        P: Fn(A) -> u32,
+        P: Fn(A, usize) -> u32,
     {
         let n = self.len.len();
         // Each winner appends at most its pair's slots.
@@ -677,10 +764,16 @@ impl Csr {
             self.queue_all();
         }
         // Token `base + o` is unique to (pass, owner `o`) and above every
-        // earlier token, so `stamp[c] == token` dedups the owner's
-        // neighbours across both segments it reads.
+        // token since the stamps were last cleared, so `stamp[c] == token`
+        // dedups the owner's neighbours across both segments it reads.
+        // When the tokens would pass `u32::MAX`, clear and start over.
+        if u32::MAX - self.next_token < n as u32 {
+            self.stamp.fill(0);
+            self.next_token = 0;
+        }
         let base = self.next_token + 1;
-        self.next_token += n as u64;
+        self.next_token += n as u32;
+        let epoch = self.epoch;
         let Self {
             start,
             len,
@@ -688,20 +781,25 @@ impl Csr {
             spare,
             live,
             owners,
+            dirty_epoch,
             stamp,
             ..
         } = self;
-        let stamp = stamp.as_mut_slice();
+        let (stamp, dirty_epoch) = (stamp.as_mut_slice(), dirty_epoch.as_mut_slice());
         let mut ops = 0u64;
         let mut kept_owners = 0;
-        for i in 0..owners.len() {
+        // Under `MARK` the list grows while it is walked.
+        let mut i = 0;
+        while i < owners.len() {
             let o = owners[i] as usize;
+            i += 1;
             let mate = choice[o];
             choice[o] = u32::MAX;
             if redirect[o] as usize != o {
                 continue;
             }
             let won = mate != u32::MAX && redirect[mate as usize] as usize == o;
+            let marks = MARK && won && !compact;
             let own = (start[o] as usize, len[o] as usize);
             let absorbed = if won {
                 let m = mate as usize;
@@ -726,8 +824,8 @@ impl Csr {
                     }
                 }
             }
-            let token = base + o as u64;
-            let chooser = hot[o].id;
+            let token = base + o as u32;
+            let chooser = ids[o];
             let seg = &mut col[dst..dst + read];
             let mut best = none;
             // The write cursor never passes the read cursor.
@@ -738,6 +836,9 @@ impl Csr {
                 } else {
                     seg[j] as usize
                 };
+                if marks {
+                    Self::mark(dirty_epoch, owners, c as u32, epoch);
+                }
                 let wk = weight(o, c);
                 let fresh = !UPKEEP || (c != o) & (stamp[c] != token) & keeps(o, c, wk);
                 if UPKEEP {
@@ -754,8 +855,9 @@ impl Csr {
             *live -= read - w;
             start[o] = dst as u32;
             len[o] = w as u32;
-            choice[o] = pick(best);
+            choice[o] = pick(best, w);
             if w > 0 {
+                // Behind the cursor: `kept_owners < i`.
                 owners[kept_owners] = o as u32;
                 kept_owners += 1;
             }
@@ -948,7 +1050,7 @@ impl<P: Intensity> Merger<P> {
         let policy = self.policy().0;
         self.csr.place();
         self.peak_active_edges = self.csr.live as u64 / 2;
-        self.csr.rescan::<false>(
+        self.csr.rescan::<false, false>(
             &self.stats,
             self.criterion,
             self.threshold,
@@ -1142,10 +1244,10 @@ impl<P: Intensity> Merger<P> {
     /// else is `u32::MAX`), so the scan visits exactly those vertices — no
     /// O(vertices) sweep. The merges are a matching, so application order
     /// is irrelevant to the outcome. The owner list is not in index order
-    /// ([`Csr::mark_dirty`] queues losers, winners and neighbours as it
-    /// meets them), so a traced run sorts the iteration's events by
-    /// winner afterwards: a [`MergeTrace`] lists each iteration's merges
-    /// in ascending-winner order.
+    /// (under deterministic ties it holds the winners, then the neighbours
+    /// in the order their rescan met them), so a traced run sorts the
+    /// iteration's events by winner afterwards: a [`MergeTrace`] lists
+    /// each iteration's merges in ascending-winner order.
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
         let traced = self.trace.as_ref().map_or(0, |t| t.events.len());
         let owners = std::mem::take(&mut self.csr.owners);
@@ -1203,16 +1305,21 @@ impl<P: Intensity> Merger<P> {
     /// re-randomise every key each iteration, so every live owner is
     /// rescanned; the reference merge pays the same sweep inside its
     /// choice pass, so a stall iteration's rescan counts no relabel work.
-    /// Deterministic ties rescan only the dirty set ([`Csr::mark_dirty`]).
+    /// Deterministic ties rescan only the dirty set: the winners
+    /// ([`Csr::mark_dirty`]) and the neighbours their rescan queues.
     ///
     /// Returns `true` if the arena compacted.
     fn end_of_step(&mut self, merges: u32) -> bool {
         let policy = self.policy().0;
         let csr = &mut self.csr;
-        if !matches!(self.tie, TieBreak::Random { .. }) {
+        let rescan = if matches!(self.tie, TieBreak::Random { .. }) {
+            Csr::rescan::<true, false>
+        } else {
             csr.mark_dirty(&self.pending_losers, &self.redirect);
-        }
-        let (ops, compacted) = csr.rescan::<true>(
+            Csr::rescan::<true, true>
+        };
+        let (ops, compacted) = rescan(
+            csr,
             &self.stats,
             self.criterion,
             self.threshold,
@@ -1428,7 +1535,7 @@ mod tests {
                         }
                     });
                     full.csr.place();
-                    full.csr.rescan::<true>(
+                    full.csr.rescan::<true, false>(
                         &full.stats,
                         crit,
                         t,
@@ -1444,6 +1551,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stamp_and_epoch_wraps_keep_the_oracle_history() {
+        // A warm merger's counters are set to run out within the next
+        // run's first end-of-step passes, and its stamps and dirty marks
+        // to the stale value 1, which the restarted counters reach first.
+        // Without the wrap clears the counters overflow, or they restart
+        // onto the stale values: owner 1's neighbours all look like
+        // duplicates, and every vertex looks queued at epoch 1.
+        let img = synth::uniform_noise(40, 40, 120, 135, 5);
+        for tie in [
+            TieBreak::SmallestId,
+            TieBreak::LargestId,
+            TieBreak::Random { seed: 7 },
+        ] {
+            let cfg = Config::with_threshold(10).tie_break(tie);
+            let s = split(&img, &cfg);
+            let rag = Rag::from_split(&s, Connectivity::Four);
+            let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(40))).collect();
+            let oracle = merge_reference(&rag, &ids, &cfg);
+            let mut m = Merger::new(rag.clone(), ids.clone(), &cfg);
+            m.run();
+            let n = ids.len() as u32;
+            // The reset's pass takes the last `n` tokens; the first
+            // end-of-step pass must clear. The first `mark_dirty` takes
+            // epoch `u32::MAX`; the second must clear.
+            m.csr.next_token = u32::MAX - n;
+            m.csr.epoch = u32::MAX - 1;
+            m.csr.stamp.fill(1);
+            m.csr.dirty_epoch.fill(1);
+            m.reset_from(&rag.stats, &rag.edges, &ids, &cfg);
+            m.enable_trace();
+            // Step by step: a lost dirty owner can stall the run forever.
+            for (i, want) in oracle.steps.iter().enumerate() {
+                let got = StepReport {
+                    compacted: false,
+                    ..m.step()
+                };
+                assert_eq!(got, *want, "{tie:?}: step {i}");
+            }
+            assert!(m.is_done(), "{tie:?}: runs past the oracle");
+            assert_eq!(m.labels_by_vertex(), oracle.labels_by_vertex, "{tie:?}");
+            assert_eq!(m.take_trace().as_ref(), Some(&oracle.trace), "{tie:?}");
+            assert!(oracle.steps.len() >= 3, "{tie:?}: too few steps to wrap");
+            assert!(
+                m.csr.next_token < u32::MAX - n,
+                "{tie:?}: tokens never wrapped"
+            );
+            if tie != (TieBreak::Random { seed: 7 }) {
+                assert!(m.csr.epoch < u32::MAX - 1, "{tie:?}: epochs never wrapped");
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_records_stay_narrow() {
+        // The slot loop gathers one `HotVertex` and one stamp per slot.
+        fn element_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert_eq!(std::mem::size_of::<HotVertex>(), 8);
+        assert_eq!(element_size(&Csr::default().stamp), 4);
     }
 
     #[test]

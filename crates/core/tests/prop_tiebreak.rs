@@ -20,7 +20,9 @@
 //!    reference edge-list merge ([`rg_core::merge_reference`]): on random
 //!    rectangles, on narrow-band noise, on fully-tied rings, and on `u16`
 //!    and `u32` rasters whose 16.16 weights pass 2³², so a ranking key
-//!    that truncated the weight would fail.
+//!    that truncated the weight would fail, and on `u32` rasters whose
+//!    ranges reach `u32::MAX`, where a packed key can equal the value its
+//!    fold starts from.
 
 use proptest::prelude::*;
 use rg_core::graph::Rag;
@@ -351,6 +353,31 @@ proptest! {
         let (rag, ids) = adversarial_ring(n, &chords);
         let config = Config::with_threshold(10).tie_break(TieBreak::Random { seed });
         assert_steps_match(rag, ids, &Config { max_stall, ..config })?;
+    }
+}
+
+/// The oracle differential at the top of the range: 0 beside `u32::MAX`
+/// at threshold `u32::MAX`. Under largest-ID ties the pixel-range key of
+/// range `u32::MAX` to candidate 0 is `u64::MAX`, the value the
+/// deterministic fold starts from, so only the survivor count can tell
+/// that candidate from none. In the 2×2 scene the last merge is exactly
+/// that choice; in the 2×1 and 1×2 scenes, the first.
+#[test]
+fn merger_steps_match_reference_merge_at_the_extreme_range() {
+    const M: u32 = u32::MAX;
+    let scenes = [
+        Image::from_fn(2, 1, |x, _| if x == 0 { 0 } else { M }),
+        Image::from_fn(1, 2, |_, y| if y == 0 { 0 } else { M }),
+        Image::from_fn(2, 2, |x, y| if x + y == 0 { 0 } else { M }),
+        synth::random_rects(12, 10, 6, 3).map(|v| if v % 2 == 0 { 0 } else { M }),
+    ];
+    for img in &scenes {
+        for tie in [TieBreak::LargestId, TieBreak::SmallestId] {
+            let cfg = Config::with_threshold(M)
+                .tie_break(tie)
+                .max_square_log2(Some(0));
+            assert_split_steps_match(img, &cfg).unwrap();
+        }
     }
 }
 
