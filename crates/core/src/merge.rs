@@ -48,17 +48,20 @@
 //! and written at the write cursor, which advances by the predicate
 //! `fresh` (not a self-loop, not a duplicate, keeps the criterion); on
 //! noise each of those tests is a coin flip a branch would mispredict.
-//! The argmin fold is picked once per call per tie family. Deterministic
-//! ties fold a packed key, the weight above the candidate's 32 bits (the
-//! candidate flipped for [`TieBreak::LargestId`]), with a select on every
-//! slot: `(range << 32) | candidate` in a `u64` under the pixel range,
+//! The argmin fold is one masked select on every slot, of a packed key and
+//! the candidate carried beside it; only the key is picked per tie family,
+//! once per call. Deterministic ties pack the weight above the candidate's
+//! 32 bits (the candidate flipped for [`TieBreak::LargestId`]):
+//! `(range << 32) | candidate` in a `u64` under the pixel range,
 //! `(weight << 32) | candidate` in a `u128` under the mean difference,
 //! whose 16.16 weights reach 2⁴⁸. That key is exact: canonical IDs
 //! strictly increase with the dense index, so the full `(weight, id, 0,
 //! candidate)` key orders like `(weight, candidate)`. Random ties hash
-//! only the fresh slots and fold the full [`CandKey`]. The per-vertex
-//! records the slot loop gathers are narrow: an 8-byte [`HotVertex`] of
-//! extrema (canonical IDs live apart) and a `u32` stamp token.
+//! every slot into `(weight << 64) | tie_priority` in a `u128`, exact
+//! because the priority is a bijection of the candidate's canonical ID for
+//! a fixed chooser (see `random_key`). The per-vertex records the slot
+//! loop gathers are narrow: an 8-byte `HotVertex` of extrema (canonical
+//! IDs live apart) and a `u32` stamp token.
 //!
 //! The differential oracle is [`crate::merge_ref::merge_reference`]: the
 //! same algorithm over one edge list that is rebuilt, re-sorted and
@@ -139,16 +142,14 @@ fn blend64(c: bool, a: u64, b: u64) -> u64 {
     (a & m) | (b & !m)
 }
 
-/// A deterministic-tie ranking key, the weight above the 32 candidate
-/// bits, folded by a masked select: `u64` under the pixel-range criterion,
-/// `u128` under the mean difference (see [`Csr::rescan`]).
+/// A packed ranking key, the weight in its high bits, folded by a masked
+/// select ([`fold_slot`]): `u64` for deterministic ties under the
+/// pixel-range criterion, `u128` otherwise (see [`Csr::rescan`]).
 trait PackedKey: Copy + Ord {
-    /// The fold's start value, above every key but `MAX` itself.
+    /// The fold's start value, at least every key.
     const MAX: Self;
     /// `if c { a } else { b }`, branch-free.
     fn blend(c: bool, a: Self, b: Self) -> Self;
-    /// The candidate bits.
-    fn low(self) -> u32;
 }
 
 impl PackedKey for u64 {
@@ -157,10 +158,6 @@ impl PackedKey for u64 {
     fn blend(c: bool, a: Self, b: Self) -> Self {
         blend64(c, a, b)
     }
-    #[inline(always)]
-    fn low(self) -> u32 {
-        self as u32
-    }
 }
 
 impl PackedKey for u128 {
@@ -168,10 +165,6 @@ impl PackedKey for u128 {
     #[inline(always)]
     fn blend(c: bool, a: Self, b: Self) -> Self {
         blend(c, a, b)
-    }
-    #[inline(always)]
-    fn low(self) -> u32 {
-        self as u32
     }
 }
 
@@ -216,9 +209,6 @@ pub fn tie_key(policy: TieBreak, iteration: u32, chooser_id: u64, candidate_id: 
 /// relies on.
 pub type CandKey = (u64, u64, u64, u32);
 
-/// Identity element of the [`CandKey`] min-fold ("no candidate seen").
-pub(crate) const KEY_SENTINEL: CandKey = (u64::MAX, u64::MAX, u64::MAX, u32::MAX);
-
 /// Builds the full [`CandKey`] for one directed candidate. Shared by the
 /// reference merge and the message-passing engine so every implementation
 /// ranks candidates identically.
@@ -233,6 +223,31 @@ pub fn choice_key(
 ) -> CandKey {
     let (k0, k1) = tie_key(policy, iteration, chooser_id, candidate_id);
     (weight, k0, k1, candidate)
+}
+
+/// The random-tie ranking key of a candidate at 16.16 `weight` whose
+/// [`tie_priority`] is `k0`: the weight above the priority in one `u128`.
+///
+/// For a fixed `(seed, iteration, chooser)`, `k0` is a bijection of the
+/// candidate's canonical ID (its multiplier is odd and the splitmix64
+/// finaliser is bijective), so distinct candidates never share a key and
+/// the key orders them exactly as [`choice_key`]'s `(weight, k0, k1,
+/// candidate)` does. Copies of one candidate share its key.
+#[inline(always)]
+fn random_key(weight: u64, k0: u64) -> u128 {
+    u128::from(weight) << 64 | u128::from(k0)
+}
+
+/// Folds one slot, candidate `c` ranked by `key`, into an argmin `(key,
+/// candidate)` that starts at `(MAX, u32::MAX)`, branch-free: the slot
+/// wins iff it is `fresh` and its key is at most `best`'s. Only copies of
+/// one candidate share a key, so taking ties is exact, and a fresh key of
+/// `MAX` still wins: the candidate is `u32::MAX` iff no slot was fresh.
+#[inline(always)]
+fn fold_slot<Key: PackedKey>(best: (Key, u32), fresh: bool, key: Key, c: u32) -> (Key, u32) {
+    let take = fresh & (key <= best.0);
+    let c = blend64(take, u64::from(c), u64::from(best.1)) as u32;
+    (Key::blend(take, key, best.0), c)
 }
 
 /// What one call to [`Merger::step`] did.
@@ -568,24 +583,28 @@ impl Csr {
     /// yet stamped by this owner, keeps the criterion). Stamping a
     /// rejected neighbour is exact: the criterion test depends only on the
     /// owner and the neighbour, so every later copy of it is rejected
-    /// too. The criterion and the tie family are picked here, once per
-    /// call, as closures for [`Csr::rescan_impl`]:
+    /// too. The argmin fold is the same for every policy: [`fold_slot`]
+    /// selects, without a branch, the slot's key and candidate `c` when
+    /// the slot is `fresh` and its key is at most the running best. The
+    /// criterion and the tie family are picked here, once per call, as
+    /// closures for [`Csr::rescan_impl`]; the tie family only builds the
+    /// key:
     ///
-    /// - **Deterministic ties** fold a packed key, the weight above the
-    ///   candidate `c` (`u32::MAX - c` for [`TieBreak::LargestId`]), with
-    ///   a select over every slot. Canonical IDs strictly increase with
-    ///   the dense index (see [`Merger::new`]), so [`choice_key`]'s `(w,
-    ///   id, 0, c)` orders exactly like `(w, c)`, and [`tie_key`] is never
-    ///   called. Under the pixel range the key is `(range << 32) | c` in a
-    ///   `u64`, exact because a range fits in 32 bits. The mean difference's
-    ///   16.16 weight carries fraction bits up to 2⁴⁸, so its key is
-    ///   `(weight << 32) | c` in a `u128`. Whether a candidate survived is
-    ///   read from the survivor count, not the key: under
-    ///   [`TieBreak::LargestId`], range `u32::MAX` to candidate 0 packs to
-    ///   exactly `u64::MAX`, the fold's start value, whose low bits then
-    ///   decode to that same candidate.
-    /// - **Random ties** hash only the fresh slots (a branch on `fresh`)
-    ///   and fold the full [`CandKey`].
+    /// - **Deterministic ties** pack the weight above the candidate `c`
+    ///   (`u32::MAX - c` for [`TieBreak::LargestId`]). Canonical IDs
+    ///   strictly increase with the dense index (see [`Merger::new`]), so
+    ///   [`choice_key`]'s `(w, id, 0, c)` orders exactly like `(w, c)`,
+    ///   and [`tie_key`] is never called. Under the pixel range the key
+    ///   is `(range << 32) | c` in a `u64`, exact because a range fits in
+    ///   32 bits. The mean difference's 16.16 weight carries fraction bits
+    ///   up to 2⁴⁸, so its key is `(weight << 32) | c` in a `u128`. Under [`TieBreak::LargestId`],
+    ///   range `u32::MAX` to candidate 0 packs to exactly `u64::MAX`, the
+    ///   fold's start value, which the fold still takes.
+    /// - **Random ties** hash every slot, fresh or not, into
+    ///   [`random_key`]'s `(weight << 64) | k0` in a `u128`, with `k0` the
+    ///   [`tie_priority`] of the candidate's canonical ID. One form serves
+    ///   both criteria (every 16.16 weight is below 2⁴⁸), and it orders
+    ///   candidates exactly as [`choice_key`] does.
     ///
     /// `UPKEEP = false` is the reset's mode, picked once per call by
     /// [`Merger::finish_reset`]: the redirect is the identity, no owner
@@ -652,8 +671,8 @@ impl Csr {
     }
 
     /// The tie-family half of [`Csr::rescan`]'s dispatch: hands
-    /// [`Csr::rescan_impl`] the argmin fold for `policy`, which for
-    /// deterministic ties folds the keys `pack(weight, c)` builds.
+    /// [`Csr::rescan_impl`] the ranking key for `policy`, which for
+    /// deterministic ties is `pack(weight, c)`.
     #[allow(clippy::too_many_arguments)]
     fn rescan_tie<const UPKEEP: bool, const MARK: bool, W, K, Key, Pk>(
         &mut self,
@@ -675,24 +694,14 @@ impl Csr {
     {
         match policy {
             // Random ties rescan every live owner, so they never mark.
-            TieBreak::Random { seed } => self.rescan_impl::<UPKEEP, false, _, _, _, _, _>(
+            TieBreak::Random { seed } => self.rescan_impl::<UPKEEP, false, _, _, _, _>(
                 ids,
                 redirect,
                 losers,
                 choice,
                 weight,
                 keeps,
-                KEY_SENTINEL,
-                |b, fresh, chooser, wk, c| {
-                    if !fresh {
-                        return b;
-                    }
-                    // A literal policy, so `tie_key`'s match folds away.
-                    let random = TieBreak::Random { seed };
-                    let (k0, k1) = tie_key(random, iteration, chooser, ids[c]);
-                    b.min((wk, k0, k1, c as u32))
-                },
-                |b, _| b.3,
+                |chooser, wk, c| random_key(wk, tie_priority(seed, iteration, chooser, ids[c])),
             ),
             TieBreak::SmallestId | TieBreak::LargestId => {
                 let flip = if policy == TieBreak::LargestId {
@@ -700,25 +709,14 @@ impl Csr {
                 } else {
                     0
                 };
-                self.rescan_impl::<UPKEEP, MARK, _, _, _, _, _>(
+                self.rescan_impl::<UPKEEP, MARK, _, _, _, _>(
                     ids,
                     redirect,
                     losers,
                     choice,
                     weight,
                     keeps,
-                    Key::MAX,
-                    |b, fresh, _, wk, c| {
-                        let key = pack(wk, c as u32 ^ flip);
-                        Key::blend(fresh & (key < b), key, b)
-                    },
-                    |b, survivors| {
-                        if survivors == 0 {
-                            u32::MAX
-                        } else {
-                            b.low() ^ flip
-                        }
-                    },
+                    |_, wk, c| pack(wk, c as u32 ^ flip),
                 )
             }
         }
@@ -726,13 +724,13 @@ impl Csr {
 
     /// Criterion- and tie-monomorphised body of [`Csr::rescan`]:
     /// `weight(o, c)` ranks a candidate, `keeps(o, c, weight)` is the
-    /// de-activation predicate, and `fold(best, fresh, chooser_id, weight,
-    /// c)` folds one slot into the owner's argmin, which starts at `none`
-    /// and `pick(best, survivors)` turns into the choice (`u32::MAX` for
-    /// none). All are loop-invariant closures, and `UPKEEP` and `MARK` are
-    /// constants, so the inner loop specialises with no per-slot dispatch.
+    /// de-activation predicate, and `key(chooser_id, weight, c)` is the
+    /// packed ranking key [`fold_slot`] folds into the owner's choice
+    /// (`u32::MAX` for none). All are loop-invariant closures, and
+    /// `UPKEEP` and `MARK` are constants, so the inner loop specialises
+    /// with no per-slot dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn rescan_impl<const UPKEEP: bool, const MARK: bool, W, K, A, F, P>(
+    fn rescan_impl<const UPKEEP: bool, const MARK: bool, W, K, Key, Kf>(
         &mut self,
         ids: &[u64],
         redirect: &[u32],
@@ -740,16 +738,13 @@ impl Csr {
         choice: &mut [u32],
         weight: W,
         keeps: K,
-        none: A,
-        fold: F,
-        pick: P,
+        key: Kf,
     ) -> (u64, bool)
     where
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
-        A: Copy,
-        F: Fn(A, bool, u64, u64, usize) -> A,
-        P: Fn(A, usize) -> u32,
+        Key: PackedKey,
+        Kf: Fn(u64, u64, usize) -> Key,
     {
         let n = self.len.len();
         // Each winner appends at most its pair's slots.
@@ -827,7 +822,7 @@ impl Csr {
             let token = base + o as u32;
             let chooser = ids[o];
             let seg = &mut col[dst..dst + read];
-            let mut best = none;
+            let mut best = (Key::MAX, u32::MAX);
             // The write cursor never passes the read cursor.
             let mut w = 0;
             for j in 0..seg.len() {
@@ -846,7 +841,7 @@ impl Csr {
                     seg[w] = c as u32;
                 }
                 w += usize::from(fresh);
-                best = fold(best, fresh, chooser, wk, c);
+                best = fold_slot(best, fresh, key(chooser, wk, c), c as u32);
             }
             if moved {
                 col.truncate(dst + w);
@@ -855,7 +850,7 @@ impl Csr {
             *live -= read - w;
             start[o] = dst as u32;
             len[o] = w as u32;
-            choice[o] = pick(best, w);
+            choice[o] = best.1;
             if w > 0 {
                 // Behind the cursor: `kept_owners < i`.
                 owners[kept_owners] = o as u32;
@@ -1603,6 +1598,61 @@ mod tests {
             if tie != (TieBreak::Random { seed: 7 }) {
                 assert!(m.csr.epoch < u32::MAX - 1, "{tie:?}: epochs never wrapped");
             }
+        }
+    }
+
+    /// The random-tie fold over [`random_key`] picks, from any slot list,
+    /// the fresh slot with the least [`choice_key`], or no candidate when
+    /// no slot is fresh. The lists repeat candidates, mix in non-fresh
+    /// slots and tie weights, and draw weights up to 2⁴⁸ that agree in
+    /// their low 32 bits, so a key that narrowed the weight, or a fold that
+    /// let a non-fresh slot win, picks wrongly.
+    #[test]
+    fn random_fold_picks_the_least_choice_key_among_fresh_slots() {
+        const WEIGHTS: [u64; 8] = [
+            0,
+            1,
+            7,
+            u32::MAX as u64,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 48,
+            (1 << 48) - 1,
+        ];
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            rng = tie_priority(rng, 0, 0, 0);
+            rng
+        };
+        for _ in 0..4000 {
+            let (seed, iteration, chooser) = (next() % 1000, next() as u32 % 64, next() % 10_000);
+            let n = 1 + next() as usize % 6;
+            // Canonical IDs strictly increase with the dense index.
+            let mut ids = Vec::with_capacity(n);
+            let mut id = next() % 100;
+            for _ in 0..n {
+                id += 1 + next() % 50;
+                ids.push(id);
+            }
+            let w: Vec<u64> = (0..n)
+                .map(|_| WEIGHTS[next() as usize % WEIGHTS.len()])
+                .collect();
+            let slots: Vec<(usize, bool)> = (0..next() % 12)
+                .map(|_| (next() as usize % n, next() % 3 != 0))
+                .collect();
+            let mut best = (u128::MAX, u32::MAX);
+            for &(c, fresh) in &slots {
+                let k0 = tie_priority(seed, iteration, chooser, ids[c]);
+                best = fold_slot(best, fresh, random_key(w[c], k0), c as u32);
+            }
+            let random = TieBreak::Random { seed };
+            let expect = slots
+                .iter()
+                .filter(|&&(_, fresh)| fresh)
+                .map(|&(c, _)| choice_key(random, iteration, chooser, ids[c], w[c], c as u32))
+                .min()
+                .map_or(u32::MAX, |k| k.3);
+            assert_eq!(best.1, expect, "slots {slots:?}, weights {w:?}");
         }
     }
 

@@ -19,8 +19,11 @@
 use crate::config::{Config, RegionStats, TieBreak};
 use crate::graph::Rag;
 use crate::hierarchy::{MergeEvent, MergeTrace};
-use crate::merge::{choice_key, CandKey, StepReport, KEY_SENTINEL};
+use crate::merge::{choice_key, CandKey, StepReport};
 use rg_imaging::Intensity;
+
+/// Identity element of the [`CandKey`] min-fold ("no candidate seen").
+const KEY_SENTINEL: CandKey = (u64::MAX, u64::MAX, u64::MAX, u32::MAX);
 
 /// Everything observable about one reference merge run.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -177,6 +177,16 @@ proptest! {
             keys.dedup();
             prop_assert_eq!(keys.len(), len, "{:?}: duplicate keys", policy);
         }
+        // The random priority alone is injective too: the CSR engine folds
+        // `(weight, k0)` and drops the second component.
+        let mut k0: Vec<u64> = cands
+            .iter()
+            .map(|&c| tie_priority(seed, iteration, chooser, c))
+            .collect();
+        k0.sort_unstable();
+        let len = k0.len();
+        k0.dedup();
+        prop_assert_eq!(k0.len(), len, "duplicate random priorities");
     }
 
     /// The winning candidate is invariant under any enumeration order of
@@ -359,9 +369,10 @@ proptest! {
 /// The oracle differential at the top of the range: 0 beside `u32::MAX`
 /// at threshold `u32::MAX`. Under largest-ID ties the pixel-range key of
 /// range `u32::MAX` to candidate 0 is `u64::MAX`, the value the
-/// deterministic fold starts from, so only the survivor count can tell
-/// that candidate from none. In the 2×2 scene the last merge is exactly
-/// that choice; in the 2×1 and 1×2 scenes, the first.
+/// deterministic fold starts from, so the fold must take a key equal to
+/// its start value. In the 2×2 scene the last merge is exactly that
+/// choice; in the 2×1 and 1×2 scenes, the first. Under random ties the
+/// weight is about 2⁴⁸, so the random key's top bits are all ones.
 #[test]
 fn merger_steps_match_reference_merge_at_the_extreme_range() {
     const M: u32 = u32::MAX;
@@ -372,7 +383,11 @@ fn merger_steps_match_reference_merge_at_the_extreme_range() {
         synth::random_rects(12, 10, 6, 3).map(|v| if v % 2 == 0 { 0 } else { M }),
     ];
     for img in &scenes {
-        for tie in [TieBreak::LargestId, TieBreak::SmallestId] {
+        let random = [0, 1, 7, 12_345].map(|seed| TieBreak::Random { seed });
+        for tie in [TieBreak::LargestId, TieBreak::SmallestId]
+            .into_iter()
+            .chain(random)
+        {
             let cfg = Config::with_threshold(M)
                 .tie_break(tie)
                 .max_square_log2(Some(0));

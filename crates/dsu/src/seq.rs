@@ -125,12 +125,14 @@ impl DisjointSets {
     /// mutating the forest (no per-element [`DisjointSets::find`] calls).
     ///
     /// The first sweep resolves all *monotone* links (`parent[v] ≤ v`) in
-    /// strictly increasing index order — for forests built exclusively with
-    /// [`DisjointSets::union_min_rep`] (the merge engine's convention) this
-    /// single O(n) pass is already complete. Any remaining non-monotone
-    /// links (possible under rank-based [`DisjointSets::union`]) are
-    /// finished by pointer jumping (`out ← out[out]`), which halves every
-    /// path per round and therefore terminates in O(log n) rounds.
+    /// strictly increasing index order and records, branch-free, whether
+    /// it met any other link. For forests built exclusively with
+    /// [`DisjointSets::union_min_rep`] (the merge engine's convention)
+    /// there is none, and this single O(n) pass is the whole resolve.
+    /// Non-monotone links (possible under rank-based
+    /// [`DisjointSets::union`]) are finished by pointer jumping
+    /// (`out ← out[out]`), which halves every path per round and therefore
+    /// terminates in O(log n) rounds.
     pub fn resolve_all(&self) -> Vec<u32> {
         let mut out = Vec::new();
         self.resolve_all_into(&mut out);
@@ -144,12 +146,15 @@ impl DisjointSets {
         let n = self.parent.len();
         out.clear();
         out.reserve(n);
+        let mut monotone = true;
         for v in 0..n {
             let p = self.parent[v];
+            monotone &= p as usize <= v;
             out.push(if (p as usize) < v { out[p as usize] } else { p });
         }
-        // Pointer jumping finishes non-monotone forests; for min-rep
-        // forests the first verification round finds a fixpoint.
+        if monotone {
+            return;
+        }
         loop {
             let mut changed = false;
             for v in 0..n {
@@ -278,6 +283,42 @@ mod tests {
         for v in 0..50u32 {
             assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
         }
+    }
+
+    /// A forest with the given parent links, built directly so a test can
+    /// place a non-monotone link (`parent[v] > v`) exactly.
+    fn forest(parent: Vec<u32>) -> DisjointSets {
+        let n = parent.len();
+        DisjointSets {
+            parent,
+            rank: vec![0; n],
+            num_sets: 0,
+        }
+    }
+
+    fn assert_resolves_like_find(d: &DisjointSets) {
+        let resolved = d.resolve_all();
+        for v in 0..d.len() as u32 {
+            assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
+        }
+    }
+
+    #[test]
+    fn resolve_all_finishes_a_lone_link_to_the_last_index() {
+        // 3 → 4 is the only non-monotone link, as late as one can sit: the
+        // monotone sweep leaves 3 at 4, which it resolves to 0 only after.
+        let d = forest(vec![0, 0, 1, 4, 2]);
+        assert_resolves_like_find(&d);
+        assert_eq!(d.resolve_all(), vec![0; 5]);
+    }
+
+    #[test]
+    fn resolve_all_finishes_a_lone_link_mid_chain() {
+        // 7 → 6 → 4 → 3 → 5 → 2 → 1 → 0, with 3 → 5 the only
+        // non-monotone link, in the middle of the chain.
+        let d = forest(vec![0, 0, 1, 5, 3, 2, 4, 6, 8]);
+        assert_resolves_like_find(&d);
+        assert_eq!(d.resolve_all(), vec![0, 0, 0, 0, 0, 0, 0, 0, 8]);
     }
 
     #[test]
