@@ -3,8 +3,8 @@
 //! Runs the incremental CSR engine (`Merger`) and the reference edge-list
 //! merge (`merge_reference`) on the same split results and records
 //! throughput (`edges_per_sec`), wall time, iteration counts, live-edge
-//! peaks, and the machine-independent `relabel_work` counter that the CI
-//! perf-smoke job guards on.
+//! peaks, the machine-independent `relabel_work` counter that the CI
+//! perf-smoke job guards on, and the engine's `owners_visited`.
 //!
 //! ```text
 //! cargo run --release -p rg-bench --bin bench_record                  # 512x512, write BENCH_merge.json
@@ -69,6 +69,8 @@ struct Row {
     peak_live_edges: u64,
     relabel_work: u64,
     compactions: u64,
+    /// Owners the engine's end-of-step rescans visited ([`CSR`] rows only).
+    owners_visited: Option<u64>,
 }
 
 /// The split `bench_csr` and `bench_reference` merge: the configuration,
@@ -146,6 +148,7 @@ fn bench_csr(
         peak_live_edges: merger.peak_active_edges(),
         relabel_work: merger.relabel_work(),
         compactions: merger.compactions(),
+        owners_visited: Some(merger.owners_visited()),
     }
 }
 
@@ -181,11 +184,12 @@ fn bench_reference(
         peak_live_edges: r.peak_active_edges,
         relabel_work: r.relabel_work,
         compactions: 0,
+        owners_visited: None,
     }
 }
 
 fn row_json(r: &Row) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("backend", Json::Str(r.backend.to_string())),
         ("image", Json::Str(r.image.to_string())),
         ("tie_break", Json::Str(r.tie_break.to_string())),
@@ -198,7 +202,11 @@ fn row_json(r: &Row) -> Json {
         ("peak_live_edges", Json::Num(r.peak_live_edges as f64)),
         ("relabel_work", Json::Num(r.relabel_work as f64)),
         ("compactions", Json::Num(r.compactions as f64)),
-    ])
+    ];
+    if let Some(v) = r.owners_visited {
+        fields.push(("owners_visited", Json::Num(v as f64)));
+    }
+    Json::obj(fields)
 }
 
 /// Runs the full scene × tie × backend suite at image size `n` and builds

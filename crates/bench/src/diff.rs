@@ -10,7 +10,7 @@
 //!   regression (it means the segmentation itself drifted, not just its
 //!   cost);
 //! * **work metrics** (`iterations`, `peak_live_edges`, `relabel_work`,
-//!   `compactions`, `cells_touched`, `words_tested`) are
+//!   `owners_visited`, `compactions`, `cells_touched`, `words_tested`) are
 //!   machine-independent operation counts — the diff
 //!   fails when `current > baseline * (1 + tolerance)`; getting *better*
 //!   is reported but never fatal;
@@ -37,6 +37,7 @@ pub const WORK_METRICS: &[&str] = &[
     "iterations",
     "peak_live_edges",
     "relabel_work",
+    "owners_visited",
     "compactions",
     "cells_touched",
     "words_tested",

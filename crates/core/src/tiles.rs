@@ -19,7 +19,12 @@
 //!    straight into the output's label buffer, and cross-tile adjacent
 //!    label pairs are read from it **along tile seams only** (the interior
 //!    adjacencies were already resolved by the per-tile merges);
-//! 3. the CSR [`Merger`] runs on that boundary RAG until quiescence;
+//! 3. the CSR [`Merger`] runs until quiescence on the seam graph alone:
+//!    the regions that touch a seam, numbered densely in ascending global
+//!    index and with their statistics read from their tiles' slots. Its
+//!    state is sized by the seams, not by the tile regions, as a CM-5
+//!    node's reconciliation is sized by its subimage boundary. Every
+//!    other region stays its own representative;
 //! 4. the output's label buffer is relabelled in place, by first
 //!    appearance in global raster order, into the final dense labels.
 //!
@@ -168,6 +173,9 @@ pub struct TiledStats {
 struct WorkerSlot {
     pipe: HostPipeline<u8>,
     tile_img: Image<u8>,
+    /// `false` until the worker's first tile, which runs on the caller's
+    /// thread.
+    warm: bool,
 }
 
 /// Per-tile result, recycled across runs (high-water capacity kept).
@@ -177,6 +185,8 @@ struct TileSlot {
     /// The tile's segmentation, in tile-local labels; its label buffer is
     /// the tile pipeline's square map while the tile runs.
     seg: Segmentation,
+    /// Global vertex of the tile's local label 0 (the stitch's offset).
+    base: u32,
     /// Statistics of each local region, indexed by local label.
     stats: Vec<RegionStats<u8>>,
 }
@@ -212,10 +222,16 @@ pub struct TiledRunner {
     workers: Vec<WorkerSlot>,
     tiles: Vec<TileSlot>,
     // Stitch scratch (all high-water recycled).
-    stats: Vec<RegionStats<u8>>,
     seam_edges: Vec<(u32, u32)>,
+    /// Global vertex of each seam-graph vertex, ascending: the stitch
+    /// merger's canonical IDs.
     ids: Vec<u64>,
+    /// Statistics of each seam-graph vertex.
+    seam_stats: Vec<RegionStats<u8>>,
     merger: Merger<u8>,
+    /// The stitch merger's representative of each seam-graph vertex.
+    seam_labels: Vec<u32>,
+    /// Global vertex → global representative.
     by_vertex: Vec<u32>,
     /// Representative vertex → compact label; `u32::MAX` until the
     /// region's first pixel in raster order is reached.
@@ -237,10 +253,11 @@ impl TiledRunner {
             jobs,
             workers: Vec::new(),
             tiles: Vec::new(),
-            stats: Vec::new(),
             seam_edges: Vec::new(),
             ids: Vec::new(),
+            seam_stats: Vec::new(),
             merger: Merger::hollow(&config),
+            seam_labels: Vec::new(),
             by_vertex: Vec::new(),
             first: Vec::new(),
         }
@@ -263,19 +280,31 @@ impl TiledRunner {
             self.workers.push(WorkerSlot {
                 pipe: HostPipeline::new(self.config, false),
                 tile_img: Image::new(1, 1, 0),
+                warm: false,
             });
         }
         let mut tiled = SpanGuard::enter(tel, SpanKind::Tiled);
         let tel = tiled.tel();
-        pool::run(
-            &mut self.workers[..jobs],
-            self.tiles.iter_mut().enumerate(),
-            &mut *tel,
-            |worker, (i, slot), tel| {
-                let mut span = SpanGuard::enter(tel, SpanKind::Tile(i as u32));
-                run_tile(worker, img, slot, span.tel());
-            },
-        );
+        let run = |worker: &mut WorkerSlot,
+                   (i, slot): (usize, &mut TileSlot),
+                   tel: &mut dyn Telemetry| {
+            let mut span = SpanGuard::enter(tel, SpanKind::Tile(i as u32));
+            run_tile(worker, img, slot, span.tel());
+        };
+        // A cold worker's first tile runs on this thread, so the worker's
+        // buffers grow on the thread that owns the runner rather than on a
+        // short-lived pool thread, whose allocator arena a later runner's
+        // threads may not reuse.
+        let mut items = self.tiles.iter_mut().enumerate();
+        for worker in &mut self.workers[..jobs] {
+            if !worker.warm {
+                worker.warm = true;
+                if let Some(item) = items.next() {
+                    run(worker, item, &mut *tel);
+                }
+            }
+        }
+        pool::run(&mut self.workers[..jobs], items, &mut *tel, run);
         let stats = {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
             self.stitch(grid, w, h, jobs, out)
@@ -325,15 +354,13 @@ impl TiledRunner {
         out: &mut Segmentation,
     ) -> TiledStats {
         // Offset each tile's local labels into one global vertex space,
-        // written straight into `out.labels`, and append its region
-        // statistics to the stitch RAG's vertex table. The tiles cover
-        // every pixel, so the resize needs no clear.
-        self.stats.clear();
+        // written straight into `out.labels`. The tiles cover every pixel,
+        // so the resize needs no clear.
         out.labels.resize(w * h, 0);
         let mut offset = 0u32;
-        for slot in &self.tiles {
+        for slot in &mut self.tiles {
             debug_assert_eq!(slot.stats.len(), slot.seg.num_regions);
-            self.stats.extend_from_slice(&slot.stats);
+            slot.base = offset;
             let r = slot.rect;
             for ty in 0..r.height {
                 let row = &slot.seg.labels[ty * r.width..(ty + 1) * r.width];
@@ -386,12 +413,44 @@ impl TiledRunner {
         edges.dedup();
         let seam_edges = edges.len();
 
-        // Boundary merge to quiescence on the seam RAG. Vertex ids are the
-        // global vertex indices themselves (dense, strictly increasing).
-        self.ids.clear();
-        self.ids.extend(0..total_vertices as u64);
+        // The seam graph's vertices are the pairs' endpoints, numbered
+        // densely in ascending global index. Their IDs are the global
+        // indices, so IDs still increase with the dense index and every
+        // tie decision is the one a merger over all tile regions would
+        // take; the map is monotone, so the remapped pairs stay canonical.
+        // `by_vertex` holds each seam vertex's dense index until the merge
+        // replaces it with the representative.
+        let ids = &mut self.ids;
+        ids.clear();
+        ids.extend(
+            edges
+                .iter()
+                .flat_map(|&(a, b)| [u64::from(a), u64::from(b)]),
+        );
+        ids.sort_unstable();
+        ids.dedup();
+        let by_vertex = &mut self.by_vertex;
+        by_vertex.clear();
+        by_vertex.extend(0..offset);
+        self.seam_stats.clear();
+        let mut tile = 0;
+        for (i, &g) in ids.iter().enumerate() {
+            let g = g as u32;
+            by_vertex[g as usize] = i as u32;
+            let mut slot = &self.tiles[tile];
+            while g >= slot.base + slot.seg.num_regions as u32 {
+                tile += 1;
+                slot = &self.tiles[tile];
+            }
+            self.seam_stats.push(slot.stats[(g - slot.base) as usize]);
+        }
+        for e in edges.iter_mut() {
+            *e = (by_vertex[e.0 as usize], by_vertex[e.1 as usize]);
+        }
+
+        // Boundary merge to quiescence on the seam graph.
         let merger = &mut self.merger;
-        merger.reset_from(&self.stats, edges, &self.ids, &self.config);
+        merger.reset_from(&self.seam_stats, edges, ids, &self.config);
         while !merger.is_done() {
             merger.step();
         }
@@ -406,8 +465,11 @@ impl TiledRunner {
         // global raster order — the labeling the whole-image engines emit.
         // The vertex order is tile-major, so a region's first pixel need
         // not belong to its lowest vertex and the compaction walks pixels.
-        merger.labels_by_vertex_into(&mut self.by_vertex);
-        let by_vertex: &[u32] = &self.by_vertex;
+        merger.labels_by_vertex_into(&mut self.seam_labels);
+        for (&g, &r) in ids.iter().zip(&self.seam_labels) {
+            by_vertex[g as usize] = ids[r as usize] as u32;
+        }
+        let by_vertex: &[u32] = by_vertex;
         let first = &mut self.first;
         first.clear();
         first.resize(total_vertices, u32::MAX);

@@ -1,7 +1,7 @@
 //! Steady-state zero-allocation assertion for the tiled runner.
 //!
 //! [`TiledRunner`] extends the host pipelines' high-water-mark promise to
-//! the sharded path: tile slots, the global vertex table, the seam edge
+//! the sharded path: tile slots, the seam vertex table, the seam edge
 //! list, the stitch merger and the compaction tables all grow once and are
 //! then refilled in place. With a single worker (the pooled path spawns
 //! scoped threads, which inherently allocate) a warm runner must stream

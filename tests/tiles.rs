@@ -10,9 +10,10 @@
 //! property-tested separately.
 
 use proptest::prelude::*;
+use rg_core::graph::Rag;
 use rg_core::{
-    segment, segment_tiled, verify_segmentation, Config, NullTelemetry, Segmentation, TieBreak,
-    TileGrid, TiledRunner,
+    segment, segment_tiled, verify_segmentation, Config, Connectivity, Merger, NullTelemetry,
+    RegionStats, Segmentation, TieBreak, TileGrid, TiledRunner, TiledStats,
 };
 use rg_imaging::{synth, Image};
 
@@ -192,4 +193,145 @@ fn non_divisible_and_degenerate_shapes_match_whole() {
             }
         }
     }
+}
+
+/// A stitch over **every** tile region: each tile segmented on its own,
+/// its labels offset into one global vertex space, the seam pairs read
+/// along the internal band boundaries, and one [`Merger`] over all the
+/// tiles' regions (global indices as IDs) run to quiescence before a
+/// first-appearance relabel. `TiledRunner` builds its merger over the
+/// seam vertices alone, so this is its oracle.
+fn full_vertex_stitch(
+    img: &Image<u8>,
+    cfg: &Config,
+    grid: TileGrid,
+    jobs: usize,
+) -> (Segmentation, TiledStats) {
+    let (w, h) = (img.width(), img.height());
+    let grid = grid.clamp_to(w, h);
+    let mut labels = vec![0u32; w * h];
+    let mut stats: Vec<RegionStats<u8>> = Vec::new();
+    let mut tiles = Vec::new();
+    for r in 0..grid.rows() {
+        for c in 0..grid.cols() {
+            let t = grid.tile(r, c, w, h);
+            let crop = img.crop(t.x0, t.y0, t.width, t.height);
+            let seg = segment(&crop, cfg);
+            let base = stats.len();
+            stats.resize(base + seg.num_regions, RegionStats::of_pixel(0));
+            let mut seen = vec![false; seg.num_regions];
+            for ty in 0..t.height {
+                for tx in 0..t.width {
+                    let l = seg.labels[ty * t.width + tx] as usize;
+                    let px = RegionStats::of_pixel(crop.get(tx, ty));
+                    let s = &mut stats[base + l];
+                    *s = if seen[l] { s.fold(px) } else { px };
+                    seen[l] = true;
+                    labels[(t.y0 + ty) * w + t.x0 + tx] = (base + l) as u32;
+                }
+            }
+            tiles.push(seg);
+        }
+    }
+    let eight = cfg.connectivity == Connectivity::Eight;
+    let mut edges = Vec::new();
+    let mut push = |a: u32, b: u32| edges.push((a.min(b), a.max(b)));
+    for c in 1..grid.cols() {
+        let xb = c * w / grid.cols();
+        for y in 0..h {
+            push(labels[y * w + xb - 1], labels[y * w + xb]);
+            if eight && y + 1 < h {
+                push(labels[y * w + xb - 1], labels[(y + 1) * w + xb]);
+                push(labels[(y + 1) * w + xb - 1], labels[y * w + xb]);
+            }
+        }
+    }
+    for r in 1..grid.rows() {
+        let yb = r * h / grid.rows();
+        for x in 0..w {
+            push(labels[(yb - 1) * w + x], labels[yb * w + x]);
+            if eight && x + 1 < w {
+                push(labels[(yb - 1) * w + x], labels[yb * w + x + 1]);
+                push(labels[(yb - 1) * w + x + 1], labels[yb * w + x]);
+            }
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let (tile_regions, seam_edges) = (stats.len(), edges.len());
+    let ids = (0..tile_regions as u64).collect();
+    let mut merger = Merger::new(Rag::from_parts(stats, edges), ids, cfg);
+    let summary = merger.run();
+    let by_vertex = merger.labels_by_vertex();
+    let mut first = vec![u32::MAX; tile_regions];
+    let mut next = 0;
+    for l in &mut labels {
+        let r = by_vertex[*l as usize] as usize;
+        if first[r] == u32::MAX {
+            first[r] = next;
+            next += 1;
+        }
+        *l = first[r];
+    }
+    let seg = Segmentation {
+        labels,
+        num_regions: next as usize,
+        num_squares: tiles.iter().map(|t| t.num_squares).sum(),
+        split_iterations: tiles.iter().map(|t| t.split_iterations).max().unwrap_or(0),
+        merge_iterations: tiles.iter().map(|t| t.merge_iterations).max().unwrap_or(0)
+            + summary.iterations,
+        merges_per_iteration: summary.merges_per_iteration.clone(),
+        width: w,
+        height: h,
+    };
+    let stats = TiledStats {
+        rows: grid.rows(),
+        cols: grid.cols(),
+        tiles: grid.count(),
+        jobs: jobs.min(grid.count()),
+        tile_regions,
+        seam_edges,
+        stitch_merges: summary
+            .merges_per_iteration
+            .iter()
+            .map(|&m| u64::from(m))
+            .sum(),
+        stitch_iterations: summary.iterations,
+    };
+    (seg, stats)
+}
+
+/// The seam-sized stitch equals the full-vertex one on arbitrary scenes,
+/// where the stitch merge does real work and every tie decision shows:
+/// labels, run metadata and every `TiledStats` field, for a grid without
+/// seams (an empty stitch graph), single bands both ways, an uneven grid
+/// and 4x4, under both connectivities, all three tie families and one or
+/// two workers.
+#[test]
+fn seam_sized_stitch_matches_a_full_vertex_stitch() {
+    let (w, h) = (61, 47);
+    let scenes = [
+        ("noise", synth::uniform_noise(w, h, 120, 135, 3), 10),
+        ("speckle", synth::uniform_noise(w, h, 0, 255, 4), 40),
+        ("rects", synth::random_rects(w, h, 12, 5), 12),
+    ];
+    let mut merged = 0;
+    for (name, img, t) in &scenes {
+        for (rows, cols) in [(1, 1), (1, 4), (4, 1), (3, 5), (4, 4)] {
+            let grid = TileGrid::new(rows, cols);
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                for tie in TIES {
+                    let cfg = Config::with_threshold(*t).tie_break(tie).connectivity(conn);
+                    for jobs in [1, 2] {
+                        let want = full_vertex_stitch(img, &cfg, grid, jobs);
+                        let mut runner = TiledRunner::new(cfg, false, grid, jobs);
+                        let got = runner.run(img, &mut NullTelemetry);
+                        assert_eq!(got, want, "{name} grid {grid} {conn:?} {tie:?} jobs {jobs}");
+                        merged += got.1.stitch_merges;
+                    }
+                }
+            }
+        }
+    }
+    assert!(merged > 0, "no stitch merged anything");
 }
