@@ -30,9 +30,9 @@
 //! in the iteration it wins), drops self-loops, per-owner duplicates and
 //! criterion-violating slots, squeezes the survivors, folds the next
 //! iteration's argmin and records the next iteration's mutual pairs. A
-//! region that won this iteration reads its own segment and its loser's
-//! in place and writes the survivors at the arena's tail cursor; every
-//! other owner is squeezed in place. When the tail would pass the arena's
+//! region that won this iteration copies its own segment and its loser's
+//! to the arena's tail cursor and squeezes them there; every other owner
+//! is squeezed in place. When the tail would pass the arena's
 //! capacity, the same pass rewrites every live owner into a spare arena
 //! and the two swap. The kernel runs on every region with slots at a
 //! reset, which folds iteration 0's choices; after each iteration it runs
@@ -119,7 +119,6 @@
 //! vertex indices, so the sequential, data-parallel, and message-passing
 //! engines make identical random decisions given the same seed.
 
-use std::cell::Cell;
 use std::hint::black_box;
 use std::marker::PhantomData;
 
@@ -395,7 +394,8 @@ struct Csr {
     /// lies below `tail`; the length is the arena's high-water mark and
     /// never shrinks, so a pass grows it only where it writes past it.
     col: Vec<u32>,
-    /// End of the used part of `col`: winners write their survivors here.
+    /// End of the used part of `col`: winners copy their pair's slots
+    /// here and squeeze them.
     tail: usize,
     /// The arena a compaction rewrites into; swapped with `col` after.
     spare: Vec<u32>,
@@ -576,17 +576,17 @@ impl Csr {
     ///
     /// 1. skips the owner if it lost this iteration (its winner reads its
     ///    segment);
-    /// 2. reads the owner's segment and, if it won this iteration, its
-    ///    loser's, in place; the winner's `choice` still names its loser;
+    /// 2. reads the owner's segment in place or, if it won this iteration
+    ///    or the pass compacts, first copies it (and a winner's loser's,
+    ///    which the winner's `choice` still names) to the arena's `tail`;
     /// 3. redirects every slot through the one-level `redirect` (exact,
     ///    because an iteration's mutual pairs form a matching), and drops
     ///    self-loops, duplicate neighbours and neighbours whose union
     ///    would violate the criterion; under `MARK` a winner also queues
     ///    every redirected neighbour, kept or not, that the pass has not
     ///    queued yet;
-    /// 4. writes the survivors over its own segment or, if it won or the
-    ///    pass compacts, at the arena's `tail`, which then advances past
-    ///    them;
+    /// 4. writes the survivors over the slots it read; a copied owner's
+    ///    `tail` then advances past them;
     /// 5. folds the survivors' argmin under `policy` at `iteration` (the
     ///    next step's) into `choice`, so the next choice pass is a table
     ///    read;
@@ -606,7 +606,7 @@ impl Csr {
     /// loop compiles without it. Without `MARK`, the visited owners that
     /// kept a slot are written behind the cursor as the next pass's list.
     ///
-    /// A compaction queues every live owner, marks nothing, and rewrites
+    /// A compaction queues every live owner, marks nothing, and copies
     /// every owner from the spare arena, which then becomes the arena;
     /// its choices are final only once visited.
     ///
@@ -837,15 +837,6 @@ impl Csr {
             ..
         } = self;
         let (stamp, pass_mark) = (stamp.as_mut_slice(), pass_mark.as_mut_slice());
-        // Cells let a winner read its segments below `tail` while it
-        // writes at `tail`, and an in-place squeeze read and write one
-        // segment.
-        let arena = Cell::from_mut(col.as_mut_slice()).as_slice_of_cells();
-        let source = if compact {
-            Cell::from_mut(spare.as_mut_slice()).as_slice_of_cells()
-        } else {
-            arena
-        };
         pairs.clear();
         let (mut ops, mut visits) = (0u64, 0u64);
         let mut kept_owners = 0;
@@ -871,33 +862,44 @@ impl Csr {
             };
             let moved = compact || won;
             let read = own.1 + absorbed.1;
+            // A moving owner copies its raw slots to the arena tail and
+            // squeezes them there; every other owner squeezes its segment
+            // where it is.
             let dst = if moved { *tail } else { own.0 };
+            if moved {
+                let mut at = dst;
+                for (s, l) in [own, absorbed] {
+                    if compact {
+                        col[at..at + l].copy_from_slice(&spare[s..s + l]);
+                    } else {
+                        col.copy_within(s..s + l, at);
+                    }
+                    at += l;
+                }
+            }
             let token = base + o as u32;
             let chooser = ids[o];
+            let seg = &mut col[dst..dst + read];
             let mut best = (Key::MAX, u32::MAX);
-            // The write cursor never passes the read cursor of an
-            // in-place squeeze.
+            // The write cursor never passes the read cursor.
             let mut w = 0;
-            let out = &arena[dst..dst + read];
-            for (s, l) in [own, absorbed] {
-                for slot in &source[s..s + l] {
-                    let c = if UPKEEP {
-                        redirect[slot.get() as usize] as usize
-                    } else {
-                        slot.get() as usize
-                    };
-                    if marks {
-                        Self::mark(pass_mark, owners, c as u32, queued);
-                    }
-                    let wk = weight(o, c);
-                    let fresh = !UPKEEP || (c != o) & (stamp[c] != token) & keeps(o, c, wk);
-                    if UPKEEP {
-                        stamp[c] = token;
-                        out[w].set(c as u32);
-                    }
-                    w += usize::from(fresh);
-                    best = fold_slot(best, fresh, key(chooser, wk, c), c as u32);
+            for j in 0..seg.len() {
+                let c = if UPKEEP {
+                    redirect[seg[j] as usize] as usize
+                } else {
+                    seg[j] as usize
+                };
+                if marks {
+                    Self::mark(pass_mark, owners, c as u32, queued);
                 }
+                let wk = weight(o, c);
+                let fresh = !UPKEEP || (c != o) & (stamp[c] != token) & keeps(o, c, wk);
+                if UPKEEP {
+                    stamp[c] = token;
+                    seg[w] = c as u32;
+                }
+                w += usize::from(fresh);
+                best = fold_slot(best, fresh, key(chooser, wk, c), c as u32);
             }
             if moved {
                 *tail += w;

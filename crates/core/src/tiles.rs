@@ -173,9 +173,6 @@ pub struct TiledStats {
 struct WorkerSlot {
     pipe: HostPipeline<u8>,
     tile_img: Image<u8>,
-    /// `false` until the worker's first tile, which runs on the caller's
-    /// thread.
-    warm: bool,
 }
 
 /// Per-tile result, recycled across runs (high-water capacity kept).
@@ -280,31 +277,19 @@ impl TiledRunner {
             self.workers.push(WorkerSlot {
                 pipe: HostPipeline::new(self.config, false),
                 tile_img: Image::new(1, 1, 0),
-                warm: false,
             });
         }
         let mut tiled = SpanGuard::enter(tel, SpanKind::Tiled);
         let tel = tiled.tel();
-        let run = |worker: &mut WorkerSlot,
-                   (i, slot): (usize, &mut TileSlot),
-                   tel: &mut dyn Telemetry| {
-            let mut span = SpanGuard::enter(tel, SpanKind::Tile(i as u32));
-            run_tile(worker, img, slot, span.tel());
-        };
-        // A cold worker's first tile runs on this thread, so the worker's
-        // buffers grow on the thread that owns the runner rather than on a
-        // short-lived pool thread, whose allocator arena a later runner's
-        // threads may not reuse.
-        let mut items = self.tiles.iter_mut().enumerate();
-        for worker in &mut self.workers[..jobs] {
-            if !worker.warm {
-                worker.warm = true;
-                if let Some(item) = items.next() {
-                    run(worker, item, &mut *tel);
-                }
-            }
-        }
-        pool::run(&mut self.workers[..jobs], items, &mut *tel, run);
+        pool::run(
+            &mut self.workers[..jobs],
+            self.tiles.iter_mut().enumerate(),
+            &mut *tel,
+            |worker, (i, slot), tel| {
+                let mut span = SpanGuard::enter(tel, SpanKind::Tile(i as u32));
+                run_tile(worker, img, slot, span.tel());
+            },
+        );
         let stats = {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Stitch);
             self.stitch(grid, w, h, jobs, out)
