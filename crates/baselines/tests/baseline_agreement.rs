@@ -3,9 +3,25 @@
 
 use proptest::prelude::*;
 use rg_baselines::{ccl, hp, seeded};
-use rg_core::labels::same_partition;
+use rg_core::labels::compact_first_appearance;
 use rg_core::{segment, split, Config, Connectivity};
 use rg_imaging::synth;
+
+/// `true` iff two label buffers induce the same partition of the pixels
+/// (possibly under different numbering).
+fn same_partition(a: &[u32], b: &[u32]) -> bool {
+    a.len() == b.len() && compact_first_appearance(a).0 == compact_first_appearance(b).0
+}
+
+#[test]
+fn same_partition_ignores_numbering() {
+    let a = vec![0, 0, 1, 1];
+    let b = vec![5, 5, 2, 2];
+    let c = vec![0, 1, 1, 1];
+    assert!(same_partition(&a, &b));
+    assert!(!same_partition(&a, &c));
+    assert!(!same_partition(&a, &[0, 0, 1]));
+}
 
 #[test]
 fn all_algorithms_agree_on_flat_contrast_scenes() {

@@ -72,7 +72,8 @@ pub struct PaperRow {
 /// square cap implied by the 32-node decomposition — which also makes all
 /// engines produce identical split results (see DESIGN.md §5).
 pub fn paper_config(image_side: usize) -> Config {
-    let d = Decomposition::for_nodes(CM5_NODES, image_side, image_side);
+    let d = Decomposition::for_nodes(CM5_NODES, image_side, image_side)
+        .expect("the CM-5 node grid fits the image");
     Config::with_threshold(rg_imaging::synth::DEFAULT_THRESHOLD)
         .tie_break(TieBreak::Random { seed: 0x5EED })
         .max_square_log2(Some(d.max_safe_square_log2()))

@@ -58,28 +58,6 @@ pub fn try_decode_u32s(b: &[u8]) -> Result<Vec<u32>, DecodeError> {
     Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
 }
 
-/// Encodes a `u64` slice little-endian.
-pub fn encode_u64s(data: &[u64]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
-    b
-}
-
-/// Decodes a little-endian `u64` payload, rejecting truncated or
-/// misaligned lengths.
-pub fn try_decode_u64s(b: &[u8]) -> Result<Vec<u64>, DecodeError> {
-    let (words, rest) = b.as_chunks::<8>();
-    if !rest.is_empty() {
-        return Err(DecodeError {
-            len: b.len(),
-            elem: 8,
-        });
-    }
-    Ok(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,12 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn u64_roundtrip() {
-        let data = vec![0u64, u64::MAX, 0x0123_4567_89AB_CDEF];
-        assert_eq!(try_decode_u64s(&encode_u64s(&data)), Ok(data));
-    }
-
-    #[test]
     fn try_decoders_reject_truncation() {
         // A u32 payload losing its last byte.
         let mut bytes = encode_u32s(&[1, 2]);
@@ -106,40 +78,18 @@ mod tests {
             try_decode_u32s(&bytes),
             Err(DecodeError { len: 7, elem: 4 })
         );
-        // A u64 payload losing three bytes.
-        let mut bytes = encode_u64s(&[7]);
-        bytes.truncate(5);
-        assert_eq!(
-            try_decode_u64s(&bytes),
-            Err(DecodeError { len: 5, elem: 8 })
-        );
         // A payload shorter than one element.
         let short = [1u8, 2, 3];
         assert_eq!(
             try_decode_u32s(&short),
             Err(DecodeError { len: 3, elem: 4 })
         );
-        assert_eq!(
-            try_decode_u64s(&short),
-            Err(DecodeError { len: 3, elem: 8 })
-        );
     }
 
     #[test]
     fn try_decoders_reject_misalignment() {
         assert!(try_decode_u32s(&[0u8; 6]).is_err());
-        // A length that is /4 but not /8 is valid u32 data, invalid u64.
         assert!(try_decode_u32s(&[0u8; 12]).is_ok());
-        assert!(try_decode_u64s(&[0u8; 12]).is_err());
-    }
-
-    #[test]
-    fn try_decoders_accept_good_payloads() {
-        let data = vec![3u32, 1, 4, 1, 5];
-        assert_eq!(try_decode_u32s(&encode_u32s(&data)), Ok(data));
-        let data = vec![9u64, 2, 6];
-        assert_eq!(try_decode_u64s(&encode_u64s(&data)), Ok(data));
-        assert_eq!(try_decode_u64s(&[]), Ok(Vec::new()));
     }
 
     #[test]

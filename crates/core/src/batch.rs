@@ -315,12 +315,15 @@ mod tests {
         let mut images = demo_images(6);
         let marker = 251u8;
         for (i, img) in images.iter_mut().enumerate() {
-            let first = &mut img.pixels_mut()[0];
-            *first = if i == 2 {
-                marker
-            } else {
-                marker.wrapping_add(1)
-            };
+            img.set(
+                0,
+                0,
+                if i == 2 {
+                    marker
+                } else {
+                    marker.wrapping_add(1)
+                },
+            );
         }
         let cfg = Config::with_threshold(10);
         for jobs in [1, 4] {

@@ -106,13 +106,6 @@ impl<P: Intensity> RegionStats<P> {
     pub fn range(&self) -> u32 {
         self.max.to_u32() - self.min.to_u32()
     }
-
-    /// Mean intensity in 16.16 fixed point.
-    #[inline]
-    pub fn mean_fp16(&self) -> u64 {
-        debug_assert!(self.count > 0);
-        ((self.sum as u128 * 65_536) / self.count as u128) as u64
-    }
 }
 
 /// Fixed-point scale used by [`Criterion`] weights (16 fractional bits).
@@ -350,12 +343,6 @@ mod tests {
         // Pairwise mean diffs: 2, 2, 4.
         assert!(Criterion::MeanDifference.combine_ok(&kids, 4));
         assert!(!Criterion::MeanDifference.combine_ok(&kids, 3));
-    }
-
-    #[test]
-    fn mean_fp16() {
-        let a = rs(0, 0, 3, 2); // mean 1.5
-        assert_eq!(a.mean_fp16(), 3 * 65_536 / 2);
     }
 
     #[test]

@@ -72,24 +72,6 @@ impl Segmentation {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Largest compact label, or `None` for a degenerate (empty)
-    /// segmentation.
-    ///
-    /// Prefer this over `labels.iter().max().unwrap()`, which panics on
-    /// empty label buffers; a degenerate segmentation simply has 0 regions.
-    #[inline]
-    pub fn max_label(&self) -> Option<u32> {
-        self.labels.iter().copied().max()
-    }
-
-    /// Number of regions derived from the label buffer itself (`max + 1`,
-    /// or 0 when degenerate). Equals [`Segmentation::num_regions`] for any
-    /// well-formed segmentation; never panics.
-    #[inline]
-    pub fn derived_num_regions(&self) -> usize {
-        self.max_label().map_or(0, |m| m as usize + 1)
-    }
 }
 
 /// Runs the full split-and-merge pipeline on the host.
@@ -228,21 +210,17 @@ mod tests {
         let img = synth::circle_collection(128);
         let seg = segment(&img, &Config::with_threshold(10));
         assert_eq!(seg.labels.len(), 128 * 128);
-        // `derived_num_regions` is the panic-free form of the old
-        // `labels.iter().max().unwrap() + 1` pattern.
-        assert_eq!(seg.derived_num_regions(), seg.num_regions);
+        // Labels are compact: the largest is `num_regions - 1`.
+        assert_eq!(seg.labels.iter().max(), Some(&(seg.num_regions as u32 - 1)));
         assert_eq!(seg.num_regions, 11);
     }
 
     #[test]
     fn degenerate_segmentation_reports_zero_regions() {
         // A Default segmentation (the recyclable `run_into` buffer before
-        // any run) is degenerate: the old `labels.iter().max().unwrap()`
-        // pattern panicked on it; the accessors return 0 regions instead.
+        // any run) is degenerate: no labels and 0 regions.
         let seg = Segmentation::default();
         assert!(seg.is_empty());
-        assert_eq!(seg.max_label(), None);
-        assert_eq!(seg.derived_num_regions(), 0);
         assert_eq!(seg.num_regions, 0);
 
         // Minimal legal images stay well-formed end to end (single pixel,
@@ -252,7 +230,7 @@ mod tests {
             let seg = segment(&img, &Config::with_threshold(10));
             assert_eq!(seg.labels.len(), w * h, "{w}x{h}");
             assert_eq!(seg.num_regions, 1, "{w}x{h}");
-            assert_eq!(seg.derived_num_regions(), 1, "{w}x{h}");
+            assert!(seg.labels.iter().all(|&l| l == 0), "{w}x{h}");
             assert!(!seg.is_empty());
         }
     }

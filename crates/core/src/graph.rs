@@ -40,16 +40,6 @@ pub struct Rag<'a, P: Intensity> {
     pub edges: Vec<(u32, u32)>,
 }
 
-impl<P: Intensity> Rag<'static, P> {
-    /// Builds a RAG owning its statistics (hand-built graphs).
-    pub fn from_parts(stats: Vec<RegionStats<P>>, edges: Vec<(u32, u32)>) -> Self {
-        Self {
-            stats: Cow::Owned(stats),
-            edges,
-        }
-    }
-}
-
 impl<'a, P: Intensity> Rag<'a, P> {
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {

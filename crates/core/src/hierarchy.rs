@@ -12,11 +12,7 @@
 //! * *weight cuts*: replaying only the merges whose union range stayed
 //!   within a smaller threshold `w ≤ T` yields a coarser-to-finer family
 //!   of partitions from a single run (an approximation of re-running at
-//!   `w`, exact for flat-contrast scenes);
-//! * region lineage (which squares compose a final region, and when they
-//!   joined).
-
-use rg_dsu::DisjointSets;
+//!   `w`, exact for flat-contrast scenes).
 
 /// One pairwise merge performed by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,56 +75,15 @@ impl MergeTrace {
     /// Region count after replaying every merge with
     /// `weight_fp16 ≤ (w << 16)` — the weight-cut family.
     pub fn regions_at_cut(&self, w: u32) -> usize {
-        self.num_vertices - self.count_until(w)
-    }
-
-    /// Labels (representative per vertex, compacted by the caller if
-    /// needed) after replaying the merges within the weight cut `w`.
-    pub fn labels_at_cut(&self, w: u32) -> Vec<u32> {
-        let mut dsu = DisjointSets::new(self.num_vertices);
-        let limit = (w as u64) << 16;
-        for e in &self.events {
-            if e.weight_fp16 <= limit {
-                dsu.union_min_rep(e.winner, e.loser);
-            }
-        }
-        (0..self.num_vertices as u32).map(|v| dsu.find(v)).collect()
-    }
-
-    /// The "compression curve": for each distinct weight in the trace,
-    /// the region count after admitting merges up to that weight,
-    /// ascending. Useful for picking a threshold post hoc.
-    pub fn compression_curve(&self) -> Vec<(u32, usize)> {
-        let mut weights: Vec<u32> = self
-            .events
-            .iter()
-            .map(|e| (e.weight_fp16 >> 16) as u32)
-            .collect();
-        weights.sort_unstable();
-        weights.dedup();
-        weights
-            .into_iter()
-            .map(|w| (w, self.regions_at_cut(w)))
-            .collect()
-    }
-
-    /// The iteration at which vertex `v` was absorbed (`None` if it
-    /// survived as a representative).
-    pub fn absorbed_at(&self, v: u32) -> Option<u32> {
-        self.events
-            .iter()
-            .find(|e| e.loser == v)
-            .map(|e| e.iteration)
-    }
-
-    fn count_until(&self, w: u32) -> usize {
         let limit = (w as u64) << 16;
         // Merges admitted at cut w must still form a forest: a loser dies
         // exactly once globally, so simple counting suffices.
-        self.events
+        let admitted = self
+            .events
             .iter()
             .filter(|e| e.weight_fp16 <= limit)
-            .count()
+            .count();
+        self.num_vertices - admitted
     }
 }
 
@@ -166,33 +121,5 @@ mod tests {
         assert_eq!(t.regions_at_cut(2), 3);
         assert_eq!(t.regions_at_cut(5), 2);
         assert_eq!(t.regions_at_cut(9), 1);
-        let l5 = t.labels_at_cut(5);
-        assert_eq!(l5, vec![0, 0, 2, 2]);
-        let l9 = t.labels_at_cut(9);
-        assert_eq!(l9, vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn compression_curve_monotone() {
-        let t = MergeTrace {
-            events: vec![ev(0, 0, 1, 2), ev(0, 2, 3, 5), ev(1, 0, 2, 9)],
-            num_vertices: 4,
-        };
-        let curve = t.compression_curve();
-        assert_eq!(curve, vec![(2, 3), (5, 2), (9, 1)]);
-        for w in curve.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    #[test]
-    fn absorbed_at_lookup() {
-        let t = MergeTrace {
-            events: vec![ev(0, 0, 3, 1), ev(4, 1, 2, 2)],
-            num_vertices: 4,
-        };
-        assert_eq!(t.absorbed_at(3), Some(0));
-        assert_eq!(t.absorbed_at(2), Some(4));
-        assert_eq!(t.absorbed_at(0), None);
     }
 }

@@ -432,11 +432,6 @@ impl<S: EmitEvent> Streaming<S> {
         &self.sink
     }
 
-    /// The wrapped consumer, mutably.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Unwraps the consumer.
     pub fn into_sink(self) -> S {
         self.sink

@@ -39,15 +39,6 @@ pub fn labels_to_image(labels: &[u32], width: usize, height: usize) -> Image<u8>
     })
 }
 
-/// `true` iff two label buffers induce the same partition of the pixels
-/// (possibly under different numbering).
-pub fn same_partition(a: &[u32], b: &[u32]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    compact_first_appearance(a).0 == compact_first_appearance(b).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,16 +56,6 @@ mod tests {
         let labels = vec![0, 1, 1, 2, 2, 2];
         let sizes = region_sizes(&labels, 3);
         assert_eq!(sizes, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn same_partition_ignores_numbering() {
-        let a = vec![0, 0, 1, 1];
-        let b = vec![5, 5, 2, 2];
-        let c = vec![0, 1, 1, 1];
-        assert!(same_partition(&a, &b));
-        assert!(!same_partition(&a, &c));
-        assert!(!same_partition(&a, &[0, 0, 1]));
     }
 
     #[test]

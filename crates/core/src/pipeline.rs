@@ -121,14 +121,6 @@ impl<P: Intensity> HostPipeline<P> {
         self.run_backend(img, false, tel, out);
     }
 
-    /// Convenience: segment `img` into a fresh [`Segmentation`] with no
-    /// telemetry.
-    pub fn run_image(&mut self, img: &Image<P>) -> Segmentation {
-        let mut out = Segmentation::default();
-        self.run_image_into(img, &mut NullTelemetry, &mut out);
-        out
-    }
-
     /// [`HostPipeline::run_image_into`] with no telemetry, recording the
     /// merge dendrogram.
     pub(crate) fn run_traced_into(&mut self, img: &Image<P>, out: &mut Segmentation) -> MergeTrace {
@@ -392,15 +384,15 @@ mod tests {
         let cfg = Config::with_threshold(10);
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
         let a = synth::random_rects(32, 32, 5, 1);
-        assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
+        assert_eq!(pipe.run(&a, &mut NullTelemetry), segment(&a, &cfg));
         // Different shape, and back again.
         let b = synth::random_rects(48, 16, 5, 2);
-        assert_eq!(pipe.run_image(&b), segment(&b, &cfg));
-        assert_eq!(pipe.run_image(&a), segment(&a, &cfg));
+        assert_eq!(pipe.run(&b, &mut NullTelemetry), segment(&b, &cfg));
+        assert_eq!(pipe.run(&a, &mut NullTelemetry), segment(&a, &cfg));
         // A config change takes effect on the next run.
         let cfg2 = Config::with_threshold(25);
         pipe.set_config(cfg2);
-        assert_eq!(pipe.run_image(&b), segment(&b, &cfg2));
+        assert_eq!(pipe.run(&b, &mut NullTelemetry), segment(&b, &cfg2));
         assert_ne!(segment(&b, &cfg2), segment(&b, &cfg));
     }
 
@@ -490,7 +482,7 @@ mod tests {
         let mut rec_pipe = Recorder::new();
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
         // Warm up once so the recorded run is the steady-state code path.
-        pipe.run_image(&img);
+        pipe.run(&img, &mut NullTelemetry);
         let mut out = Segmentation::default();
         pipe.run_image_into(&img, &mut rec_pipe, &mut out);
         assert_eq!(seg, out);

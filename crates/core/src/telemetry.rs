@@ -318,14 +318,6 @@ impl Histogram {
         }
     }
 
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            _ => 1u64 << (i - 1),
-        }
-    }
-
     /// Records one value.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -379,23 +371,6 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (a cheap
-    /// order-of-magnitude percentile; `q` in `[0, 1]`).
-    pub fn quantile_bucket_hi(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i >= 64 { u64::MAX } else { (1u64 << i) - 1 });
-            }
-        }
-        Some(u64::MAX)
     }
 
     /// Serializes to a JSON object (sparse bucket list).
@@ -1581,17 +1556,11 @@ mod tests {
         assert_eq!(Histogram::bucket_of(3), 2);
         assert_eq!(Histogram::bucket_of(4), 3);
         assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_lo(0), 0);
-        assert_eq!(Histogram::bucket_lo(1), 1);
-        assert_eq!(Histogram::bucket_lo(11), 1024);
         let buckets: Vec<(usize, u64)> = h.nonzero_buckets().collect();
         assert_eq!(
             buckets,
             vec![(0, 1), (1, 2), (2, 2), (3, 2), (4, 1), (11, 1), (64, 1)]
         );
-        // Median of 10 values: the 5th smallest (3) lives in bucket 2.
-        assert_eq!(h.quantile_bucket_hi(0.5), Some(3));
-        assert_eq!(h.quantile_bucket_hi(1.0), Some(u64::MAX));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rg_core::graph::{adjacent_label_pairs, square_adjacency_into, Rag};
 use rg_core::{split, Config, Connectivity, Criterion, Merger, SplitResult, StepReport, TieBreak};
 use rg_imaging::synth::{self, PaperImage};
 use rg_imaging::{Image, Intensity};
+use std::borrow::Cow;
 
 /// Asserts builder == oracle for both connectivities, reusing the
 /// builder's buffers across calls as the pipeline does.
@@ -174,7 +175,10 @@ fn assert_reset_identity<P: Intensity>(
 /// A merger to reuse across a test's scenes.
 fn empty_merger<P: Intensity>() -> Merger<P> {
     Merger::new(
-        Rag::from_parts(Vec::new(), Vec::new()),
+        Rag {
+            stats: Cow::Owned(Vec::new()),
+            edges: Vec::new(),
+        },
         Vec::new(),
         &Config::default(),
     )

@@ -12,7 +12,10 @@
 use proptest::prelude::*;
 use rg_core::graph::Rag;
 use rg_core::labels::compact_first_appearance;
-use rg_core::{merge_reference, split, Config, Connectivity, Criterion, HostPipeline, TieBreak};
+use rg_core::{
+    merge_reference, split, Config, Connectivity, Criterion, HostPipeline, NullTelemetry, Pipeline,
+    TieBreak,
+};
 use rg_imaging::{synth, Image};
 
 prop_compose! {
@@ -62,7 +65,7 @@ proptest! {
         // a previous (differently shaped) image would show.
         let mut pipe: HostPipeline<u8> = HostPipeline::new(cfg, false);
         for img in &imgs {
-            let seg = pipe.run_image(img);
+            let seg = pipe.run(img, &mut NullTelemetry);
             let s = split(img, &cfg);
             let stride = s.width as u32;
             let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();

@@ -30,6 +30,7 @@ use rg_core::merge::{tie_key, tie_priority, Merger};
 use rg_core::telemetry::derive_merge_iterations;
 use rg_core::{merge_reference, split, Config, Connectivity, Criterion, RegionStats, TieBreak};
 use rg_imaging::{synth, Image, Intensity};
+use std::borrow::Cow;
 
 /// Deterministically shuffles `v` with a splitmix-style keyed sort.
 fn shuffle<T: Copy>(v: &[T], key: u64) -> Vec<T> {
@@ -75,7 +76,11 @@ fn adversarial_ring(n: usize, chords: &[(usize, usize)]) -> (Rag<'static, u8>, V
     edges.dedup();
     // Canonical IDs must be strictly increasing but need not be dense.
     let ids: Vec<u64> = (0..n as u64).map(|i| i * 5 + 2).collect();
-    (Rag::from_parts(stats, edges), ids)
+    let rag = Rag {
+        stats: Cow::Owned(stats),
+        edges,
+    };
+    (rag, ids)
 }
 
 prop_compose! {

@@ -68,15 +68,6 @@ impl DisjointSets {
         root
     }
 
-    /// Representative of `x`'s set without mutating (no compression).
-    pub fn find_immutable(&self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        root
-    }
-
     /// Merges the sets of `a` and `b`; returns `false` if already joined.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let ra = self.find(a);
@@ -114,11 +105,6 @@ impl DisjointSets {
         self.parent[other as usize] = rep;
         self.num_sets -= 1;
         true
-    }
-
-    /// `true` iff `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Resolves **every** element to its root in one batched pass, without
@@ -169,27 +155,21 @@ impl DisjointSets {
             }
         }
     }
-
-    /// Compresses every path and returns the dense relabelling
-    /// `element → compact set index` in `0..num_sets`, assigning compact
-    /// indices in order of first appearance of each root.
-    pub fn compact_labels(&mut self) -> Vec<u32> {
-        let n = self.len();
-        let mut map = std::collections::HashMap::new();
-        let mut out = Vec::with_capacity(n);
-        for x in 0..n as u32 {
-            let r = self.find(x);
-            let next = map.len() as u32;
-            let id = *map.entry(r).or_insert(next);
-            out.push(id);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Representative of `x`'s set, found without mutating the forest: the
+    /// oracle the `resolve_all` tests compare against.
+    fn find_immutable(d: &DisjointSets, x: u32) -> u32 {
+        let mut root = x;
+        while d.parent[root as usize] != root {
+            root = d.parent[root as usize];
+        }
+        root
+    }
 
     #[test]
     fn singletons() {
@@ -207,10 +187,10 @@ mod tests {
         assert!(d.union(0, 1));
         assert!(d.union(2, 3));
         assert!(!d.union(1, 0));
-        assert!(d.same_set(0, 1));
-        assert!(!d.same_set(0, 2));
+        assert_eq!(d.find(0), d.find(1));
+        assert_ne!(d.find(0), d.find(2));
         assert!(d.union(1, 3));
-        assert!(d.same_set(0, 2));
+        assert_eq!(d.find(0), d.find(2));
         assert_eq!(d.num_sets(), 3);
     }
 
@@ -227,38 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn find_immutable_matches_find() {
-        let mut d = DisjointSets::new(8);
-        d.union(0, 1);
-        d.union(1, 2);
-        d.union(5, 6);
-        for i in 0..8u32 {
-            assert_eq!(d.find_immutable(i), d.clone().find(i));
-        }
-    }
-
-    #[test]
-    fn compact_labels_dense_and_consistent() {
-        let mut d = DisjointSets::new(6);
-        d.union(0, 2);
-        d.union(3, 5);
-        let labels = d.compact_labels();
-        assert_eq!(labels.len(), 6);
-        assert_eq!(labels[0], labels[2]);
-        assert_eq!(labels[3], labels[5]);
-        assert_ne!(labels[0], labels[1]);
-        // Dense: exactly num_sets distinct values covering 0..num_sets.
-        let mut distinct: Vec<u32> = labels.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), d.num_sets());
-        assert_eq!(distinct, (0..d.num_sets() as u32).collect::<Vec<_>>());
-        // First-appearance order: element 0's set gets label 0.
-        assert_eq!(labels[0], 0);
-        assert_eq!(labels[1], 1);
-    }
-
-    #[test]
     fn resolve_all_matches_find_on_min_rep_forest() {
         let mut d = DisjointSets::new(64);
         // Arbitrary min-rep unions, including chains.
@@ -267,7 +215,7 @@ mod tests {
         }
         let resolved = d.resolve_all();
         for v in 0..64u32 {
-            assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
+            assert_eq!(resolved[v as usize], find_immutable(&d, v), "v={v}");
         }
     }
 
@@ -281,7 +229,7 @@ mod tests {
         }
         let resolved = d.resolve_all();
         for v in 0..50u32 {
-            assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
+            assert_eq!(resolved[v as usize], find_immutable(&d, v), "v={v}");
         }
     }
 
@@ -299,7 +247,7 @@ mod tests {
     fn assert_resolves_like_find(d: &DisjointSets) {
         let resolved = d.resolve_all();
         for v in 0..d.len() as u32 {
-            assert_eq!(resolved[v as usize], d.find_immutable(v), "v={v}");
+            assert_eq!(resolved[v as usize], find_immutable(d, v), "v={v}");
         }
     }
 

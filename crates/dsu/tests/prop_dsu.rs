@@ -41,8 +41,5 @@ proptest! {
         }
         let roots: std::collections::HashSet<u32> = (0..n as u32).map(|i| d.find(i)).collect();
         prop_assert_eq!(roots.len(), d.num_sets());
-        let labels = d.compact_labels();
-        let distinct: std::collections::HashSet<u32> = labels.iter().copied().collect();
-        prop_assert_eq!(distinct.len(), roots.len());
     }
 }

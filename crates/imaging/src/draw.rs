@@ -30,14 +30,6 @@ impl Rect {
         x >= self.x0 && x < self.x0 + self.w && y >= self.y0 && y < self.y0 + self.h
     }
 
-    /// `true` iff this rectangle overlaps `other`.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.x0 < other.x0 + other.w
-            && other.x0 < self.x0 + self.w
-            && self.y0 < other.y0 + other.h
-            && other.y0 < self.y0 + self.h
-    }
-
     /// Area in pixels.
     pub fn area(&self) -> usize {
         self.w * self.h
@@ -138,14 +130,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rect_contains_and_intersects() {
+    fn rect_contains_and_area() {
         let r = Rect::new(2, 3, 4, 5);
         assert!(r.contains(2, 3));
         assert!(r.contains(5, 7));
         assert!(!r.contains(6, 3));
         assert!(!r.contains(2, 8));
-        assert!(r.intersects(&Rect::new(5, 7, 10, 10)));
-        assert!(!r.intersects(&Rect::new(6, 3, 1, 1)));
         assert_eq!(r.area(), 20);
     }
 
@@ -162,10 +152,9 @@ mod tests {
     fn fill_rect_exact_cells() {
         let mut img: Image<u8> = Image::new(5, 5, 0);
         fill_rect(&mut img, Rect::new(1, 1, 2, 3), 7);
-        let painted: Vec<_> = img
-            .enumerate_pixels()
-            .filter(|&(_, _, p)| p == 7)
-            .map(|(x, y, _)| (x, y))
+        let painted: Vec<_> = (0..img.len())
+            .filter(|&i| img.pixels()[i] == 7)
+            .map(|i| img.coords(i))
             .collect();
         assert_eq!(
             painted,

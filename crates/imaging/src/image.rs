@@ -144,16 +144,6 @@ impl<P: Intensity> Image<P> {
         self.data[y * self.width + x]
     }
 
-    /// Checked accessor; `None` when out of bounds.
-    #[inline]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<P> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Sets the intensity at `(x, y)`.
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, v: P) {
@@ -179,12 +169,6 @@ impl<P: Intensity> Image<P> {
     #[inline]
     pub fn pixels(&self) -> &[P] {
         &self.data
-    }
-
-    /// Mutable raw pixel buffer.
-    #[inline]
-    pub fn pixels_mut(&mut self) -> &mut [P] {
-        &mut self.data
     }
 
     /// Consumes the image, returning the raw buffer.
@@ -273,15 +257,6 @@ impl<P: Intensity> Image<P> {
             data: self.data.iter().map(|&p| f(p)).collect(),
         }
     }
-
-    /// Iterates `(x, y, intensity)` in row-major order.
-    pub fn enumerate_pixels(&self) -> impl Iterator<Item = (usize, usize, P)> + '_ {
-        let w = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &p)| (i % w, i / w, p))
-    }
 }
 
 impl<P: Intensity> Index<(usize, usize)> for Image<P> {
@@ -351,14 +326,6 @@ mod tests {
                 assert_eq!(img.coords(i), (x, y));
             }
         }
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let img: Image<u8> = Image::new(2, 2, 1);
-        assert_eq!(img.try_get(1, 1), Some(1));
-        assert_eq!(img.try_get(2, 0), None);
-        assert_eq!(img.try_get(0, 2), None);
     }
 
     #[test]

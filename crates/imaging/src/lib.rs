@@ -17,9 +17,7 @@
 //!   polygons) used to synthesise test scenes;
 //! * [`synth`] — generators for the six evaluation images of the paper
 //!   (nested rectangles, rectangle collections, circle collections, and the
-//!   256×256 "tool"), plus randomised workloads for property tests;
-//! * [`stats`] — min/max pyramids and per-label statistics shared by the
-//!   split stage and by segmentation verification.
+//!   256×256 "tool"), plus randomised workloads for property tests.
 //!
 //! Everything is deterministic: generators take explicit seeds.
 
@@ -29,7 +27,6 @@
 pub mod draw;
 pub mod image;
 pub mod pgm;
-pub mod stats;
 pub mod synth;
 
 pub use image::{Image, Intensity};

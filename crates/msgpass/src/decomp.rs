@@ -33,22 +33,19 @@ pub struct Tile {
 }
 
 impl Decomposition {
-    /// Chooses the most square-ish `p1 × p2 = q` grid for the image.
-    ///
-    /// # Panics
-    /// Panics if `q` is zero or exceeds the pixel count.
-    pub fn for_nodes(q: usize, width: usize, height: usize) -> Self {
-        assert!(q > 0, "need at least one node");
-        assert!(q <= width * height, "more nodes than pixels");
+    /// Chooses the most square-ish `p1 × p2 = q` grid for the image, or
+    /// `None` when no grid fits: `q` is zero, or every factorisation has
+    /// more columns than the width or more rows than the height.
+    pub fn for_nodes(q: usize, width: usize, height: usize) -> Option<Self> {
         // Pick the factorisation minimising tile aspect distortion.
-        let mut best = (1usize, q);
+        let mut best = None;
         let mut best_score = f64::INFINITY;
-        for p1 in 1..=q {
+        for p1 in 1..=q.min(width) {
             if !q.is_multiple_of(p1) {
                 continue;
             }
             let p2 = q / p1;
-            if p1 > width || p2 > height {
+            if p2 > height {
                 continue;
             }
             let tw = width as f64 / p1 as f64;
@@ -56,19 +53,15 @@ impl Decomposition {
             let score = (tw / th).max(th / tw);
             if score < best_score {
                 best_score = score;
-                best = (p1, p2);
+                best = Some((p1, p2));
             }
         }
-        assert!(
-            best_score.is_finite(),
-            "no feasible {q}-node grid for {width}x{height}"
-        );
-        Self {
-            p1: best.0,
-            p2: best.1,
+        best.map(|(p1, p2)| Self {
+            p1,
+            p2,
             width,
             height,
-        }
+        })
     }
 
     /// Number of nodes.
@@ -180,18 +173,30 @@ mod tests {
 
     #[test]
     fn grid_choice_is_squareish() {
-        let d = Decomposition::for_nodes(32, 128, 128);
+        let d = Decomposition::for_nodes(32, 128, 128).unwrap();
         assert_eq!(d.p1 * d.p2, 32);
         // 8x4 or 4x8 — tiles 16x32 or 32x16.
         assert!(matches!((d.p1, d.p2), (8, 4) | (4, 8)));
-        let d4 = Decomposition::for_nodes(4, 100, 100);
+        let d4 = Decomposition::for_nodes(4, 100, 100).unwrap();
         assert_eq!((d4.p1, d4.p2), (2, 2));
+    }
+
+    #[test]
+    fn no_grid_fits_gives_none() {
+        assert_eq!(Decomposition::for_nodes(0, 128, 128), None);
+        // More nodes than pixels.
+        assert_eq!(Decomposition::for_nodes(32, 4, 4), None);
+        // 131 is prime and larger than both sides.
+        assert_eq!(Decomposition::for_nodes(131, 128, 128), None);
+        // A prime count fits when one side holds it.
+        let d = Decomposition::for_nodes(131, 131, 1).unwrap();
+        assert_eq!((d.p1, d.p2), (131, 1));
     }
 
     #[test]
     fn tiles_partition_image() {
         for (q, w, h) in [(32, 128, 128), (6, 50, 40), (5, 17, 23), (1, 9, 9)] {
-            let d = Decomposition::for_nodes(q, w, h);
+            let d = Decomposition::for_nodes(q, w, h).unwrap();
             let mut covered = vec![0u8; w * h];
             for r in 0..d.nodes() {
                 let t = d.tile(r);
@@ -208,7 +213,7 @@ mod tests {
     #[test]
     fn owner_matches_tiles() {
         for (q, w, h) in [(32, 128, 128), (6, 50, 40), (12, 64, 48)] {
-            let d = Decomposition::for_nodes(q, w, h);
+            let d = Decomposition::for_nodes(q, w, h).unwrap();
             for y in 0..h {
                 for x in 0..w {
                     let r = d.owner_of_pixel(x, y);
@@ -224,7 +229,7 @@ mod tests {
 
     #[test]
     fn owner_of_id_consistent() {
-        let d = Decomposition::for_nodes(8, 64, 32);
+        let d = Decomposition::for_nodes(8, 64, 32).unwrap();
         for id in [0u32, 63, 64, 1000, 64 * 32 - 1] {
             let (x, y) = (id as usize % 64, id as usize / 64);
             assert_eq!(d.owner_of_id(id), d.owner_of_pixel(x, y));
@@ -235,19 +240,19 @@ mod tests {
     fn safe_square_cap() {
         // 128x128 on 32 nodes (8x4): tiles 16x32 -> cuts multiples of 16,
         // min tile side 16 -> cap 4 (squares up to 16).
-        let d = Decomposition::for_nodes(32, 128, 128);
+        let d = Decomposition::for_nodes(32, 128, 128).unwrap();
         assert_eq!(d.max_safe_square_log2(), 4);
         // 256x256 on 32 nodes: tiles 32x64 -> cap 5 (squares up to 32).
-        let d = Decomposition::for_nodes(32, 256, 256);
+        let d = Decomposition::for_nodes(32, 256, 256).unwrap();
         assert_eq!(d.max_safe_square_log2(), 5);
         // Uneven cuts give cap 0.
-        let d = Decomposition::for_nodes(3, 10, 9);
+        let d = Decomposition::for_nodes(3, 10, 9).unwrap();
         assert_eq!(d.max_safe_square_log2(), 0);
     }
 
     #[test]
     fn grid_coords_roundtrip() {
-        let d = Decomposition::for_nodes(32, 128, 128);
+        let d = Decomposition::for_nodes(32, 128, 128).unwrap();
         for r in 0..32 {
             let (tx, ty) = d.grid_coords(r);
             assert_eq!(d.rank_of(tx, ty), r);

@@ -104,6 +104,10 @@ struct NodeOut {
 /// The split stage is structurally capped at squares that fit a node's
 /// sub-image ([`Decomposition::max_safe_square_log2`]); pass the same cap
 /// to the other engines to compare segmentations bit for bit.
+///
+/// # Panics
+/// Panics when no grid of `nodes` fits the image (see
+/// [`Decomposition::for_nodes`]).
 pub fn segment_msgpass<P: Intensity>(
     img: &Image<P>,
     config: &Config,
@@ -224,7 +228,7 @@ impl<'a, P: Intensity> MsgPassBackend<'a, P> {
     /// `degraded` fault event. Simulated times and communication totals
     /// are zeroed.
     fn degrade(&mut self, abort: SpmdAbort) {
-        let decomp = Decomposition::for_nodes(self.nodes, self.img.width(), self.img.height());
+        let decomp = node_grid(self.nodes, self.img.width(), self.img.height());
         let safe_cap = decomp.max_safe_square_log2();
         let cap_used = self
             .config
@@ -515,6 +519,13 @@ pub fn segment_msgpass_chaos<P: Intensity>(
     segment_msgpass_chaos_with_telemetry(img, config, nodes, scheme, plan, &mut NullTelemetry)
 }
 
+/// The grid of `nodes` over a `width × height` image, panicking with both
+/// numbers when none fits.
+fn node_grid(nodes: usize, width: usize, height: usize) -> Decomposition {
+    Decomposition::for_nodes(nodes, width, height)
+        .unwrap_or_else(|| panic!("no {nodes}-node grid fits a {width}x{height} image"))
+}
+
 /// The SPMD node program, fallible end to end: any [`Fault`] a node hits
 /// aborts the whole cluster deterministically (see
 /// [`cmmd_sim::try_run_spmd`]).
@@ -527,7 +538,7 @@ fn try_segment_msgpass_impl<P: Intensity>(
     plan: Option<FaultPlan>,
     trace: bool,
 ) -> Result<MsgPassOutcome, SpmdAbort> {
-    let decomp = Decomposition::for_nodes(nodes, img.width(), img.height());
+    let decomp = node_grid(nodes, img.width(), img.height());
     let safe_cap = decomp.max_safe_square_log2();
     let cap_used = config
         .max_square_log2
@@ -687,7 +698,7 @@ mod tests {
 
     /// Host config with the MP-safe cap applied, for bit-exact comparison.
     fn capped(config: &Config, nodes: usize, w: usize, h: usize) -> Config {
-        let d = Decomposition::for_nodes(nodes, w, h);
+        let d = Decomposition::for_nodes(nodes, w, h).unwrap();
         Config {
             max_square_log2: Some(
                 config

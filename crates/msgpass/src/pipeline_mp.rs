@@ -87,7 +87,9 @@ mod tests {
     #[test]
     fn pipeline_matches_direct_driver_and_host() {
         let nodes = 4;
-        let cap = Decomposition::for_nodes(nodes, 64, 64).max_safe_square_log2();
+        let cap = Decomposition::for_nodes(nodes, 64, 64)
+            .unwrap()
+            .max_safe_square_log2();
         let cfg = Config::with_threshold(10).max_square_log2(Some(cap));
         let imgs = [synth::nested_rects(64), synth::rect_collection(64)];
         let mut pipe = MsgPassPipeline::new(cfg, nodes, CommScheme::LinearPermutation);
@@ -101,7 +103,9 @@ mod tests {
     #[test]
     fn batch_streams_through_simulated_nodes() {
         let nodes = 4;
-        let cap = Decomposition::for_nodes(nodes, 32, 32).max_safe_square_log2();
+        let cap = Decomposition::for_nodes(nodes, 32, 32)
+            .unwrap()
+            .max_safe_square_log2();
         let cfg = Config::with_threshold(10).max_square_log2(Some(cap));
         let imgs: Vec<_> = (0..2).map(|s| synth::random_rects(32, 32, 5, s)).collect();
         let (results, summary) = run_batch_collect(

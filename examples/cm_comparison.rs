@@ -24,7 +24,8 @@ fn main() {
 
     // Shared configuration: the cap that lets every engine agree bit for
     // bit (the largest square fitting one CM-5 node's sub-image).
-    let d = Decomposition::for_nodes(32, img.width(), img.height());
+    let d = Decomposition::for_nodes(32, img.width(), img.height())
+        .expect("32 nodes fit a paper image");
     let cfg = Config::with_threshold(10)
         .tie_break(TieBreak::Random { seed: 0x5EED })
         .max_square_log2(Some(d.max_safe_square_log2()));

@@ -68,6 +68,7 @@ use rg_core::{
     TieBreak, TileGrid, TiledRunner,
 };
 use rg_imaging::{pgm, synth, GrayImage};
+use rg_msgpass::Decomposition;
 use std::process::exit;
 
 struct Options {
@@ -265,18 +266,26 @@ fn parse_args() -> Options {
     o
 }
 
+/// Largest `--demo SCENE:SIZE` side: labels and square indices are `u32`,
+/// so `SIZE²` pixels must fit one.
+const MAX_DEMO_SIDE: usize = 65_535;
+
 fn load_image(o: &Options) -> GrayImage {
     if let Some(demo) = &o.demo {
         // Scalable scenes take a `:SIZE` suffix (e.g. `nested:1024`); the
         // paper's fixed images do not.
         let (scene, size) = match demo.split_once(':') {
             Some((scene, n)) => {
+                // Rejected before the image is allocated.
                 let size = n
                     .parse::<usize>()
                     .ok()
-                    .filter(|&s| s > 0)
+                    .filter(|s| (1..=MAX_DEMO_SIDE).contains(s))
                     .unwrap_or_else(|| {
-                        eprintln!("bad demo size in {demo:?}: expected a positive pixel count");
+                        eprintln!(
+                            "bad demo size in {demo:?}: expected a side of 1..={MAX_DEMO_SIDE} \
+                             pixels (labels are u32, so SIZE² must fit one)"
+                        );
                         usage()
                     });
                 (scene, Some(size))
@@ -393,6 +402,21 @@ fn run_engine(
             );
             usage()
         }
+    }
+}
+
+/// Exits 2 when an mp-* engine has no grid of `--nodes` over `img` (zero
+/// nodes, more nodes than pixels, or no factorisation that fits).
+fn check_node_grid(o: &Options, img: &GrayImage, name: &str) {
+    let (w, h) = (img.width(), img.height());
+    if matches!(o.engine.as_str(), "mp-lp" | "mp-async")
+        && Decomposition::for_nodes(o.nodes, w, h).is_none()
+    {
+        eprintln!(
+            "--nodes {}: no node grid fits the {w}x{h} image {name}",
+            o.nodes
+        );
+        usage()
     }
 }
 
@@ -569,6 +593,9 @@ fn run_tiled(
 /// Batch mode: stream every image in the spec through pooled pipelines.
 fn run_batch_mode(o: &Options, cfg: &Config, tel: &mut dyn Telemetry) {
     let images = expand_batch(o.batch.as_deref().expect("batch spec checked by caller"));
+    for (name, img) in &images {
+        check_node_grid(o, img, name);
+    }
     if let Some(dir) = &o.output {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             eprintln!("cannot create output directory {dir}: {e}");
@@ -655,6 +682,10 @@ fn main() {
     // Batch mode has no single input image; everything else shares the
     // config + telemetry sink setup below.
     let img = (o.batch.is_none()).then(|| load_image(&o));
+    if let Some(img) = &img {
+        let name = o.demo.as_deref().or(o.input.as_deref()).unwrap_or_default();
+        check_node_grid(&o, img, name);
+    }
     let cfg = Config {
         threshold: o.threshold,
         tie_break: o.tie,

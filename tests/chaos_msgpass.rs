@@ -34,7 +34,7 @@ fn test_config() -> Config {
 
 /// Host config with the message-passing square cap applied.
 fn capped(config: &Config, nodes: usize, w: usize, h: usize) -> Config {
-    let d = Decomposition::for_nodes(nodes, w, h);
+    let d = Decomposition::for_nodes(nodes, w, h).unwrap();
     Config {
         max_square_log2: Some(
             config

@@ -190,6 +190,37 @@ fn bad_demo_size_exits_2() {
 }
 
 #[test]
+fn oversized_demo_exits_2_before_allocating() {
+    // 70000² pixels overflow the u32 labels; the run must stop before it
+    // asks for the image.
+    let out = rgrow(&["--demo", "nested:70000"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("bad demo size in \"nested:70000\""), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// Node counts with no grid over the image. Only small counts: each
+/// simulated node would be an OS thread.
+#[test]
+fn node_count_without_a_grid_exits_2_naming_nodes_and_size() {
+    for (engine, extra, nodes) in [
+        ("mp-lp", &["--nodes", "0"][..], "0"),
+        // The default 32 nodes on a 16-pixel scene.
+        ("mp-async", &[][..], "32"),
+    ] {
+        let mut args = vec!["--demo", "nested:4", "--engine", engine];
+        args.extend_from_slice(extra);
+        let out = rgrow(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{engine} {extra:?}: {err}");
+        assert!(err.contains(&format!("--nodes {nodes}:")), "{err}");
+        assert!(err.contains("4x4 image"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn tiled_demo_runs_and_verifies() {
     let out = rgrow(&[
         "--demo",

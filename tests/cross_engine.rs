@@ -19,7 +19,7 @@ use rg_msgpass::{segment_msgpass, segment_msgpass_with_telemetry, Decomposition}
 /// Runs every engine and asserts equality of the segmentations.
 fn assert_all_engines_agree(img: &rg_imaging::GrayImage, config: &Config, nodes: usize) {
     // Clamp the cap as the message-passing decomposition requires.
-    let d = Decomposition::for_nodes(nodes, img.width(), img.height());
+    let d = Decomposition::for_nodes(nodes, img.width(), img.height()).unwrap();
     let cap = config
         .max_square_log2
         .map(|c| c.min(d.max_safe_square_log2()))
@@ -130,7 +130,7 @@ fn collect_all_reports(
     config: &Config,
     nodes: usize,
 ) -> Vec<TelemetryReport> {
-    let d = Decomposition::for_nodes(nodes, img.width(), img.height());
+    let d = Decomposition::for_nodes(nodes, img.width(), img.height()).unwrap();
     let cap = config
         .max_square_log2
         .map(|c| c.min(d.max_safe_square_log2()))

@@ -130,7 +130,11 @@ fn legacy_parallel_argument_is_ignored() {
     for legacy in [false, true] {
         let mut pipe = HostPipeline::<u8>::new(cfg, legacy);
         assert_eq!(pipe.engine(), "seq");
-        assert_eq!(pipe.run_image(&img), expect, "HostPipeline legacy={legacy}");
+        assert_eq!(
+            pipe.run(&img, &mut NullTelemetry),
+            expect,
+            "HostPipeline legacy={legacy}"
+        );
     }
     let tiled = |legacy: bool| {
         let mut runner = TiledRunner::new(cfg, legacy, TileGrid::new(2, 2), 2);

@@ -138,7 +138,7 @@ proptest! {
         random in proptest::bool::ANY,
     ) {
         let nodes = 4;
-        let cap = Decomposition::for_nodes(nodes, 32, 32).max_safe_square_log2();
+        let cap = Decomposition::for_nodes(nodes, 32, 32).unwrap().max_safe_square_log2();
         let cfg = Config::with_threshold(t)
             .tie_break(tie_of(random, 13))
             .max_square_log2(Some(cap));

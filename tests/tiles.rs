@@ -16,6 +16,7 @@ use rg_core::{
     RegionStats, Segmentation, TieBreak, TileGrid, TiledRunner, TiledStats,
 };
 use rg_imaging::{synth, Image};
+use std::borrow::Cow;
 
 /// Paints axis-aligned rectangles whose intensities are multiples of 40 on
 /// a zero background: any two distinct painted values differ by at least
@@ -260,7 +261,11 @@ fn full_vertex_stitch(
     edges.dedup();
     let (tile_regions, seam_edges) = (stats.len(), edges.len());
     let ids = (0..tile_regions as u64).collect();
-    let mut merger = Merger::new(Rag::from_parts(stats, edges), ids, cfg);
+    let rag = Rag {
+        stats: Cow::Owned(stats),
+        edges,
+    };
+    let mut merger = Merger::new(rag, ids, cfg);
     let summary = merger.run();
     let by_vertex = merger.labels_by_vertex();
     let mut first = vec![u32::MAX; tile_regions];
