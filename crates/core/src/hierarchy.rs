@@ -19,9 +19,9 @@
 pub struct MergeEvent {
     /// Merge iteration (0-based) in which the pair fused.
     pub iteration: u32,
-    /// Surviving representative (smaller dense vertex index).
+    /// Surviving representative (the smaller vertex index).
     pub winner: u32,
-    /// Absorbed vertex (larger dense index).
+    /// Absorbed vertex (the larger index).
     pub loser: u32,
     /// Edge weight at merge time, in 16.16 fixed-point grey levels (the
     /// union range under the pixel-range criterion).
@@ -35,7 +35,7 @@ pub struct MergeTrace {
     /// iteration (the merges of one iteration are a matching, so their
     /// order carries no meaning of its own).
     pub events: Vec<MergeEvent>,
-    /// Number of initial regions (dense vertices).
+    /// Number of initial regions (graph vertices).
     pub num_vertices: usize,
 }
 

@@ -80,18 +80,31 @@
 //! ### Resets
 //!
 //! A reset applies the paper's step 2 (drop the edges that violate the
-//! criterion) while it fills the CSR. [`Merger::reset_from_split`]
+//! criterion) while it stages the edges. [`Merger::reset_from_split`]
 //! takes a split's edges straight from the square-perimeter walk
-//! ([`crate::graph::square_forward_neighbours`]): each pair is tested as
-//! the walk finds it, and the CSR counts the survivors' degrees and lays
-//! them out as per-region segments, so no edge list exists.
-//! [`Merger::reset_from`] does the same from a canonical edge list, for
-//! graphs that only exist as one (the tiled stitch's seam RAG,
-//! [`Merger::new`]). Either way no segment can hold a self-loop, a
-//! duplicate or a criterion violation, and the redirect is the identity,
-//! so the reset's rescan folds iteration 0's argmin only: the same kernel
-//! with its upkeep switched off for that call.
-//! Stamp tokens and pass tokens keep counting up across resets, so a
+//! ([`crate::graph::square_forward_neighbours`]) and tests each pair on
+//! the split's statistics as the walk finds it, so no edge list exists.
+//! [`Merger::reset_from`] does the same from a canonical edge list and a
+//! per-vertex statistics lookup, for graphs that only exist as one (the
+//! tiled stitch's seam pairs, [`Merger::new`]). Either way the reset
+//! counts the survivors' degrees over all `n` vertices and then numbers
+//! the vertices that kept an edge *densely*, in ascending index. A vertex
+//! left without an edge is final: it never merges, so the merger keeps no
+//! state for it. Every other per-vertex array — the statistics, the
+//! history, `redirect`, `choice`, the CSR and its stamps and pass marks —
+//! is sized to the dense count, and the staged pairs are remapped once,
+//! as the CSR lays them out. The map is monotone, so dense indices order
+//! like canonical IDs, and the packed keys, the random hashes, the
+//! smaller-index winners and the min-rep history decide exactly as over
+//! all `n` vertices. What the merger reports speaks the original indices:
+//! labels ([`Merger::labels_by_vertex`], where a vertex without an edge is
+//! its own representative), [`MergeTrace`] events, [`Merger::num_regions`]
+//! and [`Merger::stats_of`].
+//!
+//! No segment can hold a self-loop, a duplicate or a criterion violation,
+//! and the redirect is the identity, so the reset's rescan folds iteration
+//! 0's argmin only: the same kernel with its upkeep switched off for that
+//! call. Stamp tokens and pass tokens keep counting up across resets, so a
 //! reset rewrites neither per-vertex array.
 //!
 //! The engine and the oracle produce byte-identical merge histories: the
@@ -123,8 +136,7 @@ use std::hint::black_box;
 use std::marker::PhantomData;
 
 use crate::config::{
-    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
-    RegionStats, TieBreak,
+    mean_satisfies, mean_weight_fp16, range_weight_fp16, Config, Criterion, RegionStats, TieBreak,
 };
 use crate::graph::{square_forward_neighbours, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
@@ -284,6 +296,13 @@ pub struct MergeSummary {
     pub num_regions: usize,
 }
 
+/// Sets `v`'s length to `n` for overwriting: only elements past the old
+/// length are written (with the default), so a warm buffer is not cleared.
+fn fit<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+    v.truncate(n);
+    v.resize(n, T::default());
+}
+
 /// Region statistics in structure-of-arrays layout, one entry per vertex
 /// and current at representatives: the pixel-range extrema in `hot`, the
 /// canonical IDs in `id`, the mean-difference sums in `sum`/`cnt`, so each
@@ -299,20 +318,32 @@ struct SoaStats {
 }
 
 impl SoaStats {
-    /// Re-fills the SoA in place from an AoS slice and the parallel
-    /// canonical IDs, reusing capacity.
-    fn refill<P: Intensity>(&mut self, stats: &[RegionStats<P>], ids: impl Iterator<Item = u64>) {
-        self.hot.clear();
-        self.hot.extend(stats.iter().map(|s| HotVertex {
-            min: s.min.to_u32(),
-            max: s.max.to_u32(),
-        }));
-        self.id.clear();
-        self.id.extend(ids);
-        self.sum.clear();
-        self.sum.extend(stats.iter().map(|s| s.sum));
-        self.cnt.clear();
-        self.cnt.extend(stats.iter().map(|s| s.count));
+    /// Re-fills the SoA in place, reusing capacity, with the statistics
+    /// and canonical IDs of the original vertices `vertex` lists: one
+    /// gather per vertex, written into all four arrays at once.
+    fn refill<P: Intensity>(
+        &mut self,
+        vertex: &[u32],
+        stats: impl Fn(u32) -> RegionStats<P>,
+        ids: impl Fn(u32) -> u64,
+    ) {
+        let n = vertex.len();
+        fit(&mut self.hot, n);
+        fit(&mut self.id, n);
+        fit(&mut self.sum, n);
+        fit(&mut self.cnt, n);
+        let fields = self.hot.iter_mut().zip(&mut self.id);
+        let fields = fields.zip(&mut self.sum).zip(&mut self.cnt);
+        for ((((hot, id), sum), cnt), &v) in fields.zip(vertex) {
+            let s = stats(v);
+            *hot = HotVertex {
+                min: s.min.to_u32(),
+                max: s.max.to_u32(),
+            };
+            *id = ids(v);
+            *sum = s.sum;
+            *cnt = s.count;
+        }
     }
 
     /// 16.16 fixed-point merge weight of regions `a` and `b`.
@@ -322,20 +353,6 @@ impl SoaStats {
             Criterion::PixelRange => self.hot[a].union_weight(self.hot[b]),
             Criterion::MeanDifference => {
                 mean_weight_fp16(self.sum[a], self.cnt[a], self.sum[b], self.cnt[b])
-            }
-        }
-    }
-
-    /// `true` iff merging `a` and `b` satisfies the criterion at `t`.
-    #[inline]
-    fn satisfies(&self, crit: Criterion, t: u32, a: usize, b: usize) -> bool {
-        match crit {
-            Criterion::PixelRange => {
-                let (x, y) = (self.hot[a], self.hot[b]);
-                range_satisfies(x.min.min(y.min), x.max.max(y.max), t)
-            }
-            Criterion::MeanDifference => {
-                mean_satisfies(self.sum[a], self.cnt[a], self.sum[b], self.cnt[b], t)
             }
         }
     }
@@ -356,7 +373,7 @@ impl SoaStats {
 /// ranking a candidate under the range criterion costs a single narrow
 /// gather. The canonical IDs live apart ([`SoaStats::id`]): deterministic
 /// ties never read them.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct HotVertex {
     /// Current region minimum, widened to `u32`.
     min: u32,
@@ -382,8 +399,18 @@ const ARENA_FACTOR: usize = 3;
 
 /// The CSR adjacency state plus all persistent scratch, so steady-state
 /// iterations perform no heap allocation.
+///
+/// Every per-vertex array but `index` speaks *dense* vertices: the
+/// vertices that kept an edge at the reset, numbered in ascending
+/// original index (see [`Csr::place`]).
 #[derive(Debug, Default)]
 struct Csr {
+    /// Per original vertex. While a reset stages its edges: the vertex's
+    /// kept degree. From [`Csr::place`] on: the number of dense vertices
+    /// below it, which is its dense index if it has one.
+    index: Vec<u32>,
+    /// The original vertex of each dense vertex, ascending.
+    vertex: Vec<u32>,
     /// Start of each region's segment in `col`.
     start: Vec<u32>,
     /// Live slots of each region's segment (0 for merged losers and for
@@ -434,12 +461,12 @@ struct Csr {
 }
 
 impl Csr {
-    /// Starts a rebuild over `n` vertices: zero degrees and an empty
-    /// survivor list. Feed every surviving canonical pair (`u < v`, unique)
-    /// to [`Csr::keep`], then lay them out with [`Csr::place`].
+    /// Starts a rebuild over `n` original vertices: zero degrees and an
+    /// empty survivor list. Feed every surviving canonical pair (`u < v`,
+    /// unique) to [`Csr::keep`], then lay them out with [`Csr::place`].
     fn begin(&mut self, n: usize) {
-        self.len.clear();
-        self.len.resize(n, 0);
+        self.index.clear();
+        self.index.resize(n, 0);
         self.spare.clear();
     }
 
@@ -452,18 +479,40 @@ impl Csr {
     #[inline]
     fn keep(&mut self, u: u32, v: u32, kept: bool) {
         let k = u32::from(kept);
-        self.len[u as usize] += k;
-        self.len[v as usize] += k;
+        self.index[u as usize] += k;
+        self.index[v as usize] += k;
         let staged = self.spare.len();
         self.spare.extend([u, v]);
         self.spare.truncate(staged + 2 * k as usize);
     }
 
-    /// Lays the staged pairs out **in place**, reusing every array's
-    /// capacity: one segment per vertex, in vertex order, and every vertex
-    /// with slots queued for the first rescan.
-    fn place(&mut self) {
-        let n = self.len.len();
+    /// Numbers the vertices that kept an edge densely, in ascending
+    /// original index, and lays the staged pairs out **in place** over
+    /// them, reusing every array's capacity: one segment per dense vertex,
+    /// in order, each pair remapped as it is scattered, and every dense
+    /// vertex queued for the first rescan. Returns the dense count.
+    ///
+    /// The numbering counts the dense vertices, then makes one pass over
+    /// `index` that turns each degree into the count of dense vertices
+    /// below it and writes `vertex` and `len` at that cursor, which
+    /// advances by `degree > 0` instead of a branch: on speckle about one
+    /// vertex in three keeps an edge, at random. Both arrays hold one
+    /// spare slot for the writes of the vertices after the last dense one.
+    fn place(&mut self) -> usize {
+        let dense = self.index.iter().filter(|&&d| d > 0).count();
+        fit(&mut self.vertex, dense + 1);
+        fit(&mut self.len, dense + 1);
+        let (vertex, len) = (&mut self.vertex[..], &mut self.len[..]);
+        let mut k = 0;
+        for (v, x) in self.index.iter_mut().enumerate() {
+            let degree = *x;
+            *x = k as u32;
+            vertex[k] = v as u32;
+            len[k] = degree;
+            k += usize::from(degree > 0);
+        }
+        self.vertex.truncate(dense);
+        self.len.truncate(dense);
         let slots = self.spare.len();
         self.cap = ARENA_FACTOR * slots;
         assert!(self.cap < u32::MAX as usize, "CSR slot count exceeds u32");
@@ -480,8 +529,9 @@ impl Csr {
             self.col.resize(slots, 0);
         }
         self.tail = slots;
+        let index = &self.index[..];
         for p in self.spare.chunks_exact(2) {
-            let (u, v) = (p[0], p[1]);
+            let (u, v) = (index[p[0] as usize], index[p[1] as usize]);
             self.start[u as usize] -= 1;
             self.col[self.start[u as usize] as usize] = v;
             self.start[v as usize] -= 1;
@@ -491,14 +541,16 @@ impl Csr {
         self.spare.reserve(self.cap);
         self.live = slots;
         self.queue_all();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
+        if self.stamp.len() < dense {
+            self.stamp.resize(dense, 0);
         }
+        dense
     }
 
-    /// Queues every vertex with slots, in vertex order. The write cursor
-    /// advances by `len > 0` instead of a branch: at a reset on speckle
-    /// about one vertex in four keeps a slot, at random.
+    /// Queues every vertex with slots, in vertex order. At a reset that is
+    /// every dense vertex; in a compaction the merged losers and the
+    /// owners whose last slot died hold none, and the write cursor
+    /// advances by `len > 0` instead of a branch.
     fn queue_all(&mut self) {
         let Self { len, owners, .. } = self;
         owners.clear();
@@ -948,12 +1000,12 @@ pub struct Merger<P: Intensity> {
     tie: TieBreak,
     max_stall: u32,
 
-    /// Region statistics and canonical IDs, current at representative
-    /// indices.
+    /// Region statistics and canonical IDs of the dense vertices, current
+    /// at representatives.
     stats: SoaStats,
-    /// The per-region adjacency segments.
+    /// The per-region adjacency segments and the dense numbering.
     csr: Csr,
-    /// Full merge history (original vertex → representative).
+    /// Full merge history (dense vertex → representative).
     history: DisjointSets,
     /// One-iteration redirect table (identity outside merged losers).
     redirect: Vec<u32>,
@@ -968,6 +1020,9 @@ pub struct Merger<P: Intensity> {
     /// Persistent scratch: the perimeter walk's per-square neighbour list
     /// (see [`Merger::reset_from_split`]).
     neighbours: Vec<u32>,
+    /// Persistent scratch: each dense vertex's resolved representative
+    /// (see [`Merger::labels_by_vertex_into`]).
+    reps: Vec<u32>,
 
     iterations: u32,
     merges_per_iteration: Vec<u32>,
@@ -989,14 +1044,22 @@ pub struct Merger<P: Intensity> {
 }
 
 impl<P: Intensity> Merger<P> {
-    /// Creates the engine. `ids[v]` is the canonical ID of dense vertex
-    /// `v`; IDs must be strictly increasing (raster order of the regions).
+    /// Creates the engine. `ids[v]` is the canonical ID of vertex `v`;
+    /// IDs must be strictly increasing (raster order of the regions).
     ///
     /// Edges of `rag` that do not satisfy the criterion are de-activated
     /// immediately (the paper's step 2).
     pub fn new(rag: Rag<'_, P>, ids: Vec<u64>, config: &Config) -> Self {
+        assert_eq!(ids.len(), rag.stats.len(), "ids length mismatch");
         let mut m = Self::hollow(config);
-        m.reset_from(&rag.stats, &rag.edges, &ids, config);
+        let stats = &rag.stats[..];
+        m.reset_from(
+            stats.len(),
+            |v| stats[v as usize],
+            |v| ids[v as usize],
+            &rag.edges,
+            config,
+        );
         m
     }
 
@@ -1016,6 +1079,7 @@ impl<P: Intensity> Merger<P> {
             merged: Vec::new(),
             choice: Vec::new(),
             neighbours: Vec::new(),
+            reps: Vec::new(),
             iterations: 0,
             merges_per_iteration: Vec::new(),
             num_regions: 0,
@@ -1029,83 +1093,74 @@ impl<P: Intensity> Merger<P> {
         }
     }
 
-    /// Re-initialises the engine **in place** for a new graph, reusing
-    /// every internal buffer's capacity: in steady state (same-shape
-    /// graphs through one merger) this performs **zero** heap allocations.
+    /// Re-initialises the engine **in place** for a new graph over `n`
+    /// vertices, reusing every internal buffer's capacity: in steady state
+    /// (same-shape graphs through one merger) this performs **zero** heap
+    /// allocations. `stats(v)` and `ids(v)` are vertex `v`'s statistics
+    /// and canonical ID; the IDs must increase with `v`.
     ///
-    /// Semantically equivalent to `*self = Merger::new(rag, ids, config)` —
-    /// edges that do not satisfy the criterion are de-activated immediately
-    /// (the paper's step 2) and any enabled trace is dropped. `edges` must
-    /// be canonical, as [`Rag::edges`] is: `u < v`, sorted and unique.
+    /// Semantically equivalent to a fresh [`Merger::new`] over the same
+    /// graph — edges that do not satisfy the criterion are de-activated
+    /// immediately (the paper's step 2) and any enabled trace is dropped.
+    /// `edges` must be canonical, as [`Rag::edges`] is: `u < v`, sorted
+    /// and unique.
     pub fn reset_from(
         &mut self,
-        stats: &[RegionStats<P>],
+        n: usize,
+        stats: impl Fn(u32) -> RegionStats<P>,
+        ids: impl Fn(u32) -> u64,
         edges: &[(u32, u32)],
-        ids: &[u64],
         config: &Config,
     ) {
-        assert_eq!(ids.len(), stats.len(), "ids length mismatch");
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
         // The reset's argmin-only rescan relies on this: no self-loop and
         // no duplicate reaches a segment.
         debug_assert!(
-            edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|p| p[0] < p[1]),
-            "edges must be canonical: u < v, sorted, unique"
+            edges.iter().all(|&(u, v)| u < v && (v as usize) < n)
+                && edges.windows(2).all(|p| p[0] < p[1]),
+            "edges must be canonical: u < v < n, sorted, unique"
         );
-        self.begin_reset(stats, ids.iter().copied(), config);
-        let (crit, t) = (self.criterion, self.threshold);
-        let Self { stats, csr, .. } = self;
+        self.begin_reset(n, config);
+        let (crit, t) = (config.criterion, config.threshold);
         for &(u, v) in edges {
-            csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
+            self.csr.keep(u, v, crit.satisfies(&stats(u), &stats(v), t));
         }
-        self.finish_reset();
+        self.finish_reset(stats, ids);
     }
 
     /// [`Merger::reset_from`] for the squares of a split, without an edge
     /// list: region IDs are [`crate::split::Square::id`], and the criterion
-    /// filter runs inside the perimeter walk
+    /// filter runs on the split's statistics inside the perimeter walk
     /// ([`crate::graph::square_forward_neighbours`]), so only the pairs
     /// that survive it reach the CSR. Equivalent to
     /// `reset_from` over [`Rag::from_split`] with those IDs.
     pub fn reset_from_split(&mut self, split: &SplitResult<P>, config: &Config) {
-        let stride = split.width as u32;
-        let ids = split.squares.iter().map(|s| u64::from(s.id(stride)));
-        self.begin_reset(&split.stats, ids, config);
-        let (crit, t) = (self.criterion, self.threshold);
+        self.begin_reset(split.squares.len(), config);
+        let stats = &split.stats[..];
+        let (crit, t) = (config.criterion, config.threshold);
         let Self {
-            stats,
-            csr,
-            neighbours,
-            ..
+            csr, neighbours, ..
         } = self;
         square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
+            let a = &stats[u as usize];
             for &v in nb {
-                csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
+                csr.keep(u, v, crit.satisfies(a, &stats[v as usize], t));
             }
         });
-        self.finish_reset();
+        let stride = split.width as u32;
+        self.finish_reset(
+            |v| stats[v as usize],
+            |v| u64::from(split.squares[v as usize].id(stride)),
+        );
     }
 
-    /// The shared first half of a reset: configuration, statistics, the
-    /// per-vertex state and an empty CSR ready for its edges.
-    fn begin_reset(
-        &mut self,
-        stats: &[RegionStats<P>],
-        ids: impl Iterator<Item = u64>,
-        config: &Config,
-    ) {
-        let n = stats.len();
+    /// The shared first half of a reset: configuration, counters and an
+    /// empty CSR over `n` vertices, ready for its edges.
+    fn begin_reset(&mut self, n: usize, config: &Config) {
         self.threshold = config.threshold;
         self.criterion = config.criterion;
         self.tie = config.tie_break;
         self.max_stall = config.max_stall;
-        self.stats.refill(stats, ids);
-        self.history.reset(n);
-        self.redirect.clear();
-        self.redirect.extend(0..n as u32);
         self.merged.clear();
-        self.choice.clear();
-        self.choice.resize(n, u32::MAX);
         self.iterations = 0;
         self.merges_per_iteration.clear();
         self.num_regions = n;
@@ -1118,14 +1173,14 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// The shared second half of a reset, once the CSR has staged every
-    /// edge that satisfies the criterion: lay out the segments, fold
+    /// edge that satisfies the criterion: [`Merger::lay_out`], then fold
     /// iteration 0's choices and record its mutual pairs with the
-    /// end-of-step kernel over every region with slots. Every staged pair was canonical and unique and passed
-    /// the criterion, so the kernel runs argmin-only (`UPKEEP = false`).
-    fn finish_reset(&mut self) {
+    /// end-of-step kernel over every dense vertex. Every staged pair was
+    /// canonical and unique and passed the criterion, so the kernel runs
+    /// argmin-only (`UPKEEP = false`).
+    fn finish_reset(&mut self, stats: impl Fn(u32) -> RegionStats<P>, ids: impl Fn(u32) -> u64) {
+        self.lay_out(stats, ids);
         let policy = self.policy().0;
-        self.csr.place();
-        self.peak_active_edges = self.csr.live as u64 / 2;
         self.csr.rescan::<false, false>(
             &self.stats,
             self.criterion,
@@ -1138,10 +1193,31 @@ impl<P: Intensity> Merger<P> {
         );
     }
 
+    /// Numbers the vertices that kept an edge densely and sizes every
+    /// per-vertex array to them ([`Csr::place`]). A vertex without an edge
+    /// never merges, so the merger keeps no state for it: it stays its own
+    /// representative. The numbering is monotone, so dense indices order
+    /// like canonical IDs and every tie decision is unchanged.
+    fn lay_out(&mut self, stats: impl Fn(u32) -> RegionStats<P>, ids: impl Fn(u32) -> u64) {
+        let dense = self.csr.place();
+        let vertex = &self.csr.vertex[..];
+        self.stats.refill(vertex, stats, ids);
+        debug_assert!(
+            self.stats.id.windows(2).all(|w| w[0] < w[1]),
+            "ids must increase"
+        );
+        self.history.reset(dense);
+        self.redirect.clear();
+        self.redirect.extend(0..dense as u32);
+        self.choice.clear();
+        self.choice.resize(dense, u32::MAX);
+        self.peak_active_edges = self.csr.live as u64 / 2;
+    }
+
     /// Starts recording a [`MergeTrace`] (call before the first step).
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(MergeTrace::new(self.stats.hot.len()));
+            self.trace = Some(MergeTrace::new(self.csr.index.len()));
         }
     }
 
@@ -1208,30 +1284,53 @@ impl<P: Intensity> Merger<P> {
         &self.merges_per_iteration
     }
 
-    /// Statistics of the region represented by dense vertex `rep`.
-    pub fn stats_of(&self, rep: u32) -> RegionStats<P> {
-        let i = rep as usize;
+    /// Statistics of the region represented by vertex `rep`, or `None`
+    /// when `rep` kept no edge at the reset: such a region never merges,
+    /// and its statistics are the ones the reset was given.
+    pub fn stats_of(&self, rep: u32) -> Option<RegionStats<P>> {
+        let i = *self.csr.index.get(rep as usize)? as usize;
+        if self.csr.vertex.get(i) != Some(&rep) {
+            return None;
+        }
         let h = self.stats.hot[i];
         // Exact: the extrema were widened from `P` values.
-        RegionStats {
+        Some(RegionStats {
             min: P::from_u32_saturating(h.min),
             max: P::from_u32_saturating(h.max),
             sum: self.stats.sum[i],
             count: self.stats.cnt[i],
-        }
+        })
     }
 
-    /// Representative (dense index) of each original vertex, resolved with
-    /// one batched pointer-jumping pass over the whole history forest
-    /// instead of per-vertex `find` calls.
+    /// Representative of each vertex: the smallest vertex of its region.
     pub fn labels_by_vertex(&self) -> Vec<u32> {
-        self.history.resolve_all()
+        let (mut reps, mut out) = (Vec::new(), Vec::new());
+        self.labels_with(&mut reps, &mut out);
+        out
     }
 
     /// [`Merger::labels_by_vertex`] into a caller-owned buffer (cleared
-    /// first); performs no allocation once `out` has warmed up.
-    pub fn labels_by_vertex_into(&self, out: &mut Vec<u32>) {
-        self.history.resolve_all_into(out);
+    /// first); performs no allocation once `out` and the merger's own
+    /// scratch have warmed up.
+    pub fn labels_by_vertex_into(&mut self, out: &mut Vec<u32>) {
+        let mut reps = std::mem::take(&mut self.reps);
+        self.labels_with(&mut reps, out);
+        self.reps = reps;
+    }
+
+    /// Resolves the dense history into `reps` with one batched
+    /// pointer-jumping pass, then writes every vertex's representative
+    /// into `out`: an identity fill, which is exact for the vertices that
+    /// kept no edge, and one scatter over the dense vertices. No per-vertex
+    /// branch picks between the two.
+    fn labels_with(&self, reps: &mut Vec<u32>, out: &mut Vec<u32>) {
+        self.history.resolve_all_into(reps);
+        let vertex = &self.csr.vertex[..];
+        out.clear();
+        out.extend(0..self.csr.index.len() as u32);
+        for (&v, &r) in vertex.iter().zip(reps.iter()) {
+            out[v as usize] = vertex[r as usize];
+        }
     }
 
     /// Executes one merge iteration; no-op when already done.
@@ -1342,6 +1441,7 @@ impl<P: Intensity> Merger<P> {
             trace,
             criterion,
             iterations,
+            csr,
             ..
         } = self;
         let traced = trace.as_ref().map_or(0, |t| t.events.len());
@@ -1349,8 +1449,8 @@ impl<P: Intensity> Merger<P> {
             if let Some(trace) = trace {
                 trace.events.push(MergeEvent {
                     iteration: *iterations,
-                    winner: u,
-                    loser: v,
+                    winner: csr.vertex[u as usize],
+                    loser: csr.vertex[v as usize],
                     weight_fp16: stats.weight(*criterion, u as usize, v as usize),
                 });
             }
@@ -1499,10 +1599,9 @@ mod tests {
         let labels = m.labels_by_vertex();
         assert_eq!(labels, vec![0, 1, 1, 0, 1, 0, 0]);
         // Final stats: region 0 = {6..8} ∪ {5} ∪ {7,8} ∪ {5,6}, range 3.
-        assert_eq!(m.stats_of(0).min, 5);
-        assert_eq!(m.stats_of(0).max, 8);
-        assert_eq!(m.stats_of(1).min, 1);
-        assert_eq!(m.stats_of(1).max, 4);
+        let (a, b) = (m.stats_of(0).unwrap(), m.stats_of(1).unwrap());
+        assert_eq!((a.min, a.max), (5, 8));
+        assert_eq!((b.min, b.max), (1, 4));
     }
 
     #[test]
@@ -1511,6 +1610,9 @@ mod tests {
             synth::circle_collection(48),
             synth::random_rects(64, 40, 11, 5),
             synth::nested_rects(32),
+            // Wide-band noise: most squares keep no edge, so the merger
+            // holds a minority of them and maps its trace events back.
+            synth::uniform_noise(48, 40, 0, 255, 2),
         ] {
             for tie in [
                 TieBreak::SmallestId,
@@ -1519,6 +1621,64 @@ mod tests {
             ] {
                 step_against_oracle(&img, &Config::with_threshold(12).tie_break(tie));
             }
+        }
+    }
+
+    #[test]
+    fn reset_keeps_state_only_for_vertices_with_a_kept_edge() {
+        // 256² wide-band noise at T = 12: about one square in three keeps
+        // an edge that satisfies the criterion under 4-connectivity, about
+        // half under 8-connectivity.
+        let img = synth::uniform_noise(256, 256, 0, 255, 1);
+        for conn in [Connectivity::Four, Connectivity::Eight] {
+            let cfg = Config::with_threshold(12).connectivity(conn);
+            let s = split(&img, &cfg);
+            let rag = Rag::from_split(&s, conn);
+            let mut kept = vec![false; s.squares.len()];
+            for &(u, v) in &rag.edges {
+                let (a, b) = (&rag.stats[u as usize], &rag.stats[v as usize]);
+                if cfg.criterion.satisfies(a, b, cfg.threshold) {
+                    kept[u as usize] = true;
+                    kept[v as usize] = true;
+                }
+            }
+            let dense = kept.iter().filter(|&&k| k).count();
+            assert!(dense > 0 && dense < kept.len(), "{conn:?}: {dense} kept");
+
+            let mut m = Merger::hollow(&cfg);
+            m.reset_from_split(&s, &cfg);
+            let sizes = [
+                ("stats.hot", m.stats.hot.len()),
+                ("stats.id", m.stats.id.len()),
+                ("stats.sum", m.stats.sum.len()),
+                ("redirect", m.redirect.len()),
+                ("choice", m.choice.len()),
+                ("csr.start", m.csr.start.len()),
+                ("csr.len", m.csr.len.len()),
+                ("csr.stamp", m.csr.stamp.len()),
+                ("csr.pass_mark", m.csr.pass_mark.len()),
+                ("history", m.history.len()),
+            ];
+            for (name, len) in sizes {
+                assert_eq!(len, dense, "{conn:?}: {name}");
+            }
+            assert_eq!(m.num_regions(), kept.len());
+            let identity: Vec<u32> = (0..kept.len() as u32).collect();
+            assert_eq!(m.labels_by_vertex(), identity, "{conn:?}");
+
+            m.run();
+            let labels = m.labels_by_vertex();
+            for (q, &k) in kept.iter().enumerate() {
+                if !k {
+                    assert_eq!(labels[q], q as u32, "{conn:?}: square {q}");
+                    assert_eq!(m.stats_of(q as u32), None, "{conn:?}: square {q}");
+                }
+            }
+            let stride = s.width as u32;
+            let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
+            let oracle = merge_reference(&rag, &ids, &cfg);
+            assert_eq!(labels, oracle.labels_by_vertex, "{conn:?}");
+            assert_eq!(m.num_regions(), kept.len() - oracle.trace.len(), "{conn:?}");
         }
     }
 
@@ -1589,21 +1749,22 @@ mod tests {
                     // `reset_from_split` step by step, ending in the full
                     // kernel instead of the argmin-only one.
                     let mut full = Merger::hollow(&cfg);
-                    let ids = s.squares.iter().map(|q| u64::from(q.id(s.width as u32)));
-                    full.begin_reset(&s.stats, ids, &cfg);
+                    full.begin_reset(s.squares.len(), &cfg);
                     let (crit, t) = (full.criterion, full.threshold);
                     let Merger {
-                        stats,
-                        csr,
-                        neighbours,
-                        ..
+                        csr, neighbours, ..
                     } = &mut full;
                     square_forward_neighbours(&s, conn, neighbours, |u, nb| {
                         for &v in nb {
-                            csr.keep(u, v, stats.satisfies(crit, t, u as usize, v as usize));
+                            let (a, b) = (&s.stats[u as usize], &s.stats[v as usize]);
+                            csr.keep(u, v, crit.satisfies(a, b, t));
                         }
                     });
-                    full.csr.place();
+                    let stride = s.width as u32;
+                    full.lay_out(
+                        |v| s.stats[v as usize],
+                        |v| u64::from(s.squares[v as usize].id(stride)),
+                    );
                     full.csr.rescan::<true, false>(
                         &full.stats,
                         crit,
@@ -1644,14 +1805,22 @@ mod tests {
             let oracle = merge_reference(&rag, &ids, &cfg);
             let mut m = Merger::new(rag.clone(), ids.clone(), &cfg);
             m.run();
-            let n = ids.len() as u32;
+            // The vertices that keep an edge, the rescans' token span.
+            let n = m.csr.vertex.len() as u32;
             // The reset's pass takes the last `n` stamp tokens and the
             // last two pass tokens; the first end-of-step pass must clear
             // both.
             m.csr.next_token = u32::MAX - n;
             m.csr.epoch = u32::MAX - 2;
             m.csr.stamp.fill(1);
-            m.reset_from(&rag.stats, &rag.edges, &ids, &cfg);
+            let stats = &rag.stats[..];
+            m.reset_from(
+                ids.len(),
+                |v| stats[v as usize],
+                |v| ids[v as usize],
+                &rag.edges,
+                &cfg,
+            );
             m.enable_trace();
             // Step by step: a lost dirty owner can stall the run forever.
             for (i, want) in oracle.steps.iter().enumerate() {

@@ -134,11 +134,14 @@ impl<P: Intensity> HostPipeline<P> {
     /// stage numbers representatives in index order; every other square's
     /// label is already taken when it is reached. So the representative of
     /// label `next` is the first square `q` with `by_vertex[q] == next`.
+    /// A square that kept no edge never merged: its statistics are the
+    /// split's.
     pub(crate) fn region_stats_into(&self, out: &mut Vec<RegionStats<P>>) {
         out.clear();
         for (q, &label) in self.by_vertex.iter().enumerate() {
             if label as usize == out.len() {
-                out.push(self.merger.stats_of(q as u32));
+                let merged = self.merger.stats_of(q as u32);
+                out.push(merged.unwrap_or(self.split.stats[q]));
             }
         }
     }
@@ -263,7 +266,15 @@ impl<P: Intensity> LabelStage for HostBackend<'_, P> {
         // every label write.
         let lab: &[u32] = &pipe.by_vertex;
         out.labels = std::mem::take(&mut pipe.split.square_of);
-        for l in &mut out.labels {
+        // Over fixed chunks: the unrolled chunk body, not the alignment the
+        // linker happens to give a one-label loop, sets the map's speed.
+        let mut chunks = out.labels.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            for l in chunk {
+                *l = lab[*l as usize];
+            }
+        }
+        for l in chunks.into_remainder() {
             *l = lab[*l as usize];
         }
         (StageStats::live(), num_regions)
@@ -431,6 +442,9 @@ mod tests {
             for img in [
                 synth::random_rects(w, h, 8, seed),
                 synth::uniform_noise(w, h, 120, 135, seed),
+                // Wide-band noise: most squares keep no edge and never
+                // reach the merger, so their statistics are the split's.
+                synth::uniform_noise(w, h, 0, 255, seed),
             ] {
                 // The same scene widened to u16, with low-bit texture.
                 let wide = Image::from_fn(w, h, |x, y| {

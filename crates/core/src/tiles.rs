@@ -19,12 +19,13 @@
 //!    straight into the output's label buffer, and cross-tile adjacent
 //!    label pairs are read from it **along tile seams only** (the interior
 //!    adjacencies were already resolved by the per-tile merges);
-//! 3. the CSR [`Merger`] runs until quiescence on the seam graph alone:
-//!    the regions that touch a seam, numbered densely in ascending global
-//!    index and with their statistics read from their tiles' slots. Its
-//!    state is sized by the seams, not by the tile regions, as a CM-5
-//!    node's reconciliation is sized by its subimage boundary. Every
-//!    other region stays its own representative;
+//! 3. the CSR [`Merger`] runs until quiescence on the seam pairs, in
+//!    global vertex indices, with each region's statistics read from its
+//!    tile's slot. Like every merger, it keeps state only for the regions
+//!    with an edge that satisfies the criterion, so its state is sized by
+//!    the seams, not by the tile regions, as a CM-5 node's reconciliation
+//!    is sized by its subimage boundary. Every other region stays its own
+//!    representative;
 //! 4. the output's label buffer is relabelled in place, by first
 //!    appearance in global raster order, into the final dense labels.
 //!
@@ -220,14 +221,7 @@ pub struct TiledRunner {
     tiles: Vec<TileSlot>,
     // Stitch scratch (all high-water recycled).
     seam_edges: Vec<(u32, u32)>,
-    /// Global vertex of each seam-graph vertex, ascending: the stitch
-    /// merger's canonical IDs.
-    ids: Vec<u64>,
-    /// Statistics of each seam-graph vertex.
-    seam_stats: Vec<RegionStats<u8>>,
     merger: Merger<u8>,
-    /// The stitch merger's representative of each seam-graph vertex.
-    seam_labels: Vec<u32>,
     /// Global vertex → global representative.
     by_vertex: Vec<u32>,
     /// Representative vertex → compact label; `u32::MAX` until the
@@ -251,10 +245,7 @@ impl TiledRunner {
             workers: Vec::new(),
             tiles: Vec::new(),
             seam_edges: Vec::new(),
-            ids: Vec::new(),
-            seam_stats: Vec::new(),
             merger: Merger::hollow(&config),
-            seam_labels: Vec::new(),
             by_vertex: Vec::new(),
             first: Vec::new(),
         }
@@ -398,44 +389,17 @@ impl TiledRunner {
         edges.dedup();
         let seam_edges = edges.len();
 
-        // The seam graph's vertices are the pairs' endpoints, numbered
-        // densely in ascending global index. Their IDs are the global
-        // indices, so IDs still increase with the dense index and every
-        // tie decision is the one a merger over all tile regions would
-        // take; the map is monotone, so the remapped pairs stay canonical.
-        // `by_vertex` holds each seam vertex's dense index until the merge
-        // replaces it with the representative.
-        let ids = &mut self.ids;
-        ids.clear();
-        ids.extend(
-            edges
-                .iter()
-                .flat_map(|&(a, b)| [u64::from(a), u64::from(b)]),
-        );
-        ids.sort_unstable();
-        ids.dedup();
-        let by_vertex = &mut self.by_vertex;
-        by_vertex.clear();
-        by_vertex.extend(0..offset);
-        self.seam_stats.clear();
-        let mut tile = 0;
-        for (i, &g) in ids.iter().enumerate() {
-            let g = g as u32;
-            by_vertex[g as usize] = i as u32;
-            let mut slot = &self.tiles[tile];
-            while g >= slot.base + slot.seg.num_regions as u32 {
-                tile += 1;
-                slot = &self.tiles[tile];
-            }
-            self.seam_stats.push(slot.stats[(g - slot.base) as usize]);
-        }
-        for e in edges.iter_mut() {
-            *e = (by_vertex[e.0 as usize], by_vertex[e.1 as usize]);
-        }
-
-        // Boundary merge to quiescence on the seam graph.
+        // Boundary merge to quiescence on the seam graph. The merger keeps
+        // state only for the regions with a seam edge that satisfies the
+        // criterion; their IDs are the global indices, and their
+        // statistics are read from their tiles' slots.
+        let tiles = &self.tiles;
+        let stats = |g: u32| {
+            let slot = &tiles[tiles.partition_point(|t| t.base <= g) - 1];
+            slot.stats[(g - slot.base) as usize]
+        };
         let merger = &mut self.merger;
-        merger.reset_from(&self.seam_stats, edges, ids, &self.config);
+        merger.reset_from(total_vertices, stats, u64::from, edges, &self.config);
         while !merger.is_done() {
             merger.step();
         }
@@ -450,10 +414,8 @@ impl TiledRunner {
         // global raster order — the labeling the whole-image engines emit.
         // The vertex order is tile-major, so a region's first pixel need
         // not belong to its lowest vertex and the compaction walks pixels.
-        merger.labels_by_vertex_into(&mut self.seam_labels);
-        for (&g, &r) in ids.iter().zip(&self.seam_labels) {
-            by_vertex[g as usize] = ids[r as usize] as u32;
-        }
+        let by_vertex = &mut self.by_vertex;
+        merger.labels_by_vertex_into(by_vertex);
         let by_vertex: &[u32] = by_vertex;
         let first = &mut self.first;
         first.clear();
