@@ -414,9 +414,8 @@ impl TiledRunner {
         // global raster order — the labeling the whole-image engines emit.
         // The vertex order is tile-major, so a region's first pixel need
         // not belong to its lowest vertex and the compaction walks pixels.
-        let by_vertex = &mut self.by_vertex;
-        merger.labels_by_vertex_into(by_vertex);
-        let by_vertex: &[u32] = by_vertex;
+        merger.labels_by_vertex_into(&mut self.by_vertex);
+        let by_vertex: &[u32] = &self.by_vertex;
         let first = &mut self.first;
         first.clear();
         first.resize(total_vertices, u32::MAX);
