@@ -82,8 +82,10 @@
 //! A reset applies the paper's step 2 (drop the edges that violate the
 //! criterion) while it stages the edges. [`Merger::reset_from_split`]
 //! takes a split's edges straight from the square-perimeter walk
-//! ([`crate::graph::square_forward_neighbours`]) and tests each pair on
-//! the split's statistics as the walk finds it, so no edge list exists.
+//! ([`crate::graph::square_forward_neighbours`]) and tests each pair as
+//! the walk finds it, so no edge list exists: under the range criterion
+//! on a narrow per-square copy of the split's extrema, under the mean
+//! criterion on the split's statistics.
 //! [`Merger::reset_from`] does the same from a canonical edge list and a
 //! per-vertex statistics lookup, for graphs that only exist as one (the
 //! tiled stitch's seam pairs, [`Merger::new`]). Either way the reset
@@ -93,10 +95,15 @@
 //! state for it. Every other per-vertex array — the statistics, the
 //! history, `redirect`, `choice`, the CSR and its stamps and pass marks —
 //! is sized to the dense count, and the staged pairs are remapped once,
-//! as the CSR lays them out. The map is monotone, so dense indices order
-//! like canonical IDs, and the packed keys, the random hashes, the
-//! smaller-index winners and the min-rep history decide exactly as over
-//! all `n` vertices. What the merger reports speaks the original indices:
+//! as the CSR lays them out. Where fewer than one vertex in
+//! `COMPACT_ONE_IN` (8) lacks an edge, the compaction would save little
+//! and still pay its numbering and remaps, so the numbering is the
+//! identity and every vertex keeps state, as on the paper's scenes and
+//! narrow-band noise; speckle (one square in three keeps an edge) and
+//! the tiled stitch (only seam regions have edges) compact. The map is
+//! monotone, so dense indices order like canonical IDs, and the packed
+//! keys, the random hashes, the smaller-index winners and the min-rep
+//! history decide exactly as over all `n` vertices. What the merger reports speaks the original indices:
 //! labels ([`Merger::labels_by_vertex`], where a vertex without an edge is
 //! its own representative), [`MergeTrace`] events, [`Merger::num_regions`]
 //! and [`Merger::stats_of`].
@@ -136,7 +143,8 @@ use std::hint::black_box;
 use std::marker::PhantomData;
 
 use crate::config::{
-    mean_satisfies, mean_weight_fp16, range_weight_fp16, Config, Criterion, RegionStats, TieBreak,
+    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
+    RegionStats, TieBreak,
 };
 use crate::graph::{square_forward_neighbours, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
@@ -397,6 +405,13 @@ impl HotVertex {
 /// `rects/smallest_id`).
 const ARENA_FACTOR: usize = 3;
 
+/// A reset numbers the vertices with an edge densely only when at least one
+/// vertex in this many has none. Below that share the compaction saves
+/// little state but still costs its numbering pass and its remaps: with
+/// noise-tiled's narrow-noise tiles compacted, where ~99% of squares keep
+/// an edge, that benchmark read ~5% lower throughput.
+const COMPACT_ONE_IN: usize = 8;
+
 /// The CSR adjacency state plus all persistent scratch, so steady-state
 /// iterations perform no heap allocation.
 ///
@@ -460,6 +475,20 @@ struct Csr {
     next_token: u32,
 }
 
+/// Lays the staged pairs out as per-region segments: each endpoint,
+/// renumbered by `dense`, takes the other's slot at its fill cursor in
+/// `start`, which counts down to the segment's start.
+#[inline(always)]
+fn scatter(pairs: &[u32], start: &mut [u32], col: &mut [u32], dense: impl Fn(u32) -> u32) {
+    for p in pairs.chunks_exact(2) {
+        let (u, v) = (dense(p[0]), dense(p[1]));
+        start[u as usize] -= 1;
+        col[start[u as usize] as usize] = v;
+        start[v as usize] -= 1;
+        col[start[v as usize] as usize] = u;
+    }
+}
+
 impl Csr {
     /// Starts a rebuild over `n` original vertices: zero degrees and an
     /// empty survivor list. Feed every surviving canonical pair (`u < v`,
@@ -492,25 +521,40 @@ impl Csr {
     /// in order, each pair remapped as it is scattered, and every dense
     /// vertex queued for the first rescan. Returns the dense count.
     ///
-    /// The numbering counts the dense vertices, then makes one pass over
-    /// `index` that turns each degree into the count of dense vertices
-    /// below it and writes `vertex` and `len` at that cursor, which
-    /// advances by `degree > 0` instead of a branch: on speckle about one
-    /// vertex in three keeps an edge, at random. Both arrays hold one
-    /// spare slot for the writes of the vertices after the last dense one.
+    /// The numbering counts the vertices that kept an edge. Where at least
+    /// one vertex in [`COMPACT_ONE_IN`] did not, one pass over `index`
+    /// turns each degree into the count of dense vertices below it and
+    /// writes `vertex` and `len` at that cursor, which advances by
+    /// `degree > 0` instead of a branch: on speckle about one vertex in
+    /// three keeps an edge, at random. Both arrays hold one spare slot for
+    /// the writes of the vertices after the last dense one. Otherwise
+    /// every vertex counts as dense, a vertex without an edge included,
+    /// and the numbering is the identity.
     fn place(&mut self) -> usize {
-        let dense = self.index.iter().filter(|&&d| d > 0).count();
-        fit(&mut self.vertex, dense + 1);
-        fit(&mut self.len, dense + 1);
-        let (vertex, len) = (&mut self.vertex[..], &mut self.len[..]);
-        let mut k = 0;
-        for (v, x) in self.index.iter_mut().enumerate() {
-            let degree = *x;
-            *x = k as u32;
-            vertex[k] = v as u32;
-            len[k] = degree;
-            k += usize::from(degree > 0);
-        }
+        let n = self.index.len();
+        let kept = self.index.iter().filter(|&&d| d > 0).count();
+        let dense = if COMPACT_ONE_IN * (n - kept) >= n {
+            fit(&mut self.vertex, kept + 1);
+            fit(&mut self.len, kept + 1);
+            let (vertex, len) = (&mut self.vertex[..], &mut self.len[..]);
+            let mut k = 0;
+            for (v, x) in self.index.iter_mut().enumerate() {
+                let degree = *x;
+                *x = k as u32;
+                vertex[k] = v as u32;
+                len[k] = degree;
+                k += usize::from(degree > 0);
+            }
+            kept
+        } else {
+            self.len.clear();
+            self.len.extend_from_slice(&self.index);
+            self.index.clear();
+            self.index.extend(0..n as u32);
+            self.vertex.clear();
+            self.vertex.extend(0..n as u32);
+            n
+        };
         self.vertex.truncate(dense);
         self.len.truncate(dense);
         let slots = self.spare.len();
@@ -529,13 +573,17 @@ impl Csr {
             self.col.resize(slots, 0);
         }
         self.tail = slots;
-        let index = &self.index[..];
-        for p in self.spare.chunks_exact(2) {
-            let (u, v) = (index[p[0] as usize], index[p[1] as usize]);
-            self.start[u as usize] -= 1;
-            self.col[self.start[u as usize] as usize] = v;
-            self.start[v as usize] -= 1;
-            self.col[self.start[v as usize] as usize] = u;
+        let Self {
+            index,
+            start,
+            col,
+            spare,
+            ..
+        } = self;
+        if dense == n {
+            scatter(spare, start, col, |v| v);
+        } else {
+            scatter(spare, start, col, |v| index[v as usize]);
         }
         self.spare.clear();
         self.spare.reserve(self.cap);
@@ -1020,6 +1068,10 @@ pub struct Merger<P: Intensity> {
     /// Persistent scratch: the perimeter walk's per-square neighbour list
     /// (see [`Merger::reset_from_split`]).
     neighbours: Vec<u32>,
+    /// Persistent scratch: each square's `(min, max)`, which the perimeter
+    /// walk filters on under the range criterion (see
+    /// [`Merger::reset_from_split`]).
+    extrema: Vec<(P, P)>,
     /// Persistent scratch: each dense vertex's resolved representative
     /// (see [`Merger::labels_by_vertex_into`]).
     reps: Vec<u32>,
@@ -1079,6 +1131,7 @@ impl<P: Intensity> Merger<P> {
             merged: Vec::new(),
             choice: Vec::new(),
             neighbours: Vec::new(),
+            extrema: Vec::new(),
             reps: Vec::new(),
             iterations: 0,
             merges_per_iteration: Vec::new(),
@@ -1129,7 +1182,7 @@ impl<P: Intensity> Merger<P> {
 
     /// [`Merger::reset_from`] for the squares of a split, without an edge
     /// list: region IDs are [`crate::split::Square::id`], and the criterion
-    /// filter runs on the split's statistics inside the perimeter walk
+    /// filter runs on the split's extrema or statistics inside the perimeter walk
     /// ([`crate::graph::square_forward_neighbours`]), so only the pairs
     /// that survive it reach the CSR. Equivalent to
     /// `reset_from` over [`Rag::from_split`] with those IDs.
@@ -1138,12 +1191,31 @@ impl<P: Intensity> Merger<P> {
         let stats = &split.stats[..];
         let (crit, t) = (config.criterion, config.threshold);
         let Self {
-            csr, neighbours, ..
+            csr,
+            neighbours,
+            extrema,
+            ..
         } = self;
+        // The walk reads each square's extrema several times; a narrow
+        // copy keeps those reads off the 24-byte statistics. The criterion
+        // is matched per pair inside one walk: one walk per criterion
+        // measured twice as slow.
+        extrema.clear();
+        if crit == Criterion::PixelRange {
+            extrema.extend(stats.iter().map(|s| (s.min, s.max)));
+        }
+        let extrema = &extrema[..];
         square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
-            let a = &stats[u as usize];
             for &v in nb {
-                csr.keep(u, v, crit.satisfies(a, &stats[v as usize], t));
+                let (a, b) = (u as usize, v as usize);
+                let kept = match crit {
+                    Criterion::PixelRange => {
+                        let ((lo, hi), (l, h)) = (extrema[a], extrema[b]);
+                        range_satisfies(lo.min(l).to_u32(), hi.max(h).to_u32(), t)
+                    }
+                    Criterion::MeanDifference => crit.satisfies(&stats[a], &stats[b], t),
+                };
+                csr.keep(u, v, kept);
             }
         });
         let stride = split.width as u32;
@@ -1285,8 +1357,10 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// Statistics of the region represented by vertex `rep`, or `None`
-    /// when `rep` kept no edge at the reset: such a region never merges,
-    /// and its statistics are the ones the reset was given.
+    /// when the merger keeps no state for it, which happens only to a
+    /// vertex that kept no edge at a compacting reset (see "Resets"):
+    /// such a region never merges, and its statistics are the ones the
+    /// reset was given.
     pub fn stats_of(&self, rep: u32) -> Option<RegionStats<P>> {
         let i = *self.csr.index.get(rep as usize)? as usize;
         if self.csr.vertex.get(i) != Some(&rep) {
@@ -1322,8 +1396,14 @@ impl<P: Intensity> Merger<P> {
     /// pointer-jumping pass, then writes every vertex's representative
     /// into `out`: an identity fill, which is exact for the vertices that
     /// kept no edge, and one scatter over the dense vertices. No per-vertex
-    /// branch picks between the two.
+    /// branch picks between the two. Under the identity numbering the
+    /// history resolves straight into `out`.
     fn labels_with(&self, reps: &mut Vec<u32>, out: &mut Vec<u32>) {
+        if self.csr.vertex.len() == self.csr.index.len() {
+            // The identity numbering: dense indices are the vertices.
+            self.history.resolve_all_into(out);
+            return;
+        }
         self.history.resolve_all_into(reps);
         let vertex = &self.csr.vertex[..];
         out.clear();
@@ -1680,6 +1760,51 @@ mod tests {
             assert_eq!(labels, oracle.labels_by_vertex, "{conn:?}");
             assert_eq!(m.num_regions(), kept.len() - oracle.trace.len(), "{conn:?}");
         }
+    }
+
+    #[test]
+    fn reset_numbers_every_vertex_where_nearly_all_keep_an_edge() {
+        // 256² narrow-band noise at T = 10: ~99% of the squares keep an
+        // edge, too many for the compaction to pay, so the numbering is
+        // the identity and the few squares without an edge keep state too.
+        let img = synth::uniform_noise(256, 256, 120, 135, 1);
+        let cfg = Config::with_threshold(10);
+        let s = split(&img, &cfg);
+        let rag = Rag::from_split(&s, cfg.connectivity);
+        let mut kept = vec![false; s.squares.len()];
+        for &(u, v) in &rag.edges {
+            let (a, b) = (&rag.stats[u as usize], &rag.stats[v as usize]);
+            if cfg.criterion.satisfies(a, b, cfg.threshold) {
+                kept[u as usize] = true;
+                kept[v as usize] = true;
+            }
+        }
+        let n = kept.len();
+        let isolated = kept.iter().filter(|&&k| !k).count();
+        assert!(
+            isolated > 0 && COMPACT_ONE_IN * isolated < n,
+            "{isolated} of {n}"
+        );
+
+        let mut m = Merger::hollow(&cfg);
+        m.reset_from_split(&s, &cfg);
+        for (name, len) in [
+            ("stats.hot", m.stats.hot.len()),
+            ("redirect", m.redirect.len()),
+            ("choice", m.choice.len()),
+            ("csr.len", m.csr.len.len()),
+            ("history", m.history.len()),
+        ] {
+            assert_eq!(len, n, "{name}");
+        }
+        m.run();
+        for (q, _) in kept.iter().enumerate().filter(|(_, &k)| !k) {
+            assert_eq!(m.stats_of(q as u32), Some(s.stats[q]), "square {q}");
+        }
+        let stride = s.width as u32;
+        let ids: Vec<u64> = s.squares.iter().map(|q| u64::from(q.id(stride))).collect();
+        let oracle = merge_reference(&rag, &ids, &cfg);
+        assert_eq!(m.labels_by_vertex(), oracle.labels_by_vertex);
     }
 
     #[test]
