@@ -11,14 +11,16 @@
 //! them on the fly — the same trick that lets the CM implementations keep
 //! everything in flat arrays.
 //!
-//! Edges of a square graph come from one walk over the square perimeters,
-//! [`square_forward_neighbours`], which hands each square's larger
-//! neighbours to a sink. The host pipeline's sink is the merge engine
-//! itself ([`crate::merge::Merger::reset_from_split`]): it keeps only the
-//! pairs that satisfy the criterion and lays them out as its per-region
+//! Edges of a square graph come from one streaming walk over the square
+//! perimeters, [`square_forward_neighbours`], which hands each pair of a
+//! square and a larger neighbour to a predicate as it reads it and stages
+//! the pairs it keeps in a flat buffer. The host pipeline's predicate is
+//! the merge engine's criterion filter
+//! ([`crate::merge::Merger::reset_from_split`]): only the pairs that
+//! satisfy it are staged, and the engine lays them out as its per-region
 //! adjacency, so no edge list is materialised. [`square_adjacency_into`]
-//! collects the canonical edge list instead, for [`Rag`], the
-//! message-passing boundary and the tests.
+//! keeps every pair and sorts them into the canonical edge list, for
+//! [`Rag`], the message-passing boundary and the tests.
 
 use crate::config::{Connectivity, RegionStats};
 use crate::split::SplitResult;
@@ -65,119 +67,212 @@ impl<'a, P: Intensity> Rag<'a, P> {
 }
 
 /// Writes the canonical RAG edge list of a split (`u < v`, sorted, unique)
-/// into `out`, reading only the perimeters of the squares: the pairs
-/// `(u, v)` of [`square_forward_neighbours`], in its order. `out` and the
-/// per-square neighbour list `scratch` are cleared first; neither
-/// allocates once it has reached its high-water capacity.
+/// into `out`, reading only the perimeters of the squares: the pairs of
+/// [`square_forward_neighbours`], staged in `scratch`, then sorted. The walk
+/// emits every pair once, so the sorted list is already unique. `out` is
+/// cleared first; neither buffer allocates once it has reached its
+/// high-water length.
 ///
 /// The output is identical to
 /// `adjacent_label_pairs(&split.square_of, width, height, connectivity)`,
-/// without its per-pixel scan and its sort of the whole pair list.
+/// without its per-pixel scan and its sort of every pixel pair.
 pub fn square_adjacency_into<P: Intensity>(
     split: &SplitResult<P>,
     connectivity: Connectivity,
     scratch: &mut Vec<u32>,
     out: &mut Vec<(u32, u32)>,
 ) {
+    let staged = square_forward_neighbours(split, connectivity, scratch, |_, _| true);
     out.clear();
-    square_forward_neighbours(split, connectivity, scratch, |u, nb| {
-        out.extend(nb.iter().map(|&v| (u, v)));
-    });
+    out.extend(scratch[..staged].chunks_exact(2).map(|p| (p[0], p[1])));
+    out.sort_unstable();
+    debug_assert!(
+        out.windows(2).all(|p| p[0] < p[1]),
+        "the walk emits each pair once"
+    );
 }
 
+/// The largest square side whose perimeter [`square_forward_neighbours`]
+/// reads pixel by pixel; around larger squares it hops. On narrow-band
+/// noise (1×1, 2×2 and a few 4×4 squares) reading every pixel took the
+/// walk from ~0.50 to ~0.40 ms per 256² image, and hopping around the
+/// larger squares keeps the 2048² paper scenes at their hop-only cost.
+const PIXEL_WALK_MAX: usize = 4;
+
 /// Walks the perimeter of every square of a split, in index order, and
-/// hands each square `u` with its sorted, unique forward neighbours
-/// (`v > u`) to `sink(u, neighbours)`. The concatenated pairs `(u, v)` are
-/// the canonical RAG edge list; [`square_adjacency_into`] collects them,
-/// and the merge engine filters them as they come
-/// ([`crate::merge::Merger::reset_from_split`]). `scratch` holds the
-/// current square's list and does not allocate once it has reached its
-/// high-water capacity.
+/// hands each forward pair `(u, v)` (adjacent, `v > u`) to `keep` as it
+/// reads it. The pairs `keep` accepts are staged flat, `u` then `v`, in
+/// `staged[..k]`; the walk returns `k`, twice the number of pairs kept.
+/// With `keep` always `true` the pairs are the canonical RAG edge list,
+/// each once, grouped by ascending `u` but not sorted within a group;
+/// [`square_adjacency_into`] sorts them. The merge engine's reset filters
+/// them on the criterion instead
+/// ([`crate::merge::Merger::reset_from_split`]).
+///
+/// `staged`'s length is a high-water mark that never shrinks: before each
+/// square the walk grows it, if need be, to that square's bound of
+/// `2·(3s + 1)` entries past the write cursor, and entries past `k` are
+/// stale. Every pair read is written at the cursor, which then advances
+/// by two if the pair is forward and kept: no branch and no growth per
+/// pair, with the cursor and the slice in registers.
 ///
 /// **Construction.** The split emits squares in one row-major pass, in
 /// raster order of their top-left corners, so a square's dense index
-/// orders like its id and `square_of` needs no sort. For each square `u`
-/// at `(x0, y0)` with side `s`, in index order:
+/// orders like its id and `square_of` needs no sort. A square of side `s`
+/// starts at multiples of `s`. For each square `u` at `(x0, y0)` with side
+/// `s`, in index order:
 ///
-/// * walk `square_of` along column `x0 + s` (right), column `x0 − 1`
-///   (left) and row `y0 + s` (below), each clipped to the image; a walk
+/// * a 1×1 square reads its right and lower pixel straight from
+///   `square_of`, and under 8-connectivity its two lower corners;
+/// * a larger square walks `square_of` along column `x0 + s` (right),
+///   column `x0 − 1` (left) and row `y0 + s` (below), each clipped to the
+///   image, and under 8-connectivity the row also covers the bottom
+///   corners `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`. Up to side
+///   `PIXEL_WALK_MAX` (4) a walk reads every pixel and takes a square only
+///   where it differs from the previous read; around a larger square it
 ///   reads one pixel per neighbour square and hops past the rest of it;
-/// * under 8-connectivity, the row walk also covers the bottom corners
-///   `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`;
-/// * keep a neighbour `v` only if `v > u`, then sort and dedup the short
-///   list (only when it is not already ascending).
+/// * a square read is forward if `v > u`. A bottom-right corner is also
+///   dropped when it repeats the right column's last square, and a 1×1
+///   square's lower corners when they repeat the square below.
 ///
 /// **Canonical order.** Take an adjacent pair `a < b`. A square covering
 /// a pixel in the row above `a` starts on an earlier row, so its index is
 /// smaller than `a`'s: `b` cannot touch `a`'s top side or its top corners.
 /// Every other pixel adjacent to `a` lies on the right or left column, the
 /// row below or (8-connectivity) a bottom corner, so `b` is found from
-/// `a`. It is never emitted from `b`, whose filter drops `a < b`. Each pair
-/// therefore appears exactly once, from its smaller end, and pairs come
-/// out sorted because squares are visited in index order.
+/// `a`. It is never emitted from `b`, which drops `a < b`. A square of the
+/// row below starts on row `y0 + s`, later than any square of the columns,
+/// so only a corner square that reaches up into a column can repeat one.
+/// On the right that may be a larger square starting on `u`'s top row. On
+/// the left it is always smaller than `u`: a square starting on a row
+/// between `y0` and `y0 + s` would, with a side of `s` or more, start off
+/// its own multiples, and with a smaller side end above row `y0 + s`. So
+/// it starts on `u`'s top row or above, further left. Each pair
+/// therefore appears exactly once, from its smaller end, and the pairs
+/// are grouped by ascending `u`.
 ///
-/// **Cost.** One read per (square, side, neighbour) plus a sort of a few
-/// larger neighbours per square: O(squares + edges), bounded by the total
-/// square perimeter. That is linear in the pixels on fragmented scenes and
-/// far below it when large squares cover the image.
+/// **Cost.** One read and one staged pair per (square, side, neighbour),
+/// or per perimeter pixel around small squares: O(squares + edges),
+/// bounded by the total square perimeter. That is linear in the pixels on
+/// fragmented scenes and far below it when large squares cover the image.
+/// A 1×1 square, nearly every square on speckle, costs two reads of
+/// `square_of` under 4-connectivity and no `squares` lookup.
 pub fn square_forward_neighbours<P: Intensity>(
     split: &SplitResult<P>,
     connectivity: Connectivity,
-    scratch: &mut Vec<u32>,
-    mut sink: impl FnMut(u32, &[u32]),
-) {
+    staged: &mut Vec<u32>,
+    keep: impl Fn(u32, u32) -> bool,
+) -> usize {
     let (w, h) = (split.width, split.height);
     let (squares, square_of) = (&split.squares[..], &split.square_of[..]);
     assert_eq!(square_of.len(), w * h, "square_of size mismatch");
     let eight = connectivity == Connectivity::Eight;
+    // Stages `(u, v)` at the cursor and keeps it iff `fwd` and `keep`.
+    let stage = |buf: &mut [u32], at: &mut usize, u: u32, v: u32, fwd: bool| {
+        buf[*at..*at + 2].copy_from_slice(&[u, v]);
+        *at += 2 * usize::from(fwd & keep(u, v));
+    };
+    let mut buf = &mut staged[..];
+    let mut at = 0;
     for (u, sq) in squares.iter().enumerate() {
         let u = u as u32;
         let (x0, y0, s) = (sq.x as usize, sq.y as usize, sq.side() as usize);
+        // At most `s` reads down the right column, `s − 1` down the left
+        // one and `s + 2` along the row below, one pair each. Growing by
+        // half again at least keeps a cold walk's resizes logarithmic.
+        let bound = 2 * (3 * s + 1);
+        if at + bound > buf.len() {
+            let len = (at + bound).max(buf.len() + buf.len() / 2);
+            staged.resize(len, 0);
+            buf = &mut staged[..];
+        }
+        let p = y0 * w + x0;
+        if s == 1 {
+            // The square right of `u` starts on this row (forward) or
+            // covers it from an earlier one. The square below starts on
+            // the next row: its top row is there and `u` is above it.
+            let right = x0 + 1 < w;
+            let r = if right { square_of[p + 1] } else { u };
+            if right {
+                stage(buf, &mut at, u, r, r > u);
+            }
+            if y0 + 1 < h {
+                let d = square_of[p + w];
+                // A lower corner is the square beside `u` reaching down
+                // (on the left, one that starts above `u`, so smaller),
+                // the square below, or a square starting on the next row.
+                if eight && x0 > 0 {
+                    let c = square_of[p + w - 1];
+                    stage(buf, &mut at, u, c, (c > u) & (c != d));
+                }
+                stage(buf, &mut at, u, d, true);
+                if eight && right {
+                    let c = square_of[p + w + 1];
+                    stage(buf, &mut at, u, c, (c != r) & (c != d));
+                }
+            }
+            continue;
+        }
         // One past the square; squares lie wholly inside the image.
         let (x1, y1) = (x0 + s, y0 + s);
-        let nb = &mut *scratch;
-        nb.clear();
-        // Walks column `x` from row `y` (or row `y` from column `x`) up to
-        // `end`, hopping over each neighbour square in one step and
-        // keeping it if it is larger than `u`.
-        let mut walk = |mut x: usize, mut y: usize, end: usize, down: bool| loop {
-            let v = square_of[y * w + x];
-            if v > u {
-                nb.push(v);
-            }
-            let q = squares[v as usize];
-            let (pos, past) = if down {
-                (&mut y, q.y + q.side())
-            } else {
-                (&mut x, q.x + q.side())
+        // A read is staged as forward if it is larger than `u`, starts a
+        // new square (differs from the previous read) and is not `skip`.
+        let fwd = |v: u32, prev: u32, skip: u32| (v > u) & (v != prev) & (v != skip);
+        // Under 8-connectivity the row below widens by the bottom corners,
+        // and the right one may repeat the right column's last square.
+        // Without a right column, `u` stands in: no read is `u`. Row `y0`
+        // of the left column belongs to a square that starts no later and
+        // further left, so its index is smaller.
+        let lo = if eight && x0 > 0 { x0 - 1 } else { x0 };
+        let hi = if eight && x1 < w { x1 + 1 } else { x1 };
+        if s <= PIXEL_WALK_MAX {
+            // Reads `n` pixels from `q` on, `step` apart; returns the last
+            // square read.
+            let mut walk = |mut q: usize, n: usize, step: usize, skip: u32| {
+                let mut prev = u;
+                for _ in 0..n {
+                    let v = square_of[q];
+                    stage(buf, &mut at, u, v, fwd(v, prev, skip));
+                    prev = v;
+                    q += step;
+                }
+                prev
             };
-            *pos = past as usize;
-            if *pos >= end {
-                break;
+            let right = if x1 < w { walk(p + s, s, w, u) } else { u };
+            if x0 > 0 {
+                walk(p + w - 1, s - 1, w, u);
             }
-        };
-        if x1 < w {
-            walk(x1, y0, y1, true);
+            if y1 < h {
+                walk(y1 * w + lo, hi - lo, 1, right);
+            }
+        } else {
+            // Walks column `x` from row `y` (or row `y` from column `x`)
+            // up to `end`, reading one pixel per neighbour square and
+            // hopping past the rest of it; returns the last square read.
+            let mut walk = |mut x: usize, mut y: usize, end: usize, down: bool, skip: u32| loop {
+                let v = square_of[y * w + x];
+                stage(buf, &mut at, u, v, fwd(v, u, skip));
+                let q = squares[v as usize];
+                let (pos, past) = if down {
+                    (&mut y, q.y + q.side())
+                } else {
+                    (&mut x, q.x + q.side())
+                };
+                *pos = past as usize;
+                if *pos >= end {
+                    break v;
+                }
+            };
+            let right = if x1 < w { walk(x1, y0, y1, true, u) } else { u };
+            if x0 > 0 {
+                walk(x0 - 1, y0 + 1, y1, true, u);
+            }
+            if y1 < h {
+                walk(lo, y1, hi, false, right);
+            }
         }
-        if x0 > 0 && s > 1 {
-            // Row `y0` of the left column belongs to a square that starts
-            // no later and further left, so its index is smaller.
-            walk(x0 - 1, y0 + 1, y1, true);
-        }
-        if y1 < h {
-            // Under 8-connectivity the row widens by the bottom corners.
-            let lo = if eight && x0 > 0 { x0 - 1 } else { x0 };
-            let hi = if eight && x1 < w { x1 + 1 } else { x1 };
-            walk(lo, y1, hi, false);
-        }
-        // The list is usually ascending already; interleaved left/right
-        // neighbours and corner squares also met on a column need the sort.
-        if !nb.windows(2).all(|p| p[0] < p[1]) {
-            nb.sort_unstable();
-            nb.dedup();
-        }
-        sink(u, nb);
     }
+    at
 }
 
 /// Scans a row-major label map and returns every unordered pair of distinct

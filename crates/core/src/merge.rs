@@ -82,30 +82,33 @@
 //! A reset applies the paper's step 2 (drop the edges that violate the
 //! criterion) while it stages the edges. [`Merger::reset_from_split`]
 //! takes a split's edges straight from the square-perimeter walk
-//! ([`crate::graph::square_forward_neighbours`]) and tests each pair as
-//! the walk finds it, so no edge list exists: under the range criterion
-//! on a narrow per-square copy of the split's extrema, under the mean
-//! criterion on the split's statistics.
-//! [`Merger::reset_from`] does the same from a canonical edge list and a
-//! per-vertex statistics lookup, for graphs that only exist as one (the
-//! tiled stitch's seam pairs, [`Merger::new`]). Either way the reset
-//! counts the survivors' degrees over all `n` vertices and then numbers
-//! the vertices that kept an edge *densely*, in ascending index. A vertex
-//! left without an edge is final: it never merges, so the merger keeps no
-//! state for it. Every other per-vertex array — the statistics, the
-//! history, `redirect`, `choice`, the CSR and its stamps and pass marks —
-//! is sized to the dense count, and the staged pairs are remapped once,
-//! as the CSR lays them out. Where fewer than one vertex in
-//! `COMPACT_ONE_IN` (8) lacks an edge, the compaction would save little
-//! and still pay its numbering and remaps, so the numbering is the
-//! identity and every vertex keeps state, as on the paper's scenes and
-//! narrow-band noise; speckle (one square in three keeps an edge) and
-//! the tiled stitch (only seam regions have edges) compact. The map is
-//! monotone, so dense indices order like canonical IDs, and the packed
-//! keys, the random hashes, the smaller-index winners and the min-rep
-//! history decide exactly as over all `n` vertices. What the merger reports speaks the original indices:
-//! labels ([`Merger::labels_by_vertex`], where a vertex without an edge is
-//! its own representative), [`MergeTrace`] events, [`Merger::num_regions`]
+//! ([`crate::graph::square_forward_neighbours`]), which tests each pair on
+//! the split's statistics as it reads it and writes the survivors, flat,
+//! into the spare arena (idle until the first compaction) through a write
+//! cursor: no edge list and no per-square list exists. Each criterion has
+//! its own instance of the walk. [`Merger::reset_from`] stages the same
+//! way from a canonical edge list and a per-vertex statistics lookup, for
+//! graphs that only exist as one (the tiled stitch's seam pairs,
+//! [`Merger::new`]). Either way the reset then counts the survivors'
+//! degrees over all `n` vertices and numbers the vertices that kept an
+//! edge *densely*, in ascending index. A vertex left without an edge is
+//! final: it never merges, so the merger keeps no state for it. Every
+//! other per-vertex array — the statistics, the history, `redirect`,
+//! `choice`, the CSR and its stamps and pass marks — is sized to the
+//! dense count, and the staged pairs are remapped once, as the CSR lays
+//! them out. Where fewer than one vertex in `COMPACT_ONE_IN` (8) lacks an
+//! edge, the compaction would save little and still pay its numbering and
+//! remaps, so the numbering is the identity and every vertex keeps state,
+//! as on the paper's scenes and narrow-band noise; speckle (one square in
+//! three keeps an edge) and the tiled stitch (only seam regions have
+//! edges) compact. The map is monotone, so dense indices order like
+//! canonical IDs, and the packed keys, the random hashes, the
+//! smaller-index winners and the min-rep history decide exactly as over
+//! all `n` vertices. The order in which pairs are staged only orders the
+//! slots within a segment, which no decision depends on. What the merger
+//! reports speaks the original indices: labels
+//! ([`Merger::labels_by_vertex`], where a vertex without an edge is its
+//! own representative), [`MergeTrace`] events, [`Merger::num_regions`]
 //! and [`Merger::stats_of`].
 //!
 //! No segment can hold a self-loop, a duplicate or a criterion violation,
@@ -143,8 +146,7 @@ use std::hint::black_box;
 use std::marker::PhantomData;
 
 use crate::config::{
-    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
-    RegionStats, TieBreak,
+    mean_satisfies, mean_weight_fp16, range_weight_fp16, Config, Criterion, RegionStats, TieBreak,
 };
 use crate::graph::{square_forward_neighbours, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
@@ -420,9 +422,10 @@ const COMPACT_ONE_IN: usize = 8;
 /// original index (see [`Csr::place`]).
 #[derive(Debug, Default)]
 struct Csr {
-    /// Per original vertex. While a reset stages its edges: the vertex's
-    /// kept degree. From [`Csr::place`] on: the number of dense vertices
-    /// below it, which is its dense index if it has one.
+    /// Per original vertex. At a reset, once [`Csr::place`] has counted
+    /// the staged pairs: the vertex's kept degree. After `place`: the
+    /// number of dense vertices below it, which is its dense index if it
+    /// has one.
     index: Vec<u32>,
     /// The original vertex of each dense vertex, ascending.
     vertex: Vec<u32>,
@@ -440,6 +443,8 @@ struct Csr {
     /// here and squeeze them.
     tail: usize,
     /// The arena a compaction rewrites into; swapped with `col` after.
+    /// At a reset it stages the kept pairs, flat. Like `col`, its length
+    /// is a high-water mark that never shrinks.
     spare: Vec<u32>,
     /// Slots either arena may hold: `ARENA_FACTOR` times the initial slot
     /// count, reserved up front so appends never reallocate.
@@ -490,36 +495,26 @@ fn scatter(pairs: &[u32], start: &mut [u32], col: &mut [u32], dense: impl Fn(u32
 }
 
 impl Csr {
-    /// Starts a rebuild over `n` original vertices: zero degrees and an
-    /// empty survivor list. Feed every surviving canonical pair (`u < v`,
-    /// unique) to [`Csr::keep`], then lay them out with [`Csr::place`].
+    /// Starts a rebuild over `n` original vertices: zero degrees. Stage
+    /// every surviving canonical pair (`u < v`, unique) flat in the spare
+    /// arena, which is idle until the first compaction and is reserved for
+    /// three times these slots anyway, then lay them out with
+    /// [`Csr::place`].
     fn begin(&mut self, n: usize) {
         self.index.clear();
         self.index.resize(n, 0);
-        self.spare.clear();
     }
 
-    /// Keeps the undirected edge `(u, v)` if `kept`: counts both
-    /// endpoints' degrees and stages the pair in the spare arena, which is
-    /// idle until the first compaction and is reserved for three times
-    /// these slots anyway. The pair is staged either way and the truncate
-    /// drops it, so the test costs no branch: on speckle about one pair in
-    /// ten survives the criterion, at random.
-    #[inline]
-    fn keep(&mut self, u: u32, v: u32, kept: bool) {
-        let k = u32::from(kept);
-        self.index[u as usize] += k;
-        self.index[v as usize] += k;
-        let staged = self.spare.len();
-        self.spare.extend([u, v]);
-        self.spare.truncate(staged + 2 * k as usize);
-    }
-
-    /// Numbers the vertices that kept an edge densely, in ascending
-    /// original index, and lays the staged pairs out **in place** over
+    /// Counts the degrees of the `staged` entries of the spare arena (two
+    /// per pair), numbers the vertices that kept an edge densely, in
+    /// ascending original index, and lays the pairs out **in place** over
     /// them, reusing every array's capacity: one segment per dense vertex,
     /// in order, each pair remapped as it is scattered, and every dense
     /// vertex queued for the first rescan. Returns the dense count.
+    ///
+    /// The degrees are counted here, over the kept pairs only, and not
+    /// per pair while the walk stages: on speckle about one pair in ten
+    /// survives the criterion.
     ///
     /// The numbering counts the vertices that kept an edge. Where at least
     /// one vertex in [`COMPACT_ONE_IN`] did not, one pass over `index`
@@ -530,7 +525,12 @@ impl Csr {
     /// the writes of the vertices after the last dense one. Otherwise
     /// every vertex counts as dense, a vertex without an edge included,
     /// and the numbering is the identity.
-    fn place(&mut self) -> usize {
+    fn place(&mut self, staged: usize) -> usize {
+        let index = &mut self.index[..];
+        for p in self.spare[..staged].chunks_exact(2) {
+            index[p[0] as usize] += 1;
+            index[p[1] as usize] += 1;
+        }
         let n = self.index.len();
         let kept = self.index.iter().filter(|&&d| d > 0).count();
         let dense = if COMPACT_ONE_IN * (n - kept) >= n {
@@ -557,7 +557,7 @@ impl Csr {
         };
         self.vertex.truncate(dense);
         self.len.truncate(dense);
-        let slots = self.spare.len();
+        let slots = staged;
         self.cap = ARENA_FACTOR * slots;
         assert!(self.cap < u32::MAX as usize, "CSR slot count exceeds u32");
         // `start` is the scatter's fill cursor: it begins one past each
@@ -580,13 +580,16 @@ impl Csr {
             spare,
             ..
         } = self;
+        let pairs = &spare[..staged];
         if dense == n {
-            scatter(spare, start, col, |v| v);
+            scatter(pairs, start, col, |v| v);
         } else {
-            scatter(spare, start, col, |v| index[v as usize]);
+            scatter(pairs, start, col, |v| index[v as usize]);
         }
-        self.spare.clear();
-        self.spare.reserve(self.cap);
+        // The staged entries are stale now; the length stays the high-water
+        // mark the next reset's staging writes under.
+        self.spare
+            .reserve(self.cap.saturating_sub(self.spare.len()));
         self.live = slots;
         self.queue_all();
         if self.stamp.len() < dense {
@@ -735,9 +738,10 @@ impl Csr {
     ///   and [`tie_key`] is never called. Under the pixel range the key
     ///   is `(range << 32) | c` in a `u64`, exact because a range fits in
     ///   32 bits. The mean difference's 16.16 weight carries fraction bits
-    ///   up to 2⁴⁸, so its key is `(weight << 32) | c` in a `u128`. Under [`TieBreak::LargestId`],
-    ///   range `u32::MAX` to candidate 0 packs to exactly `u64::MAX`, the
-    ///   fold's start value, which the fold still takes.
+    ///   up to 2⁴⁸, so its key is `(weight << 32) | c` in a `u128`. Under
+    ///   [`TieBreak::LargestId`], range `u32::MAX` to candidate 0 packs to
+    ///   exactly `u64::MAX`, the fold's start value, which the fold still
+    ///   takes.
     /// - **Random ties** hash every slot, fresh or not, into
     ///   [`random_key`]'s `(weight << 64) | k0` in a `u128`, with `k0` the
     ///   [`tie_priority`] of the candidate's canonical ID. One form serves
@@ -1065,13 +1069,6 @@ pub struct Merger<P: Intensity> {
 
     /// Persistent scratch: per-representative chosen neighbour.
     choice: Vec<u32>,
-    /// Persistent scratch: the perimeter walk's per-square neighbour list
-    /// (see [`Merger::reset_from_split`]).
-    neighbours: Vec<u32>,
-    /// Persistent scratch: each square's `(min, max)`, which the perimeter
-    /// walk filters on under the range criterion (see
-    /// [`Merger::reset_from_split`]).
-    extrema: Vec<(P, P)>,
     /// Persistent scratch: each dense vertex's resolved representative
     /// (see [`Merger::labels_by_vertex_into`]).
     reps: Vec<u32>,
@@ -1130,8 +1127,6 @@ impl<P: Intensity> Merger<P> {
             redirect: Vec::new(),
             merged: Vec::new(),
             choice: Vec::new(),
-            neighbours: Vec::new(),
-            extrema: Vec::new(),
             reps: Vec::new(),
             iterations: 0,
             merges_per_iteration: Vec::new(),
@@ -1174,52 +1169,43 @@ impl<P: Intensity> Merger<P> {
         );
         self.begin_reset(n, config);
         let (crit, t) = (config.criterion, config.threshold);
+        let spare = &mut self.csr.spare;
+        spare.clear();
         for &(u, v) in edges {
-            self.csr.keep(u, v, crit.satisfies(&stats(u), &stats(v), t));
+            if crit.satisfies(&stats(u), &stats(v), t) {
+                spare.extend([u, v]);
+            }
         }
-        self.finish_reset(stats, ids);
+        let staged = spare.len();
+        self.finish_reset(staged, stats, ids);
     }
 
     /// [`Merger::reset_from`] for the squares of a split, without an edge
     /// list: region IDs are [`crate::split::Square::id`], and the criterion
-    /// filter runs on the split's extrema or statistics inside the perimeter walk
-    /// ([`crate::graph::square_forward_neighbours`]), so only the pairs
-    /// that survive it reach the CSR. Equivalent to
+    /// filter runs on the split's statistics inside the perimeter walk
+    /// ([`crate::graph::square_forward_neighbours`]), which stages only the
+    /// pairs that survive it, straight into the spare arena. Equivalent to
     /// `reset_from` over [`Rag::from_split`] with those IDs.
     pub fn reset_from_split(&mut self, split: &SplitResult<P>, config: &Config) {
         self.begin_reset(split.squares.len(), config);
         let stats = &split.stats[..];
         let (crit, t) = (config.criterion, config.threshold);
-        let Self {
-            csr,
-            neighbours,
-            extrema,
-            ..
-        } = self;
-        // The walk reads each square's extrema several times; a narrow
-        // copy keeps those reads off the 24-byte statistics. The criterion
-        // is matched per pair inside one walk: one walk per criterion
-        // measured twice as slow.
-        extrema.clear();
-        if crit == Criterion::PixelRange {
-            extrema.extend(stats.iter().map(|s| (s.min, s.max)));
-        }
-        let extrema = &extrema[..];
-        square_forward_neighbours(split, config.connectivity, neighbours, |u, nb| {
-            for &v in nb {
-                let (a, b) = (u as usize, v as usize);
-                let kept = match crit {
-                    Criterion::PixelRange => {
-                        let ((lo, hi), (l, h)) = (extrema[a], extrema[b]);
-                        range_satisfies(lo.min(l).to_u32(), hi.max(h).to_u32(), t)
-                    }
-                    Criterion::MeanDifference => crit.satisfies(&stats[a], &stats[b], t),
-                };
-                csr.keep(u, v, kept);
-            }
-        });
+        let spare = &mut self.csr.spare;
+        let conn = config.connectivity;
+        // One walk per criterion, each with its filter a constant: with
+        // the criterion matched per pair, the range walk ran ~30% slower
+        // on speckle.
+        let staged = match crit {
+            Criterion::PixelRange => square_forward_neighbours(split, conn, spare, |u, v| {
+                Criterion::PixelRange.satisfies(&stats[u as usize], &stats[v as usize], t)
+            }),
+            Criterion::MeanDifference => square_forward_neighbours(split, conn, spare, |u, v| {
+                Criterion::MeanDifference.satisfies(&stats[u as usize], &stats[v as usize], t)
+            }),
+        };
         let stride = split.width as u32;
         self.finish_reset(
+            staged,
             |v| stats[v as usize],
             |v| u64::from(split.squares[v as usize].id(stride)),
         );
@@ -1244,14 +1230,20 @@ impl<P: Intensity> Merger<P> {
         self.csr.begin(n);
     }
 
-    /// The shared second half of a reset, once the CSR has staged every
-    /// edge that satisfies the criterion: [`Merger::lay_out`], then fold
+    /// The shared second half of a reset, once the spare arena's first
+    /// `staged` entries hold every edge that satisfies the criterion, as
+    /// flat pairs: [`Merger::lay_out`], then fold
     /// iteration 0's choices and record its mutual pairs with the
     /// end-of-step kernel over every dense vertex. Every staged pair was
     /// canonical and unique and passed the criterion, so the kernel runs
     /// argmin-only (`UPKEEP = false`).
-    fn finish_reset(&mut self, stats: impl Fn(u32) -> RegionStats<P>, ids: impl Fn(u32) -> u64) {
-        self.lay_out(stats, ids);
+    fn finish_reset(
+        &mut self,
+        staged: usize,
+        stats: impl Fn(u32) -> RegionStats<P>,
+        ids: impl Fn(u32) -> u64,
+    ) {
+        self.lay_out(staged, stats, ids);
         let policy = self.policy().0;
         self.csr.rescan::<false, false>(
             &self.stats,
@@ -1270,8 +1262,13 @@ impl<P: Intensity> Merger<P> {
     /// never merges, so the merger keeps no state for it: it stays its own
     /// representative. The numbering is monotone, so dense indices order
     /// like canonical IDs and every tie decision is unchanged.
-    fn lay_out(&mut self, stats: impl Fn(u32) -> RegionStats<P>, ids: impl Fn(u32) -> u64) {
-        let dense = self.csr.place();
+    fn lay_out(
+        &mut self,
+        staged: usize,
+        stats: impl Fn(u32) -> RegionStats<P>,
+        ids: impl Fn(u32) -> u64,
+    ) {
+        let dense = self.csr.place(staged);
         let vertex = &self.csr.vertex[..];
         self.stats.refill(vertex, stats, ids);
         debug_assert!(
@@ -1876,17 +1873,13 @@ mod tests {
                     let mut full = Merger::hollow(&cfg);
                     full.begin_reset(s.squares.len(), &cfg);
                     let (crit, t) = (full.criterion, full.threshold);
-                    let Merger {
-                        csr, neighbours, ..
-                    } = &mut full;
-                    square_forward_neighbours(&s, conn, neighbours, |u, nb| {
-                        for &v in nb {
-                            let (a, b) = (&s.stats[u as usize], &s.stats[v as usize]);
-                            csr.keep(u, v, crit.satisfies(a, b, t));
-                        }
-                    });
+                    let staged =
+                        square_forward_neighbours(&s, conn, &mut full.csr.spare, |u, v| {
+                            crit.satisfies(&s.stats[u as usize], &s.stats[v as usize], t)
+                        });
                     let stride = s.width as u32;
                     full.lay_out(
+                        staged,
                         |v| s.stats[v as usize],
                         |v| u64::from(s.squares[v as usize].id(stride)),
                     );

@@ -42,9 +42,9 @@
 //!   order of the top-left corners, into outputs sized once from the
 //!   bitsets' popcounts. Each run of pixels outside every larger square
 //!   (clear level-1 bits) becomes 1×1 squares in three bulk appends; a
-//!   pixel under a square begun on an earlier row copies that square's
-//!   run of `square_of` from the row above and adds that row's pixels to
-//!   the square's sum; any other pixel is a corner whose square is the
+//!   pixel under a square begun on an earlier row finds that square in
+//!   the row above, writes its run of `square_of` and adds that row's
+//!   pixels to the square's sum; any other pixel is a corner whose square is the
 //!   highest aligned level with its `is_square` bit set, taking its min
 //!   and max from that level's planes and starting its sum with its first
 //!   row. The squares tile the image, so every sum is one row-major read
@@ -641,11 +641,11 @@ pub fn split_into<P: Intensity>(
     // top-left corners. A set `is_square` bit implies its whole subtree,
     // so a pixel lies in a larger square iff its level-1 block is one:
     // each run of other pixels is emitted at once as 1×1 squares. A pixel
-    // of a larger square that started on an earlier row copies that
-    // square's run of `square_of` from the row above. Any other one is the
-    // top-left corner of its square (the squares left of it on this row
-    // were skipped whole), which is the highest level `k <= top` the
-    // corner is aligned to whose bit is set.
+    // of a larger square that started on an earlier row finds that square
+    // in the row above and writes its run of `square_of` again. Any other
+    // one is the top-left corner of its square (the squares left of it on
+    // this row were skipped whole), which is the highest level `k <= top`
+    // the corner is aligned to whose bit is set.
     let SplitResult {
         squares,
         stats,
@@ -691,7 +691,8 @@ pub fn split_into<P: Intensity>(
                 let side = s.side() as usize;
                 if s.y as usize + side > y {
                     stats[si].sum += row_sum(&row[x..x + side]);
-                    square_of.extend_from_within(above..above + side);
+                    // The run above is all `si`: write it, do not copy it.
+                    square_of.extend(std::iter::repeat_n(si as u32, side));
                     x += side;
                     continue;
                 }
@@ -703,7 +704,7 @@ pub fn split_into<P: Intensity>(
             // A whole level-k block: its min and max are one cell of the
             // tight planes, its count is the constant 4^k, and its sum
             // starts as the sum of its first pixel row; each row below
-            // adds its own when the copy branch above emits it.
+            // adds its own when the branch above emits it.
             let side = 1 << k;
             let i = squares.len() as u32;
             squares.push(Square {

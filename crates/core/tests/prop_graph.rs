@@ -3,8 +3,11 @@
 //! scan-and-sort oracle ([`rg_core::graph::adjacent_label_pairs`] over the
 //! split's `square_of` map): the edge lists must be equal, element for
 //! element, under both connectivities, for random rectangles, narrow- and
-//! full-band noise, the paper scenes, odd shapes, every threshold and
-//! capped square sizes.
+//! full-band noise, fields mixing 1×1 and 2×2 squares, the paper scenes,
+//! 1×N and N×1 strips and other odd shapes, every threshold, capped square
+//! sizes, and crafted layouts in which a neighbour column's last square
+//! also covers a bottom corner (the one case where the walk reads a square
+//! twice under 8-connectivity).
 //!
 //! A second differential covers the merge engine fed straight from the
 //! walk ([`rg_core::Merger::reset_from_split`]) against one built from the
@@ -50,16 +53,39 @@ prop_compose! {
             ((1usize..200), (1usize..2)),   // N×1 strip
             (Just(65usize), Just(33usize)), // just past powers of two
         ],
-        kind in 0u8..3,
+        kind in 0u8..4,
         count in 0usize..14,
     ) -> Image<u8> {
         let (w, h) = shape;
         match kind {
             0 => synth::random_rects(w, h, count, seed),
             1 => synth::uniform_noise(w, h, 120, 135, seed),
+            2 => mixed_field(w, h, seed),
             _ => synth::uniform_noise(w, h, 0, 255, seed),
         }
     }
+}
+
+/// A field of aligned 2×2 blocks, each flat or speckled at random, so at
+/// low thresholds 1×1 and 2×2 squares alternate irregularly along every
+/// row and column: both walks (pixel by pixel around 1×1 and 2×2 squares)
+/// meet every mix of neighbour sides.
+fn mixed_field(w: usize, h: usize, seed: u64) -> Image<u8> {
+    let hash = |k: u64| {
+        let mut x = (k ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^ (x >> 32)
+    };
+    Image::from_fn(w, h, |x, y| {
+        let block = ((y / 2) * w.div_ceil(2) + x / 2) as u64;
+        let b = hash(block);
+        if b & 1 == 0 {
+            (b >> 8) as u8
+        } else {
+            hash((1 << 40) | (y * w + x) as u64) as u8
+        }
+    })
 }
 
 prop_compose! {
@@ -289,4 +315,106 @@ fn paper_scenes_match() {
         &Config::with_threshold(3),
         &mut bufs,
     );
+}
+
+/// An image of distinct grey levels except for the listed flat blocks
+/// `(x, y, side)`, so at threshold 0 the split keeps every block whole
+/// (they are aligned) and leaves every other pixel a 1×1 square.
+fn blocks(w: usize, h: usize, flat: &[(usize, usize, usize)]) -> Image<u8> {
+    assert!(w * h + flat.len() <= 256, "grey levels must stay distinct");
+    Image::from_fn(w, h, |x, y| {
+        let block = flat
+            .iter()
+            .position(|&(bx, by, s)| (bx..bx + s).contains(&x) && (by..by + s).contains(&y));
+        match block {
+            Some(i) => (255 - i) as u8,
+            None => (y * w + x) as u8,
+        }
+    })
+}
+
+/// The square with top-left corner `(x, y)` and its side.
+fn square_at(s: &SplitResult<u8>, x: u32, y: u32) -> (u32, u32) {
+    let i = s
+        .squares
+        .iter()
+        .position(|q| (q.x, q.y) == (x, y))
+        .unwrap_or_else(|| panic!("no square at ({x}, {y})"));
+    (i as u32, s.squares[i].side())
+}
+
+/// A crafted layout: the image size, its flat blocks `(x, y, side)`,
+/// square `u` and the neighbour square `c` that covers both the last pixel
+/// of `u`'s right (or left) column and its bottom-right (or bottom-left)
+/// corner, each as `(x, y, side)`.
+struct CornerCase {
+    name: &'static str,
+    size: (usize, usize),
+    flat: &'static [(usize, usize, usize)],
+    u: (u32, u32, u32),
+    c: (u32, u32, u32),
+}
+
+#[test]
+fn bottom_corners_covered_by_a_column_square_match() {
+    let cases = [
+        // 1×1 `u` at (1, 0); the 2×2 at (2, 0) covers (2, 0), (2, 1).
+        CornerCase {
+            name: "side-1, right",
+            size: (6, 4),
+            flat: &[(2, 0, 2)],
+            u: (1, 0, 1),
+            c: (2, 0, 2),
+        },
+        // 1×1 `u` at (2, 2); the 2×2 at (0, 2) covers (1, 2), (1, 3).
+        CornerCase {
+            name: "side-1, left",
+            size: (6, 5),
+            flat: &[(0, 2, 2)],
+            u: (2, 2, 1),
+            c: (0, 2, 2),
+        },
+        // 2×2 `u` at (2, 0); the 4×4 at (4, 0) covers (4, 1), (4, 2).
+        CornerCase {
+            name: "2x2, right",
+            size: (10, 6),
+            flat: &[(2, 0, 2), (4, 0, 4)],
+            u: (2, 0, 2),
+            c: (4, 0, 4),
+        },
+        // 2×2 `u` at (8, 2); the 8×8 at (0, 0) covers (7, 3), (7, 4).
+        CornerCase {
+            name: "2x2, left",
+            size: (12, 10),
+            flat: &[(0, 0, 8), (8, 2, 2)],
+            u: (8, 2, 2),
+            c: (0, 0, 8),
+        },
+    ];
+    let cfg = Config::with_threshold(0);
+    let mut warm = empty_merger();
+    let mut bufs = (Vec::new(), Vec::new());
+    for case in cases {
+        let name = case.name;
+        let (w, h) = case.size;
+        let img = blocks(w, h, case.flat);
+        let s = split(&img, &cfg);
+        let [u, c] = [case.u, case.c].map(|(x, y, side)| {
+            let (i, got) = square_at(&s, x, y);
+            assert_eq!(got, side, "{name}: side of the square at ({x}, {y})");
+            i
+        });
+        // The corner pixel and the column pixel above it are `c`'s.
+        let q = s.squares[u as usize];
+        let y1 = (q.y + q.side()) as usize;
+        let column = if case.c.0 > case.u.0 {
+            (q.x + q.side()) as usize
+        } else {
+            q.x as usize - 1
+        };
+        assert_eq!(s.square_of[y1 * w + column], c, "{name}: corner");
+        assert_eq!(s.square_of[(y1 - 1) * w + column], c, "{name}: column");
+        assert_identity(&img, &cfg, &mut bufs);
+        assert_reset_identity(&img, &cfg, 5, &mut warm);
+    }
 }
