@@ -92,13 +92,6 @@ pub fn square_adjacency_into<P: Intensity>(
     );
 }
 
-/// The largest square side whose perimeter [`square_forward_neighbours`]
-/// reads pixel by pixel; around larger squares it hops. On narrow-band
-/// noise (1×1, 2×2 and a few 4×4 squares) reading every pixel took the
-/// walk from ~0.50 to ~0.40 ms per 256² image, and hopping around the
-/// larger squares keeps the 2048² paper scenes at their hop-only cost.
-const PIXEL_WALK_MAX: usize = 4;
-
 /// Walks the perimeter of every square of a split, in index order, and
 /// hands each forward pair `(u, v)` (adjacent, `v > u`) to `keep` as it
 /// reads it. The pairs `keep` accepts are staged flat, `u` then `v`, in
@@ -114,7 +107,11 @@ const PIXEL_WALK_MAX: usize = 4;
 /// `2·(3s + 1)` entries past the write cursor, and entries past `k` are
 /// stale. Every pair read is written at the cursor, which then advances
 /// by two if the pair is forward and kept: no branch and no growth per
-/// pair, with the cursor and the slice in registers.
+/// pair, with the cursor and the slice in registers. A cold buffer first
+/// reserves one entry per square, so it reallocates a few times at most
+/// instead of doubling up from empty. In the merger the buffer is the
+/// spare arena, which reserves three times the staged entries after the
+/// walk anyway.
 ///
 /// **Construction.** The split emits squares in one row-major pass, in
 /// raster order of their top-left corners, so a square's dense index
@@ -127,10 +124,8 @@ const PIXEL_WALK_MAX: usize = 4;
 /// * a larger square walks `square_of` along column `x0 + s` (right),
 ///   column `x0 − 1` (left) and row `y0 + s` (below), each clipped to the
 ///   image, and under 8-connectivity the row also covers the bottom
-///   corners `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`. Up to side
-///   `PIXEL_WALK_MAX` (4) a walk reads every pixel and takes a square only
-///   where it differs from the previous read; around a larger square it
-///   reads one pixel per neighbour square and hops past the rest of it;
+///   corners `(x0 − 1, y0 + s)` and `(x0 + s, y0 + s)`. A walk reads one
+///   pixel per neighbour square and hops past the rest of it;
 /// * a square read is forward if `v > u`. A bottom-right corner is also
 ///   dropped when it repeats the right column's last square, and a 1×1
 ///   square's lower corners when they repeat the square below.
@@ -151,12 +146,12 @@ const PIXEL_WALK_MAX: usize = 4;
 /// therefore appears exactly once, from its smaller end, and the pairs
 /// are grouped by ascending `u`.
 ///
-/// **Cost.** One read and one staged pair per (square, side, neighbour),
-/// or per perimeter pixel around small squares: O(squares + edges),
-/// bounded by the total square perimeter. That is linear in the pixels on
-/// fragmented scenes and far below it when large squares cover the image.
-/// A 1×1 square, nearly every square on speckle, costs two reads of
-/// `square_of` under 4-connectivity and no `squares` lookup.
+/// **Cost.** One read and one staged pair per (square, side, neighbour):
+/// O(squares + edges), bounded by the total square perimeter. That is
+/// linear in the pixels on fragmented scenes and far below it when large
+/// squares cover the image. A 1×1 square, nearly every square on
+/// speckle, costs two reads of `square_of` under 4-connectivity and no
+/// `squares` lookup.
 pub fn square_forward_neighbours<P: Intensity>(
     split: &SplitResult<P>,
     connectivity: Connectivity,
@@ -172,18 +167,17 @@ pub fn square_forward_neighbours<P: Intensity>(
         buf[*at..*at + 2].copy_from_slice(&[u, v]);
         *at += 2 * usize::from(fwd & keep(u, v));
     };
+    staged.reserve(squares.len().saturating_sub(staged.len()));
     let mut buf = &mut staged[..];
     let mut at = 0;
     for (u, sq) in squares.iter().enumerate() {
         let u = u as u32;
         let (x0, y0, s) = (sq.x as usize, sq.y as usize, sq.side() as usize);
         // At most `s` reads down the right column, `s − 1` down the left
-        // one and `s + 2` along the row below, one pair each. Growing by
-        // half again at least keeps a cold walk's resizes logarithmic.
+        // one and `s + 2` along the row below, one pair each.
         let bound = 2 * (3 * s + 1);
         if at + bound > buf.len() {
-            let len = (at + bound).max(buf.len() + buf.len() / 2);
-            staged.resize(len, 0);
+            staged.resize(at + bound, 0);
             buf = &mut staged[..];
         }
         let p = y0 * w + x0;
@@ -215,61 +209,39 @@ pub fn square_forward_neighbours<P: Intensity>(
         }
         // One past the square; squares lie wholly inside the image.
         let (x1, y1) = (x0 + s, y0 + s);
-        // A read is staged as forward if it is larger than `u`, starts a
-        // new square (differs from the previous read) and is not `skip`.
-        let fwd = |v: u32, prev: u32, skip: u32| (v > u) & (v != prev) & (v != skip);
-        // Under 8-connectivity the row below widens by the bottom corners,
-        // and the right one may repeat the right column's last square.
-        // Without a right column, `u` stands in: no read is `u`. Row `y0`
-        // of the left column belongs to a square that starts no later and
-        // further left, so its index is smaller.
-        let lo = if eight && x0 > 0 { x0 - 1 } else { x0 };
-        let hi = if eight && x1 < w { x1 + 1 } else { x1 };
-        if s <= PIXEL_WALK_MAX {
-            // Reads `n` pixels from `q` on, `step` apart; returns the last
-            // square read.
-            let mut walk = |mut q: usize, n: usize, step: usize, skip: u32| {
-                let mut prev = u;
-                for _ in 0..n {
-                    let v = square_of[q];
-                    stage(buf, &mut at, u, v, fwd(v, prev, skip));
-                    prev = v;
-                    q += step;
-                }
-                prev
+        // A read is staged as forward if it is larger than `u` and is not
+        // `skip`.
+        let fwd = |v: u32, skip: u32| (v > u) & (v != skip);
+        // Walks column `x` from row `y` (or row `y` from column `x`) up to
+        // `end`, reading one pixel per neighbour square and hopping past
+        // the rest of it; returns the last square read.
+        let mut walk = |mut x: usize, mut y: usize, end: usize, down: bool, skip: u32| loop {
+            let v = square_of[y * w + x];
+            stage(buf, &mut at, u, v, fwd(v, skip));
+            let q = squares[v as usize];
+            let (pos, past) = if down {
+                (&mut y, q.y + q.side())
+            } else {
+                (&mut x, q.x + q.side())
             };
-            let right = if x1 < w { walk(p + s, s, w, u) } else { u };
-            if x0 > 0 {
-                walk(p + w - 1, s - 1, w, u);
+            *pos = past as usize;
+            if *pos >= end {
+                break v;
             }
-            if y1 < h {
-                walk(y1 * w + lo, hi - lo, 1, right);
-            }
-        } else {
-            // Walks column `x` from row `y` (or row `y` from column `x`)
-            // up to `end`, reading one pixel per neighbour square and
-            // hopping past the rest of it; returns the last square read.
-            let mut walk = |mut x: usize, mut y: usize, end: usize, down: bool, skip: u32| loop {
-                let v = square_of[y * w + x];
-                stage(buf, &mut at, u, v, fwd(v, u, skip));
-                let q = squares[v as usize];
-                let (pos, past) = if down {
-                    (&mut y, q.y + q.side())
-                } else {
-                    (&mut x, q.x + q.side())
-                };
-                *pos = past as usize;
-                if *pos >= end {
-                    break v;
-                }
-            };
-            let right = if x1 < w { walk(x1, y0, y1, true, u) } else { u };
-            if x0 > 0 {
-                walk(x0 - 1, y0 + 1, y1, true, u);
-            }
-            if y1 < h {
-                walk(lo, y1, hi, false, right);
-            }
+        };
+        // Without a right column, `u` stands in: no read is `u`.
+        let right = if x1 < w { walk(x1, y0, y1, true, u) } else { u };
+        if x0 > 0 {
+            // Row `y0` of the left column belongs to a square that starts
+            // no later and further left, so its index is smaller.
+            walk(x0 - 1, y0 + 1, y1, true, u);
+        }
+        if y1 < h {
+            // Under 8-connectivity the row widens by the bottom corners,
+            // and the right one may repeat the right column's last square.
+            let lo = if eight && x0 > 0 { x0 - 1 } else { x0 };
+            let hi = if eight && x1 < w { x1 + 1 } else { x1 };
+            walk(lo, y1, hi, false, right);
         }
     }
     at

@@ -1169,14 +1169,18 @@ impl<P: Intensity> Merger<P> {
         );
         self.begin_reset(n, config);
         let (crit, t) = (config.criterion, config.threshold);
+        // Stages like the perimeter walk: each pair is written at the
+        // cursor, which advances by two iff the pair passes; the spare
+        // only grows, to its high-water length.
         let spare = &mut self.csr.spare;
-        spare.clear();
-        for &(u, v) in edges {
-            if crit.satisfies(&stats(u), &stats(v), t) {
-                spare.extend([u, v]);
-            }
+        if spare.len() < 2 * edges.len() {
+            spare.resize(2 * edges.len(), 0);
         }
-        let staged = spare.len();
+        let mut staged = 0;
+        for &(u, v) in edges {
+            spare[staged..staged + 2].copy_from_slice(&[u, v]);
+            staged += 2 * usize::from(crit.satisfies(&stats(u), &stats(v), t));
+        }
         self.finish_reset(staged, stats, ids);
     }
 

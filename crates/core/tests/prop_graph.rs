@@ -68,8 +68,8 @@ prop_compose! {
 
 /// A field of aligned 2×2 blocks, each flat or speckled at random, so at
 /// low thresholds 1×1 and 2×2 squares alternate irregularly along every
-/// row and column: both walks (pixel by pixel around 1×1 and 2×2 squares)
-/// meet every mix of neighbour sides.
+/// row and column: the 1×1 path and the hop walk around 2×2 squares meet
+/// every mix of neighbour sides.
 fn mixed_field(w: usize, h: usize, seed: u64) -> Image<u8> {
     let hash = |k: u64| {
         let mut x = (k ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
