@@ -44,8 +44,8 @@ pub fn summarize_regions<P: Intensity>(
         seg.height,
         "image/segmentation height mismatch"
     );
-    struct Acc {
-        stats: Option<RegionStats<u32>>,
+    struct Acc<P: Intensity> {
+        stats: Option<RegionStats<P>>,
         min_x: usize,
         min_y: usize,
         max_x: usize,
@@ -53,7 +53,7 @@ pub fn summarize_regions<P: Intensity>(
         sum_x: u64,
         sum_y: u64,
     }
-    let mut accs: Vec<Acc> = (0..seg.num_regions)
+    let mut accs: Vec<Acc<P>> = (0..seg.num_regions)
         .map(|_| Acc {
             stats: None,
             min_x: usize::MAX,
@@ -64,26 +64,11 @@ pub fn summarize_regions<P: Intensity>(
             sum_y: 0,
         })
         .collect();
-    let mut mins: Vec<Option<(P, P)>> = vec![None; seg.num_regions];
     for (i, &l) in seg.labels.iter().enumerate() {
         let (x, y) = (i % seg.width, i / seg.width);
-        let p = img.pixels()[i];
         let a = &mut accs[l as usize];
-        let s = RegionStats {
-            min: p.to_u32(),
-            max: p.to_u32(),
-            sum: p.to_u32() as u64,
-            count: 1,
-        };
-        a.stats = Some(match a.stats {
-            None => s,
-            Some(prev) => prev.fold(s),
-        });
-        let mm = &mut mins[l as usize];
-        *mm = Some(match *mm {
-            None => (p, p),
-            Some((lo, hi)) => (lo.min(p), hi.max(p)),
-        });
+        let s = RegionStats::of_pixel(img.pixels()[i]);
+        a.stats = Some(a.stats.map_or(s, |prev| prev.fold(s)));
         a.min_x = a.min_x.min(x);
         a.min_y = a.min_y.min(y);
         a.max_x = a.max_x.max(x);
@@ -92,23 +77,16 @@ pub fn summarize_regions<P: Intensity>(
         a.sum_y += y as u64;
     }
     accs.into_iter()
-        .zip(mins)
         .enumerate()
-        .map(|(label, (a, mm))| {
-            let s = a.stats.expect("every label has pixels (labels are dense)");
-            let (lo, hi) = mm.expect("dense labels");
+        .map(|(label, a)| {
+            let stats = a.stats.expect("every label has pixels (labels are dense)");
             RegionSummary {
                 label: label as u32,
-                stats: RegionStats {
-                    min: lo,
-                    max: hi,
-                    sum: s.sum,
-                    count: s.count,
-                },
+                stats,
                 bbox: (a.min_x, a.min_y, a.max_x + 1, a.max_y + 1),
                 centroid: (
-                    a.sum_x as f64 / s.count as f64,
-                    a.sum_y as f64 / s.count as f64,
+                    a.sum_x as f64 / stats.count as f64,
+                    a.sum_y as f64 / stats.count as f64,
                 ),
             }
         })
@@ -184,6 +162,30 @@ mod tests {
         assert_eq!(rect.centroid, (3.5, 2.0));
         assert_eq!(rect.mean(), 200.0);
         assert_eq!(rect.stats.range(), 0);
+    }
+
+    #[test]
+    fn summaries_match_per_label_pixel_statistics() {
+        let img = synth::uniform_noise(48, 40, 60, 140, 3);
+        let seg = segment(&img, &Config::with_threshold(12));
+        let sums = summarize_regions(&img, &seg);
+        assert_eq!(sums.len(), seg.num_regions);
+        for s in &sums {
+            let pixels: Vec<u8> = seg
+                .labels
+                .iter()
+                .zip(img.pixels())
+                .filter(|&(&l, _)| l == s.label)
+                .map(|(_, &p)| p)
+                .collect();
+            assert_eq!(s.stats.min, *pixels.iter().min().unwrap());
+            assert_eq!(s.stats.max, *pixels.iter().max().unwrap());
+            assert_eq!(
+                s.stats.sum,
+                pixels.iter().map(|&p| u64::from(p)).sum::<u64>()
+            );
+            assert_eq!(s.stats.count, pixels.len() as u64);
+        }
     }
 
     #[test]
